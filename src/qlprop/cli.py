@@ -8,7 +8,8 @@ export) and ``fixtures`` (write the canonical model files).
 
 Exit codes: 0 success, 1 domain error (reported as ``ERROR <name>``),
 2 usage error.  The containment tolerance can be set with ``--tol`` or
-the ``QLPROP_TOL`` environment variable.
+the ``QLPROP_TOL`` environment variable; :func:`qlprop.hilbert.check_tol`
+validates either.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError, QlpropError
-from .hilbert import DEFAULT_TOL, state_lattice
+from .hilbert import DEFAULT_TOL, MAX_TOL, MIN_TOL, check_tol, state_lattice
 from .lattice import check_boolean, check_ortho_modular, export_dot
 from .model import (
     DEFAULT_ENUM_CAP,
@@ -76,10 +77,11 @@ class RunConfig:
 
 
 def _config(args) -> RunConfig:
-    tol = args.tol
-    if tol is None:
+    if args.tol is not None:
+        tol = check_tol(args.tol, "--tol")
+    else:
         env = os.environ.get("QLPROP_TOL")
-        tol = float(env) if env else DEFAULT_TOL
+        tol = check_tol(env, "QLPROP_TOL") if env else DEFAULT_TOL
     return RunConfig(tol=tol, enum_cap=args.enum_cap, json_out=args.json)
 
 
@@ -426,8 +428,9 @@ def cmd_fixtures(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None,
-                        help="containment tolerance (default: QLPROP_TOL "
-                             "or 1e-9)")
+                        help="containment tolerance, finite and within "
+                             f"[{MIN_TOL:g}, {MAX_TOL:g}] (default: "
+                             "QLPROP_TOL or 1e-9)")
     common.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP,
                         help="interpretation enumeration cap")
     common.add_argument("--json", action="store_true",

@@ -63,6 +63,10 @@ class NonOrthonormalBasis(SchemaError):
     """A stored basis is not orthonormal within tolerance."""
 
 
+class InvalidTolerance(QlpropError):
+    """A containment tolerance is not a finite number in the accepted range."""
+
+
 class EnumerationCapExceeded(QlpropError):
     """The interpretation count exceeds the configured cap."""
 
@@ -77,6 +81,11 @@ class RankError(QlpropError):
 
 class UnknownProperty(QlpropError):
     """A formula or lookup mentions a property the model does not declare."""
+
+
+class ForallMismatch(QlpropError):
+    """The universally quantified proposition disagrees with the per-state
+    physical proposition (an internal consistency check failed)."""
 
 
 class DepthCapExceeded(QlpropError):

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     ClosureCapExceeded,
     DimensionMismatch,
+    InvalidTolerance,
     NoHilbertAnnotation,
     NonOrthonormalBasis,
     NotOperationClosed,
@@ -37,11 +38,33 @@ if TYPE_CHECKING:  # pragma: no cover
     from .model import Model
 
 __all__ = [
-    "DEFAULT_TOL", "Subspace", "contains", "ortho", "meet", "join",
+    "DEFAULT_TOL", "MIN_TOL", "MAX_TOL", "check_tol",
+    "Subspace", "contains", "ortho", "meet", "join",
     "certain_states", "state_lattice", "closure_generate",
 ]
 
 DEFAULT_TOL = 1e-9
+MIN_TOL, MAX_TOL = 1e-12, 1e-3
+
+
+def check_tol(tol, name: str = "tolerance") -> float:
+    """Validate a containment tolerance and return it as a float.
+
+    Accepted are finite values with ``MIN_TOL <= tol <= MAX_TOL``.  Below
+    the range, rounding noise of the subspace operations exceeds the
+    tolerance and closed property sets stop closing (m_qutrit fails at
+    1e-17); above it, and for NaN, infinite or negative values, rank
+    decisions no longer mean anything.  ``name`` says where the value
+    came from in the error message.
+    """
+    try:
+        value = float(tol)
+    except (TypeError, ValueError):
+        raise InvalidTolerance(f"{name} {tol!r} is not a number") from None
+    if not MIN_TOL <= value <= MAX_TOL:  # also false for NaN
+        raise InvalidTolerance(
+            f"{name} {tol!r} is outside [{MIN_TOL:g}, {MAX_TOL:g}]")
+    return value
 
 
 def _orthonormalize(vectors: Iterable, dim: int, tol: float,

@@ -5,6 +5,16 @@ are stored index-based as boolean numpy matrices.  Law checkers return a
 :class:`LawReport` of named pass/fail results with witnesses instead of
 raising, so that expected failures (distributivity in quantum lattices,
 orthomodularity in the hexagon fixture) can be inspected.
+
+Meet and join tables are computed from the order alone (never from the
+payloads), so callers can compare them with operations computed
+elsewhere.  Tables and law checks are numpy row slabs: a law over
+triples is evaluated for one value of its first variable at a time over
+all n x n values of the others, which is O(n^3) numpy work in n slabs
+and O(n^2) memory; laws over pairs are O(n^2).  Witnesses are the
+lexicographically first violating tuple, the order a nested scan would
+meet them in.  See Freese, Jezek & Nation, *Free Lattices* (AMS 1995)
+for the finite lattice algorithms.
 """
 
 from __future__ import annotations
@@ -201,25 +211,74 @@ class LawReport:
         return all(c.passed for c in self.checks if c.law not in exclude)
 
 
-def _meet_join_tables(p: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
-    n = p.n
-    meet = np.zeros((n, n), dtype=int)
-    join = np.zeros((n, n), dtype=int)
+def _first(bad: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first true entry of ``bad`` in row-major order."""
+    if not bad.size:
+        return None
+    k = int(bad.argmax())
+    if not bad.flat[k]:
+        return None
+    return tuple(int(i) for i in np.unravel_index(k, bad.shape))
+
+
+def _first_slab(n: int, slab: Callable[[int], np.ndarray]
+                ) -> tuple[int, ...] | None:
+    """Lexicographically first ``(x, *rest)`` with ``slab(x)[rest]`` true.
+
+    ``slab(x)`` evaluates a law for one value of its first variable over
+    all values of the others, so only n slabs are built, one at a time.
+    """
+    for x in range(n):
+        hit = _first(slab(x))
+        if hit is not None:
+            return (x, *hit)
+    return None
+
+
+def _glb_table(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Greatest-lower-bound table of a partial order and the mask of the
+    pairs that have one.
+
+    A lower bound k of (i, j) is their glb exactly when every lower bound
+    lies below k; by transitivity the down-set of k lies inside the set of
+    lower bounds, so that holds exactly when both sets have the same size.
+    The table is filled one row i at a time in O(n^2) work and memory.
+    Run on ``leq.T`` the same kernel gives least upper bounds.
+    """
+    n = leq.shape[0]
+    below = np.ascontiguousarray(leq.T)  # below[j, k]: k <= j
+    down = leq.sum(axis=0)  # size of the down-set of each k
+    table = np.zeros((n, n), dtype=int)
+    has = np.zeros((n, n), dtype=bool)
     for i in range(n):
-        for j in range(n):
-            m = p.meet_index(i, j)
-            if m is None:
-                raise MeetJoinMissing(
-                    f"no meet for {p.labels[i]!r} and {p.labels[j]!r}",
-                    witness=(i, j))
-            meet[i, j] = m
-            v = p.join_index(i, j)
-            if v is None:
-                raise MeetJoinMissing(
-                    f"no join for {p.labels[i]!r} and {p.labels[j]!r}",
-                    witness=(i, j))
-            join[i, j] = v
+        lower = below & leq[:, i]  # lower[j, k]: k <= i and k <= j
+        glb = lower & (down == lower.sum(axis=1)[:, None])
+        table[i] = glb.argmax(axis=1)
+        has[i] = glb.any(axis=1)
+    return table, has
+
+
+def _meet_join_tables(p: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
+    """Meet and join index tables of a poset, from the order alone.
+
+    Raises :class:`MeetJoinMissing` at the first pair (i, j) in row-major
+    order that lacks a meet or a join, naming the meet when both are
+    missing.
+    """
+    meet, has_meet = _glb_table(p.leq)
+    join, has_join = _glb_table(p.leq.T)
+    hit = _first(~(has_meet & has_join))
+    if hit is not None:
+        i, j = hit
+        what = "join" if has_meet[i, j] else "meet"
+        raise MeetJoinMissing(
+            f"no {what} for {p.labels[i]!r} and {p.labels[j]!r}",
+            witness=(i, j))
     return meet, join
+
+
+def _labels(p: FinitePoset, hit: tuple[int, ...] | None) -> tuple | None:
+    return None if hit is None else tuple(p.labels[i] for i in hit)
 
 
 def check_boolean(p: FinitePoset) -> LawReport:
@@ -228,33 +287,28 @@ def check_boolean(p: FinitePoset) -> LawReport:
     Requires every binary meet and join to exist (raises
     :class:`MeetJoinMissing` otherwise).  Laws checked: boundedness, both
     distributivity directions, existence and uniqueness of complements.
+
+    Cost: O(n^3) numpy work, done in n row slabs of n x n entries (one
+    per first variable), so memory stays O(n^2).  A failed law's witness
+    is the lexicographically first violating tuple of element labels.
     """
     meet, join = _meet_join_tables(p)
     checks: list[LawCheck] = []
     bot, top = p.bottom_index(), p.top_index()
     checks.append(LawCheck("bounded", bot is not None and top is not None))
 
-    def first_violation(law_fn):
-        for x, y, z in itertools.product(range(p.n), repeat=3):
-            if not law_fn(x, y, z):
-                return (p.labels[x], p.labels[y], p.labels[z])
-        return None
-
-    w = first_violation(lambda x, y, z: meet[x, join[y, z]]
-                        == join[meet[x, y], meet[x, z]])
+    # x ^ (y v z) == (x ^ y) v (x ^ z), over all (y, z) for one x
+    w = _labels(p, _first_slab(p.n, lambda x: meet[x].take(join)
+                               != join.take(meet[x], 0).take(meet[x], 1)))
     checks.append(LawCheck("distributive_meet_over_join", w is None, w))
-    w = first_violation(lambda x, y, z: join[x, meet[y, z]]
-                        == meet[join[x, y], join[x, z]])
+    w = _labels(p, _first_slab(p.n, lambda x: join[x].take(meet)
+                               != meet.take(join[x], 0).take(join[x], 1)))
     checks.append(LawCheck("distributive_join_over_meet", w is None, w))
 
     if bot is not None and top is not None:
-        bad = None
-        for x in range(p.n):
-            comps = [y for y in range(p.n)
-                     if meet[x, y] == bot and join[x, y] == top]
-            if len(comps) != 1:
-                bad = (p.labels[x], len(comps))
-                break
+        comps = ((meet == bot) & (join == top)).sum(axis=1)
+        hit = _first(comps != 1)
+        bad = None if hit is None else (p.labels[hit[0]], int(comps[hit[0]]))
         checks.append(LawCheck("unique_complement", bad is None, bad))
     else:
         checks.append(LawCheck("unique_complement", False, None))
@@ -319,68 +373,56 @@ def check_ortho_modular(l: OrthoLattice) -> LawReport:
     covering law; and plain modularity.  Modularity is informational only
     (quantum state lattices need not be modular), so callers should
     exclude it when asserting.
+
+    Cost: the modular law is O(n^3) numpy work in n row slabs of n x n
+    entries; every other law is O(n^2).  Memory stays O(n^2).  A failed
+    law's witness is the lexicographically first violating tuple of
+    element labels (the covering law orders its pairs atom first and
+    reports them as (element, atom)).
     """
     p, n = l.poset, l.n
+    leq, meet, join = p.leq, l.meet, l.join
+    o = np.asarray(l.ortho)
+    idx = np.arange(n)
     checks: list[LawCheck] = []
 
-    w = next(((p.labels[i],) for i in range(n)
-              if l.ortho[l.ortho[i]] != i), None)
+    w = _labels(p, _first(o[o] != idx))
     checks.append(LawCheck("ortho_involution", w is None, w))
 
-    w = None
-    for i, j in itertools.product(range(n), repeat=2):
-        if p.leq[i, j] and not p.leq[l.ortho[j], l.ortho[i]]:
-            w = (p.labels[i], p.labels[j])
-            break
+    # i <= j must give j' <= i'
+    w = _labels(p, _first(leq & ~leq[np.ix_(o, o)].T))
     checks.append(LawCheck("ortho_order_reversal", w is None, w))
 
-    w = next(((p.labels[i],) for i in range(n)
-              if l.meet[i, l.ortho[i]] != l.bottom
-              or l.join[i, l.ortho[i]] != l.top), None)
+    w = _labels(p, _first((meet[idx, o] != l.bottom)
+                          | (join[idx, o] != l.top)))
     checks.append(LawCheck("ortho_complement", w is None, w))
 
-    w = None
-    for i, j in itertools.product(range(n), repeat=2):
-        if p.leq[i, j] and l.join[i, l.meet[l.ortho[i], j]] != j:
-            w = (p.labels[i], p.labels[j])
-            break
+    # i <= j must give i v (i' ^ j) == j
+    w = _labels(p, _first(leq & (np.take_along_axis(join, meet[o], axis=1)
+                                 != idx)))
     checks.append(LawCheck("orthomodular", w is None, w))
 
-    atoms = p.atom_indices()
-    is_atom = np.zeros(n, dtype=bool)
-    is_atom[atoms] = True
-    w = next(((p.labels[i],) for i in range(n)
-              if i != l.bottom and not any(p.leq[a, i] for a in atoms)), None)
+    atoms = np.asarray(p.atom_indices(), dtype=int)
+    w = _labels(p, _first((idx != l.bottom) & ~leq[atoms].any(axis=0)))
     checks.append(LawCheck("atomic", w is None, w))
 
-    w = None
-    for i in range(n):
-        below = [a for a in atoms if p.leq[a, i]]
-        acc = l.bottom
-        for a in below:
-            acc = l.join[acc, a]
-        if acc != i:
-            w = (p.labels[i],)
-            break
+    # join of the atoms below each element, folded in atom order
+    acc = np.full(n, l.bottom)
+    for a in atoms:
+        acc = np.where(leq[a], join[acc, a], acc)
+    w = _labels(p, _first(acc != idx))
     checks.append(LawCheck("atomistic", w is None, w))
 
-    cm = p.cover_matrix()
-    w = None
-    for a in atoms:
-        for i in range(n):
-            if l.meet[i, a] == l.bottom and i != l.join[i, a]:
-                if not cm[i, l.join[i, a]]:
-                    w = (p.labels[i], p.labels[a])
-                    break
-        if w:
-            break
+    # row k, column i: atom a = atoms[k] with i ^ a = 0 must have i v a cover i
+    up = join[:, atoms].T
+    hit = _first((meet[:, atoms].T == l.bottom) & (up != idx)
+                 & ~p.cover_matrix()[idx, up])
+    w = None if hit is None else (p.labels[hit[1]], p.labels[atoms[hit[0]]])
     checks.append(LawCheck("covering", w is None, w))
 
-    w = None
-    for a, b, c in itertools.product(range(n), repeat=3):
-        if p.leq[a, c] and l.join[a, l.meet[b, c]] != l.meet[l.join[a, b], c]:
-            w = (p.labels[a], p.labels[b], p.labels[c])
-            break
+    # a <= c must give a v (b ^ c) == (a v b) ^ c, over all (b, c) for one a
+    w = _labels(p, _first_slab(n, lambda a: leq[a] & (
+        join[a].take(meet) != meet.take(join[a], 0))))
     checks.append(LawCheck("modular", w is None, w))
     return LawReport(tuple(checks))
 

@@ -32,7 +32,14 @@ from .errors import (
     SchemaError,
     UniverseTooSmall,
 )
-from .hilbert import DEFAULT_TOL, Subspace, closure_generate, contains, ortho
+from .hilbert import (
+    DEFAULT_TOL,
+    Subspace,
+    check_tol,
+    closure_generate,
+    contains,
+    ortho,
+)
 
 __all__ = [
     "Model", "HilbertAnnotation", "make_model", "load_model", "dump_model",
@@ -178,6 +185,7 @@ def _as_complex_vector(data, what: str) -> np.ndarray:
 
 def load_model(data: bytes | str, tol: float = DEFAULT_TOL) -> Model:
     """Parse and validate a model from JSON text or bytes."""
+    tol = check_tol(tol)
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
@@ -360,6 +368,7 @@ def build_qm_model(dim: int, rays: Mapping[str, Sequence],
     """
     if policy not in POLICIES:
         raise SchemaError(f"unknown extension policy {policy!r}")
+    tol = check_tol(tol)
     states = list(rays)
     props = list(subspaces)
     ray_subs = {s: Subspace.ray(np.asarray(v, dtype=complex), dim, tol)

@@ -22,7 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DepthCapExceeded, SchemaError, UnknownProperty
+from .errors import (
+    DepthCapExceeded,
+    ForallMismatch,
+    SchemaError,
+    UnknownProperty,
+)
 from .lattice import FinitePoset, build_poset
 from .model import Interpretation, Model, enumerate_interpretations
 from .syntax import And, Atom, Formula, Not, Or, QNot, format_lx
@@ -207,7 +212,7 @@ def forall_proposition(m: Model, f: Formula, cap: int | None = None) -> frozense
             break
     expected = physical_proposition(m, f)
     if acc != expected:
-        raise AssertionError(
+        raise ForallMismatch(
             f"universally quantified proposition {sorted(acc)} disagrees "
             f"with the per-state form {sorted(expected)}")
     return acc

@@ -2,12 +2,15 @@
 
 The oracles here deliberately avoid the code paths they are used to
 check: the universal-proposition oracle enumerates interpretations
-instead of inspecting extensions, and the subspace oracle works on
-projector matrices instead of basis rows.
+instead of inspecting extensions, the subspace oracle works on
+projector matrices instead of basis rows, and the lattice oracle
+(which imports nothing from ``qlprop.lattice``) finds bounds and law
+violations by explicit scans over nested lists.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -50,6 +53,123 @@ def projector_meet(pa: np.ndarray, pb: np.ndarray, thresh=1e-6) -> np.ndarray:
     w, v = np.linalg.eigh(pa + pb)
     cols = v[:, np.abs(w - 2.0) < thresh]
     return cols @ cols.conj().T
+
+
+# ---------------------------------------------------------------------------
+# lattice oracle: leq is a nested list of bools, leq[i][j] meaning i <= j
+
+
+def oracle_glb(leq, i: int, j: int) -> int | None:
+    """The lower bound of i and j above every other lower bound, if any."""
+    lows = [k for k in range(len(leq)) if leq[k][i] and leq[k][j]]
+    best = [k for k in lows if all(leq[m][k] for m in lows)]
+    return best[0] if best else None
+
+
+def oracle_lub(leq, i: int, j: int) -> int | None:
+    """The upper bound of i and j below every other upper bound, if any."""
+    ups = [k for k in range(len(leq)) if leq[i][k] and leq[j][k]]
+    best = [k for k in ups if all(leq[k][m] for m in ups)]
+    return best[0] if best else None
+
+
+def oracle_tables(leq):
+    """``(meet, join, None)`` as nested lists, or ``(None, None, missing)``
+    where ``missing`` is ``("meet" | "join", i, j)`` at the first pair in
+    row-major order lacking a bound (the meet is checked first)."""
+    n = len(leq)
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        for kind, table, bound in (("meet", meet, oracle_glb),
+                                   ("join", join, oracle_lub)):
+            k = bound(leq, i, j)
+            if k is None:
+                return None, None, (kind, i, j)
+            table[i][j] = k
+    return meet, join, None
+
+
+def first_violation(n: int, arity: int, holds) -> tuple | None:
+    """First index tuple in lexicographic order where ``holds`` is false."""
+    for t in itertools.product(range(n), repeat=arity):
+        if not holds(*t):
+            return t
+    return None
+
+
+def oracle_boolean_witnesses(meet, join) -> dict:
+    """First violations of both distributive laws, as index triples."""
+    n = len(meet)
+    return {
+        "distributive_meet_over_join": first_violation(
+            n, 3, lambda x, y, z:
+            meet[x][join[y][z]] == join[meet[x][y]][meet[x][z]]),
+        "distributive_join_over_meet": first_violation(
+            n, 3, lambda x, y, z:
+            join[x][meet[y][z]] == meet[join[x][y]][join[x][z]]),
+    }
+
+
+def oracle_complement_witness(leq, meet, join) -> tuple | None:
+    """First element without exactly one complement, with that count."""
+    n = len(leq)
+    bot = next(k for k in range(n) if all(leq[k]))
+    top = next(k for k in range(n) if all(row[k] for row in leq))
+    for x in range(n):
+        count = sum(meet[x][y] == bot and join[x][y] == top
+                    for y in range(n))
+        if count != 1:
+            return x, count
+    return None
+
+
+def oracle_ortho_witnesses(leq, meet, join, ortho) -> dict:
+    """First violations of every law ``check_ortho_modular`` reports, as
+    index tuples; covering is scanned atom first and reported as
+    (element, atom)."""
+    n = len(leq)
+    bot = next(k for k in range(n) if all(leq[k]))
+    top = next(k for k in range(n) if all(row[k] for row in leq))
+
+    def covers(x, y):
+        return (x != y and leq[x][y]
+                and not any(z not in (x, y) and leq[x][z] and leq[z][y]
+                            for z in range(n)))
+
+    atoms = [a for a in range(n) if covers(bot, a)]
+
+    def atom_join(i):
+        acc = bot
+        for a in atoms:
+            if leq[a][i]:
+                acc = join[acc][a]
+        return acc
+
+    covering = first_violation(
+        n, 2, lambda k, i: k >= len(atoms)
+        or meet[i][atoms[k]] != bot or join[i][atoms[k]] == i
+        or covers(i, join[i][atoms[k]]))
+    return {
+        "ortho_involution": first_violation(
+            n, 1, lambda i: ortho[ortho[i]] == i),
+        "ortho_order_reversal": first_violation(
+            n, 2, lambda i, j: not leq[i][j] or leq[ortho[j]][ortho[i]]),
+        "ortho_complement": first_violation(
+            n, 1, lambda i: meet[i][ortho[i]] == bot
+            and join[i][ortho[i]] == top),
+        "orthomodular": first_violation(
+            n, 2, lambda i, j:
+            not leq[i][j] or join[i][meet[ortho[i]][j]] == j),
+        "atomic": first_violation(
+            n, 1, lambda i: i == bot or any(leq[a][i] for a in atoms)),
+        "atomistic": first_violation(n, 1, lambda i: atom_join(i) == i),
+        "covering": None if covering is None
+        else (covering[1], atoms[covering[0]]),
+        "modular": first_violation(
+            n, 3, lambda a, b, c:
+            not leq[a][c] or join[a][meet[b][c]] == meet[join[a][b]][c]),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,23 @@ def test_tol_env_var(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.strip() == "{Sz+}"
 
 
+@pytest.mark.parametrize("bad", ["abc", "nan", "inf", "5", "-1e-6", "0",
+                                 "1e-17", "2e-3"])
+def test_out_of_range_tol_is_domain_error(models_dir, monkeypatch, capsys,
+                                          bad):
+    args = ["props", "--model", str(models_dir / "m_qutrit.json"),
+            "--lang", "ltq", "--physical", "P1(x)"]
+    monkeypatch.setenv("QLPROP_TOL", bad)
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith(
+        "ERROR InvalidTolerance: QLPROP_TOL")
+    monkeypatch.delenv("QLPROP_TOL")
+    if bad != "abc":  # argparse rejects a non-number flag as a usage error
+        assert main(args + [f"--tol={bad}"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "ERROR InvalidTolerance: --tol")
+
+
 def test_console_entry_point():
     out = subprocess.run(
         [sys.executable, "-m", "qlprop", "parse", "E(x) & F(x)"],

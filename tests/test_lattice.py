@@ -3,11 +3,17 @@
 Oracles: the powerset lattice (all laws must pass) and the six-element
 benzene-ring ortholattice (orthomodularity must fail at a documented
 pair).  Meets and joins from the table builder are re-derived here with
-an independent nested scan.
+an independent nested scan, and the brute-force lattice oracle of
+``helpers`` checks tables, missing bounds and law witnesses on random
+closure systems, random posets and the fixed fixtures.
 """
+
+import functools
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qlprop.errors import (
     IncompatiblePreorder,
@@ -25,6 +31,14 @@ from qlprop.lattice import (
     ortho_lattice_from_poset,
     powerset_lattice,
     quotient_poset,
+)
+from qlprop.lattice import _meet_join_tables
+
+from helpers import (
+    oracle_boolean_witnesses,
+    oracle_complement_witness,
+    oracle_ortho_witnesses,
+    oracle_tables,
 )
 
 # ---------------------------------------------------------------------------
@@ -225,3 +239,166 @@ def test_atoms_of_powerset():
     p = powerset_lattice(["a", "b", "c"])
     atoms = {p.elements[i] for i in p.atom_indices()}
     assert atoms == {frozenset({"a"}), frozenset({"b"}), frozenset({"c"})}
+
+
+# ---------------------------------------------------------------------------
+# the vectorised tables and law checkers against the brute-force oracle
+
+# M3 (three atoms) and N5 (the pentagon) as families of subsets of {0, 1, 2}
+M3 = [0b000, 0b001, 0b010, 0b100, 0b111]
+N5 = [0b000, 0b001, 0b011, 0b100, 0b111]
+
+
+def _subset_order(sets) -> list[list[bool]]:
+    return [[a & b == a for b in sets] for a in sets]
+
+
+@st.composite
+def closure_systems(draw) -> list[list[bool]]:
+    """Families of subsets of a ground set of at most four points, closed
+    under intersection and holding the full set, in a random order.
+    Their lattices include non-distributive ones such as M3 and N5."""
+    k = draw(st.integers(1, 4))
+    full = (1 << k) - 1
+    family = {full, *draw(st.lists(st.integers(0, full), max_size=7))}
+    while True:
+        more = {a & b for a in family for b in family} - family
+        if not more:
+            break
+        family |= more
+    return _subset_order(draw(st.permutations(sorted(family))))
+
+
+@st.composite
+def random_posets(draw) -> list[list[bool]]:
+    """Transitive closures of random DAGs on at most seven elements; most
+    are not lattices."""
+    n = draw(st.integers(1, 7))
+    order = draw(st.permutations(range(n)))
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    for a, b in itertools.combinations(range(n), 2):
+        if draw(st.booleans()):
+            leq[order[a]][order[b]] = True
+    for k, i, j in itertools.product(range(n), repeat=3):
+        if leq[i][k] and leq[k][j]:
+            leq[i][j] = True
+    return leq
+
+
+def _poset(leq):
+    labels = [f"e{i}" for i in range(len(leq))]
+    return build_poset(labels, np.array(leq, dtype=bool), labels)
+
+
+def _labelled(p, hit):
+    return None if hit is None else tuple(p.labels[i] for i in hit)
+
+
+# two minimal elements below two maximal ones: no meet of the maxima
+BOWTIE = [[True, False, True, True],
+          [False, True, True, True],
+          [False, False, True, False],
+          [False, False, False, True]]
+
+
+@given(st.one_of(closure_systems(), random_posets()))
+@example(BOWTIE)
+@example(_subset_order(M3))
+@settings(max_examples=200, deadline=None)
+def test_meet_join_tables_match_oracle(leq):
+    p = _poset(leq)
+    meet, join, missing = oracle_tables(leq)
+    if missing is None:
+        got_meet, got_join = _meet_join_tables(p)
+        assert got_meet.tolist() == meet
+        assert got_join.tolist() == join
+        return
+    kind, i, j = missing
+    with pytest.raises(MeetJoinMissing) as exc:
+        check_boolean(p)
+    assert exc.value.witness == (i, j)
+    assert str(exc.value) == (f"no {kind} for {p.labels[i]!r} "
+                              f"and {p.labels[j]!r}")
+
+
+@given(closure_systems())
+@example(_subset_order(M3))
+@example(_subset_order(N5))
+@settings(max_examples=150, deadline=None)
+def test_check_boolean_matches_oracle(leq):
+    p = _poset(leq)
+    meet, join, _ = oracle_tables(leq)
+    rep = check_boolean(p)
+    assert rep["bounded"].passed
+    for law, hit in oracle_boolean_witnesses(meet, join).items():
+        assert rep[law].passed == (hit is None)
+        assert rep[law].witness == _labelled(p, hit)
+    bad = oracle_complement_witness(leq, meet, join)
+    assert rep["unique_complement"].witness == (
+        None if bad is None else (p.labels[bad[0]], bad[1]))
+
+
+def _assert_ortho_matches_oracle(lat):
+    leq = lat.poset.leq.tolist()
+    meet, join, _ = oracle_tables(leq)
+    rep = check_ortho_modular(lat)
+    want = oracle_ortho_witnesses(leq, meet, join, list(lat.ortho))
+    assert set(want) == {c.law for c in rep.checks}
+    for law, hit in want.items():
+        assert rep[law].passed == (hit is None)
+        assert rep[law].witness == _labelled(lat.poset, hit)
+    return rep
+
+
+@st.composite
+def closure_systems_with_ortho(draw):
+    # any permutation is accepted as the ortho map, so the ortho laws
+    # fail with many different witnesses
+    leq = draw(closure_systems())
+    return leq, draw(st.permutations(range(len(leq))))
+
+
+@given(closure_systems_with_ortho())
+@example((_subset_order(N5), [4, 3, 2, 1, 0]))
+@settings(max_examples=150, deadline=None)
+def test_check_ortho_modular_matches_oracle(case):
+    leq, ortho = case
+    _assert_ortho_matches_oracle(ortho_lattice_from_poset(_poset(leq), ortho))
+
+
+def _mo2():
+    labels = ["0", "a", "a'", "b", "b'", "1"]
+    leq = np.eye(6, dtype=bool)
+    leq[0, :] = True
+    leq[:, 5] = True
+    p = build_poset(labels, leq, labels)
+    return ortho_lattice_from_poset(p, [5, 2, 1, 4, 3, 0])
+
+
+def _complemented_powerset(k):
+    p = powerset_lattice(list("abcd"[:k]))
+    full = frozenset("abcd"[:k])
+    return ortho_lattice_from_poset(
+        p, [p.index_of(full - e) for e in p.elements])
+
+
+FIXED_ORTHOLATTICES = {
+    "hexagon": hexagon,
+    "MO2": _mo2,
+    **{f"powerset{k}": functools.partial(_complemented_powerset, k)
+       for k in range(5)},
+}
+
+
+@pytest.mark.parametrize("name", FIXED_ORTHOLATTICES)
+def test_fixed_ortholattices_match_oracle(name):
+    lat = FIXED_ORTHOLATTICES[name]()
+    rep = _assert_ortho_matches_oracle(lat)
+    leq = lat.poset.leq.tolist()
+    meet, join, _ = oracle_tables(leq)
+    boolean = check_boolean(lat.poset)
+    for law, hit in oracle_boolean_witnesses(meet, join).items():
+        assert boolean[law].witness == _labelled(lat.poset, hit)
+    if name == "MO2":  # orthomodular and modular, but not distributive
+        assert rep.all_passed()
+        assert not boolean["distributive_meet_over_join"].passed

@@ -9,6 +9,7 @@ from qlprop.errors import (
     DuplicateId,
     EnumerationCapExceeded,
     ExtensionOutOfUniverse,
+    InvalidTolerance,
     RankError,
     SchemaError,
     UniverseTooSmall,
@@ -177,6 +178,18 @@ def test_load_rejects_malformed_vector():
 def test_load_rejects_bad_json():
     with pytest.raises(SchemaError):
         load_model("not json at all {")
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9, 0.0,
+                                 1e-17, 2e-3, 5, "abc", None])
+def test_load_rejects_bad_tolerance(tol):
+    with pytest.raises(InvalidTolerance):
+        load_model(dump_model(m_qbit()), tol=tol)
+
+
+def test_load_accepts_tolerance_range_ends():
+    for tol in (1e-12, 1e-3):
+        assert load_model(dump_model(m_qutrit()), tol=tol).hilbert is not None
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlprop.errors import DepthCapExceeded, EnumerationCapExceeded
+from qlprop.errors import (
+    DepthCapExceeded,
+    EnumerationCapExceeded,
+    ForallMismatch,
+)
 from qlprop.lattice import check_boolean, order_isomorphic, powerset_lattice
 from qlprop.model import (
     enumerate_interpretations,
@@ -319,6 +323,16 @@ def test_forall_respects_cap():
         {f"S{i}": {"E": [f"o{j}" for j in range(10)]} for i in range(8)})
     with pytest.raises(EnumerationCapExceeded):
         forall_proposition(m, parse_lx("E(x)"), cap=1000)
+
+
+def test_forall_disagreement_is_typed(monkeypatch):
+    # force the per-state form to disagree with the brute-force one
+    monkeypatch.setattr("qlprop.semantics.physical_proposition",
+                        lambda m, f: frozenset({"S1"}))
+    with pytest.raises(ForallMismatch) as exc:
+        forall_proposition(m_sr(), parse_lx("E(x)"))
+    assert str(exc.value) == ("universally quantified proposition ['S2'] "
+                              "disagrees with the per-state form ['S1']")
 
 
 # ---------------------------------------------------------------------------
