@@ -56,13 +56,18 @@ print("poset of certainty regions of the testable ones:",
 print()
 
 # contrast: the two-state fixture is not full-or-empty and the collapse
-# fails there
+# fails there.  The distinct individual propositions are printed with
+# their states in the model's state order, and sorted by those state
+# positions, so the output does not depend on set iteration order.
 msr = m_sr()
 ok, witness = check_cms(msr)
 print(f"full-or-empty check on the two-state fixture: {ok}, "
       f"witness cell {witness}")
 f = enumerate_formulas(msr.properties, 1)[0]
-props = {frozenset(individual_proposition(msr, i, f))
-         for i in enumerate_interpretations(msr)}
+position = {s: i for i, s in enumerate(msr.states)}
+props = sorted({tuple(sorted(individual_proposition(msr, i, f),
+                             key=position.get))
+                for i in enumerate_interpretations(msr)},
+               key=lambda p: [position[s] for s in p])
 print(f"{format_lx(f)!r} has {len(props)} distinct individual "
-      f"propositions there: {[sorted(p) for p in props]}")
+      f"propositions there: {[list(p) for p in props]}")

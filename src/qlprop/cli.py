@@ -6,9 +6,10 @@ Subcommands: ``parse`` (canonical form or positioned syntax error),
 ``check`` (invariant suites), ``lattice`` (poset construction and DOT
 export) and ``fixtures`` (write the canonical model files).
 
-Exit codes: 0 success, 1 domain error (reported as ``ERROR <name>``),
-2 usage error.  The containment tolerance can be set with ``--tol`` or
-the ``QLPROP_TOL`` environment variable; :func:`qlprop.hilbert.check_tol`
+Exit codes: 0 success, 1 domain error (reported as ``ERROR <name>``)
+or an output pipe closed by its reader (reported not at all), 2 usage
+error.  The containment tolerance can be set with ``--tol`` or the
+``QLPROP_TOL`` environment variable; :func:`qlprop.hilbert.check_tol`
 validates either.
 """
 
@@ -504,7 +505,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows up here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader went away (e.g. ``qlprop ... | head -1``).  Point
+        # stdout at devnull so the interpreter's final flush stays quiet,
+        # as the documentation of the ``signal`` module recommends.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return 1  # no file descriptor, so no final flush to quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 1
     except ParseError as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

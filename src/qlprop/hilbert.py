@@ -1,4 +1,5 @@
-"""Finite-dimensional complex subspace algebra.
+"""Finite-dimensional complex subspace algebra and the Hilbert side of a
+model.
 
 Subspaces are stored as row-orthonormal bases produced by modified
 Gram-Schmidt with a re-orthogonalization pass, so containment tests reduce
@@ -11,12 +12,26 @@ to projection residuals.  The lattice operations are:
 Rank identities (``rank(ortho(a)) == dim - rank(a)`` and the rank formula
 for joins of generic spans) hold exactly, not just within tolerance,
 because rank decisions are made once per vector against a fixed threshold.
+
+A :class:`HilbertAnnotation` gives each state a ray and each property a
+subspace.  Its :attr:`~HilbertAnnotation.table` (a :class:`PropertyTable`)
+holds the facts the model-level maps need: which declared property
+realises the complement, meet or join of others, and which states are
+certain for each property.  The table is created on first use and filled
+lazily, so every fact is computed at most once per annotation and only
+when something asks for it; loading or building a model computes none.
+A subspace result maps to the first declared property equal to it under
+``Subspace.__eq__`` (mutual containment within tolerance).
+:func:`certain_states`, :func:`state_lattice` and the quantum-language
+semantics all read the same table.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import TYPE_CHECKING, Iterable, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -40,6 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "DEFAULT_TOL", "MIN_TOL", "MAX_TOL", "check_tol",
     "Subspace", "contains", "ortho", "meet", "join",
+    "HilbertAnnotation", "PropertyTable",
     "certain_states", "state_lattice", "closure_generate",
 ]
 
@@ -231,28 +247,98 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
 # Model-facing operations
 
 
+@dataclass(frozen=True)
+class HilbertAnnotation:
+    """A ray per state and a closed subspace per property.
+
+    ``make_model`` stores both dicts in the model's declaration order,
+    which is the order :class:`PropertyTable` searches properties in.
+    """
+
+    dim: int
+    state_rays: dict[str, Subspace]
+    property_subspaces: dict[str, Subspace]
+
+    @cached_property
+    def table(self) -> "PropertyTable":
+        """This annotation's property table, created on first access."""
+        return PropertyTable(self)
+
+
+class PropertyTable:
+    """Lazily filled subspace facts of one annotation's properties.
+
+    ``ortho(e)``, ``meet(e, f)`` and ``join(e, f)`` name the declared
+    property realising the operation on the operands' subspaces;
+    ``certain(e)`` is the set of states whose ray lies in ``e``'s
+    subspace.  Every entry is computed on its first lookup and kept,
+    including a missing operation result: that lookup and every later
+    one raise the same :class:`NotOperationClosed`.  Operands must be
+    declared properties.
+    """
+
+    def __init__(self, ann: HilbertAnnotation):
+        self._ann = ann
+        # keyed by the NotOperationClosed witness: (e, "ortho") or (e, f, op)
+        self._realised: dict[tuple, str | None] = {}
+        self._certain: dict[str, frozenset[str]] = {}
+
+    def _property_of(self, target: Subspace) -> str | None:
+        """The first declared property whose subspace equals ``target``."""
+        for name, sub in self._ann.property_subspaces.items():
+            if sub == target:
+                return name
+        return None
+
+    def _realise(self, key: tuple,
+                 compute: Callable[[dict[str, Subspace]], Subspace]) -> str:
+        try:
+            name = self._realised[key]
+        except KeyError:
+            name = self._property_of(compute(self._ann.property_subspaces))
+            self._realised[key] = name
+        if name is None:
+            *operands, op = key
+            what = "complement" if op == "ortho" else op
+            raise NotOperationClosed(
+                f"no property realises the {what} of "
+                + " and ".join(map(repr, operands)), witness=key)
+        return name
+
+    def ortho(self, e: str) -> str:
+        return self._realise((e, "ortho"), lambda subs: ortho(subs[e]))
+
+    def meet(self, e: str, f: str) -> str:
+        return self._realise((e, f, "meet"), lambda subs: meet(subs[e], subs[f]))
+
+    def join(self, e: str, f: str) -> str:
+        return self._realise((e, f, "join"), lambda subs: join(subs[e], subs[f]))
+
+    def certain(self, e: str) -> frozenset[str]:
+        try:
+            return self._certain[e]
+        except KeyError:
+            sub = self._ann.property_subspaces[e]
+            out = frozenset(s for s, ray in self._ann.state_rays.items()
+                            if contains(sub, ray))
+            self._certain[e] = out
+            return out
+
+
 def certain_states(model: "Model", prop: str) -> frozenset[str]:
     """States whose ray lies inside the property's subspace.
 
     This is the map sending each property to the set of states where it
     is certain; its image, ordered by inclusion, is the lattice of
-    physical propositions of the quantum model.
+    physical propositions of the quantum model.  Read from the
+    annotation's :class:`PropertyTable`.
     """
     ann = model.hilbert
     if ann is None:
         raise NoHilbertAnnotation("model carries no Hilbert annotation")
     if prop not in ann.property_subspaces:
         raise UnknownProperty(f"no subspace for property {prop!r}")
-    sub = ann.property_subspaces[prop]
-    return frozenset(s for s in model.states
-                     if contains(sub, ann.state_rays[s]))
-
-
-def _lookup_property(subs: dict[str, Subspace], target: Subspace) -> str | None:
-    for name, s in subs.items():
-        if s == target:
-            return name
-    return None
+    return ann.table.certain(prop)
 
 
 def state_lattice(model: "Model") -> "OrthoLattice":
@@ -260,9 +346,11 @@ def state_lattice(model: "Model") -> "OrthoLattice":
 
     Requires the declared property subspaces to be closed under
     complement, meet and join; the lattice operations are induced through
-    the subspace operations and then validated against the order.  If two
-    properties share a certain-state set the lattice is still built, with
-    a warning, using the first property per set in declaration order.
+    the annotation's property table and then validated against the
+    order.  If two properties share a certain-state set the lattice is
+    still built, with a warning, using the first property per set in
+    declaration order.  Only the table is kept: the poset is rebuilt, and
+    the warnings are issued, on every call.
     """
     from .lattice import FinitePoset, OrthoLattice, build_poset
 
@@ -270,34 +358,19 @@ def state_lattice(model: "Model") -> "OrthoLattice":
     if ann is None:
         raise NoHilbertAnnotation("model carries no Hilbert annotation")
     props = list(model.properties)
-    subs = {e: ann.property_subspaces[e] for e in props}
+    table = ann.table
 
-    ortho_prop: dict[str, str] = {}
-    for e in props:
-        name = _lookup_property(subs, ortho(subs[e]))
-        if name is None:
-            raise NotOperationClosed(
-                f"no property realises the complement of {e!r}",
-                witness=(e, "ortho"))
-        ortho_prop[e] = name
+    # all complements first, then meet before join per pair: this order
+    # decides which NotOperationClosed is raised first
+    ortho_prop = {e: table.ortho(e) for e in props}
     meet_prop: dict[tuple[str, str], str] = {}
     join_prop: dict[tuple[str, str], str] = {}
     for e in props:
         for f in props:
-            name = _lookup_property(subs, meet(subs[e], subs[f]))
-            if name is None:
-                raise NotOperationClosed(
-                    f"no property realises the meet of {e!r} and {f!r}",
-                    witness=(e, f, "meet"))
-            meet_prop[e, f] = name
-            name = _lookup_property(subs, join(subs[e], subs[f]))
-            if name is None:
-                raise NotOperationClosed(
-                    f"no property realises the join of {e!r} and {f!r}",
-                    witness=(e, f, "join"))
-            join_prop[e, f] = name
+            meet_prop[e, f] = table.meet(e, f)
+            join_prop[e, f] = table.join(e, f)
 
-    images = {e: certain_states(model, e) for e in props}
+    images = {e: table.certain(e) for e in props}
     rep_for_image: dict[frozenset, str] = {}
     reps: list[str] = []
     for e in props:

@@ -34,6 +34,7 @@ from .errors import (
 )
 from .hilbert import (
     DEFAULT_TOL,
+    HilbertAnnotation,
     Subspace,
     check_tol,
     closure_generate,
@@ -53,13 +54,6 @@ DEFAULT_ENUM_CAP = 10 ** 6
 POLICIES = ("born", "random")
 
 Interpretation = Mapping[str, str]
-
-
-@dataclass(frozen=True)
-class HilbertAnnotation:
-    dim: int
-    state_rays: dict[str, Subspace]
-    property_subspaces: dict[str, Subspace]
 
 
 @dataclass(frozen=True)
@@ -160,6 +154,12 @@ def make_model(states: Sequence[str], universes: Mapping[str, Sequence[str]],
             if hilbert.property_subspaces[a] == hilbert.property_subspaces[b]:
                 raise SchemaError(
                     f"properties {a!r} and {b!r} map to the same subspace")
+        if (list(hilbert.state_rays) != list(sts)
+                or list(hilbert.property_subspaces) != list(props)):
+            # the property table searches in declaration order
+            hilbert = HilbertAnnotation(
+                dim, {s: hilbert.state_rays[s] for s in sts},
+                {e: hilbert.property_subspaces[e] for e in props})
     return Model(sts, unis, props, exts, hilbert)
 
 
@@ -170,15 +170,22 @@ _TOP_KEYS = {"states", "universes", "properties", "extensions", "hilbert"}
 _HILBERT_KEYS = {"dim", "state_rays", "property_subspaces"}
 
 
+def _is_number(x) -> bool:
+    """A finite JSON number; ``bool`` is a subclass of ``int`` but not one."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
 def _as_complex_vector(data, what: str) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise SchemaError(f"{what} must be a nonempty array of [re, im] pairs")
     out = np.zeros(len(data), dtype=complex)
     for i, pair in enumerate(data):
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(x, (int, float)) for x in pair)):
+                or not all(_is_number(x) for x in pair)):
             raise SchemaError(
-                f"{what}[{i}] must be a [re, im] pair, got {pair!r}")
+                f"{what}[{i}] must be a [re, im] pair of finite numbers, "
+                f"got {pair!r}")
         out[i] = complex(pair[0], pair[1])
     return out
 
@@ -230,8 +237,12 @@ def load_model(data: bytes | str, tol: float = DEFAULT_TOL) -> Model:
             if key not in h:
                 raise SchemaError(f"missing hilbert key {key!r}")
         dim = h["dim"]
-        if not isinstance(dim, int) or dim < 1:
-            raise SchemaError(f"hilbert dim must be a positive integer")
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+            raise SchemaError(
+                f"'hilbert.dim' must be a positive integer, got {dim!r}")
+        for key in ("state_rays", "property_subspaces"):
+            if not isinstance(h[key], dict):
+                raise SchemaError(f"'hilbert.{key}' must be an object")
         rays = {}
         for s, vec in h["state_rays"].items():
             v = _as_complex_vector(vec, f"state_rays[{s!r}]")

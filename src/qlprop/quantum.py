@@ -6,6 +6,14 @@ negation takes the orthocomplement, conjunction the subspace meet.  The
 physical proposition of a formula is then the certain-state set of its
 witness, and no classical extension is consulted along the way.
 
+Each reduction step and each certain-state set is a lookup in the
+annotation's :class:`~qlprop.hilbert.PropertyTable`: the subspace
+operation behind an entry runs at most once per annotation, on the
+first formula that needs it, and its result is matched to a declared
+property by the ``Subspace.__eq__`` rule (mutual containment within
+tolerance).  The optional ``cache`` arguments only memoise the walk
+from formula to witness.
+
 Q-truth is three-valued: a formula is Q-true at a state lying in its
 proposition, Q-false at a state lying in the proposition's
 *orthocomplement* (taken in the state lattice, not the set complement),
@@ -21,12 +29,11 @@ import warnings
 
 from .errors import (
     NoHilbertAnnotation,
-    NotOperationClosed,
     SchemaError,
     UnknownProperty,
     WitnessMismatchWarning,
 )
-from .hilbert import certain_states, meet, ortho, state_lattice
+from .hilbert import certain_states, state_lattice
 from .model import Interpretation, Model
 from .semantics import (
     enumerate_tq_formulas,
@@ -58,22 +65,15 @@ def _hilbert(m: Model):
     return m.hilbert
 
 
-def _property_for(m: Model, target) -> str | None:
-    subs = m.hilbert.property_subspaces
-    for name in m.properties:
-        if subs[name] == target:
-            return name
-    return None
-
-
 def witness_property(m: Model, f: TQFormula,
                      cache: dict | None = None) -> str:
     """The declared property realising ``f`` through the subspace map.
 
     Recursion: an atom is its own witness; quantum negation looks up the
     property carrying the orthocomplement subspace; conjunction looks up
-    the meet.  Raises :class:`NotOperationClosed` when the model's
-    properties do not contain the required subspace.
+    the meet, both in the annotation's property table.  Raises
+    :class:`NotOperationClosed` when the model's properties do not
+    contain the required subspace.
     """
     ann = _hilbert(m)
     if cache is not None and f in cache:
@@ -83,21 +83,10 @@ def witness_property(m: Model, f: TQFormula,
             raise UnknownProperty(f"model declares no property {f.prop!r}")
         out = f.prop
     elif isinstance(f, QNot):
-        inner = witness_property(m, f.inner, cache)
-        out = _property_for(m, ortho(ann.property_subspaces[inner]))
-        if out is None:
-            raise NotOperationClosed(
-                f"no property realises the complement of {inner!r}",
-                witness=(inner, "ortho"))
+        out = ann.table.ortho(witness_property(m, f.inner, cache))
     elif isinstance(f, And):
-        wl = witness_property(m, f.left, cache)
-        wr = witness_property(m, f.right, cache)
-        out = _property_for(m, meet(ann.property_subspaces[wl],
-                                    ann.property_subspaces[wr]))
-        if out is None:
-            raise NotOperationClosed(
-                f"no property realises the meet of {wl!r} and {wr!r}",
-                witness=(wl, wr, "meet"))
+        out = ann.table.meet(witness_property(m, f.left, cache),
+                             witness_property(m, f.right, cache))
     else:
         raise TypeError(f"not a quantum formula node: {f!r}")
     if cache is not None:
@@ -169,12 +158,7 @@ def q_truth_classical(m: Model, state: str, f: Formula) -> QTruth | None:
             f"from the witness's certain-state set", WitnessMismatchWarning)
     if state in pos:
         return QTruth.TRUE
-    perp = _property_for(m, ortho(ann.property_subspaces[w]))
-    if perp is None:
-        raise NotOperationClosed(
-            f"no property realises the complement of {w!r}",
-            witness=(w, "ortho"))
-    if state in certain_states(m, perp):
+    if state in certain_states(m, ann.table.ortho(w)):
         return QTruth.FALSE
     return QTruth.INDETERMINATE
 

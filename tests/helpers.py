@@ -3,9 +3,11 @@
 The oracles here deliberately avoid the code paths they are used to
 check: the universal-proposition oracle enumerates interpretations
 instead of inspecting extensions, the subspace oracle works on
-projector matrices instead of basis rows, and the lattice oracle
-(which imports nothing from ``qlprop.lattice``) finds bounds and law
-violations by explicit scans over nested lists.
+projector matrices instead of basis rows, the witness oracle (which
+imports nothing from ``qlprop.hilbert`` or ``qlprop.quantum``) reduces
+quantum formulas with projectors and SVD null spaces, and the lattice
+oracle (which imports nothing from ``qlprop.lattice``) finds bounds and
+law violations by explicit scans over nested lists.
 """
 
 from __future__ import annotations
@@ -15,7 +17,12 @@ import random
 
 import numpy as np
 
-from qlprop.model import Model, enumerate_interpretations, make_model
+from qlprop.model import (
+    Model,
+    build_qm_model,
+    enumerate_interpretations,
+    make_model,
+)
 from qlprop.semantics import individual_proposition
 from qlprop.syntax import A, And, Assert, Atom, K, N, Not, Or, QNot
 
@@ -53,6 +60,101 @@ def projector_meet(pa: np.ndarray, pb: np.ndarray, thresh=1e-6) -> np.ndarray:
     w, v = np.linalg.eigh(pa + pb)
     cols = v[:, np.abs(w - 2.0) < thresh]
     return cols @ cols.conj().T
+
+
+# ---------------------------------------------------------------------------
+# witness oracle: quantum formulas reduced with projector matrices
+
+
+def span_projector(rows, dim: int, thresh=1e-6) -> np.ndarray:
+    """Projector onto the span of the given vectors, from their SVD.
+
+    With the vectors as rows of V = U S Vh, the span is spanned by the
+    (orthonormal) transposed rows of Vh with nonzero singular value.
+    """
+    v = np.asarray(rows, dtype=complex).reshape(-1, dim)
+    if v.shape[0] == 0:
+        return np.zeros((dim, dim), dtype=complex)
+    _, sv, vh = np.linalg.svd(v, full_matrices=False)
+    w = vh[sv > thresh].T
+    return w @ w.conj().T
+
+
+def null_space_meet(pa: np.ndarray, pb: np.ndarray,
+                    thresh=1e-6) -> np.ndarray:
+    """Projector onto the intersection of two ranges: the null space of
+    the stacked matrix [I - pa; I - pb]."""
+    eye = np.eye(pa.shape[0])
+    _, sv, vh = np.linalg.svd(np.vstack([eye - pa, eye - pb]))
+    n = vh[sv < thresh].conj().T
+    return n @ n.conj().T
+
+
+class WitnessOracle:
+    """Witnesses, certain-state sets and Q-truth of quantum formulas.
+
+    A property's projector comes from its basis vectors through
+    :func:`span_projector`; the complement of P is I - P and a meet is
+    :func:`null_space_meet`.  An operation result is matched to the
+    first property in declaration order with the same projector.  When
+    no property matches, :meth:`witness` returns the missing operation
+    as ``(e, "ortho")`` or ``(e, f, "meet")`` instead of a name.
+    """
+
+    def __init__(self, m: Model, atol=1e-6):
+        ann = m.hilbert
+        self.m = m
+        self.atol = atol
+        self.proj = {e: span_projector(ann.property_subspaces[e].basis, ann.dim)
+                     for e in m.properties}
+        self.rays = {s: ann.state_rays[s].basis[0] for s in m.states}
+
+    def _match(self, p: np.ndarray) -> str | None:
+        for e in self.m.properties:
+            if np.allclose(self.proj[e], p, atol=self.atol):
+                return e
+        return None
+
+    def witness(self, f):
+        """Property name, or the missing operation as a tuple."""
+        if isinstance(f, Atom):
+            return f.prop
+        if isinstance(f, QNot):
+            inner = self.witness(f.inner)
+            if isinstance(inner, tuple):
+                return inner
+            out = self._match(np.eye(len(self.proj[inner])) - self.proj[inner])
+            return (inner, "ortho") if out is None else out
+        left = self.witness(f.left)
+        if isinstance(left, tuple):
+            return left
+        right = self.witness(f.right)
+        if isinstance(right, tuple):
+            return right
+        out = self._match(null_space_meet(self.proj[left], self.proj[right]))
+        return (left, right, "meet") if out is None else out
+
+    def certain(self, e: str) -> frozenset:
+        p = self.proj[e]
+        return frozenset(s for s, psi in self.rays.items()
+                         if np.linalg.norm(psi - p @ psi) < self.atol)
+
+    def proposition(self, f):
+        w = self.witness(f)
+        return w if isinstance(w, tuple) else self.certain(w)
+
+    def q_truth(self, state: str, f):
+        """QTrue, QFalse or QIndeterminate as a string, or the missing
+        operation."""
+        pos = self.proposition(f)
+        if isinstance(pos, tuple):
+            return pos
+        if state in pos:
+            return "QTrue"
+        neg = self.proposition(QNot(f))
+        if isinstance(neg, tuple):
+            return neg
+        return "QFalse" if state in neg else "QIndeterminate"
 
 
 # ---------------------------------------------------------------------------
@@ -236,3 +338,16 @@ def random_unit(rng: random.Random, dim: int) -> np.ndarray:
 def random_subspace_vectors(rng: random.Random, dim: int, rank: int):
     """`rank` generic vectors; generic means full rank with prob. 1."""
     return [random_unit(rng, dim) for _ in range(rank)]
+
+
+def mo2_qubit(seed: int) -> Model:
+    """A qubit model with two random orthogonal ray pairs plus 0 and I,
+    whose six properties form MO2; the states are the four rays."""
+    rng = random.Random(seed)
+    a, b = random_unit(rng, 2), random_unit(rng, 2)
+    a_perp = np.array([-a[1].conjugate(), a[0].conjugate()])
+    b_perp = np.array([-b[1].conjugate(), b[0].conjugate()])
+    rays = {"A+": a, "A-": a_perp, "B+": b, "B-": b_perp}
+    subspaces = {"E0": [], "Ea+": [a], "Ea-": [a_perp], "Eb+": [b],
+                 "Eb-": [b_perp], "EI": [[1, 0], [0, 1]]}
+    return build_qm_model(2, rays, subspaces, universe_size=2, seed=seed)

@@ -297,3 +297,53 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert out.returncode == 0
     assert out.stdout.strip() == "E(x) & F(x)"
+
+
+# ---------------------------------------------------------------------------
+# closed output pipe and malformed model files
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_broken_pipe_is_exit_1_without_traceback(models_dir, monkeypatch,
+                                                 capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(["lattice", "--model", str(models_dir / "m_qbit.json"),
+                 "--which", "lindenbaum", "--closed"])
+    monkeypatch.undo()
+    assert code == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_broken_pipe_in_a_real_pipe():
+    # the read end is closed before the child writes anything, so its
+    # first write or the final flush fails with EPIPE
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qlprop", "parse", "E(x) & F(x)"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == ""
+
+
+def test_malformed_hilbert_section_is_schema_error(tmp_path, capsys):
+    doc = json.loads(dump_model(m_qbit()))
+    doc["hilbert"]["state_rays"] = [[[1.0, 0.0], [0.0, 0.0]]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["props", "--model", str(path), "--lang", "ltq",
+                 "--physical", "Ez+(x)"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR SchemaError: ")
+    assert "state_rays" in err
+    assert "Traceback" not in err

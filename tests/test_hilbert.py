@@ -12,6 +12,8 @@ import random
 import numpy as np
 import pytest
 
+import qlprop.hilbert as hilbert
+
 from qlprop.errors import (
     ClosureCapExceeded,
     DimensionMismatch,
@@ -19,6 +21,7 @@ from qlprop.errors import (
     NonOrthonormalBasis,
     NotOperationClosed,
     RankError,
+    ThetaNotInjectiveWarning,
     UnknownProperty,
 )
 from qlprop.hilbert import (
@@ -31,7 +34,15 @@ from qlprop.hilbert import (
     ortho,
     state_lattice,
 )
-from qlprop.model import m_qbit, m_qutrit, m_sr, make_model, HilbertAnnotation
+from qlprop.model import (
+    HilbertAnnotation,
+    dump_model,
+    load_model,
+    m_qbit,
+    m_qutrit,
+    m_sr,
+    make_model,
+)
 
 from helpers import projector_join, projector_meet, random_unit
 
@@ -253,6 +264,46 @@ def test_state_lattice_requires_closure():
         hilbert=ann)
     with pytest.raises(NotOperationClosed):
         state_lattice(m)
+
+
+def test_property_table_is_per_annotation_and_lazy(monkeypatch):
+    text = dump_model(m_qutrit())
+    a, b = load_model(text), load_model(text)
+    # loading fills nothing: the table does not exist before first use
+    assert "table" not in vars(a.hilbert) and "table" not in vars(b.hilbert)
+    assert a.hilbert.table is a.hilbert.table
+    assert a.hilbert.table is not b.hilbert.table
+
+    calls = []
+    real = contains
+    monkeypatch.setattr(hilbert, "contains",
+                        lambda x, y: calls.append(1) or real(x, y))
+    first = certain_states(a, "P1")
+    assert calls
+    del calls[:]
+    assert certain_states(a, "P1") == first and calls == []
+    # the other model's table is still empty and computes its own entry
+    assert certain_states(b, "P1") == first and calls
+
+
+def test_state_lattice_warns_on_every_call():
+    # the ray of S lies in neither coordinate axis, so E0, P and Pp all
+    # have the empty certain-state set
+    ann = HilbertAnnotation(
+        2, {"S": Subspace.ray([0.6, 0.8])},
+        {"E0": Subspace.zero(2), "P": Subspace.ray([1, 0]),
+         "Pp": Subspace.ray([0, 1]), "EI": Subspace.full(2)})
+    m = make_model(["S"], {"S": ["a", "b"]}, ["E0", "P", "Pp", "EI"],
+                   {"S": {"E0": [], "P": ["a"], "Pp": ["b"], "EI": ["a", "b"]}},
+                   hilbert=ann)
+    for _ in range(3):
+        with pytest.warns(ThetaNotInjectiveWarning) as rec:
+            lat = state_lattice(m)
+        assert [str(w.message) for w in rec] == [
+            "properties 'E0' and 'P' share the certain-state set; using the first",
+            "properties 'E0' and 'Pp' share the certain-state set; using the first",
+        ]
+        assert lat.poset.n == 2
 
 
 # ---------------------------------------------------------------------------

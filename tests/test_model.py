@@ -175,6 +175,42 @@ def test_load_rejects_malformed_vector():
         load_model(json.dumps(doc))
 
 
+@pytest.mark.parametrize("key", ["state_rays", "property_subspaces"])
+def test_load_rejects_hilbert_map_given_as_array(key):
+    doc = json.loads(dump_model(m_qbit()))
+    doc["hilbert"][key] = list(doc["hilbert"][key].values())
+    with pytest.raises(SchemaError, match=f"'hilbert.{key}' must be an object"):
+        load_model(json.dumps(doc))
+
+
+def test_load_rejects_boolean_dim():
+    doc = json.loads(dump_model(m_qbit()))
+    doc["hilbert"]["dim"] = True
+    with pytest.raises(SchemaError, match="'hilbert.dim' must be a positive"):
+        load_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_load_rejects_non_finite_ray_entry(bad):
+    doc = json.loads(dump_model(m_qbit()))
+    doc["hilbert"]["state_rays"]["Sz+"] = [[1.0, 0.0], [bad, 0.0]]
+    text = json.dumps(doc)  # writes NaN / Infinity, which JSON parsing accepts
+    with pytest.raises(SchemaError, match=r"state_rays\['Sz\+'\]\[1\] must be "
+                       r"a \[re, im\] pair of finite numbers"):
+        load_model(text)
+    doc["hilbert"]["state_rays"]["Sz+"] = [[1.0, 0.0], [0.0, 0.0]]
+    doc["hilbert"]["property_subspaces"]["Ez+"] = [[[bad, 0.0], [0.0, 0.0]]]
+    with pytest.raises(SchemaError, match=r"property_subspaces\['Ez\+'\]"):
+        load_model(json.dumps(doc))
+
+
+def test_load_rejects_boolean_vector_entries():
+    doc = json.loads(dump_model(m_qbit()))
+    doc["hilbert"]["state_rays"]["Sz+"] = [[True, False], [False, False]]
+    with pytest.raises(SchemaError, match=r"state_rays\['Sz\+'\]\[0\]"):
+        load_model(json.dumps(doc))
+
+
 def test_load_rejects_bad_json():
     with pytest.raises(SchemaError):
         load_model("not json at all {")
@@ -263,6 +299,18 @@ def test_qm_model_rejects_unnormalizable_ray():
         build_qm_model(
             dim=2, rays={"S": [0.0, 0.0]}, subspaces={"E": [[1.0, 0.0]]},
             universe_size=2)
+
+
+def test_annotation_follows_declaration_order():
+    # the property table searches properties in declaration order, so the
+    # model stores its annotation in that order whatever the file's order
+    doc = json.loads(dump_model(m_qbit()))
+    h = doc["hilbert"]
+    h["property_subspaces"] = dict(reversed(h["property_subspaces"].items()))
+    h["state_rays"] = dict(reversed(h["state_rays"].items()))
+    m = load_model(json.dumps(doc))
+    assert tuple(m.hilbert.property_subspaces) == m.properties
+    assert tuple(m.hilbert.state_rays) == m.states
 
 
 def test_hilbert_annotation_coverage_enforced():

@@ -5,9 +5,13 @@ witness recursion over subspaces, the comparison side from the state
 lattice's order-derived meet/join/ortho tables.
 """
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import qlprop.hilbert as hilbert
 
 from qlprop.errors import (
     NoHilbertAnnotation,
@@ -19,6 +23,8 @@ from qlprop.hilbert import Subspace
 from qlprop.model import (
     HilbertAnnotation,
     default_interpretation,
+    dump_model,
+    load_model,
     m_qbit,
     m_qutrit,
     m_sr,
@@ -37,7 +43,7 @@ from qlprop.quantum import (
 from qlprop.semantics import enumerate_tq_formulas
 from qlprop.syntax import And, Atom, QNot, parse_lx, parse_tq
 
-from helpers import random_tq_formula
+from helpers import WitnessOracle, mo2_qubit, random_tq_formula
 
 # ---------------------------------------------------------------------------
 # witness recursion, frozen on the qubit fixture
@@ -105,6 +111,94 @@ def test_witness_requires_closure():
     with pytest.raises(NotOperationClosed) as exc:
         witness_property(m, parse_tq("P(x) & Q(x)"))
     assert exc.value.witness == ("P", "Q", "meet")
+
+
+# ---------------------------------------------------------------------------
+# the property table against the projector oracle
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_model(name: str):
+    m = {"m_qbit": m_qbit, "m_qutrit": m_qutrit,
+         "mo2": lambda: mo2_qubit(20)}[name]()
+    return m, WitnessOracle(m)
+
+
+def _tq_formulas(props):
+    return st.recursive(
+        st.sampled_from(props).map(Atom),
+        lambda sub: st.one_of(sub.map(QNot),
+                              st.tuples(sub, sub).map(lambda t: And(*t))),
+        max_leaves=8)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_table_lookups_match_projector_oracle(data):
+    shared, oracle = _oracle_model(
+        data.draw(st.sampled_from(["m_qbit", "m_qutrit", "mo2"])))
+    # a shared model has a warm table; a reloaded copy starts empty
+    m = shared if data.draw(st.booleans()) else load_model(dump_model(shared))
+    f = data.draw(_tq_formulas(list(m.properties)))
+    w = oracle.witness(f)
+    assert witness_property(m, f) == w
+    assert tq_physical_proposition(m, f) == oracle.certain(w)
+    for s in m.states:
+        assert str(q_truth(m, s, f)) == oracle.q_truth(s, f)
+
+
+def test_oracle_knows_the_qubit_fixture():
+    m, oracle = _oracle_model("m_qbit")
+    assert oracle.witness(parse_tq("~q Ez+(x)")) == "Ez-"
+    assert oracle.witness(parse_tq("Ez+(x) & Ex+(x)")) == "E0"
+    assert oracle.certain("Ex-") == frozenset({"Sx-"})
+    assert oracle.q_truth("Sx+", parse_tq("Ez+(x)")) == "QIndeterminate"
+
+
+def _oblique_pair_model():
+    """Two oblique rays P and Q and nothing else: no complement, no meet
+    of P and Q, no join of P and Q is declared."""
+    ann = HilbertAnnotation(
+        2,
+        {"S1": Subspace.ray([1, 0]), "S2": Subspace.ray([1, 1])},
+        {"P": Subspace.ray([1, 0]), "Q": Subspace.ray([1, 1])})
+    return make_model(
+        ["S1", "S2"], {"S1": ["a"], "S2": ["a"]}, ["P", "Q"],
+        {"S1": {"P": ["a"], "Q": []}, "S2": {"P": [], "Q": ["a"]}},
+        hilbert=ann)
+
+
+def test_non_closed_model_evaluates_what_it_can(monkeypatch):
+    m = _oblique_pair_model()
+    f = parse_tq("(P(x) & P(x)) & P(x)")
+    assert witness_property(m, f) == "P"
+    assert tq_physical_proposition(m, f) == frozenset({"S1"})
+    assert q_truth(m, "S1", f) is QTruth.TRUE
+
+    calls = []
+    contains = hilbert.contains
+    monkeypatch.setattr(hilbert, "contains",
+                        lambda a, b: calls.append(1) or contains(a, b))
+    cases = [
+        (lambda: witness_property(m, parse_tq("~q P(x)")),
+         "no property realises the complement of 'P'", ("P", "ortho")),
+        (lambda: witness_property(m, parse_tq("P(x) & Q(x)")),
+         "no property realises the meet of 'P' and 'Q'", ("P", "Q", "meet")),
+        # Q-falsity at S2 needs the complement of P
+        (lambda: q_truth(m, "S2", f),
+         "no property realises the complement of 'P'", ("P", "ortho")),
+        (lambda: m.hilbert.table.join("P", "Q"),
+         "no property realises the join of 'P' and 'Q'", ("P", "Q", "join")),
+    ]
+    for call, message, witness in cases:
+        for attempt in range(2):
+            del calls[:]
+            with pytest.raises(NotOperationClosed) as exc:
+                call()
+            assert str(exc.value) == message
+            assert exc.value.witness == witness
+            if attempt:  # the missing result was stored, not recomputed
+                assert calls == []
 
 
 # ---------------------------------------------------------------------------
