@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .errors import ParseError, QlpropError
 from .hilbert import DEFAULT_TOL, MAX_TOL, MIN_TOL, check_tol, state_lattice
-from .lattice import check_boolean, check_ortho_modular, export_dot
+from .lattice import check_boolean, check_ortho_modular, export_dot, set_label
 from .model import (
     DEFAULT_ENUM_CAP,
     Model,
@@ -52,6 +52,7 @@ from .semantics import (
     is_true,
     lindenbaum_tarski,
     physical_proposition,
+    profile_proposition,
     testable_proposition_poset,
     testable_witness,
 )
@@ -88,10 +89,6 @@ def _config(args) -> RunConfig:
 
 def _load(args, cfg: RunConfig) -> Model:
     return load_model(Path(args.model).read_bytes(), tol=cfg.tol)
-
-
-def _prop_str(m: Model, prop: frozenset) -> str:
-    return "{" + ", ".join(s for s in m.states if s in prop) + "}"
 
 
 def _parse_interp(m: Model, text: str) -> dict[str, str]:
@@ -187,24 +184,24 @@ def cmd_props(args) -> int:
             raise QlpropError("quantum formulas support --physical only")
         f = parse_tq(args.formula)
         prop = tq_physical_proposition(m, f)
-        lines.append(_prop_str(m, prop))
+        lines.append(set_label(prop, m.states))
         payload.update(kind="physical", states=sorted(prop))
     elif args.individual is not None:
         f = parse_lx(args.formula)
         interp = _parse_interp(m, args.individual)
         prop = individual_proposition(m, interp, f)
-        lines.append(_prop_str(m, prop))
+        lines.append(set_label(prop, m.states))
         payload.update(kind="individual", states=sorted(prop))
     elif args.forall:
         f = parse_lx(args.formula)
         prop = forall_proposition(m, f, cap=cfg.enum_cap)
-        lines.append(_prop_str(m, prop))
+        lines.append(set_label(prop, m.states))
         lines.append("matches per-state form: yes")
         payload.update(kind="forall", states=sorted(prop), matches_physical=True)
     else:
         f = parse_lx(args.formula)
         prop = physical_proposition(m, f)
-        lines.append(_prop_str(m, prop))
+        lines.append(set_label(prop, m.states))
         payload.update(kind="physical", states=sorted(prop))
     _emit(cfg, lines, payload)
     return 0
@@ -231,21 +228,18 @@ class _Suite:
 
 def _suite_sec3(m: Model, depth: int, out: _Suite):
     formulas = enumerate_formulas(m.properties, depth)
-    profs = {id(f): extension_profile(m, f) for f in formulas}
+    profs = [extension_profile(m, f) for f in formulas]
+    props = [profile_proposition(m, p) for p in profs]
     univ = [frozenset(m.universes[s]) for s in m.states]
-    states = list(m.states)
-
-    def prop_of(prof) -> frozenset:
-        return frozenset(s for s, p, u in zip(states, prof, univ) if p == u)
+    states = frozenset(m.states)
 
     neg_ok = True
     neg_strict = None
-    for f in formulas:
-        p = prop_of(profs[id(f)])
-        pn = prop_of(tuple(u - x for u, x in zip(univ, profs[id(f)])))
-        if not pn <= frozenset(states) - p:
+    for f, prof, p in zip(formulas, profs, props):
+        pn = profile_proposition(m, tuple(u - x for u, x in zip(univ, prof)))
+        if not pn <= states - p:
             neg_ok = False
-        elif neg_strict is None and pn < frozenset(states) - p:
+        elif neg_strict is None and pn < states - p:
             neg_strict = format_lx(f)
     out.passfail(neg_ok, "negation proposition below set complement")
     if neg_strict:
@@ -254,14 +248,15 @@ def _suite_sec3(m: Model, depth: int, out: _Suite):
     conj_ok = True
     disj_ok = True
     disj_strict = None
-    for a in formulas:
-        pa, prof_a = prop_of(profs[id(a)]), profs[id(a)]
-        for b in formulas:
-            prof_b = profs[id(b)]
-            if prop_of(tuple(x & y for x, y in zip(prof_a, prof_b))) != pa & prop_of(prof_b):
+    for a, prof_a, pa in zip(formulas, profs, props):
+        for b, prof_b, pb in zip(formulas, profs, props):
+            pand = profile_proposition(
+                m, tuple(x & y for x, y in zip(prof_a, prof_b)))
+            if pand != pa & pb:
                 conj_ok = False
-            por = prop_of(tuple(x | y for x, y in zip(prof_a, prof_b)))
-            union = pa | prop_of(prof_b)
+            por = profile_proposition(
+                m, tuple(x | y for x, y in zip(prof_a, prof_b)))
+            union = pa | pb
             if not union <= por:
                 disj_ok = False
             elif disj_strict is None and union < por:
@@ -326,7 +321,7 @@ def _suite_qm(m: Model, depth: int, out: _Suite):
         c = boolean[name]
         out.report(f"{name}: "
                    f"{'holds' if c.passed else f'fails at {c.witness}'}")
-    eq = check_tq_equalities(m, depth)
+    eq = check_tq_equalities(m, depth, lat=lat)
     out.passfail(not eq["negation"], "negation proposition is the lattice "
                  "orthocomplement",
                  "" if not eq["negation"] else f"first {eq['negation'][0]!r}")

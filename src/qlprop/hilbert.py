@@ -352,7 +352,7 @@ def state_lattice(model: "Model") -> "OrthoLattice":
     declaration order.  Only the table is kept: the poset is rebuilt, and
     the warnings are issued, on every call.
     """
-    from .lattice import FinitePoset, OrthoLattice, build_poset
+    from .lattice import FinitePoset, OrthoLattice, build_poset, set_label
 
     ann = model.hilbert
     if ann is None:
@@ -384,13 +384,9 @@ def state_lattice(model: "Model") -> "OrthoLattice":
                 ThetaNotInjectiveWarning)
 
     elements = [images[e] for e in reps]
-    order = list(model.states)
-
-    def label(s: frozenset) -> str:
-        return "{" + ", ".join(x for x in order if x in s) + "}"
-
     poset: FinitePoset = build_poset(
-        elements, leq=lambda x, y: x <= y, labels=[label(s) for s in elements])
+        elements, leq=lambda x, y: x <= y,
+        labels=[set_label(s, model.states) for s in elements])
 
     idx = {images[e]: poset.index_of(images[e]) for e in reps}
     n = len(elements)

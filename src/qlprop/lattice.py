@@ -37,7 +37,8 @@ __all__ = [
     "FinitePoset", "build_poset", "quotient_poset",
     "LawCheck", "LawReport", "check_boolean",
     "OrthoLattice", "ortho_lattice_from_poset", "check_ortho_modular",
-    "order_isomorphic", "export_dot", "powerset_lattice", "hexagon",
+    "order_isomorphic", "export_dot", "set_label", "powerset_lattice",
+    "hexagon",
 ]
 
 
@@ -109,6 +110,11 @@ class FinitePoset:
             return []
         cm = self.cover_matrix()
         return [int(j) for j in np.flatnonzero(cm[b, :])]
+
+
+def set_label(members, order: Sequence) -> str:
+    """``{a, b}``: the members of a set, listed in ``order``."""
+    return "{" + ", ".join(str(x) for x in order if x in members) + "}"
 
 
 def build_poset(elements: Sequence, leq: Callable | np.ndarray,
@@ -504,11 +510,8 @@ def powerset_lattice(items: Sequence) -> FinitePoset:
     subsets = [frozenset(c) for r in range(len(base) + 1)
                for c in itertools.combinations(base, r)]
 
-    def label(s: frozenset) -> str:
-        return "{" + ", ".join(str(x) for x in base if x in s) + "}"
-
     return build_poset(subsets, lambda x, y: x <= y,
-                       [label(s) for s in subsets])
+                       [set_label(s, base) for s in subsets])
 
 
 def hexagon() -> OrthoLattice:

@@ -34,6 +34,7 @@ from .errors import (
     WitnessMismatchWarning,
 )
 from .hilbert import certain_states, state_lattice
+from .lattice import OrthoLattice
 from .model import Interpretation, Model
 from .semantics import (
     enumerate_tq_formulas,
@@ -163,7 +164,8 @@ def q_truth_classical(m: Model, state: str, f: Formula) -> QTruth | None:
     return QTruth.INDETERMINATE
 
 
-def check_tq_equalities(m: Model, depth: int, depth_cap: int = 4) -> dict:
+def check_tq_equalities(m: Model, depth: int, depth_cap: int = 4,
+                        lat: OrthoLattice | None = None) -> dict:
     """Compare formula propositions against state-lattice operations.
 
     For all quantum formulas to ``depth`` (deduplicated by witness
@@ -176,10 +178,12 @@ def check_tq_equalities(m: Model, depth: int, depth_cap: int = 4) -> dict:
     Returns a dict with violation lists per law, the number of formulas
     checked, and a witness pair for strictness of the join inclusion
     (the join proposition strictly containing the union) when one exists.
+    ``lat`` is ``state_lattice(m)``, built here when not given.
     """
     from .syntax import quantum_join
 
-    lat = state_lattice(m)
+    if lat is None:
+        lat = state_lattice(m)
     cache: dict = {}
     formulas = enumerate_tq_formulas(m.properties, depth, depth_cap)
     reps: dict[str, TQFormula] = {}

@@ -28,14 +28,15 @@ from .errors import (
     SchemaError,
     UnknownProperty,
 )
-from .lattice import FinitePoset, build_poset
+from .lattice import FinitePoset, build_poset, set_label
 from .model import Interpretation, Model, enumerate_interpretations
 from .syntax import And, Atom, Formula, Not, Or, QNot, format_lx
 
 __all__ = [
     "DEFAULT_DEPTH_CAP",
     "extension_of", "is_true", "individual_proposition",
-    "physical_proposition", "certainly_true", "extension_profile",
+    "physical_proposition", "profile_proposition", "certainly_true",
+    "extension_profile",
     "logical_leq", "logical_equiv", "physical_leq", "physical_equiv",
     "testable_witness", "testable_proposition_poset", "forall_proposition",
     "enumerate_formulas", "LTClass", "LTAlgebra", "lindenbaum_tarski",
@@ -79,8 +80,19 @@ def physical_proposition(m: Model, f: Formula) -> frozenset[str]:
     brute-force intersection over all interpretations gives the same set
     (see :func:`forall_proposition`).
     """
-    return frozenset(s for s in m.states
-                     if extension_of(m, state=s, f=f) == frozenset(m.universes[s]))
+    return profile_proposition(m, extension_profile(m, f))
+
+
+def profile_proposition(m: Model, profile) -> frozenset[str]:
+    """States whose extension in ``profile`` is the whole universe.
+
+    ``profile`` holds one extension per state, in state order, each a
+    subset of its state's universe: an :func:`extension_profile`, or one
+    made from such profiles by pointwise complement, intersection and
+    union.
+    """
+    return frozenset(s for s, ext in zip(m.states, profile)
+                     if len(ext) == len(m.universes[s]))
 
 
 def certainly_true(m: Model, state: str, f: Formula) -> bool:
@@ -184,10 +196,6 @@ def enumerate_tq_formulas(properties, depth: int,
 # Poset of testable propositions
 
 
-def _set_label(m: Model, s: frozenset[str]) -> str:
-    return "{" + ", ".join(x for x in m.states if x in s) + "}"
-
-
 def testable_proposition_poset(m: Model, depth: int,
                                depth_cap: int = DEFAULT_DEPTH_CAP) -> FinitePoset:
     """Distinct physical propositions of testable formulas up to depth,
@@ -198,7 +206,7 @@ def testable_proposition_poset(m: Model, depth: int,
             seen.setdefault(physical_proposition(m, f))
     props = list(seen)
     return build_poset(props, lambda x, y: x <= y,
-                       [_set_label(m, p) for p in props])
+                       [set_label(p, m.states) for p in props])
 
 
 def forall_proposition(m: Model, f: Formula, cap: int | None = None) -> frozenset[str]:

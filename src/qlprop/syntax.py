@@ -1,32 +1,47 @@
-"""Formula ASTs, parsers and printers for the three surface languages.
+"""Formula ASTs, one parser and one printer for the three surface languages.
 
 The package works with three languages over atoms ``NAME(x)`` where NAME
-matches ``[A-Za-z_][A-Za-z0-9_+-]*``:
+matches ``[A-Za-z_][A-Za-z0-9_+-]*``.  They differ only in their operator
+tables (``_LX``, ``_TQ`` and ``_PRAG`` below):
 
 ``lx`` (classical)
-    ``!``/``~`` negation, ``&`` conjunction, ``|`` disjunction.
+    prefix ``!``/``~`` negation; infix ``|`` disjunction (precedence 1)
+    and ``&`` conjunction (2).
 ``ltq`` (quantum)
-    ``~q`` quantum negation, ``&`` conjunction, plus two derived
-    connectives that are expanded away while parsing:
-    ``a |q b   ==  ~q (~q a & ~q b)`` and
-    ``a ->q b  ==  (~q a) |q (a & b)`` (Sasaki arrow).
+    prefix ``~q`` quantum negation; infix ``->q`` (0), ``|q`` (1) and
+    ``&`` (2).  The two derived connectives are expanded by their
+    builders while parsing: ``a |q b  ==  ~q (~q a & ~q b)`` and
+    ``a ->q b  ==  (~q a) |q (a & b)`` (Sasaki arrow), so quantum ASTs
+    contain only ``Atom``, ``And`` and ``QNot`` nodes.  ``Atom`` and
+    ``And`` are shared with the classical language, so conjunctive trees
+    can be fed to either semantics.
 ``prag`` (assertive)
-    ``|-`` asserts a quantum formula, prefix ``N`` and infix ``K``/``A``
-    combine assertions.  ``N``, ``K``, ``A`` are reserved words in this
-    mode only.
+    prefix ``N``; infix ``A`` (1) and ``K`` (2); ``|- f`` asserts a whole
+    quantum formula, which extends as far right as possible.  ``N``,
+    ``K`` and ``A`` are reserved words in this language only.
 
-Precedence, high to low: ``!``/``~q``, ``&``/``K``, ``|``/``|q``/``A``,
-``->q``; binary connectives associate to the left and parentheses
-override.  Quantum ASTs produced here contain only ``Atom``, ``And`` and
-``QNot`` nodes; ``Atom`` and ``And`` are shared with the classical
-language, so conjunctive trees can be fed to either semantics.
-
-Printers emit a canonical, minimally parenthesised rendering and
+One precedence-climbing parser reads every table: prefix operators bind
+tighter than any infix one, higher precedence binds tighter, binary
+connectives associate to the left and parentheses override.  One printer
+reads one notation table, node type -> (precedence, symbol, operand
+floor), and emits a canonical, minimally parenthesised rendering;
 ``parse(format(f)) == f`` holds for every AST of the matching language.
+
+Limits: ``MAX_DEPTH`` (256) bounds both the parser's nesting (every
+parenthesised group, asserted formula and right operand of an infix
+operator opens one level) and the depth of the expanded tree, and the
+expanded tree may hold at most ``MAX_NODES`` (10,000) nodes.  A chain of
+prefix operators counts towards the depth, and every ``->q`` copies its
+left operand, so a chain of k arrows expands to about 2**k nodes.
+Parsing stops with a ``ParseError`` at the token that crosses a limit,
+so every accepted formula can be hashed, evaluated and printed without
+running into Python's recursion limit.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -40,8 +55,12 @@ __all__ = [
     "quantum_join", "sasaki_formula",
     "parse_lx", "parse_tq", "parse_prag",
     "format_lx", "format_tq", "format_prag",
-    "atoms_of",
+    "atoms_of", "MAX_DEPTH", "MAX_NODES",
 ]
+
+# Size limits of a parsed formula (see the module docstring).
+MAX_DEPTH = 256
+MAX_NODES = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -120,17 +139,22 @@ def sasaki_formula(a: TQFormula, b: TQFormula) -> TQFormula:
     return quantum_join(QNot(a), And(a, b))
 
 
+def _operands(f) -> tuple:
+    if isinstance(f, (And, Or, K, A)):
+        return f.left, f.right
+    if isinstance(f, (Not, QNot, N, Assert)):
+        return (f.inner,)
+    return ()
+
+
 def atoms_of(f) -> frozenset[str]:
     """Property names occurring in a formula of any of the three languages."""
     if isinstance(f, Atom):
         return frozenset({f.prop})
-    if isinstance(f, (Not, QNot, N)):
-        return atoms_of(f.inner)
-    if isinstance(f, Assert):
-        return atoms_of(f.inner)
-    if isinstance(f, (And, Or, K, A)):
-        return atoms_of(f.left) | atoms_of(f.right)
-    raise TypeError(f"not a formula node: {f!r}")
+    ops = _operands(f)
+    if not ops:
+        raise TypeError(f"not a formula node: {f!r}")
+    return frozenset().union(*map(atoms_of, ops))
 
 
 # ---------------------------------------------------------------------------
@@ -230,21 +254,95 @@ def _tokenize(text: str, mode: str) -> list[_Token]:
 
 
 # ---------------------------------------------------------------------------
-# Recursive-descent parser
+# Operator tables
+
+
+@dataclass(frozen=True)
+class _Language:
+    mode: str         # tokenizer mode
+    noun: str         # "a classical", ... for the printer's TypeError
+    prefix: dict      # token kind -> node constructor
+    infix: dict       # token kind -> (precedence, builder), tighter is higher
+    nodes: frozenset  # node types the parser builds and the printer accepts
+
+
+_LX = _Language("lx", "a classical", {"NOT": Not},
+                {"OR": (1, Or), "AND": (2, And)},
+                frozenset({Atom, Not, And, Or}))
+_TQ = _Language("ltq", "a quantum", {"QNOT": QNot},
+                {"SASAKI": (0, sasaki_formula), "QOR": (1, quantum_join),
+                 "AND": (2, And)},
+                frozenset({Atom, QNot, And}))
+_PRAG = _Language("prag", "an assertive", {"N": N},
+                  {"A": (1, A), "K": (2, K)},
+                  frozenset({Assert, N, K, A}))
+
+# node type -> (precedence, symbol, operand floor).  An operand whose
+# precedence is below its floor is parenthesised; binary connectives
+# associate to the left, so their right operand's floor is one higher.
+_NOTATION = {
+    Or: (1, " | ", 1), A: (1, " A ", 1),
+    And: (2, " & ", 2), K: (2, " K ", 2),
+    Not: (3, "!", 3), QNot: (3, "~q ", 3), N: (3, "N ", 3),
+    # the quantum operand of |- extends as far right as possible
+    Atom: (4, "", 0), Assert: (4, "|- ", 0),
+}
+
+
+@functools.cache
+def _shape(builder, arity: int) -> tuple[int, tuple, tuple]:
+    """The nodes ``builder`` adds and, per operand, how often and at most
+    how deep it places it: builders only combine their operands, so one
+    run on placeholder atoms fixes this for every operand."""
+    holes = [Atom(str(i)) for i in range(arity)]
+    count, level, added = [0] * arity, [0] * arity, 0
+    stack = [(builder(*holes), 0)]
+    while stack:
+        f, d = stack.pop()
+        i = next((i for i, h in enumerate(holes) if f is h), None)
+        if i is None:
+            added += 1
+            stack.extend((g, d + 1) for g in _operands(f))
+        else:
+            count[i] += 1
+            level[i] = max(level[i], d)
+    return added, tuple(count), tuple(level)
+
+
+def _build(tok: _Token, builder, *operands):
+    """Apply a node builder to ``(node, size, depth)`` operands and hold the
+    expanded result to the size limits."""
+    nodes, sizes, depths = zip(*operands)
+    f = builder(*nodes)
+    added, count, level = _shape(builder, len(nodes))
+    size = added + sum(map(operator.mul, count, sizes))
+    depth = max(map(operator.add, level, depths))
+    if depth > MAX_DEPTH:
+        raise ParseError(f"formula deeper than {MAX_DEPTH} levels once "
+                         "expanded", tok.pos)
+    if size > MAX_NODES:
+        raise ParseError(f"formula larger than {MAX_NODES} nodes once "
+                         "expanded", tok.pos)
+    return f, size, depth
+
+
+# ---------------------------------------------------------------------------
+# Precedence-climbing parser.  ``expr`` and ``unary`` return
+# ``(node, size, depth)`` so that every build can check the limits.
 
 class _Parser:
     def __init__(self, tokens: list[_Token], mode: str):
         self.tokens = tokens
         self.mode = mode
         self.i = 0
-
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.i]
+        self.cur = tokens[0]
+        self.nesting = 0
 
     def advance(self) -> _Token:
+        # never called on EOF, so a next token always exists
         t = self.cur
         self.i += 1
+        self.cur = self.tokens[self.i]
         return t
 
     def expect(self, kind: str, what: str) -> _Token:
@@ -283,215 +381,107 @@ class _Parser:
         self.expect("RPAREN", "')'")
         return Atom(name.text)
 
-    # classical grammar
+    def expr(self, lang: _Language, floor: int = 0):
+        """An operand followed by infix operators of precedence >= floor.
+        This is the parser's only recursion point, so its nesting is
+        counted here."""
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ParseError(f"formula nested more than {MAX_DEPTH} deep",
+                             self.cur.pos)
+        f = self.unary(lang)
+        while True:
+            op = lang.infix.get(self.cur.kind)
+            if op is None or op[0] < floor:
+                self.nesting -= 1
+                return f
+            tok = self.advance()
+            f = _build(tok, op[1], f, self.expr(lang, op[0] + 1))
 
-    def lx_or(self):
-        f = self.lx_and()
-        while self.cur.kind == "OR":
+    def unary(self, lang: _Language):
+        """Prefix operators applied to a parenthesised formula, an
+        assertion or an atom."""
+        prefixes = []
+        while self.cur.kind in lang.prefix:
+            prefixes.append(self.advance())
+        tok = self.cur
+        if tok.kind == "LPAREN":
             self.advance()
-            f = Or(f, self.lx_and())
-        return f
-
-    def lx_and(self):
-        f = self.lx_not()
-        while self.cur.kind == "AND":
-            self.advance()
-            f = And(f, self.lx_not())
-        return f
-
-    def lx_not(self):
-        if self.cur.kind == "NOT":
-            self.advance()
-            return Not(self.lx_not())
-        return self.lx_primary()
-
-    def lx_primary(self):
-        if self.cur.kind == "LPAREN":
-            self.advance()
-            f = self.lx_or()
+            f = self.expr(lang)
             self.expect("RPAREN", "')'")
-            return f
-        return self.atom()
-
-    # quantum grammar (|q and ->q are expanded on the fly)
-
-    def tq_sasaki(self):
-        f = self.tq_qor()
-        while self.cur.kind == "SASAKI":
+        elif tok.kind == "ASSERT" and Assert in lang.nodes:
             self.advance()
-            f = sasaki_formula(f, self.tq_qor())
+            f = _build(tok, Assert, self.expr(_TQ))
+        elif Atom in lang.nodes:
+            f = (self.atom(), 1, 1)
+        else:
+            raise ParseError("expected '|-', 'N' or '('", tok.pos,
+                             expected="'|-'")
+        for t in reversed(prefixes):
+            f = _build(t, lang.prefix[t.kind], f)
         return f
 
-    def tq_qor(self):
-        f = self.tq_and()
-        while self.cur.kind == "QOR":
-            self.advance()
-            f = quantum_join(f, self.tq_and())
-        return f
 
-    def tq_and(self):
-        f = self.tq_qnot()
-        while self.cur.kind == "AND":
-            self.advance()
-            f = And(f, self.tq_qnot())
-        return f
-
-    def tq_qnot(self):
-        if self.cur.kind == "QNOT":
-            self.advance()
-            return QNot(self.tq_qnot())
-        return self.tq_primary()
-
-    def tq_primary(self):
-        if self.cur.kind == "LPAREN":
-            self.advance()
-            f = self.tq_sasaki()
-            self.expect("RPAREN", "')'")
-            return f
-        return self.atom()
-
-    # assertive grammar
-
-    def prag_a(self):
-        f = self.prag_k()
-        while self.cur.kind == "A":
-            self.advance()
-            f = A(f, self.prag_k())
-        return f
-
-    def prag_k(self):
-        f = self.prag_n()
-        while self.cur.kind == "K":
-            self.advance()
-            f = K(f, self.prag_n())
-        return f
-
-    def prag_n(self):
-        if self.cur.kind == "N":
-            self.advance()
-            return N(self.prag_n())
-        return self.prag_primary()
-
-    def prag_primary(self):
-        if self.cur.kind == "ASSERT":
-            self.advance()
-            return Assert(self.tq_sasaki())
-        if self.cur.kind == "LPAREN":
-            self.advance()
-            f = self.prag_a()
-            self.expect("RPAREN", "')'")
-            return f
-        raise ParseError("expected '|-', 'N' or '('", self.cur.pos,
-                         expected="'|-'")
-
-
-def _parse(text: str, mode: str):
-    toks = _tokenize(text, mode)
+def _parse(text: str, lang: _Language):
+    toks = _tokenize(text, lang.mode)
     if toks[0].kind == "EOF":
         raise ParseError("empty input", 0, expected="a formula")
-    p = _Parser(toks, mode)
-    if mode == "lx":
-        f = p.lx_or()
-    elif mode == "ltq":
-        f = p.tq_sasaki()
-    else:
-        f = p.prag_a()
+    p = _Parser(toks, lang.mode)
+    f = p.expr(lang)[0]
     p.expect_eof()
     return f
 
 
 def parse_lx(text: str) -> Formula:
     """Parse a classical formula."""
-    return _parse(text, "lx")
+    return _parse(text, _LX)
 
 
 def parse_tq(text: str) -> TQFormula:
     """Parse a quantum formula; ``|q`` and ``->q`` are expanded away."""
-    return _parse(text, "ltq")
+    return _parse(text, _TQ)
 
 
 def parse_prag(text: str) -> AssertiveFormula:
     """Parse an assertive formula (``|-``, ``N``, ``K``, ``A``)."""
-    return _parse(text, "prag")
+    return _parse(text, _PRAG)
 
 
 # ---------------------------------------------------------------------------
-# Printers.  Binary connectives are left associative, so a right child of
-# equal precedence needs parentheses while a left child does not.
+# Printer
 
-_LX_PREC = {Or: 1, And: 2, Not: 3, Atom: 4}
+
+def _format(f, lang: _Language) -> str:
+    kind = type(f)
+    if kind not in lang.nodes:
+        raise TypeError(f"not {lang.noun} formula node: {f!r}")
+    if kind is Atom:
+        return f"{f.prop}(x)"
+    _, symbol, floor = _NOTATION[kind]
+    if kind is Assert:
+        lang = _TQ
+    ops = _operands(f)
+    if len(ops) == 1:
+        return symbol + _operand(ops[0], lang, floor)
+    return (_operand(ops[0], lang, floor) + symbol
+            + _operand(ops[1], lang, floor + 1))
+
+
+def _operand(f, lang: _Language, floor: int) -> str:
+    s = _format(f, lang)
+    return s if _NOTATION[type(f)][0] >= floor else f"({s})"
 
 
 def format_lx(f: Formula) -> str:
     """Canonical minimally parenthesised rendering of a classical formula."""
-    def wrap(g, floor: int, strict: bool) -> str:
-        p = _LX_PREC[type(g)]
-        s = go(g)
-        if p < floor or (strict and p == floor):
-            return f"({s})"
-        return s
-
-    def go(g) -> str:
-        if isinstance(g, Atom):
-            return f"{g.prop}(x)"
-        if isinstance(g, Not):
-            return "!" + wrap(g.inner, 3, False)
-        if isinstance(g, And):
-            return wrap(g.left, 2, False) + " & " + wrap(g.right, 2, True)
-        if isinstance(g, Or):
-            return wrap(g.left, 1, False) + " | " + wrap(g.right, 1, True)
-        raise TypeError(f"not a classical formula node: {g!r}")
-
-    return go(f)
-
-
-_TQ_PREC = {And: 2, QNot: 3, Atom: 4}
+    return _format(f, _LX)
 
 
 def format_tq(f: TQFormula) -> str:
     """Canonical rendering of a quantum formula (core connectives only)."""
-    def wrap(g, floor: int, strict: bool) -> str:
-        p = _TQ_PREC[type(g)]
-        s = go(g)
-        if p < floor or (strict and p == floor):
-            return f"({s})"
-        return s
-
-    def go(g) -> str:
-        if isinstance(g, Atom):
-            return f"{g.prop}(x)"
-        if isinstance(g, QNot):
-            return "~q " + wrap(g.inner, 3, False)
-        if isinstance(g, And):
-            return wrap(g.left, 2, False) + " & " + wrap(g.right, 2, True)
-        raise TypeError(f"not a quantum formula node: {g!r}")
-
-    return go(f)
-
-
-_PRAG_PREC = {A: 1, K: 2, N: 3, Assert: 4}
+    return _format(f, _TQ)
 
 
 def format_prag(f: AssertiveFormula) -> str:
     """Canonical rendering of an assertive formula."""
-    def wrap(g, floor: int, strict: bool) -> str:
-        p = _PRAG_PREC[type(g)]
-        s = go(g)
-        if p < floor or (strict and p == floor):
-            return f"({s})"
-        return s
-
-    def go(g) -> str:
-        if isinstance(g, Assert):
-            # The quantum operand extends as far right as possible, so it
-            # never needs parentheses of its own.
-            return "|- " + format_tq(g.inner)
-        if isinstance(g, N):
-            return "N " + wrap(g.inner, 3, False)
-        if isinstance(g, K):
-            return wrap(g.left, 2, False) + " K " + wrap(g.right, 2, True)
-        if isinstance(g, A):
-            return wrap(g.left, 1, False) + " A " + wrap(g.right, 1, True)
-        raise TypeError(f"not an assertive formula node: {g!r}")
-
-    return go(f)
+    return _format(f, _PRAG)

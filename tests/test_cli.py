@@ -3,11 +3,15 @@
 import json
 import subprocess
 import sys
+import time
+import warnings
 
 import pytest
 
 from qlprop.cli import main
-from qlprop.model import dump_model, m_qbit
+from qlprop.errors import ThetaNotInjectiveWarning
+from qlprop.hilbert import Subspace
+from qlprop.model import HilbertAnnotation, dump_model, m_qbit, make_model
 
 
 @pytest.fixture(scope="module")
@@ -347,3 +351,53 @@ def test_malformed_hilbert_section_is_schema_error(tmp_path, capsys):
     assert err.startswith("ERROR SchemaError: ")
     assert "state_rays" in err
     assert "Traceback" not in err
+
+
+def test_check_qm_builds_the_state_lattice_once(tmp_path, capsys):
+    # the ray of S lies in neither coordinate axis, so E0, P and Pp share
+    # the empty certain-state set: one state lattice warns twice
+    ann = HilbertAnnotation(
+        2, {"S": Subspace.ray([0.6, 0.8])},
+        {"E0": Subspace.zero(2), "P": Subspace.ray([1, 0]),
+         "Pp": Subspace.ray([0, 1]), "EI": Subspace.full(2)})
+    m = make_model(["S"], {"S": ["a", "b"]}, ["E0", "P", "Pp", "EI"],
+                   {"S": {"E0": [], "P": ["a"], "Pp": ["b"], "EI": ["a", "b"]}},
+                   hilbert=ann)
+    path = tmp_path / "non_injective.json"
+    path.write_text(dump_model(m))
+    for _ in range(2):
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            main(["check", "--model", str(path), "--suite", "qm"])
+        assert [str(w.message) for w in rec
+                if w.category is ThetaNotInjectiveWarning] == [
+            "properties 'E0' and 'P' share the certain-state set; using the first",
+            "properties 'E0' and 'Pp' share the certain-state set; using the first",
+        ]
+    assert "certain-state map injective: no" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# size limits of parsed formulas
+
+_SASAKI_30 = " ->q ".join(["Ez+(x)"] * 31)
+_OVERSIZED = {
+    "parentheses": ["parse", "(" * 3000 + "E(x)" + ")" * 3000],
+    "negations": ["parse", "!" * 3000 + "E(x)"],
+    "conjunctions": ["parse", " & ".join(["E(x)"] * 3000)],
+    "sasaki-parse": ["parse", "--lang", "ltq", _SASAKI_30],
+    "sasaki-eval": ["eval", "--model", "{models}/m_qbit.json", "--lang", "ltq",
+                    "--state", "Sx+", "--qtruth", _SASAKI_30],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVERSIZED))
+def test_oversized_formula_is_a_parse_error(name, models_dir, capsys):
+    argv = [a.replace("{models}", str(models_dir)) for a in _OVERSIZED[name]]
+    t0 = time.perf_counter()
+    assert main(argv) == 1
+    elapsed = time.perf_counter() - t0
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR ParseError: ")
+    assert "Traceback" not in err
+    assert elapsed < 1.0

@@ -1,0 +1,263 @@
+"""Golden command line output: exit code, stdout and stderr, byte for byte.
+
+The corpus below runs ``qlprop parse`` on formulas of all three
+languages (every precedence and parenthesis case, and at least one error
+of each parse exception type), ``qlprop check`` on the suite/fixture
+pairs that finish in about a second, as text and as ``--json``, and
+``qlprop lattice`` on the four fixtures.  The expected transcripts live
+in ``tests/golden/*.json``; the fixture directory is written there as
+``{models}``.
+
+Regenerate them (only when an output change is intended) with::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import functools
+import io
+import json
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+import pytest
+
+from qlprop.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+FIXTURES = ("m_sr", "m_cm", "m_qbit", "m_qutrit")
+
+_LX = [
+    "E(x)",
+    "((E(x)))",
+    "!E(x)",
+    "~E(x)",
+    "!!E(x)",
+    "!(E(x))",
+    "!(E(x) & F(x))",
+    "!(E(x) | F(x))",
+    "!E(x) & F(x)",
+    "E(x) & F(x) & G(x)",
+    "E(x) & (F(x) & G(x))",
+    "(E(x) & F(x)) & G(x)",
+    "E(x) | F(x) | G(x)",
+    "E(x) | (F(x) | G(x))",
+    "E(x) & F(x) | G(x)",
+    "E(x) & (F(x) | G(x))",
+    "(E(x) | F(x)) & G(x)",
+    "E(x) | F(x) & G(x)",
+    "(E(x) | F(x)) & (G(x) | !H(x))",
+    "!(!(E(x) | F(x)) & G(x)) | (H(x) | E(x)) & F(x)",
+    "  E(x)&!(F(x)|G(x))  ",
+    "Ez+(x) & Ez-(x) | a_1-b(x)",
+    "~q(x)",
+    "!" * 200 + "E(x)",
+    "(" * 60 + "E(x)" + ")" * 60,
+    # ParseError
+    "",
+    "   ",
+    "E(x) &",
+    "(E(x) & F(x)",
+    "E(x) F(x)",
+    "E()",
+    "E(y)",
+    "E x",
+    "E(x) & & F(x)",
+    "E(x) $ F(x)",
+    ")",
+    "!",
+    "E(x))",
+    # UnknownConnective
+    "E(x) |q F(x)",
+    "~q E(x)",
+    "E(x) ->q F(x)",
+    "E(x) & ~q F(x)",
+]
+
+_LTQ = [
+    "E(x)",
+    "~q E(x)",
+    "~q ~q E(x)",
+    "~q (E(x) & F(x))",
+    "~q E(x) & F(x)",
+    "E(x) & F(x) & G(x)",
+    "E(x) & (F(x) & G(x))",
+    "E(x) |q F(x)",
+    "E(x) |q F(x) |q G(x)",
+    "E(x) |q (F(x) |q G(x))",
+    "E(x) & F(x) |q G(x)",
+    "E(x) & (F(x) |q G(x))",
+    "E(x) ->q F(x)",
+    "E(x) ->q F(x) ->q G(x)",
+    "E(x) ->q (F(x) ->q G(x))",
+    "E(x) |q F(x) ->q G(x)",
+    "E(x) |q (F(x) ->q G(x))",
+    "~q (E(x) ->q F(x)) & G(x)",
+    "Ez+(x) |q Ez-(x)",
+    "~q" * 3 + "E(x)",
+    # ParseError
+    "",
+    "E(x) |q",
+    "E(x) ->q",
+    "~q",
+    "(E(x) |q F(x)",
+    "E(x) -> F(x)",
+    "E(x) ->qF(x)",
+    # ClassicalConnectiveInTQ
+    "!E(x)",
+    "~E(x)",
+    "~ E(x)",
+    "E(x) | F(x)",
+]
+
+_PRAG = [
+    "|- E(x)",
+    "|- E(x) & F(x)",
+    "|- E(x) |q F(x)",
+    "|- E(x) ->q F(x)",
+    "|- ~q E(x)",
+    "N |- E(x)",
+    "N N |- E(x)",
+    "N (|- E(x) K |- F(x))",
+    "|- E(x) K |- F(x)",
+    "|- E(x) K |- F(x) K |- G(x)",
+    "|- E(x) K (|- F(x) K |- G(x))",
+    "|- E(x) A |- F(x)",
+    "|- E(x) A |- F(x) A |- G(x)",
+    "|- E(x) A (|- F(x) A |- G(x))",
+    "N |- E(x) K |- F(x) A |- G(x)",
+    "|- E(x) A |- F(x) K |- G(x)",
+    "(|- E(x) A |- F(x)) K |- G(x)",
+    "N (|- E(x) A |- F(x))",
+    "(|- E(x) & F(x)) K |- G(x)",
+    "|- (E(x) |q F(x)) & G(x)",
+    "N(|- E(x))",
+    # ParseError
+    "",
+    "E(x)",
+    "K |- E(x)",
+    "|- ",
+    "|- E(x) K",
+    "N",
+    "(|- E(x)",
+    "|- E(x) |- F(x)",
+    "|- N(x)",
+    # ClassicalConnectiveInTQ
+    "|- !E(x)",
+    "|- E(x) | F(x)",
+    # ParseError: an assertion inside a quantum formula
+    "|- |- E(x)",
+    "|- E(x) & |- F(x)",
+    "|- (|- E(x))",
+]
+
+
+def _parse_cases():
+    cases = {}
+    for lang, texts in (("lx", _LX), ("ltq", _LTQ), ("prag", _PRAG)):
+        for i, text in enumerate(texts):
+            cases[f"{lang}-{i:02d}"] = ["parse", "--lang", lang, text]
+    cases["lx-json"] = ["parse", "--json", "E(x) & !(F(x) | G(x))"]
+    cases["ltq-json"] = ["parse", "--json", "--lang", "ltq", "E(x) ->q F(x)"]
+    cases["prag-json"] = ["parse", "--json", "--lang", "prag",
+                          "N |- E(x) K |- F(x) A |- G(x)"]
+    return cases
+
+
+# cm on m_qbit and m_qutrit and prag on m_qutrit take seconds; the rest
+# finish in about a second or less
+_CHECKS = [("sec3", m) for m in FIXTURES] + [
+    ("cm", "m_sr"), ("cm", "m_cm"),
+    ("qm", "m_sr"), ("qm", "m_cm"), ("qm", "m_qbit"), ("qm", "m_qutrit"),
+    ("prag", "m_sr"), ("prag", "m_qbit"),
+]
+
+
+def _check_cases():
+    cases = {}
+    for suite, m in _CHECKS:
+        argv = ["check", "--model", f"{{models}}/{m}.json", "--suite", suite]
+        cases[f"{suite}-{m}"] = argv
+        cases[f"{suite}-{m}-json"] = argv + ["--json"]
+    cases["cm-m_sr-assume-cmt"] = ["check", "--model", "{models}/m_sr.json",
+                                  "--suite", "cm", "--assume-cmt"]
+    return cases
+
+
+def _lattice_cases():
+    cases = {}
+    for which in ("testable", "lindenbaum", "LS"):
+        for m in FIXTURES:
+            argv = ["lattice", "--model", f"{{models}}/{m}.json", "--which", which]
+            if which == "lindenbaum" and m == "m_qutrit":
+                argv += ["--depth", "2"]  # depth 3 takes seconds
+            cases[f"{which}-{m}"] = argv
+    for m in ("m_sr", "m_cm"):
+        cases[f"lindenbaum-{m}-closed"] = ["lattice", "--model",
+                                           f"{{models}}/{m}.json",
+                                           "--which", "lindenbaum", "--closed"]
+    cases["LS-m_qbit-json"] = ["lattice", "--model", "{models}/m_qbit.json",
+                               "--which", "LS", "--json"]
+    return cases
+
+
+GROUPS = {"parse": _parse_cases(), "check": _check_cases(),
+          "lattice": _lattice_cases()}
+
+
+def _run(argv: list[str], models: str) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    # a fresh filter state, so every warning prints once as in a new process
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("default")
+        code = main([a.replace("{models}", models) for a in argv])
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(),
+            "stderr": err.getvalue()}
+
+
+def _record(group: str, models: str) -> dict:
+    return {cid: _run(argv, models) for cid, argv in GROUPS[group].items()}
+
+
+@pytest.fixture(scope="module")
+def models(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden-models")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fixtures", "--out", str(d)]) == 0
+    return str(d)
+
+
+@functools.cache
+def _golden(group: str) -> dict:
+    return json.loads((GOLDEN / f"{group}.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_golden_corpus_is_complete(group):
+    assert sorted(_golden(group)) == sorted(GROUPS[group])
+
+
+@pytest.mark.parametrize("group,cid", [(g, c) for g in GROUPS
+                                        for c in GROUPS[g]])
+def test_golden_output(group, cid, models):
+    want = _golden(group)[cid]
+    assert want["argv"] == GROUPS[group][cid]
+    assert _run(GROUPS[group][cid], models) == want
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["fixtures", "--out", tmp])
+        GOLDEN.mkdir(exist_ok=True)
+        for name in GROUPS:
+            doc = _record(name, tmp)
+            (GOLDEN / f"{name}.json").write_text(
+                json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+            print(f"wrote {GOLDEN / name}.json ({len(doc)} cases)",
+                  file=sys.stderr)

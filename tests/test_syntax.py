@@ -17,6 +17,8 @@ from qlprop.errors import (
     UnknownConnective,
 )
 from qlprop.syntax import (
+    MAX_DEPTH,
+    MAX_NODES,
     A,
     And,
     Assert,
@@ -428,3 +430,92 @@ def test_seeded_round_trip_all_languages():
         assert parse_tq(format_tq(g)) == g
         h = random_prag_formula(rng, props, 3)
         assert parse_prag(format_prag(h)) == h
+
+
+# ---------------------------------------------------------------------------
+# size limits and printer node sets
+
+
+def _size(f) -> int:
+    if isinstance(f, Atom):
+        return 1
+    if isinstance(f, (Not, QNot, N, Assert)):
+        return 1 + _size(f.inner)
+    return 1 + _size(f.left) + _size(f.right)
+
+
+def test_limits_accept_formulas_at_the_bound():
+    # the whole formula is the first level, each parenthesis opens one more
+    text = "(" * (MAX_DEPTH - 1) + "E(x)" + ")" * (MAX_DEPTH - 1)
+    assert parse_lx(text) == Atom("E")
+    f = parse_lx("!" * (MAX_DEPTH - 1) + "E(x)")
+    assert parse_lx(format_lx(f)) == f
+    g = parse_tq(" & ".join(["E(x)"] * MAX_DEPTH))
+    assert parse_tq(format_tq(g)) == g
+
+
+def test_nesting_limit_stops_at_the_crossing_level():
+    with pytest.raises(ParseError, match="nested more than") as exc:
+        parse_lx("(" * MAX_DEPTH + "E(x)" + ")" * MAX_DEPTH)
+    assert exc.value.position == MAX_DEPTH
+    # an asserted formula opens a level of its own
+    k = MAX_DEPTH - 1
+    with pytest.raises(ParseError, match="nested more than") as exc:
+        parse_prag("(" * k + "|- E(x)" + ")" * k)
+    assert exc.value.position == k + 3
+    # a right operand opens a level: the parser's own recursion stays
+    # bounded even where every parenthesis sits below three operators
+    unit = "E(x) ->q E(x) |q E(x) & ("
+    with pytest.raises(ParseError, match="nested more than") as exc:
+        parse_tq(unit * 300 + "E(x)" + ")" * 300)
+    assert exc.value.position == len(unit) * 64
+
+
+@pytest.mark.parametrize("text,pos", [
+    ("|- |- E(x)", 3),
+    ("|- E(x) & |- F(x)", 10),
+    ("|- (|- E(x))", 4),
+    ("|- ~q |- E(x)", 6),
+])
+def test_assertion_inside_a_quantum_formula_is_a_parse_error(text, pos):
+    with pytest.raises(ParseError, match="expected a formula") as exc:
+        parse_prag(text)
+    assert exc.value.position == pos
+
+
+def test_depth_limit_stops_at_the_crossing_operator():
+    text = "!" * 300 + "E(x)"
+    with pytest.raises(ParseError) as exc:
+        parse_lx(text)
+    # prefixes apply innermost first; the one at depth MAX_DEPTH + 1 fails
+    assert exc.value.position == 300 - MAX_DEPTH
+    text = " & ".join(["E(x)"] * 300)
+    with pytest.raises(ParseError) as exc:
+        parse_lx(text)
+    ands = [i for i, c in enumerate(text) if c == "&"]
+    assert exc.value.position == ands[MAX_DEPTH - 1]
+    with pytest.raises(ParseError) as exc:
+        parse_prag("|- " + "~q " * (MAX_DEPTH - 1) + "E(x)")
+    assert exc.value.position == 0
+
+
+def test_node_limit_stops_at_the_crossing_arrow():
+    text = " ->q ".join(["E(x)"] * 40)
+    with pytest.raises(ParseError) as exc:
+        parse_tq(text)
+    pos = exc.value.position
+    assert text[pos:pos + 3] == "->q"
+    # a ->q b expands to 6 + 2 size(a) + size(b) nodes
+    head = _size(parse_tq(text[:pos]))
+    assert head <= MAX_NODES < 6 + 2 * head + 1
+
+
+def test_printers_reject_nodes_of_other_languages():
+    with pytest.raises(TypeError, match="not a classical formula node"):
+        format_lx(And(Atom("E"), QNot(Atom("F"))))
+    with pytest.raises(TypeError, match="not a quantum formula node"):
+        format_tq(Not(Atom("E")))
+    with pytest.raises(TypeError, match="not a quantum formula node"):
+        format_prag(K(Assert(Or(Atom("E"), Atom("F"))), Assert(Atom("G"))))
+    with pytest.raises(TypeError, match="not an assertive formula node"):
+        format_prag(N(Atom("E")))
