@@ -16,6 +16,7 @@ validates either.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -421,7 +422,13 @@ def cmd_fixtures(args) -> int:
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after.
+
+    ``parse_args`` leaves no state in the parser and returns a fresh
+    namespace, so sharing it changes no call of :func:`main`.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None,
                         help="containment tolerance, finite and within "
@@ -441,7 +448,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="parse a formula and print its canonical form")
     sp.add_argument("--lang", choices=("lx", "ltq", "prag"), default="lx")
     sp.add_argument("formula")
-    sp.set_defaults(func=cmd_parse)
 
     sp = sub.add_parser("eval", parents=[common],
                         help="evaluate a formula at a state")
@@ -453,7 +459,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--qtruth", action="store_true",
                     help="three-valued truth instead of T/F")
     sp.add_argument("formula")
-    sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("props", parents=[common],
                         help="print a formula's proposition")
@@ -467,7 +472,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--forall", action="store_true",
                        help="brute-force universal quantification")
     sp.add_argument("formula")
-    sp.set_defaults(func=cmd_props)
 
     sp = sub.add_parser("check", parents=[common],
                         help="run an invariant suite against a model")
@@ -477,7 +481,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--depth", type=int, default=None)
     sp.add_argument("--assume-cmt", action="store_true",
                     help="fail if any enumerated formula lacks a witness")
-    sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("lattice", parents=[common],
                         help="build a proposition lattice")
@@ -488,19 +491,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--closed", action="store_true",
                     help="close the quotient algebra under its operations")
     sp.add_argument("--dot", metavar="FILE", help="write a DOT Hasse diagram")
-    sp.set_defaults(func=cmd_lattice)
 
     sp = sub.add_parser("fixtures", parents=[common],
                         help="write the canonical model files")
     sp.add_argument("--out", default=".")
-    sp.set_defaults(func=cmd_fixtures)
     return p
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        # looked up per call, so a wrapped or patched cmd_* is the one run
+        code = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()  # a closed pipe shows up here, not at exit
         return code
     except BrokenPipeError:

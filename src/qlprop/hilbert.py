@@ -24,6 +24,14 @@ A subspace result maps to the first declared property equal to it under
 ``Subspace.__eq__`` (mutual containment within tolerance).
 :func:`certain_states`, :func:`state_lattice` and the quantum-language
 semantics all read the same table.
+
+Equality compares ranks before it tests containment, so most of the
+comparisons made while loading a model, searching the table or
+generating a closure cost no projection.  This changes no result: if
+rank(b) > rank(a), the squared residuals of b's orthonormal rows
+against a sum to trace((I - P_a) P_b) >= rank(b) - rank(a) >= 1, so one
+row's residual is at least 1/sqrt(dim), above ``MAX_TOL`` for any dim
+below 10**6, and ``contains(a, b)`` is false.
 """
 
 from __future__ import annotations
@@ -188,10 +196,21 @@ class Subspace:
         return self.basis.T @ self.basis.conj()
 
     def __eq__(self, other) -> bool:
+        """Mutual containment within tolerance, tested only at equal rank.
+
+        Unequal ranks compare unequal without a containment test, and
+        this is what mutual containment would decide anyway.  Let the
+        orthonormal rows of ``b`` outnumber those of ``a``.  Their squared
+        residuals against ``a`` sum to trace((I - P_a) P_b) >= rank(b) -
+        rank(a) >= 1, so some row leaves a residual of at least
+        1/sqrt(dim).  That exceeds ``MAX_TOL`` for every dim below 10**6,
+        so ``contains(a, b)`` is false at any tolerance :func:`check_tol`
+        accepts.
+        """
         if not isinstance(other, Subspace):
             return NotImplemented
-        return (self.dim == other.dim and contains(self, other)
-                and contains(other, self))
+        return (self.dim == other.dim and self.rank == other.rank
+                and contains(self, other) and contains(other, self))
 
     __hash__ = None  # tolerance-based equality cannot hash consistently
 

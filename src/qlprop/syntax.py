@@ -14,7 +14,9 @@ tables (``_LX``, ``_TQ`` and ``_PRAG`` below):
     ``a ->q b  ==  (~q a) |q (a & b)`` (Sasaki arrow), so quantum ASTs
     contain only ``Atom``, ``And`` and ``QNot`` nodes.  ``Atom`` and
     ``And`` are shared with the classical language, so conjunctive trees
-    can be fed to either semantics.
+    can be fed to either semantics.  ``~q`` and ``|q`` are read as
+    such whatever follows them (``~qE(x)``), because bare ``~`` and
+    ``|`` are not quantum connectives; ``->q`` must not run into a name.
 ``prag`` (assertive)
     prefix ``N``; infix ``A`` (1) and ``K`` (2); ``|- f`` asserts a whole
     quantum formula, which extends as far right as possible.  ``N``,
@@ -216,7 +218,8 @@ def _tokenize(text: str, mode: str) -> list[_Token]:
                 toks.append(_Token("NOT", "~", i))
                 i += 1
                 continue
-            if text[i + 1:i + 2] == "q" and not _is_ident_char(text[i + 2:i + 3]):
+            # bare '~' is never valid here, so '~q' is read whatever follows
+            if text[i + 1:i + 2] == "q":
                 toks.append(_Token("QNOT", "~q", i))
                 i += 2
                 continue
@@ -233,7 +236,7 @@ def _tokenize(text: str, mode: str) -> list[_Token]:
                 toks.append(_Token("OR", "|", i))
                 i += 1
                 continue
-            if nxt == "q" and not _is_ident_char(text[i + 2:i + 3]):
+            if nxt == "q":  # as with '~q': bare '|' is never valid here
                 toks.append(_Token("QOR", "|q", i))
                 i += 2
                 continue

@@ -90,6 +90,26 @@ def null_space_meet(pa: np.ndarray, pb: np.ndarray,
     return n @ n.conj().T
 
 
+def projector_equal(rows_a, rows_b, tol: float) -> bool | None:
+    """Mutual containment of two row-orthonormal bases, with no rank test.
+
+    Each row of one basis must leave a residual of at most ``tol``
+    against the other's projector (the sum of its rows' outer products).
+    Returns None when some residual lies so close to ``tol`` that
+    rounding could decide it.
+    """
+    def residuals(rows, other):
+        p = other.T @ other.conj()
+        return [np.linalg.norm(v - p @ v) for v in rows]
+
+    a = np.asarray(rows_a, dtype=complex)
+    b = np.asarray(rows_b, dtype=complex)
+    res = residuals(b, a) + residuals(a, b)
+    if any(abs(r - tol) < 1e-14 + 1e-9 * tol for r in res):
+        return None
+    return all(r <= tol for r in res)
+
+
 class WitnessOracle:
     """Witnesses, certain-state sets and Q-truth of quantum formulas.
 

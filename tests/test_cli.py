@@ -8,6 +8,7 @@ import warnings
 
 import pytest
 
+import qlprop.cli as cli
 from qlprop.cli import main
 from qlprop.errors import ThetaNotInjectiveWarning
 from qlprop.hilbert import Subspace
@@ -62,6 +63,60 @@ def test_usage_error_is_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# one argument parser per process
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["parse", "--lang", "nope", "E(x)"], 2),
+    (["eval", "E(x)"], 2),
+    (["--help"], 0),
+    (["check", "--help"], 0),
+])
+def test_repeated_exit_prints_the_same_text(argv, code, capsys):
+    seen = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        seen.append(capsys.readouterr())
+    assert seen[0] == seen[1]
+    assert (seen[0].out if code == 0 else seen[0].err).startswith("usage: qlprop")
+
+
+def test_subcommand_is_looked_up_at_call_time(monkeypatch, capsys):
+    assert main(["parse", "E(x)"]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_parse", lambda args: calls.append(args) or 7)
+    assert main(["parse", "F(x)"]) == 7
+    assert [a.formula for a in calls] == ["F(x)"]
+    monkeypatch.undo()
+    assert main(["parse", "G(x)"]) == 0
+    assert capsys.readouterr().out == "E(x)\nG(x)\n"
+
+
+def test_options_do_not_leak_into_later_calls(models_dir, monkeypatch, capsys):
+    assert main(["parse", "--json", "--lang", "ltq", "~q E(x)"]) == 0
+    assert json.loads(capsys.readouterr().out)["canonical"] == "~q E(x)"
+    assert main(["parse", "~E(x)"]) == 0
+    assert capsys.readouterr().out == "!E(x)\n"
+    model = str(models_dir / "m_sr.json")
+    assert main(["eval", "--json", "--model", model, "--state", "S1",
+                 "--object", "u2", "E(x)"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == "F"
+    # the default object at S1 is u1
+    assert main(["eval", "--model", model, "--state", "S1", "E(x)"]) == 0
+    assert capsys.readouterr().out == "T\n"
+    # the tolerance is read per call, from the flag or the environment
+    monkeypatch.setenv("QLPROP_TOL", "1")
+    assert main(["parse", "E(x)"]) == 1
+    assert "InvalidTolerance: QLPROP_TOL" in capsys.readouterr().err
+    assert main(["parse", "--tol", "1e-6", "E(x)"]) == 0
+    monkeypatch.delenv("QLPROP_TOL")
+    assert main(["parse", "E(x)"]) == 0
+    assert capsys.readouterr().out == "E(x)\nE(x)\n"
 
 
 # ---------------------------------------------------------------------------

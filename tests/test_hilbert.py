@@ -11,6 +11,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import qlprop.hilbert as hilbert
 
@@ -25,6 +26,9 @@ from qlprop.errors import (
     UnknownProperty,
 )
 from qlprop.hilbert import (
+    DEFAULT_TOL,
+    MAX_TOL,
+    MIN_TOL,
     Subspace,
     certain_states,
     closure_generate,
@@ -44,7 +48,13 @@ from qlprop.model import (
     make_model,
 )
 
-from helpers import projector_join, projector_meet, random_unit
+from helpers import (
+    projector_equal,
+    projector_join,
+    projector_meet,
+    random_subspace_vectors,
+    random_unit,
+)
 
 # ---------------------------------------------------------------------------
 # oracle self-checks on cases solvable by hand
@@ -202,6 +212,56 @@ def test_containment_is_a_partial_order():
     # antisymmetry via __eq__
     c = Subspace.span([[2, 0, 0], [0, 3, 0]], dim=3)
     assert contains(b, c) and contains(c, b) and b == c
+
+
+@st.composite
+def _subspace_pairs(draw):
+    """A random span ``a`` of rank 0..dim in dimension 1..4, a partner
+    ``b`` and a tolerance.  ``b`` spans ``a`` again with every vector
+    tilted, or spans a sub- or superspace of ``a`` whose extra vectors
+    lie near ``a``, or is an unrelated span.  Tilts run from a thousandth
+    of the tolerance to a thousand times it, so near-equal pairs fall on
+    both sides of the containment test."""
+    dim = draw(st.integers(1, 4))
+    tol = draw(st.sampled_from([MIN_TOL, DEFAULT_TOL, MAX_TOL]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    a = Subspace.span(random_subspace_vectors(rng, dim, draw(st.integers(0, dim))),
+                      dim, tol)
+    eps = tol * 10.0 ** draw(st.integers(-3, 3))
+
+    def near_a():
+        coeffs = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                           for _ in range(a.rank)])
+        return coeffs @ a.basis + eps * random_unit(rng, dim)
+
+    kind = draw(st.sampled_from(["tilted", "nested", "unrelated"]))
+    rank = a.rank if kind == "tilted" else draw(st.integers(0, dim))
+    if kind == "unrelated":
+        vectors = random_subspace_vectors(rng, dim, rank)
+    elif rank <= a.rank:
+        vectors = [near_a() for _ in range(rank)]
+    else:
+        vectors = list(a.basis) + [near_a() for _ in range(rank - a.rank)]
+    return a, Subspace.span(vectors, dim, tol), tol
+
+
+@given(_subspace_pairs())
+@settings(max_examples=500, deadline=None)
+def test_equality_matches_projector_mutual_containment(pair):
+    a, b, tol = pair
+    expected = projector_equal(a.basis, b.basis, tol)
+    assume(expected is not None)  # a residual within rounding of tol
+    assert (a == b) is expected and (b == a) is expected
+
+
+def test_loading_a_model_compares_only_subspaces_of_equal_rank(monkeypatch):
+    text = dump_model(m_qutrit())
+    ranks = []
+    real = contains
+    monkeypatch.setattr(hilbert, "contains",
+                        lambda x, y: ranks.append((x.rank, y.rank)) or real(x, y))
+    load_model(text)
+    assert ranks and all(rx == ry for rx, ry in ranks)
 
 
 # ---------------------------------------------------------------------------

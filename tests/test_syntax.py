@@ -299,6 +299,29 @@ def test_tq_rejects_classical_tokens(text):
         parse_tq(text)
 
 
+@pytest.mark.parametrize("glued,spaced", [
+    ("~qE(x)", "~q E(x)"),
+    ("~q~q~qE(x)", "~q ~q ~q E(x)"),
+    ("~qux(x)", "~q ux(x)"),
+    ("E(x) |qF(x)", "E(x) |q F(x)"),
+    ("E(x)|q~qF(x)", "E(x) |q ~q F(x)"),
+    ("~qE(x) & F(x) |qG(x)", "~q E(x) & F(x) |q G(x)"),
+])
+def test_quantum_connectives_may_touch_what_follows(glued, spaced):
+    assert parse_tq(glued) == parse_tq(spaced)
+    assert parse_prag("|- " + glued) == parse_prag("|- " + spaced)
+    assert (parse_prag(f"N |-{glued} K |- {glued}")
+            == parse_prag(f"N |- {spaced} K |- {spaced}"))
+
+
+@pytest.mark.parametrize("parse", [parse_tq, parse_prag])
+def test_glued_sasaki_arrow_is_still_an_error(parse):
+    prefix = "|- " if parse is parse_prag else ""
+    with pytest.raises(ParseError) as exc:
+        parse(prefix + "E(x) ->qF(x)")
+    assert exc.value.position == len(prefix) + 5
+
+
 @pytest.mark.parametrize("text", ["E(x)", "K |- E(x)", "|- "])
 def test_prag_rejects_malformed(text):
     with pytest.raises(ParseError):
