@@ -521,8 +521,10 @@ def main(argv=None) -> int:
     except QlpropError as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"ERROR FileNotFound: {exc}", file=sys.stderr)
+    except OSError as exc:  # reading --model, writing --dot or --out
+        name = ("FileNotFound" if isinstance(exc, FileNotFoundError)
+                else type(exc).__name__)
+        print(f"ERROR {name}: {exc}", file=sys.stderr)
         return 1
 
 

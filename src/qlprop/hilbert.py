@@ -1,17 +1,24 @@
 """Finite-dimensional complex subspace algebra and the Hilbert side of a
 model.
 
-Subspaces are stored as row-orthonormal bases produced by modified
-Gram-Schmidt with a re-orthogonalization pass, so containment tests reduce
-to projection residuals.  The lattice operations are:
+Subspaces are held as row-orthonormal bases, and one rule decides
+whether a direction lies in a subspace: a unit vector does when its
+residual against it (the vector minus its projection) has norm at most
+``tol``.  ``contains(a, b)`` applies it to each basis row of ``b``.
+``meet(a, b)`` applies it to all unit vectors of ``a`` at once: with
+the bases as the rows of A and B, their residuals against ``b`` are the
+singular values of R = A - (A B^H) B, and the left singular vectors with
+singular value at most ``tol``, mapped back through A, span the meet
+(principal angles; Bjorck & Golub, Math. Comp. 1973).  ``Subspace.span``
+(and ``join``, the span of both bases) is modified Gram-Schmidt, which
+keeps a vector ``v`` when its residual against the rows kept so far
+exceeds ``tol * max(1, |v|)``.  ``ortho(a)`` takes the trailing rows of
+one full SVD of ``a``'s basis, so its rank is ``dim - rank(a)`` exactly.
 
-* ``join``  - orthonormalize the concatenated bases,
-* ``ortho`` - complete the basis to the identity and keep the tail,
-* ``meet``  - ``ortho(join(ortho(a), ortho(b)))``.
-
-Rank identities (``rank(ortho(a)) == dim - rank(a)`` and the rank formula
-for joins of generic spans) hold exactly, not just within tolerance,
-because rank decisions are made once per vector against a fixed threshold.
+``span`` keeps the order of its vectors: each row is the next vector
+with its part along the earlier rows removed.  Declared vectors thus
+come back as basis rows, and a dumped model loads and dumps again to
+the same bytes; an SVD would rotate the rows on every round trip.
 
 A :class:`HilbertAnnotation` gives each state a ray and each property a
 subspace.  Its :attr:`~HilbertAnnotation.table` (a :class:`PropertyTable`)
@@ -21,25 +28,17 @@ certain for each property.  The table is created on first use and filled
 lazily, so every fact is computed at most once per annotation and only
 when something asks for it; loading or building a model computes none.
 A subspace result maps to the first declared property equal to it under
-``Subspace.__eq__`` (mutual containment within tolerance).
-:func:`certain_states`, :func:`state_lattice` and the quantum-language
-semantics all read the same table.
-
-Equality compares ranks before it tests containment, so most of the
-comparisons made while loading a model, searching the table or
-generating a closure cost no projection.  This changes no result: if
-rank(b) > rank(a), the squared residuals of b's orthonormal rows
-against a sum to trace((I - P_a) P_b) >= rank(b) - rank(a) >= 1, so one
-row's residual is at least 1/sqrt(dim), above ``MAX_TOL`` for any dim
-below 10**6, and ``contains(a, b)`` is false.
+``Subspace.__eq__``.  :func:`certain_states`, :func:`state_lattice` and
+the quantum-language semantics all read the same table.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -91,35 +90,6 @@ def check_tol(tol, name: str = "tolerance") -> float:
     return value
 
 
-def _orthonormalize(vectors: Iterable, dim: int, tol: float,
-                    seed_basis: Sequence[np.ndarray] = ()) -> list[np.ndarray]:
-    """Modified Gram-Schmidt with one re-orthogonalization pass.
-
-    Vectors whose residual against the growing basis falls below ``tol``
-    (relative to their original norm) are dropped.  ``seed_basis`` rows are
-    assumed orthonormal already and are not re-emitted.
-    """
-    basis: list[np.ndarray] = [np.asarray(b, dtype=complex) for b in seed_basis]
-    kept: list[np.ndarray] = []
-    for v in vectors:
-        w = np.asarray(v, dtype=complex).reshape(-1)
-        if w.shape != (dim,):
-            raise DimensionMismatch(
-                f"vector of length {w.shape[0]} in dimension {dim}")
-        scale = np.linalg.norm(w)
-        if scale == 0.0:
-            continue
-        for _ in range(2):
-            for b in basis:
-                w = w - (b.conj() @ w) * b
-        nrm = np.linalg.norm(w)
-        if nrm > tol * max(1.0, scale):
-            w = w / nrm
-            basis.append(w)
-            kept.append(w)
-    return kept
-
-
 class Subspace:
     """A closed subspace of C^dim, held as a row-orthonormal basis."""
 
@@ -148,14 +118,47 @@ class Subspace:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def span(cls, vectors, dim: int, tol: float = DEFAULT_TOL) -> "Subspace":
-        """Span of arbitrary vectors, orthonormalized."""
-        rows = _orthonormalize(vectors, dim, tol)
+    def _of_rows(cls, rows: np.ndarray, tol: float) -> "Subspace":
+        """A subspace on rows this module made orthonormal: no Gram check."""
         out = cls.__new__(cls)
-        out.dim = dim
-        out.basis = np.array(rows, dtype=complex).reshape(len(rows), dim)
+        out.dim = rows.shape[1]
+        out.basis = rows
         out.tol = tol
         return out
+
+    @classmethod
+    def span(cls, vectors, dim: int, tol: float = DEFAULT_TOL) -> "Subspace":
+        """Span of arbitrary vectors, in their order, by modified
+        Gram-Schmidt with one re-orthogonalization pass.
+
+        A vector whose squared norm overflows is first scaled by the power
+        of two that brings its largest real or imaginary part below 1.
+        That scaling is exact, so rows and decisions are those the vector
+        would give if its norms were finite.
+        """
+        rows: list[np.ndarray] = []
+        for v in vectors:
+            w = np.asarray(v, dtype=complex).reshape(-1)
+            if w.shape != (dim,):
+                raise DimensionMismatch(
+                    f"vector of length {w.shape[0]} in dimension {dim}")
+            unit = 1.0
+            square = np.vdot(w, w).real  # inf or nan on overflow, no warning
+            if not square < math.inf:
+                largest = max(np.max(np.abs(w.real)), np.max(np.abs(w.imag)))
+                unit = 2.0 ** -math.frexp(largest)[1]
+                w = w * unit
+                square = np.vdot(w, w).real
+            if square == 0.0:
+                continue
+            for _ in range(2):
+                for b in rows:
+                    w = w - (b.conj() @ w) * b
+            nrm = np.linalg.norm(w)
+            if nrm > tol * max(unit, math.sqrt(square)):  # tol*max(1, |v|)
+                rows.append(w / nrm)
+        return cls._of_rows(
+            np.array(rows, dtype=complex).reshape(len(rows), dim), tol)
 
     @classmethod
     def zero(cls, dim: int, tol: float = DEFAULT_TOL) -> "Subspace":
@@ -236,30 +239,26 @@ def contains(a: Subspace, b: Subspace) -> bool:
 
 
 def ortho(a: Subspace) -> Subspace:
-    """Orthogonal complement; rank is exactly ``dim - rank(a)``."""
-    comp = _orthonormalize(np.eye(a.dim, dtype=complex), a.dim, a.tol,
-                           seed_basis=list(a.basis))
-    if len(comp) != a.dim - a.rank:
-        raise RankError(
-            f"complement rank {len(comp)} != {a.dim - a.rank}")
-    out = Subspace.__new__(Subspace)
-    out.dim = a.dim
-    out.basis = np.array(comp, dtype=complex).reshape(len(comp), a.dim)
-    out.tol = a.tol
-    return out
+    """Orthogonal complement, of rank exactly ``dim - rank(a)``."""
+    _, _, vh = np.linalg.svd(a.basis)
+    return Subspace._of_rows(vh[a.rank:], a.tol)
 
 
 def join(a: Subspace, b: Subspace) -> Subspace:
     """Closed span of the union."""
     _check_dims(a, b)
-    return Subspace.span(list(a.basis) + list(b.basis), a.dim,
+    return Subspace.span(np.vstack([a.basis, b.basis]), a.dim,
                          max(a.tol, b.tol))
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection, computed as the complement of the join of complements."""
+    """Intersection: the directions U^H A of ``a`` whose residuals against
+    ``b``, the singular values of R = A - (A B^H) B = U S V^H, are <= tol."""
     _check_dims(a, b)
-    return ortho(join(ortho(a), ortho(b)))
+    tol = max(a.tol, b.tol)
+    resid = a.basis - (a.basis @ b.basis.conj().T) @ b.basis
+    u, sv, _ = np.linalg.svd(resid, full_matrices=False)
+    return Subspace._of_rows(u[:, sv <= tol].conj().T @ a.basis, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,10 @@ def make_model(states: Sequence[str], universes: Mapping[str, Sequence[str]],
         for e in props:
             if e not in extensions[s]:
                 raise SchemaError(f"no extension for ({s!r}, {e!r})")
+            for x in extensions[s][e]:
+                if not isinstance(x, str):
+                    raise SchemaError(f"extension of ({s!r}, {e!r}) must "
+                                      f"list object ids, got {x!r}")
             ext = frozenset(extensions[s][e])
             stray = ext - uset
             if stray:
@@ -171,9 +175,14 @@ _HILBERT_KEYS = {"dim", "state_rays", "property_subspaces"}
 
 
 def _is_number(x) -> bool:
-    """A finite JSON number; ``bool`` is a subclass of ``int`` but not one."""
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and math.isfinite(x))
+    """A finite JSON number; ``bool`` is a subclass of ``int`` but not one,
+    and an integer beyond the float range is not finite."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _as_complex_vector(data, what: str) -> np.ndarray:
@@ -194,10 +203,16 @@ def load_model(data: bytes | str, tol: float = DEFAULT_TOL) -> Model:
     """Parse and validate a model from JSON text or bytes."""
     tol = check_tol(tol)
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"model file is not UTF-8: {exc}") from None
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        raise SchemaError("invalid JSON: arrays or objects nested too "
+                          "deeply") from None
+    except ValueError as exc:  # JSONDecodeError, or an integer too long
         raise SchemaError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("top level must be a JSON object")

@@ -1,13 +1,15 @@
 """Shared generators and independent oracles for the test suite.
 
 The oracles here deliberately avoid the code paths they are used to
-check: the universal-proposition oracle enumerates interpretations
-instead of inspecting extensions, the subspace oracle works on
-projector matrices instead of basis rows, the witness oracle (which
-imports nothing from ``qlprop.hilbert`` or ``qlprop.quantum``) reduces
-quantum formulas with projectors and SVD null spaces, and the lattice
-oracle (which imports nothing from ``qlprop.lattice``) finds bounds and
-law violations by explicit scans over nested lists.
+check: the universal-proposition oracle (which imports nothing from
+``qlprop.semantics``) evaluates formulas with its own set algebra and
+intersects over every interpretation instead of testing extensions for
+fullness, the subspace oracle works on projector matrices instead of
+basis rows, the witness oracle (which imports nothing from
+``qlprop.hilbert`` or ``qlprop.quantum``) reduces quantum formulas with
+projectors and SVD null spaces, and the lattice oracle (which imports
+nothing from ``qlprop.lattice``) finds bounds and law violations by
+explicit scans over nested lists.
 """
 
 from __future__ import annotations
@@ -17,24 +19,36 @@ import random
 
 import numpy as np
 
-from qlprop.model import (
-    Model,
-    build_qm_model,
-    enumerate_interpretations,
-    make_model,
-)
-from qlprop.semantics import individual_proposition
+from qlprop.model import Model, build_qm_model, make_model
 from qlprop.syntax import A, And, Assert, Atom, K, N, Not, Or, QNot
 
 # ---------------------------------------------------------------------------
 # oracles
 
 
+def _set_extension(m: Model, state: str, f) -> frozenset:
+    """Objects satisfying a classical formula in a state, by set algebra on
+    the model's extension data."""
+    if isinstance(f, Atom):
+        return m.extensions[state][f.prop]
+    if isinstance(f, Not):
+        return frozenset(m.universes[state]) - _set_extension(m, state, f.inner)
+    left = _set_extension(m, state, f.left)
+    right = _set_extension(m, state, f.right)
+    if isinstance(f, And):
+        return left & right
+    if isinstance(f, Or):
+        return left | right
+    raise TypeError(f"not a classical formula node: {f!r}")
+
+
 def brute_force_physical(m: Model, f) -> frozenset:
-    """States where f holds under every interpretation, by enumeration."""
+    """States where f holds under every interpretation, by enumerating
+    every choice of one object per state."""
+    ext = {s: _set_extension(m, s, f) for s in m.states}
     out = frozenset(m.states)
-    for interp in enumerate_interpretations(m):
-        out &= individual_proposition(m, interp, f)
+    for combo in itertools.product(*(m.universes[s] for s in m.states)):
+        out &= frozenset(s for s, o in zip(m.states, combo) if o in ext[s])
         if not out:
             break
     return out

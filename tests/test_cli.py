@@ -312,6 +312,19 @@ def test_missing_model_file_is_domain_error(capsys):
     assert "ERROR" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path, name", [
+    ("{models}", "IsADirectoryError"),
+    ("{models}/no_such_file.json", "FileNotFound"),
+])
+def test_unreadable_model_is_exit_1_without_traceback(path, name, models_dir,
+                                                       capsys):
+    path = path.replace("{models}", str(models_dir))
+    assert main(["eval", "--model", path, "--state", "S1", "E(x)"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR {name}: ") and path in err
+    assert "Traceback" not in err
+
+
 def test_tol_env_var(tmp_path, monkeypatch, capsys):
     # tilt the Sz+ ray by 1e-6: at the default tolerance it no longer
     # lies inside the Ez+ subspace, at a loosened tolerance it does

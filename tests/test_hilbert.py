@@ -49,11 +49,13 @@ from qlprop.model import (
 )
 
 from helpers import (
+    null_space_meet,
     projector_equal,
     projector_join,
     projector_meet,
     random_subspace_vectors,
     random_unit,
+    span_projector,
 )
 
 # ---------------------------------------------------------------------------
@@ -252,6 +254,93 @@ def test_equality_matches_projector_mutual_containment(pair):
     expected = projector_equal(a.basis, b.basis, tol)
     assume(expected is not None)  # a residual within rounding of tol
     assert (a == b) is expected and (b == a) is expected
+
+
+@st.composite
+def _tilted_pairs(draw):
+    """Subspaces ``a`` and ``b`` of C^dim (dim 1..4, ranks 0..dim), one of
+    the three tolerance ends, and the smallest tilt above tol (1.0 if
+    none).
+
+    With q_1..q_dim the rows of a random unitary, ``a`` spans its first
+    rank(a) rows.  Each vector of ``b`` is an unused row of ``a``, an
+    unused row outside ``a``, or an unused row of ``a`` tilted towards
+    an unused row outside by an angle at most tol/10 or at least 10 tol.
+    Those vectors are the principal vectors of the pair, so every residual
+    of a unit vector of one against the other lies clearly on one side
+    of tol."""
+    dim = draw(st.integers(1, 4))
+    tol = draw(st.sampled_from([MIN_TOL, DEFAULT_TOL, MAX_TOL]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim))
+                        + 1j * rng.normal(size=(dim, dim)))
+    q = q.T
+    rank = draw(st.integers(0, dim))
+    inside, outside = list(q[:rank]), list(q[rank:])
+    vectors, gap = [], 1.0
+    for _ in range(draw(st.integers(0, dim))):
+        kinds = [k for k, ok in (("row", inside), ("outside", outside),
+                                 ("tilted", inside and outside)) if ok]
+        if not kinds:
+            break
+        kind = draw(st.sampled_from(kinds))
+        if kind == "row":
+            vectors.append(inside.pop())
+        elif kind == "outside":
+            vectors.append(outside.pop())
+        else:
+            angle = tol * 10.0 ** draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+            vectors.append(np.cos(angle) * inside.pop()
+                           + np.sin(angle) * outside.pop())
+            if angle > tol:
+                gap = min(gap, angle)
+    a = Subspace.span(q[:rank], dim, tol)
+    return a, Subspace.span(vectors, dim, tol), tol, gap
+
+
+@given(_tilted_pairs())
+@settings(max_examples=400, deadline=None)
+def test_residual_rule_meet_ortho_join(pair):
+    a, b, tol, gap = pair
+    # rounding moves a computed subspace by about 1e-16 over the gap
+    # separating it from its neighbours
+    slack = 10 * tol + 1e-13 / gap
+    dim = a.dim
+    for x in (a, b):
+        assert ortho(x).rank == dim - x.rank
+    m = meet(a, b)
+    assert (m == a) is contains(b, a)
+    assert contains(a, m) and contains(b, m)
+    oracle_meet = null_space_meet(a.projector(), b.projector(), thresh=tol)
+    assert m.rank == round(np.trace(oracle_meet).real)
+    assert np.max(np.abs(m.projector() - oracle_meet)) < slack
+    j = join(a, b)
+    oracle_join = span_projector(np.vstack([a.basis, b.basis]), dim, thresh=tol)
+    assert j.rank == round(np.trace(oracle_join).real)
+    assert np.max(np.abs(j.projector() - oracle_join)) < slack
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_span_scales_huge_vectors_without_overflow():
+    s = Subspace.span([[1e308, 1e308], [1e308, 1e308]], 2)
+    assert s.rank == 1 and s == Subspace.ray([1, 1])
+    s = Subspace.span([[1.5e308 + 1.5e308j, 0], [0, 1e-5]], 2)
+    assert s == Subspace.full(2)
+    # the threshold tol * max(1, |v|) stays in the vector's own units
+    assert Subspace.span([[1e300, 0], [1e300, 1e288]], 2).rank == 1
+    assert Subspace.span([[1e300, 0], [1e300, 1e295]], 2).rank == 2
+    assert Subspace.span([[1e-10, 0], [0, 2e-9]], 2).rank == 1
+
+
+def test_meet_and_ortho_are_one_svd_each(monkeypatch):
+    calls = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    a = Subspace.span([[1, 0, 0], [0, 1, 0]], dim=3)
+    b = Subspace.span([[0, 1, 0], [0, 0, 1]], dim=3)
+    assert ortho(a) == Subspace.ray([0, 0, 1], dim=3) and len(calls) == 1
+    assert meet(a, b) == Subspace.ray([0, 1, 0], dim=3) and len(calls) == 2
 
 
 def test_loading_a_model_compares_only_subspaces_of_equal_rank(monkeypatch):

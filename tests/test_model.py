@@ -211,6 +211,61 @@ def test_load_rejects_boolean_vector_entries():
         load_model(json.dumps(doc))
 
 
+@pytest.mark.parametrize("fixture", [m_sr, m_cm, m_qbit, m_qutrit])
+def test_dump_load_dump_is_byte_stable(fixture):
+    text = dump_model(fixture())
+    assert dump_model(load_model(text)) == text
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_load_scales_a_huge_ray_without_overflow():
+    doc = json.loads(dump_model(m_qbit()))
+    doc["hilbert"]["state_rays"]["Sx+"] = [[1e308, 0.0], [1e308, 0.0]]
+    m = load_model(json.dumps(doc))
+    assert m.hilbert.state_rays["Sx+"] == Subspace.ray([1.0, 1.0])
+
+
+def test_load_rejects_list_in_extension():
+    doc = json.loads(dump_model(m_sr()))
+    doc["extensions"]["S1"]["E"] = [["u1"]]
+    with pytest.raises(SchemaError, match=r"extension of \('S1', 'E'\) must "
+                       r"list object ids, got \['u1'\]"):
+        load_model(json.dumps(doc))
+
+
+def test_load_rejects_number_in_extension():
+    doc = json.loads(dump_model(m_sr()))
+    doc["extensions"]["S1"]["E"] = [1]
+    with pytest.raises(SchemaError, match=r"extension of \('S1', 'E'\) must "
+                       r"list object ids, got 1$"):
+        load_model(json.dumps(doc))
+
+
+def test_load_rejects_non_utf8_bytes():
+    data = dump_model(m_sr()).replace("u1", "u\u00e9").encode("latin-1")
+    with pytest.raises(SchemaError, match="model file is not UTF-8"):
+        load_model(data)
+
+
+def test_load_rejects_deeply_nested_json():
+    with pytest.raises(SchemaError, match="nested too deeply"):
+        load_model("[" * 100_000 + "]" * 100_000)
+
+
+def test_load_rejects_integer_beyond_float_range():
+    doc = json.loads(dump_model(m_qbit()))
+    doc["hilbert"]["state_rays"]["Sz+"] = [[10 ** 400, 0], [0, 0]]
+    with pytest.raises(SchemaError, match=r"state_rays\['Sz\+'\]\[0\] must be "
+                       r"a \[re, im\] pair of finite numbers"):
+        load_model(json.dumps(doc))
+
+
+def test_load_rejects_overlong_integer_literal():
+    text = dump_model(m_qbit()).replace('"dim": 2', '"dim": ' + "9" * 5000)
+    with pytest.raises(SchemaError, match="invalid JSON"):
+        load_model(text)
+
+
 def test_load_rejects_bad_json():
     with pytest.raises(SchemaError):
         load_model("not json at all {")
