@@ -47,13 +47,11 @@ from .quantum import (
 )
 from .semantics import (
     enumerate_formulas,
-    extension_profile,
     forall_proposition,
     individual_proposition,
     is_true,
     lindenbaum_tarski,
     physical_proposition,
-    profile_proposition,
     testable_proposition_poset,
     testable_witness,
 )
@@ -88,8 +86,16 @@ def _config(args) -> RunConfig:
     return RunConfig(tol=tol, enum_cap=args.enum_cap, json_out=args.json)
 
 
+def _path(name: str, option: str) -> Path:
+    """``name`` as a file path; no file name can hold a NUL character,
+    which Python's file functions reject with a ``ValueError``."""
+    if "\0" in name:
+        raise QlpropError(f"{option} {name!r} contains a NUL character")
+    return Path(name)
+
+
 def _load(args, cfg: RunConfig) -> Model:
-    return load_model(Path(args.model).read_bytes(), tol=cfg.tol)
+    return load_model(_path(args.model, "--model").read_bytes(), tol=cfg.tol)
 
 
 def _parse_interp(m: Model, text: str) -> dict[str, str]:
@@ -228,19 +234,22 @@ class _Suite:
 
 
 def _suite_sec3(m: Model, depth: int, out: _Suite):
+    # profiles are slot ints and propositions are masks of full state
+    # blocks (see qlprop.semantics.ProfileKernel)
+    k = m.kernel
+    full = k.full
+    top = k.universe
     formulas = enumerate_formulas(m.properties, depth)
-    profs = [extension_profile(m, f) for f in formulas]
-    props = [profile_proposition(m, p) for p in profs]
-    univ = [frozenset(m.universes[s]) for s in m.states]
-    states = frozenset(m.states)
+    vals = [k.profile(f) for f in formulas]
+    props = [full(v) for v in vals]
 
     neg_ok = True
     neg_strict = None
-    for f, prof, p in zip(formulas, profs, props):
-        pn = profile_proposition(m, tuple(u - x for u, x in zip(univ, prof)))
-        if not pn <= states - p:
+    for f, v, p in zip(formulas, vals, props):
+        pn = full(top ^ v)
+        if pn & p:
             neg_ok = False
-        elif neg_strict is None and pn < states - p:
+        elif neg_strict is None and pn != top ^ p:
             neg_strict = format_lx(f)
     out.passfail(neg_ok, "negation proposition below set complement")
     if neg_strict:
@@ -249,18 +258,15 @@ def _suite_sec3(m: Model, depth: int, out: _Suite):
     conj_ok = True
     disj_ok = True
     disj_strict = None
-    for a, prof_a, pa in zip(formulas, profs, props):
-        for b, prof_b, pb in zip(formulas, profs, props):
-            pand = profile_proposition(
-                m, tuple(x & y for x, y in zip(prof_a, prof_b)))
-            if pand != pa & pb:
+    for a, va, pa in zip(formulas, vals, props):
+        for b, vb, pb in zip(formulas, vals, props):
+            if full(va & vb) != pa & pb:
                 conj_ok = False
-            por = profile_proposition(
-                m, tuple(x | y for x, y in zip(prof_a, prof_b)))
+            por = full(va | vb)
             union = pa | pb
-            if not union <= por:
+            if union & ~por:
                 disj_ok = False
-            elif disj_strict is None and union < por:
+            elif disj_strict is None and union != por:
                 disj_strict = (format_lx(a), format_lx(b))
     out.passfail(conj_ok, "conjunction proposition equals intersection")
     out.passfail(disj_ok, "disjunction proposition above union")
@@ -272,22 +278,21 @@ def _suite_cm(m: Model, depth: int, assume_cmt: bool, out: _Suite):
     ok, witness = check_cms(m)
     out.passfail(ok, "every extension full or empty",
                  "" if ok else f"witness {witness}")
+    k = m.kernel
+    top = k.universe
     formulas = enumerate_formulas(m.properties, min(depth, 2))
-    rho_ok = True
-    for f in formulas:
-        for s, ext in zip(m.states, extension_profile(m, f)):
-            if ext not in (frozenset(), frozenset(m.universes[s])):
-                rho_ok = False
+    vals = [k.profile(f) for f in formulas]
+    props = [k.full(v) for v in vals]
+    # every state block full in the profile or in its complement
+    rho_ok = all(p | k.full(top ^ v) == top for v, p in zip(vals, props))
     out.passfail(rho_ok, "truth independent of the interpretation")
     if interpretation_count(m) <= 10 ** 4:
+        # the picked slots that hold are exactly those in full blocks
         same = True
-        for f in formulas:
-            target = physical_proposition(m, f)
-            for interp in enumerate_interpretations(m):
-                if individual_proposition(m, interp, f) != target:
-                    same = False
-                    break
-            if not same:
+        for interp in enumerate_interpretations(m):
+            pick = k.pick(interp)
+            if not all(v & pick == pick & p for v, p in zip(vals, props)):
+                same = False
                 break
         out.passfail(same, "individual propositions collapse to physical")
     untestable = [f for f in formulas if testable_witness(m, f) is None]
@@ -391,7 +396,7 @@ def cmd_lattice(args) -> int:
     lines.append(f"covers ({len(covers)}):")
     lines += [f"  {poset.labels[i]} < {poset.labels[j]}" for i, j in covers]
     if args.dot:
-        Path(args.dot).write_text(export_dot(poset), encoding="utf-8")
+        _path(args.dot, "--dot").write_text(export_dot(poset), encoding="utf-8")
         lines.append(f"wrote {args.dot}")
     _emit(cfg, lines,
           {"command": "lattice", "which": args.which,
@@ -405,7 +410,7 @@ def cmd_lattice(args) -> int:
 
 def cmd_fixtures(args) -> int:
     cfg = _config(args)
-    outdir = Path(args.out)
+    outdir = _path(args.out, "--out")
     outdir.mkdir(parents=True, exist_ok=True)
     lines = []
     written = []

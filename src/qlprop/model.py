@@ -19,7 +19,8 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -41,6 +42,9 @@ from .hilbert import (
     contains,
     ortho,
 )
+
+if TYPE_CHECKING:
+    from .semantics import ProfileKernel
 
 __all__ = [
     "Model", "HilbertAnnotation", "make_model", "load_model", "dump_model",
@@ -69,6 +73,12 @@ class Model:
 
     def extension(self, state: str, prop: str) -> frozenset[str]:
         return self.extensions[state][prop]
+
+    @cached_property
+    def kernel(self) -> "ProfileKernel":
+        """This model's classical profile kernel, created on first access."""
+        from .semantics import ProfileKernel  # semantics imports this module
+        return ProfileKernel(self)
 
 
 def _unique(ids: Sequence[str], what: str) -> tuple[str, ...]:

@@ -16,11 +16,37 @@ and the converses fail on small fixtures.  Testability ties formulas
 back to declared properties with identical extension profiles, and the
 Lindenbaum-Tarski construction quotients the (depth-bounded) formula
 algebra by profile equality.
+
+Every classical evaluation runs on one integer-bitset kernel
+(:class:`ProfileKernel`, cached on the model as ``Model.kernel``).  The
+model is laid out as (state, object) slots, states in declaration order
+and each state's objects in universe order, so a state owns one
+contiguous block of bits and a formula's extension profile is a single
+``int``.  An atom's profile is built from the extension data on its
+first use; ``Not`` is XOR with the all-slots mask, ``And`` and ``Or``
+are ``&`` and ``|``.  A state belongs to the physical proposition when
+its block is full, which the kernel memoises by profile value.  An
+interpretation becomes a *pick mask* with the bit of the chosen object
+in each state, so the individual proposition is read off ``v & pick``.
+The public functions keep their frozenset signatures and decode at this
+boundary; there is no second evaluator beside the kernel (the bit
+tricks are those of Knuth, *TAOCP* 4A, section 7.1.3).
+
+:meth:`LTAlgebra.closed` runs the closure semi-naively (Bancilhon 1986;
+Abiteboul, Hull & Vianu, *Foundations of Databases*, ch. 13).  A round
+complements only the members not complemented before, and combines only
+the pairs with at least one member added since the previous round's
+snapshot, in the same row-major order as a naive round.  Every skipped
+operation was applied in an earlier round, so its result is already a
+member: the naive and the semi-naive rounds add the same new profiles in
+the same order, with the same representatives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     DepthCapExceeded,
@@ -45,32 +71,156 @@ __all__ = [
 DEFAULT_DEPTH_CAP = 4
 
 
+# ---------------------------------------------------------------------------
+# The profile kernel
+
+
+class ProfileKernel:
+    """One model compiled into (state, object) slots.
+
+    Object ``i`` of the ``k``-th state sits at bit ``offset_k + i``,
+    where ``offset_k`` is the total universe size of the states before
+    it.  A profile is the ``int`` of the slots a formula's extensions
+    cover; ``universe`` has every slot set.  Atom profiles, full-block
+    masks and physical propositions are computed on first use and kept.
+    """
+
+    def __init__(self, m: Model):
+        # the model's parts, not the model: the model holds this kernel,
+        # and a cycle would leave both to the cyclic garbage collector
+        self._properties = m.properties
+        self._extensions = m.extensions
+        slots: dict[str, dict[str, int]] = {}
+        blocks: dict[str, int] = {}
+        offset = 0
+        for s in m.states:
+            u = m.universes[s]
+            slots[s] = {o: 1 << (offset + i) for i, o in enumerate(u)}
+            blocks[s] = ((1 << len(u)) - 1) << offset
+            offset += len(u)
+        self.universe = (1 << offset) - 1
+        self._slots = slots
+        self._blocks = blocks
+        self._atoms: dict[str, int] = {}
+        self._full: dict[int, int] = {}
+        self._states: dict[int, frozenset[str]] = {}
+
+    def slots(self, state: str) -> dict[str, int]:
+        """The bit of each object of ``state``, in universe order."""
+        try:
+            return self._slots[state]
+        except KeyError:
+            raise SchemaError(f"unknown state {state!r}") from None
+
+    def block(self, state: str) -> int:
+        """The mask of ``state``'s slots."""
+        try:
+            return self._blocks[state]
+        except KeyError:
+            raise SchemaError(f"unknown state {state!r}") from None
+
+    def atom(self, prop: str) -> int:
+        """The profile of a declared property, built on its first use."""
+        v = self._atoms.get(prop)
+        if v is None:
+            if prop not in self._properties:
+                raise UnknownProperty(f"model declares no property {prop!r}")
+            v = 0
+            for s, slots in self._slots.items():
+                for o in self._extensions[s][prop]:
+                    v |= slots[o]
+            self._atoms[prop] = v
+        return v
+
+    def profile(self, f: Formula) -> int:
+        """The slots of the objects satisfying ``f``, over all states."""
+        if isinstance(f, Atom):
+            return self.atom(f.prop)
+        if isinstance(f, Not):
+            return self.universe ^ self.profile(f.inner)
+        if isinstance(f, And):
+            return self.profile(f.left) & self.profile(f.right)
+        if isinstance(f, Or):
+            return self.profile(f.left) | self.profile(f.right)
+        raise TypeError(f"not a classical formula node: {f!r}")
+
+    def full(self, v: int) -> int:
+        """The union of the state blocks that ``v`` covers entirely."""
+        out = self._full.get(v)
+        if out is None:
+            out = 0
+            for mask in self._blocks.values():
+                if v & mask == mask:
+                    out |= mask
+            self._full[v] = out
+        return out
+
+    def proposition(self, v: int) -> frozenset[str]:
+        """States whose block ``v`` covers: the physical proposition."""
+        fb = self.full(v)
+        out = self._states.get(fb)
+        if out is None:
+            out = frozenset(s for s, mask in self._blocks.items() if fb & mask)
+            self._states[fb] = out
+        return out
+
+    def pick(self, interp: Interpretation) -> int:
+        """The slot of the object ``interp`` chooses in each state; a
+        choice outside the state's universe contributes no bit."""
+        out = 0
+        for s, slots in self._slots.items():
+            out |= slots.get(interp[s], 0)
+        return out
+
+    def holds(self, v: int, interp: Interpretation) -> frozenset[str]:
+        """States whose chosen object ``v`` covers: the individual
+        proposition."""
+        return frozenset(s for s, slots in self._slots.items()
+                         if v & slots.get(interp[s], 0))
+
+    def decode(self, v: int) -> tuple[frozenset[str], ...]:
+        """Per-state extensions, in state order."""
+        return tuple(frozenset(o for o, bit in slots.items() if v & bit)
+                     for slots in self._slots.values())
+
+    def encode(self, profile) -> int:
+        """Inverse of :meth:`decode`; objects outside a state's universe
+        contribute no bit."""
+        v = 0
+        for slots, ext in zip(self._slots.values(), profile):
+            for o in ext:
+                v |= slots.get(o, 0)
+        return v
+
+
+# ---------------------------------------------------------------------------
+# Truth and propositions
+
+
 def extension_of(m: Model, state: str, f: Formula) -> frozenset[str]:
     """The set of objects satisfying ``f`` in ``state``."""
-    if state not in m.extensions:
-        raise SchemaError(f"unknown state {state!r}")
-    if isinstance(f, Atom):
-        if f.prop not in m.properties:
-            raise UnknownProperty(f"model declares no property {f.prop!r}")
-        return m.extensions[state][f.prop]
-    if isinstance(f, Not):
-        return frozenset(m.universes[state]) - extension_of(m, state, f.inner)
-    if isinstance(f, And):
-        return extension_of(m, state, f.left) & extension_of(m, state, f.right)
-    if isinstance(f, Or):
-        return extension_of(m, state, f.left) | extension_of(m, state, f.right)
-    raise TypeError(f"not a classical formula node: {f!r}")
+    k = m.kernel
+    slots = k.slots(state)
+    v = k.profile(f)
+    return frozenset(o for o, bit in slots.items() if v & bit)
 
 
 def is_true(m: Model, interp: Interpretation, state: str, f: Formula) -> bool:
-    """Truth of ``f`` at ``state`` under an interpretation."""
-    return interp[state] in extension_of(m, state, f)
+    """Truth of ``f`` at ``state`` under an interpretation.
+
+    An object outside the state's universe satisfies nothing.
+    """
+    obj = interp[state]
+    k = m.kernel
+    slots = k.slots(state)
+    return bool(k.profile(f) & slots.get(obj, 0))
 
 
 def individual_proposition(m: Model, interp: Interpretation,
                            f: Formula) -> frozenset[str]:
     """States where ``f`` holds under this interpretation."""
-    return frozenset(s for s in m.states if is_true(m, interp, s, f))
+    k = m.kernel
+    return k.holds(k.profile(f), interp)
 
 
 def physical_proposition(m: Model, f: Formula) -> frozenset[str]:
@@ -80,7 +230,8 @@ def physical_proposition(m: Model, f: Formula) -> frozenset[str]:
     brute-force intersection over all interpretations gives the same set
     (see :func:`forall_proposition`).
     """
-    return profile_proposition(m, extension_profile(m, f))
+    k = m.kernel
+    return k.proposition(k.profile(f))
 
 
 def profile_proposition(m: Model, profile) -> frozenset[str]:
@@ -91,20 +242,21 @@ def profile_proposition(m: Model, profile) -> frozenset[str]:
     made from such profiles by pointwise complement, intersection and
     union.
     """
-    return frozenset(s for s, ext in zip(m.states, profile)
-                     if len(ext) == len(m.universes[s]))
+    k = m.kernel
+    return k.proposition(k.encode(profile))
 
 
 def certainly_true(m: Model, state: str, f: Formula) -> bool:
     """True iff ``f`` holds at ``state`` no matter the interpretation."""
-    if state not in m.extensions:
-        raise SchemaError(f"unknown state {state!r}")
-    return extension_of(m, state, f) == frozenset(m.universes[state])
+    k = m.kernel
+    mask = k.block(state)
+    return k.profile(f) & mask == mask
 
 
 def extension_profile(m: Model, f) -> tuple[frozenset[str], ...]:
     """Per-state extensions in state order; the canonical semantic key."""
-    return tuple(extension_of(m, s, f) for s in m.states)
+    k = m.kernel
+    return k.decode(k.profile(f))
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +266,10 @@ def extension_profile(m: Model, f) -> tuple[frozenset[str], ...]:
 def logical_leq(m: Model, a: Formula, b: Formula) -> bool:
     """Truth of ``a`` implies truth of ``b`` under every interpretation
     at every state (equivalently: state-wise extension inclusion)."""
-    return all(extension_of(m, s, a) <= extension_of(m, s, b)
-               for s in m.states)
+    k = m.kernel
+    va = k.profile(a)
+    vb = k.profile(b)
+    return va | vb == vb
 
 
 def logical_equiv(m: Model, a: Formula, b: Formula) -> bool:
@@ -142,9 +296,10 @@ def testable_witness(m: Model, f) -> str | None:
     extension profile; the witness makes the formula's truth an
     empirical matter of that single property.
     """
-    prof = extension_profile(m, f)
+    k = m.kernel
+    v = k.profile(f)
     for e in m.properties:
-        if extension_profile(m, Atom(e)) == prof:
+        if k.atom(e) == v:
             return e
     return None
 
@@ -213,9 +368,12 @@ def forall_proposition(m: Model, f: Formula, cap: int | None = None) -> frozense
     """Brute-force intersection of individual propositions over all
     interpretations; checked against :func:`physical_proposition`."""
     kwargs = {} if cap is None else {"cap": cap}
+    interps = enumerate_interpretations(m, **kwargs)
+    k = m.kernel
+    v = k.profile(f)
     acc = frozenset(m.states)
-    for interp in enumerate_interpretations(m, **kwargs):
-        acc &= individual_proposition(m, interp, f)
+    for interp in interps:
+        acc &= k.holds(v, interp)
         if not acc:
             break
     expected = physical_proposition(m, f)
@@ -257,42 +415,50 @@ class LTAlgebra:
 
     def closed(self) -> "LTAlgebra":
         m = self.model
-        univ = [frozenset(m.universes[s]) for s in m.states]
-        reps: dict[tuple, Formula] = {c.profile: c.representative
-                                      for c in self.classes}
-        sizes: dict[tuple, int] = {c.profile: c.size for c in self.classes}
-        order: list[tuple] = [c.profile for c in self.classes]
-
-        def note(prof: tuple, rep: Formula):
-            if prof not in reps:
-                reps[prof] = rep
-                sizes[prof] = 0
-                order.append(prof)
-
-        changed = True
-        while changed:
+        k = m.kernel
+        top = k.universe
+        order = [k.encode(c.profile) for c in self.classes]
+        reps = {v: c.representative for v, c in zip(order, self.classes)}
+        # members [0, negated) are complemented; pairs within [0, paired)
+        # were combined by the previous round
+        negated = paired = 0
+        while True:
             size = len(order)
-            for p in list(order):
-                note(tuple(u - x for u, x in zip(univ, p)), Not(reps[p]))
-            snapshot = list(order)
-            for p in snapshot:
-                for q in snapshot:
-                    note(tuple(x & y for x, y in zip(p, q)),
-                         And(reps[p], reps[q]))
-                    note(tuple(x | y for x, y in zip(p, q)),
-                         Or(reps[p], reps[q]))
-            changed = len(order) != size
-        classes = tuple(LTClass(reps[p], p, sizes[p]) for p in order)
-        return LTAlgebra(m, self.depth, classes, _lt_poset(classes), True)
+            for p in order[negated:size]:
+                w = top ^ p
+                if w not in reps:
+                    reps[w] = Not(reps[p])
+                    order.append(w)
+            negated = size
+            snapshot = len(order)
+            for i in range(snapshot):
+                p = order[i]
+                rp = reps[p]
+                for q in order[paired if i < paired else 0:snapshot]:
+                    w = p & q
+                    if w not in reps:
+                        reps[w] = And(rp, reps[q])
+                        order.append(w)
+                    w = p | q
+                    if w not in reps:
+                        reps[w] = Or(rp, reps[q])
+                        order.append(w)
+            paired = snapshot
+            if len(order) == size:
+                break
+        n = len(self.classes)
+        classes = self.classes + tuple(
+            LTClass(reps[v], k.decode(v), 0) for v in order[n:])
+        return LTAlgebra(m, self.depth, classes, _lt_poset(classes, order),
+                         True)
 
 
-def _profile_leq(p: tuple, q: tuple) -> bool:
-    return all(x <= y for x, y in zip(p, q))
-
-
-def _lt_poset(classes: tuple[LTClass, ...]) -> FinitePoset:
-    profs = [c.profile for c in classes]
-    return build_poset(profs, _profile_leq,
+def _lt_poset(classes: tuple[LTClass, ...], bits: list[int]) -> FinitePoset:
+    """Classes ordered by slot inclusion of their profiles ``bits``."""
+    n = len(bits)
+    leq = np.array([[p | q == q for q in bits] for p in bits],
+                   dtype=bool).reshape(n, n)
+    return build_poset([c.profile for c in classes], leq,
                        [format_lx(c.representative) for c in classes])
 
 
@@ -303,15 +469,15 @@ def lindenbaum_tarski(m: Model, depth: int,
     Classes are keyed by extension profile; representatives are the first
     members in canonical enumeration order.
     """
-    reps: dict[tuple, Formula] = {}
-    counts: dict[tuple, int] = {}
-    order: list[tuple] = []
+    k = m.kernel
+    reps: dict[int, Formula] = {}
+    counts: dict[int, int] = {}
     for f in enumerate_formulas(m.properties, depth, depth_cap):
-        prof = extension_profile(m, f)
-        if prof not in reps:
-            reps[prof] = f
-            counts[prof] = 0
-            order.append(prof)
-        counts[prof] += 1
-    classes = tuple(LTClass(reps[p], p, counts[p]) for p in order)
-    return LTAlgebra(m, depth, classes, _lt_poset(classes), False)
+        v = k.profile(f)
+        if v not in reps:
+            reps[v] = f
+            counts[v] = 0
+        counts[v] += 1
+    order = list(reps)
+    classes = tuple(LTClass(reps[v], k.decode(v), counts[v]) for v in order)
+    return LTAlgebra(m, depth, classes, _lt_poset(classes, order), False)

@@ -1,15 +1,16 @@
 """Shared generators and independent oracles for the test suite.
 
 The oracles here deliberately avoid the code paths they are used to
-check: the universal-proposition oracle (which imports nothing from
+check.  The universal-proposition oracle (which imports nothing from
 ``qlprop.semantics``) evaluates formulas with its own set algebra and
 intersects over every interpretation instead of testing extensions for
-fullness, the subspace oracle works on projector matrices instead of
-basis rows, the witness oracle (which imports nothing from
-``qlprop.hilbert`` or ``qlprop.quantum``) reduces quantum formulas with
-projectors and SVD null spaces, and the lattice oracle (which imports
-nothing from ``qlprop.lattice``) finds bounds and law violations by
-explicit scans over nested lists.
+fullness; the closure oracle enumerates formulas itself and closes their
+quotient round by round with the same set algebra.  The subspace oracle
+works on projector matrices instead of basis rows, the witness oracle
+(which imports nothing from ``qlprop.hilbert`` or ``qlprop.quantum``)
+reduces quantum formulas with projectors and SVD null spaces, and the
+lattice oracle (which imports nothing from ``qlprop.lattice``) finds
+bounds and law violations by explicit scans over nested lists.
 """
 
 from __future__ import annotations
@@ -52,6 +53,81 @@ def brute_force_physical(m: Model, f) -> frozenset:
         if not out:
             break
     return out
+
+
+def oracle_individual(m: Model, interp, f) -> frozenset:
+    """States where f holds under one interpretation, by the set algebra
+    of :func:`_set_extension`."""
+    return frozenset(s for s in m.states
+                     if interp[s] in _set_extension(m, s, f))
+
+
+def oracle_formulas(props, depth: int) -> list:
+    """Classical formulas up to AST depth in the canonical order: the
+    atoms, then per depth d the negations, conjunctions and disjunctions
+    of the earlier formulas whose deepest operand has depth d - 1 (pairs
+    in row-major order)."""
+    items = [Atom(p) for p in props] if depth >= 1 else []
+    depths = [1] * len(items)
+    for d in range(2, depth + 1):
+        prev = list(zip(items, depths))
+        fresh = [Not(f) for f, df in prev if df == d - 1]
+        for ctor in (And, Or):
+            fresh += [ctor(f, g) for f, df in prev for g, dg in prev
+                      if max(df, dg) == d - 1]
+        items += fresh
+        depths += [d] * len(fresh)
+    return items
+
+
+def naive_closure(m: Model, depth: int) -> list[tuple]:
+    """The closed quotient of the formulas up to ``depth``, as
+    ``(representative, profile, size)`` triples in class order.
+
+    Classes are keyed by frozenset profiles in first-enumeration order.
+    Each round complements every member, then applies And and Or to
+    every pair of the round's snapshot, until a round adds nothing.
+    """
+    reps: dict = {}
+    sizes: dict = {}
+    order: list = []
+    for f in oracle_formulas(m.properties, depth):
+        prof = tuple(_set_extension(m, s, f) for s in m.states)
+        if prof not in reps:
+            reps[prof] = f
+            sizes[prof] = 0
+            order.append(prof)
+        sizes[prof] += 1
+    univ = [frozenset(m.universes[s]) for s in m.states]
+
+    def note(prof, rep):
+        if prof not in reps:
+            reps[prof] = rep
+            sizes[prof] = 0
+            order.append(prof)
+
+    changed = True
+    while changed:
+        size = len(order)
+        for p in list(order):
+            note(tuple(u - x for u, x in zip(univ, p)), Not(reps[p]))
+        snapshot = list(order)
+        for p in snapshot:
+            for q in snapshot:
+                note(tuple(x & y for x, y in zip(p, q)), And(reps[p], reps[q]))
+                note(tuple(x | y for x, y in zip(p, q)), Or(reps[p], reps[q]))
+        changed = len(order) != size
+    return [(reps[p], p, sizes[p]) for p in order]
+
+
+def oracle_covers(profiles) -> list[tuple[int, int]]:
+    """Hasse edges ``(i, j)`` of pointwise profile inclusion, row-major."""
+    n = len(profiles)
+    lt = np.array([[i != j and all(x <= y for x, y in zip(p, q))
+                    for j, q in enumerate(profiles)]
+                   for i, p in enumerate(profiles)], dtype=bool).reshape(n, n)
+    between = (lt.astype(np.int64) @ lt.astype(np.int64)) > 0
+    return [(int(i), int(j)) for i, j in zip(*np.nonzero(lt & ~between))]
 
 
 def projector_join(pa: np.ndarray, pb: np.ndarray, thresh=1e-6) -> np.ndarray:

@@ -469,3 +469,32 @@ def test_oversized_formula_is_a_parse_error(name, models_dir, capsys):
     assert err.startswith("ERROR ParseError: ")
     assert "Traceback" not in err
     assert elapsed < 1.0
+
+
+def test_check_cm_collapse_sees_the_last_state(tmp_path, capsys):
+    # the only proper extension is E in S3, so the interpretations that
+    # split the propositions differ in the last state alone
+    m = make_model(["S1", "S2", "S3"],
+                   {"S1": ["a"], "S2": ["b1", "b2"], "S3": ["c1", "c2"]},
+                   ["E"],
+                   {"S1": {"E": ["a"]}, "S2": {"E": []}, "S3": {"E": ["c1"]}})
+    path = tmp_path / "last.json"
+    path.write_text(dump_model(m), encoding="utf-8")
+    assert main(["check", "--model", str(path), "--suite", "cm"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "FAIL every extension full or empty: witness ('S3', 'E')"
+    assert "FAIL individual propositions collapse to physical" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--model", "m\0.json", "--suite", "cm"],
+    ["lattice", "--model", "@", "--which", "LS", "--dot", "g\0.dot"],
+    ["fixtures", "--out", "d\0"],
+])
+def test_nul_in_a_path_is_exit_1_without_traceback(argv, models_dir,
+                                                    capsys):
+    argv = [str(models_dir / "m_qbit.json") if w == "@" else w for w in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR QlpropError: ")
+    assert "NUL character" in err and "Traceback" not in err

@@ -14,9 +14,12 @@ from qlprop.errors import (
     DepthCapExceeded,
     EnumerationCapExceeded,
     ForallMismatch,
+    SchemaError,
+    UnknownProperty,
 )
 from qlprop.lattice import check_boolean, order_isomorphic, powerset_lattice
 from qlprop.model import (
+    canonical_models,
     enumerate_interpretations,
     m_cm,
     m_qbit,
@@ -24,6 +27,7 @@ from qlprop.model import (
     make_model,
 )
 from qlprop.semantics import (
+    certainly_true,
     enumerate_formulas,
     enumerate_tq_formulas,
     extension_of,
@@ -40,9 +44,16 @@ from qlprop.semantics import (
     testable_proposition_poset,
     testable_witness,
 )
-from qlprop.syntax import And, Not, Or, parse_lx
+from qlprop.syntax import And, Atom, Not, Or, QNot, format_lx, parse_lx
 
-from helpers import brute_force_physical, random_formula, random_model
+from helpers import (
+    brute_force_physical,
+    naive_closure,
+    oracle_covers,
+    oracle_individual,
+    random_formula,
+    random_model,
+)
 
 # ---------------------------------------------------------------------------
 # hypothesis strategies
@@ -435,3 +446,103 @@ def test_cms_means_every_profile_entry_full_or_empty():
         f = random_formula(rng, list(m.properties), 3)
         for s, ext in zip(m.states, extension_profile(m, f)):
             assert ext in (frozenset(), frozenset(m.universe(s)))
+
+
+# ---------------------------------------------------------------------------
+# the closure against the round-by-round frozenset oracle
+
+
+def _assert_closure_matches_oracle(m, depth):
+    alg = lindenbaum_tarski(m, depth).closed()
+    want = naive_closure(m, depth)
+    assert [c.profile for c in alg.classes] == [p for _, p, _ in want]
+    assert [format_lx(c.representative) for c in alg.classes] \
+        == [format_lx(r) for r, _, _ in want]
+    assert [c.size for c in alg.classes] == [n for _, _, n in want]
+    assert alg.poset.covers() == oracle_covers([p for _, p, _ in want])
+
+
+@pytest.mark.parametrize("name", ["m_sr", "m_cm", "m_qbit", "m_qutrit"])
+def test_closure_matches_naive_oracle_on_fixtures(name):
+    _assert_closure_matches_oracle(canonical_models()[name], 2)
+
+
+def test_closure_matches_naive_oracle_on_random_models():
+    rng = random.Random(808)
+    for i in range(30):
+        m = random_model(rng, max_states=3, max_objects=3, max_props=3)
+        _assert_closure_matches_oracle(m, 1 + i % 3)
+
+
+# ---------------------------------------------------------------------------
+# kernel propositions against the helpers' own evaluator
+
+
+def test_forall_equals_brute_force_oracle_random():
+    rng = random.Random(88)
+    for _ in range(60):
+        m = random_model(rng)
+        f = random_formula(rng, list(m.properties), 3)
+        assert forall_proposition(m, f) == brute_force_physical(m, f)
+
+
+@given(model_and_formula(depth=4))
+@settings(max_examples=100, deadline=None)
+def test_individual_proposition_equals_oracle(mf):
+    m, f = mf
+    for interp in enumerate_interpretations(m):
+        assert individual_proposition(m, interp, f) \
+            == oracle_individual(m, interp, f)
+
+
+# ---------------------------------------------------------------------------
+# errors keep their kind and their order
+
+
+def test_unknown_state_is_a_schema_error_before_the_formula():
+    m = m_sr()
+    bad = Atom("Z")  # undeclared too: the state is reported first
+    with pytest.raises(SchemaError):
+        extension_of(m, "S9", bad)
+    with pytest.raises(SchemaError):
+        certainly_true(m, "S9", bad)
+    with pytest.raises(SchemaError):
+        is_true(m, {"S1": "u1", "S2": "v1", "S9": "u1"}, "S9", bad)
+
+
+def test_undeclared_atom_is_unknown_property():
+    m = m_sr()
+    f = parse_lx("E(x) & Z(x)")
+    for call in (lambda: extension_of(m, "S1", f),
+                 lambda: physical_proposition(m, f),
+                 lambda: is_true(m, {"S1": "u1", "S2": "v1"}, "S1", f),
+                 lambda: extension_profile(m, f),
+                 lambda: testable_witness(m, f)):
+        with pytest.raises(UnknownProperty):
+            call()
+
+
+def test_quantum_node_in_a_classical_call_is_a_type_error():
+    m = m_sr()
+    q = QNot(Atom("E"))
+    for call in (lambda: extension_of(m, "S1", q),
+                 lambda: physical_proposition(m, Not(q)),
+                 lambda: individual_proposition(m, {"S1": "u1", "S2": "v1"},
+                                                q),
+                 lambda: logical_leq(m, Atom("E"), q)):
+        with pytest.raises(TypeError):
+            call()
+    # operands are visited left to right
+    with pytest.raises(TypeError):
+        physical_proposition(m, And(q, Atom("Z")))
+    with pytest.raises(UnknownProperty):
+        physical_proposition(m, And(Atom("Z"), q))
+
+
+def test_object_outside_the_universe_satisfies_nothing():
+    m = m_sr()
+    interp = {"S1": "zz", "S2": "v1"}
+    taut = parse_lx("E(x) | !E(x)")
+    assert not is_true(m, interp, "S1", taut)
+    assert is_true(m, interp, "S2", taut)
+    assert individual_proposition(m, interp, taut) == frozenset({"S2"})
