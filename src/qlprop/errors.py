@@ -92,6 +92,10 @@ class DepthCapExceeded(QlpropError):
     """A requested formula depth exceeds the configured cap."""
 
 
+class InvalidDepth(QlpropError):
+    """A requested formula depth is below 1, so no formula has it."""
+
+
 class NotAPartialOrder(QlpropError):
     """A relation fails reflexivity, antisymmetry or transitivity."""
 

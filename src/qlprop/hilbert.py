@@ -296,14 +296,18 @@ class PropertyTable:
     """
 
     def __init__(self, ann: HilbertAnnotation):
-        self._ann = ann
+        # the annotation's dicts, not the annotation: the annotation holds
+        # this table, and a reference back would make a cycle that only
+        # the cyclic garbage collector frees
+        self._subspaces = ann.property_subspaces
+        self._rays = ann.state_rays
         # keyed by the NotOperationClosed witness: (e, "ortho") or (e, f, op)
         self._realised: dict[tuple, str | None] = {}
         self._certain: dict[str, frozenset[str]] = {}
 
     def _property_of(self, target: Subspace) -> str | None:
         """The first declared property whose subspace equals ``target``."""
-        for name, sub in self._ann.property_subspaces.items():
+        for name, sub in self._subspaces.items():
             if sub == target:
                 return name
         return None
@@ -313,7 +317,7 @@ class PropertyTable:
         try:
             name = self._realised[key]
         except KeyError:
-            name = self._property_of(compute(self._ann.property_subspaces))
+            name = self._property_of(compute(self._subspaces))
             self._realised[key] = name
         if name is None:
             *operands, op = key
@@ -336,8 +340,8 @@ class PropertyTable:
         try:
             return self._certain[e]
         except KeyError:
-            sub = self._ann.property_subspaces[e]
-            out = frozenset(s for s, ray in self._ann.state_rays.items()
+            sub = self._subspaces[e]
+            out = frozenset(s for s, ray in self._rays.items()
                             if contains(sub, ray))
             self._certain[e] = out
             return out

@@ -13,6 +13,14 @@ An assertive formula is justified at a state iff its quantum preimage is
 Q-true there.  Because justification is defined through the preimage,
 the translation preserves the physical preorder and equivalence; the
 preservation checker verifies this exhaustively on enumerated formulas.
+
+The checker computes each enumerated formula's facts once: its
+:class:`~qlprop.quantum.QProposition` (witness, proposition, and the
+orthocomplement's proposition when a state outside it is reached), its
+translation, one :func:`assertive_preimage` round trip, and the
+justification set, the proposition of that preimage.  Per state it then
+tests set membership, and per pair of witness classes it compares two
+propositions and two justification sets.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from dataclasses import dataclass, field
 
 from .errors import NotPDecidable
 from .model import Model
-from .quantum import QTruth, q_truth, tq_physical_proposition, witness_property
+from .quantum import QProposition, QTruth, q_truth
 from .semantics import enumerate_tq_formulas
 from .syntax import (
     A,
@@ -134,34 +142,35 @@ def check_preservation(m: Model, depth: int,
     cache: dict = {}
     formulas = enumerate_tq_formulas(m.properties, depth, depth_cap)
     report = PreservationReport(formulas=len(formulas), classes=0)
-
-    reps: dict[str, TQFormula] = {}
-    for f in formulas:
-        reps.setdefault(witness_property(m, f, cache), f)
+    props = [QProposition(m, f, cache) for f in formulas]
+    reps: dict[str, int] = {}
+    for i, p in enumerate(props):
+        reps.setdefault(p.witness, i)
     report.classes = len(reps)
 
-    for f in formulas:
-        af = to_assertive(f)
+    # where each formula's translation is justified: the states where its
+    # preimage is Q-true, which is the preimage's proposition
+    justified_at: list[frozenset[str]] = []
+    for f, p in zip(formulas, props):
+        # one round trip per formula; to_assertive is injective, so the
+        # preimage is f again and the round trip never raises
+        pre = assertive_preimage(to_assertive(f))
+        just = QProposition(m, pre, cache).states
+        justified_at.append(just)
         for s in m.states:
-            qt = q_truth(m, s, f, cache)
-            j = justified(m, s, af, cache)
-            if (qt is QTruth.TRUE) != (j is Justification.JUSTIFIED):
+            qt = p.truth(s)
+            if (qt is QTruth.TRUE) != (s in just):
+                j = (Justification.JUSTIFIED if s in just
+                     else Justification.UNJUSTIFIED)
                 report.counterexamples.append(
                     ("truth", format_tq(f), s, str(qt), str(j)))
 
-    rep_list = list(reps.values())
-    for a in rep_list:
-        pa = tq_physical_proposition(m, a, cache)
-        ta = to_assertive(a)
-        for b in rep_list:
-            pb = tq_physical_proposition(m, b, cache)
-            tb = to_assertive(b)
-            phys = pa <= pb
-            af_leq = all(
-                justified(m, s, tb, cache) is Justification.JUSTIFIED
-                for s in m.states
-                if justified(m, s, ta, cache) is Justification.JUSTIFIED)
+    for a in reps.values():
+        for b in reps.values():
+            phys = props[a].states <= props[b].states
+            af_leq = justified_at[a] <= justified_at[b]
             if phys != af_leq:
                 report.counterexamples.append(
-                    ("preorder", format_tq(a), format_tq(b), phys, af_leq))
+                    ("preorder", format_tq(formulas[a]),
+                     format_tq(formulas[b]), phys, af_leq))
     return report

@@ -20,6 +20,16 @@ proposition, Q-false at a state lying in the proposition's
 and Q-indeterminate elsewhere.  The classical route reaches the same
 trichotomy for testable classical formulas through their witness
 property.
+
+A :class:`QProposition` holds one formula's facts: its witness, its
+proposition and, looked up when a state outside the proposition is
+first asked about, the orthocomplement's proposition.  :func:`q_truth`
+builds one per query.  :func:`check_tq_equalities` builds one per
+enumerated formula, so the witness walk, with its cache lookup that
+hashes the whole formula tree, runs once per formula; after that, the
+negation law is two poset-index lookups per formula, and each pair of
+witness classes reduces its conjunction and join over the classes'
+witness atoms instead of over the formula trees.
 """
 
 from __future__ import annotations
@@ -42,12 +52,21 @@ from .semantics import (
     physical_proposition,
     testable_witness,
 )
-from .syntax import And, Atom, Formula, QNot, TQFormula, format_tq, sasaki_formula
+from .syntax import (
+    And,
+    Atom,
+    Formula,
+    QNot,
+    TQFormula,
+    format_tq,
+    quantum_join,
+    sasaki_formula,
+)
 
 __all__ = [
-    "QTruth", "witness_property", "tq_is_true", "tq_physical_proposition",
-    "sasaki_hook", "q_truth", "q_truth_classical", "check_tq_equalities",
-    "enumerate_tq_formulas",
+    "QTruth", "QProposition", "witness_property", "tq_is_true",
+    "tq_physical_proposition", "sasaki_hook", "q_truth", "q_truth_classical",
+    "check_tq_equalities", "enumerate_tq_formulas",
 ]
 
 
@@ -77,8 +96,10 @@ def witness_property(m: Model, f: TQFormula,
     contain the required subspace.
     """
     ann = _hilbert(m)
-    if cache is not None and f in cache:
-        return cache[f]
+    if cache is not None:
+        out = cache.get(f)  # one hash of the tree per lookup, not two
+        if out is not None:
+            return out
     if isinstance(f, Atom):
         if f.prop not in m.properties:
             raise UnknownProperty(f"model declares no property {f.prop!r}")
@@ -121,18 +142,49 @@ def sasaki_hook(m: Model, a: TQFormula, b: TQFormula):
     return f, tq_physical_proposition(m, f)
 
 
+class QProposition:
+    """What the quantum semantics says about one formula, computed once.
+
+    ``witness`` is the formula's witness property and ``states`` its
+    physical proposition, the witness's certain-state set.  ``neg``, the
+    certain-state set of the witness's orthocomplement (the proposition
+    of ``~q f``), is looked up on first use only: a model whose
+    properties lack that complement raises :class:`NotOperationClosed`
+    there, and only for a formula that needs it.  :func:`q_truth` and the
+    checkers read Q-truth from :meth:`truth`, so it is defined once.
+    """
+
+    __slots__ = ("_m", "witness", "states", "_neg")
+
+    def __init__(self, m: Model, f: TQFormula, cache: dict | None = None):
+        self._m = m
+        self.witness = witness_property(m, f, cache)
+        self.states = certain_states(m, self.witness)
+        self._neg: frozenset[str] | None = None
+
+    @property
+    def neg(self) -> frozenset[str]:
+        if self._neg is None:
+            # witnesses compose, so ~q f and ~q (its witness) share one
+            self._neg = tq_physical_proposition(self._m,
+                                                QNot(Atom(self.witness)))
+        return self._neg
+
+    def truth(self, state: str) -> QTruth:
+        """Q-truth at a known state; see the module docstring."""
+        if state in self.states:
+            return QTruth.TRUE
+        if state in self.neg:
+            return QTruth.FALSE
+        return QTruth.INDETERMINATE
+
+
 def q_truth(m: Model, state: str, f: TQFormula,
             cache: dict | None = None) -> QTruth:
     """Three-valued truth at a state; see the module docstring."""
     if state not in m.extensions:
         raise SchemaError(f"unknown state {state!r}")
-    pos = tq_physical_proposition(m, f, cache)
-    if state in pos:
-        return QTruth.TRUE
-    neg = tq_physical_proposition(m, QNot(f), cache)
-    if state in neg:
-        return QTruth.FALSE
-    return QTruth.INDETERMINATE
+    return QProposition(m, f, cache).truth(state)
 
 
 def q_truth_classical(m: Model, state: str, f: Formula) -> QTruth | None:
@@ -180,38 +232,34 @@ def check_tq_equalities(m: Model, depth: int, depth_cap: int = 4,
     (the join proposition strictly containing the union) when one exists.
     ``lat`` is ``state_lattice(m)``, built here when not given.
     """
-    from .syntax import quantum_join
-
     if lat is None:
         lat = state_lattice(m)
     cache: dict = {}
     formulas = enumerate_tq_formulas(m.properties, depth, depth_cap)
-    reps: dict[str, TQFormula] = {}
-    for f in formulas:
-        w = witness_property(m, f, cache)
-        reps.setdefault(w, f)
-
-    def idx(f) -> int:
-        return lat.poset.index_of(tq_physical_proposition(m, f, cache))
+    props = [QProposition(m, f, cache) for f in formulas]
+    reps: dict[str, int] = {}
+    for i, p in enumerate(props):
+        reps.setdefault(p.witness, i)
+    index_of = lat.poset.index_of
 
     neg_bad, conj_bad, join_bad = [], [], []
-    for f in formulas:
-        if idx(QNot(f)) != lat.ortho[idx(f)]:
+    for f, p in zip(formulas, props):
+        if index_of(p.neg) != lat.ortho[index_of(p.states)]:
             neg_bad.append(format_tq(f))
-    rep_list = list(reps.values())
+    # a pair's conjunction and join reduce through the operands'
+    # witnesses, so they are built over witness atoms, not the formulas
+    classes = [(formulas[i], Atom(props[i].witness), props[i].states,
+                index_of(props[i].states)) for i in reps.values()]
     strict = None
-    for a in rep_list:
-        ia = idx(a)
-        for b in rep_list:
-            ib = idx(b)
-            if idx(And(a, b)) != lat.meet[ia, ib]:
+    for a, wa, pa, ia in classes:
+        for b, wb, pb, ib in classes:
+            if index_of(tq_physical_proposition(m, And(wa, wb))) \
+                    != lat.meet[ia, ib]:
                 conj_bad.append((format_tq(a), format_tq(b)))
-            jf = quantum_join(a, b)
-            if idx(jf) != lat.join[ia, ib]:
+            joined = tq_physical_proposition(m, quantum_join(wa, wb))
+            if index_of(joined) != lat.join[ia, ib]:
                 join_bad.append((format_tq(a), format_tq(b)))
-            union = (tq_physical_proposition(m, a, cache)
-                     | tq_physical_proposition(m, b, cache))
-            joined = tq_physical_proposition(m, jf, cache)
+            union = pa | pb
             if not union <= joined:
                 join_bad.append((format_tq(a), format_tq(b), "union not below"))
             elif strict is None and union < joined:

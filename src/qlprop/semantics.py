@@ -51,6 +51,7 @@ import numpy as np
 from .errors import (
     DepthCapExceeded,
     ForallMismatch,
+    InvalidDepth,
     SchemaError,
     UnknownProperty,
 )
@@ -310,15 +311,13 @@ def testable_witness(m: Model, f) -> str | None:
 
 
 def _enumerate(properties, depth: int, depth_cap: int, unary, binary):
+    if depth < 1:
+        raise InvalidDepth(f"depth {depth} is below 1; atoms have depth 1")
     if depth > depth_cap:
         raise DepthCapExceeded(
             f"depth {depth} exceeds the cap {depth_cap}")
-    items: list = []
-    depths: list[int] = []
-    if depth >= 1:
-        for p in properties:
-            items.append(Atom(p))
-            depths.append(1)
+    items: list = [Atom(p) for p in properties]
+    depths: list[int] = [1] * len(items)
     for d in range(2, depth + 1):
         prev_end = len(items)
         for ctor in unary:

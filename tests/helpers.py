@@ -11,6 +11,12 @@ works on projector matrices instead of basis rows, the witness oracle
 reduces quantum formulas with projectors and SVD null spaces, and the
 lattice oracle (which imports nothing from ``qlprop.lattice``) finds
 bounds and law violations by explicit scans over nested lists.
+
+The reference checkers are the exception: they are the quantum and
+assertive checkers written as per-(formula, state) and per-pair loops
+over the public single-query functions (``q_truth``, ``justified``,
+``tq_physical_proposition``), and pin the checkers that compute each
+formula's facts once.
 """
 
 from __future__ import annotations
@@ -265,6 +271,98 @@ class WitnessOracle:
         if isinstance(neg, tuple):
             return neg
         return "QFalse" if state in neg else "QIndeterminate"
+
+
+# ---------------------------------------------------------------------------
+# reference checkers: one public query per (formula, state) and per pair
+
+
+def reference_tq_equalities(m: Model, depth: int) -> dict:
+    """``quantum.check_tq_equalities`` as one proposition query per
+    formula, negation and pair."""
+    from qlprop.hilbert import state_lattice
+    from qlprop.quantum import tq_physical_proposition, witness_property
+    from qlprop.semantics import enumerate_tq_formulas
+    from qlprop.syntax import format_tq, quantum_join
+
+    lat = state_lattice(m)
+    cache: dict = {}
+    formulas = enumerate_tq_formulas(m.properties, depth)
+    reps: dict = {}
+    for f in formulas:
+        reps.setdefault(witness_property(m, f, cache), f)
+
+    def idx(f) -> int:
+        return lat.poset.index_of(tq_physical_proposition(m, f, cache))
+
+    neg_bad, conj_bad, join_bad = [], [], []
+    for f in formulas:
+        if idx(QNot(f)) != lat.ortho[idx(f)]:
+            neg_bad.append(format_tq(f))
+    strict = None
+    for a in reps.values():
+        ia = idx(a)
+        for b in reps.values():
+            ib = idx(b)
+            if idx(And(a, b)) != lat.meet[ia, ib]:
+                conj_bad.append((format_tq(a), format_tq(b)))
+            jf = quantum_join(a, b)
+            if idx(jf) != lat.join[ia, ib]:
+                join_bad.append((format_tq(a), format_tq(b)))
+            union = (tq_physical_proposition(m, a, cache)
+                     | tq_physical_proposition(m, b, cache))
+            joined = tq_physical_proposition(m, jf, cache)
+            if not union <= joined:
+                join_bad.append((format_tq(a), format_tq(b), "union not below"))
+            elif strict is None and union < joined:
+                strict = (format_tq(a), format_tq(b))
+    return {"formulas": len(formulas), "classes": len(reps),
+            "negation": neg_bad, "conjunction": conj_bad, "join": join_bad,
+            "join_strict_witness": strict}
+
+
+def reference_preservation(m: Model, depth: int) -> tuple:
+    """``pragmatic.check_preservation`` as one ``q_truth`` and one
+    ``justified`` call per (formula, state), and per state of each pair:
+    ``(formulas, classes, counterexamples)``."""
+    from qlprop.pragmatic import Justification, justified, to_assertive
+    from qlprop.quantum import (
+        QTruth,
+        q_truth,
+        tq_physical_proposition,
+        witness_property,
+    )
+    from qlprop.semantics import enumerate_tq_formulas
+    from qlprop.syntax import format_tq
+
+    cache: dict = {}
+    formulas = enumerate_tq_formulas(m.properties, depth)
+    reps: dict = {}
+    for f in formulas:
+        reps.setdefault(witness_property(m, f, cache), f)
+    bad = []
+    for f in formulas:
+        af = to_assertive(f)
+        for s in m.states:
+            qt = q_truth(m, s, f, cache)
+            j = justified(m, s, af, cache)
+            if (qt is QTruth.TRUE) != (j is Justification.JUSTIFIED):
+                bad.append(("truth", format_tq(f), s, str(qt), str(j)))
+    for a in reps.values():
+        pa = tq_physical_proposition(m, a, cache)
+        ta = to_assertive(a)
+        for b in reps.values():
+            pb = tq_physical_proposition(m, b, cache)
+            tb = to_assertive(b)
+            phys = pa <= pb
+            af_leq = all(
+                justified(m, s, tb, cache) is Justification.JUSTIFIED
+                for s in m.states
+                if justified(m, s, ta, cache) is Justification.JUSTIFIED)
+            if phys != af_leq:
+                bad.append(("preorder", format_tq(a), format_tq(b),
+                            phys, af_leq))
+    return len(formulas), len(reps), bad
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,61 @@ def test_lattice_lindenbaum_json(models_dir, capsys):
 
 
 # ---------------------------------------------------------------------------
+# a formula depth below 1 is refused, not checked over no formulas
+
+
+def _refuses_depth(argv, capsys):
+    for extra in ([], ["--json"]):
+        assert main(argv + extra) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("ERROR InvalidDepth: depth ")
+
+
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_check_sec3_refuses_depth_below_one(depth, models_dir, capsys):
+    # printed three PASS lines over no formulas
+    _refuses_depth(["check", "--model", str(models_dir / "m_sr.json"),
+                    "--suite", "sec3", "--depth", depth], capsys)
+
+
+@pytest.mark.parametrize("model", ["m_sr", "m_qbit"])
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_check_cm_refuses_depth_below_one(model, depth, models_dir, capsys):
+    # failed quotient algebra laws with "witness None"
+    _refuses_depth(["check", "--model", str(models_dir / f"{model}.json"),
+                    "--suite", "cm", "--depth", depth], capsys)
+
+
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_check_qm_refuses_depth_below_one(depth, models_dir, capsys):
+    # passed the three lattice equalities over no formulas
+    _refuses_depth(["check", "--model", str(models_dir / "m_qbit.json"),
+                    "--suite", "qm", "--depth", depth], capsys)
+
+
+@pytest.mark.parametrize("model", ["m_sr", "m_qbit"])
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_check_prag_refuses_depth_below_one(model, depth, models_dir, capsys):
+    # passed on 0 formulas; on m_sr that hid NoHilbertAnnotation
+    _refuses_depth(["check", "--model", str(models_dir / f"{model}.json"),
+                    "--suite", "prag", "--depth", depth], capsys)
+
+
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_lattice_testable_refuses_depth_below_one(depth, models_dir, capsys):
+    # printed an empty poset with exit 0
+    _refuses_depth(["lattice", "--model", str(models_dir / "m_sr.json"),
+                    "--which", "testable", "--depth", depth], capsys)
+
+
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_lattice_lindenbaum_refuses_depth_below_one(depth, models_dir, capsys):
+    _refuses_depth(["lattice", "--model", str(models_dir / "m_sr.json"),
+                    "--which", "lindenbaum", "--depth", depth], capsys)
+
+
+# ---------------------------------------------------------------------------
 # global options
 
 

@@ -7,7 +7,9 @@ test works on orthonormal basis rows instead, so agreement is
 meaningful.
 """
 
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -433,6 +435,27 @@ def test_property_table_is_per_annotation_and_lazy(monkeypatch):
     assert certain_states(a, "P1") == first and calls == []
     # the other model's table is still empty and computes its own entry
     assert certain_states(b, "P1") == first and calls
+
+
+def test_model_with_a_filled_table_is_freed_without_the_cyclic_collector():
+    # the table once pointed back at its annotation, so a model that had
+    # answered one query lived on until the cyclic collector ran
+    from qlprop.quantum import q_truth
+    from qlprop.syntax import Atom
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        m = m_qbit()
+        q_truth(m, m.states[0], Atom(m.properties[1]))
+        ann = weakref.ref(m.hilbert)
+        table = weakref.ref(m.hilbert.table)
+        del m
+        assert ann() is None
+        assert table() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_state_lattice_warns_on_every_call():

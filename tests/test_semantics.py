@@ -14,6 +14,7 @@ from qlprop.errors import (
     DepthCapExceeded,
     EnumerationCapExceeded,
     ForallMismatch,
+    InvalidDepth,
     SchemaError,
     UnknownProperty,
 )
@@ -382,6 +383,18 @@ def test_enumeration_no_duplicates_and_depth_cap():
     with pytest.raises(DepthCapExceeded):
         enumerate_formulas(["E"], 5)
     assert enumerate_formulas(["E"], 5, depth_cap=5)
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+def test_enumeration_refuses_depth_below_one(depth):
+    # an empty enumeration made every check over it pass or fail vacuously
+    for enum in (enumerate_formulas, enumerate_tq_formulas):
+        with pytest.raises(InvalidDepth, match=f"depth {depth} is below 1"):
+            enum(["E", "F"], depth)
+    with pytest.raises(InvalidDepth):
+        lindenbaum_tarski(m_sr(), depth)
+    with pytest.raises(InvalidDepth):
+        testable_proposition_poset(m_sr(), depth)
 
 
 # ---------------------------------------------------------------------------
