@@ -46,6 +46,7 @@ from .quantum import (
     tq_physical_proposition,
 )
 from .semantics import (
+    check_depth,
     enumerate_formulas,
     forall_proposition,
     individual_proposition,
@@ -255,23 +256,32 @@ def _suite_sec3(m: Model, depth: int, out: _Suite):
     if neg_strict:
         out.report(f"strict negation inclusion at {neg_strict!r}")
 
+    # a pair's verdicts depend on its two profiles only, so the pair loop
+    # runs over distinct profiles, each with its first formula's index;
+    # the first strict formula pair is the least (index, index) pair of
+    # a strict profile pair
+    first: dict[int, int] = {}
+    for i, v in enumerate(vals):
+        first.setdefault(v, i)
+    distinct = [(v, i, props[i]) for v, i in first.items()]
     conj_ok = True
     disj_ok = True
-    disj_strict = None
-    for a, va, pa in zip(formulas, vals, props):
-        for b, vb, pb in zip(formulas, vals, props):
+    strict = None
+    for va, i, pa in distinct:
+        for vb, j, pb in distinct:
             if full(va & vb) != pa & pb:
                 conj_ok = False
             por = full(va | vb)
             union = pa | pb
             if union & ~por:
                 disj_ok = False
-            elif disj_strict is None and union != por:
-                disj_strict = (format_lx(a), format_lx(b))
+            elif union != por and (strict is None or (i, j) < strict):
+                strict = (i, j)
     out.passfail(conj_ok, "conjunction proposition equals intersection")
     out.passfail(disj_ok, "disjunction proposition above union")
-    if disj_strict:
-        out.report(f"strict disjunction inclusion at {disj_strict!r}")
+    if strict:
+        pair = (format_lx(formulas[strict[0]]), format_lx(formulas[strict[1]]))
+        out.report(f"strict disjunction inclusion at {pair!r}")
 
 
 def _suite_cm(m: Model, depth: int, assume_cmt: bool, out: _Suite):
@@ -379,6 +389,8 @@ def cmd_check(args) -> int:
 def cmd_lattice(args) -> int:
     cfg = _config(args)
     m = _load(args, cfg)
+    if args.depth is not None:  # refused for every --which, LS included
+        check_depth(args.depth)
     if args.which == "testable":
         depth = args.depth if args.depth is not None else 2
         poset = testable_proposition_poset(m, depth)

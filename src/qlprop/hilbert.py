@@ -4,7 +4,12 @@ model.
 Subspaces are held as row-orthonormal bases, and one rule decides
 whether a direction lies in a subspace: a unit vector does when its
 residual against it (the vector minus its projection) has norm at most
-``tol``.  ``contains(a, b)`` applies it to each basis row of ``b``.
+``tol`` (a NaN residual counts as inside).  The rule is applied to many
+rows at once: with a basis as the rows of A and the unit vectors as the
+rows of B, the residuals are the rows of R = B - (B A^H) A, and stacking
+bases and row sets along leading axes decides many pairs in one
+product.  ``contains(a, b)`` applies it to the basis rows of ``b``, and
+``a == b`` holds when both directions do at equal rank.
 ``meet(a, b)`` applies it to all unit vectors of ``a`` at once: with
 the bases as the rows of A and B, their residuals against ``b`` are the
 singular values of R = A - (A B^H) B, and the left singular vectors with
@@ -28,7 +33,11 @@ certain for each property.  The table is created on first use and filled
 lazily, so every fact is computed at most once per annotation and only
 when something asks for it; loading or building a model computes none.
 A subspace result maps to the first declared property equal to it under
-``Subspace.__eq__``.  :func:`certain_states`, :func:`state_lattice` and
+``Subspace.__eq__``.  The table groups the declared subspaces by rank the
+first time a rank is asked for, and compares a result only with its rank
+group, in one batched residual (the reverse direction only for the
+subspaces that pass it); ``certain`` tests all state rays in one
+residual.  :func:`certain_states`, :func:`state_lattice` and
 the quantum-language semantics all read the same table.
 """
 
@@ -153,8 +162,9 @@ class Subspace:
                 continue
             for _ in range(2):
                 for b in rows:
-                    w = w - (b.conj() @ w) * b
-            nrm = np.linalg.norm(w)
+                    w = w - np.vdot(b, w) * b  # the arithmetic of b.conj() @ w
+            # the arithmetic of np.linalg.norm on a complex vector
+            nrm = math.sqrt(w.real.dot(w.real) + w.imag.dot(w.imag))
             if nrm > tol * max(unit, math.sqrt(square)):  # tol*max(1, |v|)
                 rows.append(w / nrm)
         return cls._of_rows(
@@ -212,8 +222,11 @@ class Subspace:
         """
         if not isinstance(other, Subspace):
             return NotImplemented
-        return (self.dim == other.dim and self.rank == other.rank
-                and contains(self, other) and contains(other, self))
+        if self.dim != other.dim or self.rank != other.rank:
+            return False
+        tol = max(self.tol, other.tol)
+        return not (_outside(_residual_norms(self.basis, other.basis), tol)
+                    or _outside(_residual_norms(other.basis, self.basis), tol))
 
     __hash__ = None  # tolerance-based equality cannot hash consistently
 
@@ -227,15 +240,74 @@ def _check_dims(a: Subspace, b: Subspace):
             f"subspaces live in dimensions {a.dim} and {b.dim}")
 
 
+# At most about this many complex entries of R are formed at once when
+# many subspaces are compared pairwise, so memory stays small.
+_BLOCK = 1 << 16
+
+
+def _residual_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Norms of the rows of R = B - (B A^H) A: the residuals of the rows of
+    ``b`` against the orthonormal rows of ``a``.
+
+    ``a`` is (..., r, dim) and ``b`` is (..., m, dim); leading axes
+    broadcast as in ``matmul``, and the result is (..., m).  A row lies
+    inside when its norm is not above the tolerance.
+    """
+    if a.ndim == b.ndim == 2:  # ndarray.dot: the same product, called faster
+        r = b - b.dot(a.conj().T).dot(a)
+    else:
+        r = b - (b @ a.conj().swapaxes(-1, -2)) @ a
+    x = r.view(float)
+    return np.sqrt((x * x).sum(-1))
+
+
+def _outside(norms: np.ndarray, tol: float) -> bool:
+    """Whether some residual norm is above ``tol``; a NaN norm is not."""
+    return any(map(float(tol).__lt__, norms.tolist()))
+
+
+def _first_equal_pair(subspaces: Sequence[Subspace]) -> tuple[int, int] | None:
+    """The first pair ``(i, j)`` in ``itertools.combinations`` order with
+    ``subspaces[i] == subspaces[j]``, or None.  All live in one dimension.
+
+    Each group of equal rank is decided in one batched residual (in
+    blocks of ``_BLOCK`` entries): all rows of the group against each
+    basis, so that entry ``[i, j]`` holds the residuals of ``j``'s rows
+    against ``i``'s basis.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, s in enumerate(subspaces):
+        groups.setdefault(s.rank, []).append(i)
+    first = None
+    for idx in groups.values():
+        k = len(idx)
+        if k < 2:
+            continue
+        bases = np.array([subspaces[i].basis for i in idx])
+        _, rank, dim = bases.shape
+        rows = bases.reshape(k * rank, dim)
+        tols = np.array([subspaces[i].tol for i in idx])
+        step = max(1, _BLOCK // max(1, rows.size))
+        outside = np.empty((k, k), dtype=bool)
+        for lo in range(0, k, step):
+            hi = min(lo + step, k)
+            norms = _residual_norms(bases[lo:hi], rows).reshape(hi - lo, k, rank)
+            tol = np.maximum(tols[lo:hi, None], tols[None, :])
+            outside[lo:hi] = (norms > tol[..., None]).any(-1)
+        # nonzero lists the equal pairs row by row, so the first with
+        # i < j is the group's first; idx keeps declaration order
+        ii, jj = np.nonzero(~(outside | outside.T))
+        pair = next(((idx[i], idx[j]) for i, j in zip(ii.tolist(), jj.tolist())
+                     if i < j), None)
+        if pair and (first is None or pair < first):
+            first = pair
+    return first
+
+
 def contains(a: Subspace, b: Subspace) -> bool:
     """True iff every basis vector of ``b`` projects into ``a`` within tol."""
     _check_dims(a, b)
-    tol = max(a.tol, b.tol)
-    for v in b.basis:
-        r = v - a.project(v)
-        if np.linalg.norm(r) > tol:
-            return False
-    return True
+    return not _outside(_residual_norms(a.basis, b.basis), max(a.tol, b.tol))
 
 
 def ortho(a: Subspace) -> Subspace:
@@ -304,12 +376,37 @@ class PropertyTable:
         # keyed by the NotOperationClosed witness: (e, "ortho") or (e, f, op)
         self._realised: dict[tuple, str | None] = {}
         self._certain: dict[str, frozenset[str]] = {}
+        # rank -> declared names, stacked bases, tolerances
+        self._groups: dict[int, tuple] = {}
+        self._ray_rows: tuple | None = None
+
+    def _group(self, rank: int) -> tuple:
+        try:
+            return self._groups[rank]
+        except KeyError:
+            names = [e for e, sub in self._subspaces.items() if sub.rank == rank]
+            subs = [self._subspaces[e] for e in names]
+            group = (names, np.array([sub.basis for sub in subs]),
+                     np.array([sub.tol for sub in subs]))
+            self._groups[rank] = group
+            return group
 
     def _property_of(self, target: Subspace) -> str | None:
-        """The first declared property whose subspace equals ``target``."""
-        for name, sub in self._subspaces.items():
-            if sub == target:
-                return name
+        """The first declared property whose subspace equals ``target``.
+
+        ``target``'s rows are tested against its whole rank group in one
+        batched residual; the other direction is tested only for the
+        subspaces that contain them, in declaration order, as there are
+        rarely more than one.
+        """
+        names, bases, tols = self._group(target.rank)
+        if not names:
+            return None
+        tols = np.maximum(tols, target.tol)
+        inside = ~(_residual_norms(bases, target.basis) > tols[:, None]).any(-1)
+        for i in np.flatnonzero(inside).tolist():
+            if not _outside(_residual_norms(target.basis, bases[i]), tols[i]):
+                return names[i]
         return None
 
     def _realise(self, key: tuple,
@@ -340,11 +437,24 @@ class PropertyTable:
         try:
             return self._certain[e]
         except KeyError:
-            sub = self._subspaces[e]
-            out = frozenset(s for s, ray in self._rays.items()
-                            if contains(sub, ray))
-            self._certain[e] = out
-            return out
+            pass
+        sub = self._subspaces[e]
+        if self._ray_rows is None:
+            # every ray's rows, their tolerances, and each ray's slice
+            spans, rows, tols = [], [], []
+            for s, ray in self._rays.items():
+                spans.append((s, len(rows), len(rows) + ray.rank))
+                rows.extend(ray.basis)
+                tols.extend([ray.tol] * ray.rank)
+            self._ray_rows = (
+                spans, np.array(rows, dtype=complex).reshape(len(rows), sub.dim),
+                np.array(tols))
+        spans, rows, tols = self._ray_rows
+        outside = (_residual_norms(sub.basis, rows)
+                   > np.maximum(tols, sub.tol)).tolist()
+        out = frozenset(s for s, lo, hi in spans if not any(outside[lo:hi]))
+        self._certain[e] = out
+        return out
 
 
 def certain_states(model: "Model", prop: str) -> frozenset[str]:

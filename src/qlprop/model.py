@@ -37,6 +37,7 @@ from .hilbert import (
     DEFAULT_TOL,
     HilbertAnnotation,
     Subspace,
+    _first_equal_pair,
     check_tol,
     closure_generate,
     contains,
@@ -160,14 +161,16 @@ def make_model(states: Sequence[str], universes: Mapping[str, Sequence[str]],
             if sub.dim != dim:
                 raise HilbertDimensionMismatch(
                     f"subspace of {e!r} has dimension {sub.dim}, expected {dim}")
-        for a, b in itertools.combinations(sts, 2):
-            if hilbert.state_rays[a] == hilbert.state_rays[b]:
-                raise SchemaError(
-                    f"states {a!r} and {b!r} map to the same ray")
-        for a, b in itertools.combinations(props, 2):
-            if hilbert.property_subspaces[a] == hilbert.property_subspaces[b]:
-                raise SchemaError(
-                    f"properties {a!r} and {b!r} map to the same subspace")
+        # the first equal pair in combinations order, as Subspace.__eq__ decides
+        pair = _first_equal_pair([hilbert.state_rays[s] for s in sts])
+        if pair:
+            a, b = (sts[i] for i in pair)
+            raise SchemaError(f"states {a!r} and {b!r} map to the same ray")
+        pair = _first_equal_pair([hilbert.property_subspaces[e] for e in props])
+        if pair:
+            a, b = (props[i] for i in pair)
+            raise SchemaError(
+                f"properties {a!r} and {b!r} map to the same subspace")
         if (list(hilbert.state_rays) != list(sts)
                 or list(hilbert.property_subspaces) != list(props)):
             # the property table searches in declaration order
@@ -207,6 +210,32 @@ def _as_complex_vector(data, what: str) -> np.ndarray:
                 f"got {pair!r}")
         out[i] = complex(pair[0], pair[1])
     return out
+
+
+def _hilbert_vectors(h: dict, dim: int) -> np.ndarray | None:
+    """Every vector of a ``hilbert`` section, rays first and then each
+    property's vectors in file order, as one complex (n, dim) array.
+
+    One structural check (only ``int`` and ``float`` entries, which
+    excludes ``bool``), one ``np.array`` call and one finiteness test
+    cover the whole file.  None means some vector is malformed; the
+    per-vector path then raises the error naming it.
+    """
+    vecs = list(h["state_rays"].values())
+    for v in h["property_subspaces"].values():
+        if not isinstance(v, list):
+            return None
+        vecs += v
+    try:
+        if not set(map(type, [x for v in vecs for pair in v for x in pair])) \
+                <= {int, float}:
+            return None
+        arr = np.array(vecs, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, or 10**400
+        return None
+    if arr.shape != (len(vecs), dim, 2) or not np.isfinite(arr).all():
+        return None
+    return arr.view(complex).reshape(len(vecs), dim)
 
 
 def load_model(data: bytes | str, tol: float = DEFAULT_TOL) -> Model:
@@ -268,27 +297,37 @@ def load_model(data: bytes | str, tol: float = DEFAULT_TOL) -> Model:
         for key in ("state_rays", "property_subspaces"):
             if not isinstance(h[key], dict):
                 raise SchemaError(f"'hilbert.{key}' must be an object")
+        fast = _hilbert_vectors(h, dim)
         rays = {}
-        for s, vec in h["state_rays"].items():
-            v = _as_complex_vector(vec, f"state_rays[{s!r}]")
-            if v.shape != (dim,):
-                raise HilbertDimensionMismatch(
-                    f"ray of {s!r} has length {v.shape[0]}, expected {dim}")
+        for i, (s, vec) in enumerate(h["state_rays"].items()):
+            if fast is not None:
+                v = fast[i]
+            else:
+                v = _as_complex_vector(vec, f"state_rays[{s!r}]")
+                if v.shape != (dim,):
+                    raise HilbertDimensionMismatch(
+                        f"ray of {s!r} has length {v.shape[0]}, expected {dim}")
             try:
                 rays[s] = Subspace.ray(v, dim, tol)
             except RankError:
                 raise RankError(f"ray of {s!r} is the zero vector") from None
         subs = {}
+        start = len(rays)
         for e, vecs in h["property_subspaces"].items():
-            if not isinstance(vecs, list):
-                raise SchemaError(
-                    f"property_subspaces[{e!r}] must be an array of vectors")
-            mat = [_as_complex_vector(v, f"property_subspaces[{e!r}]") for v in vecs]
-            for v in mat:
-                if v.shape != (dim,):
-                    raise HilbertDimensionMismatch(
-                        f"basis vector of {e!r} has length {v.shape[0]}, "
-                        f"expected {dim}")
+            if fast is not None:
+                mat = fast[start:start + len(vecs)]
+                start += len(vecs)
+            else:
+                if not isinstance(vecs, list):
+                    raise SchemaError(
+                        f"property_subspaces[{e!r}] must be an array of vectors")
+                mat = [_as_complex_vector(v, f"property_subspaces[{e!r}]")
+                       for v in vecs]
+                for v in mat:
+                    if v.shape != (dim,):
+                        raise HilbertDimensionMismatch(
+                            f"basis vector of {e!r} has length {v.shape[0]}, "
+                            f"expected {dim}")
             subs[e] = Subspace.span(mat, dim, tol)
         hilbert = HilbertAnnotation(dim, rays, subs)
 

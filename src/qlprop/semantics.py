@@ -60,7 +60,7 @@ from .model import Interpretation, Model, enumerate_interpretations
 from .syntax import And, Atom, Formula, Not, Or, QNot, format_lx
 
 __all__ = [
-    "DEFAULT_DEPTH_CAP",
+    "DEFAULT_DEPTH_CAP", "check_depth",
     "extension_of", "is_true", "individual_proposition",
     "physical_proposition", "profile_proposition", "certainly_true",
     "extension_profile",
@@ -310,9 +310,14 @@ def testable_witness(m: Model, f) -> str | None:
 # disjunctions, pairs lexicographic by first appearance)
 
 
-def _enumerate(properties, depth: int, depth_cap: int, unary, binary):
+def check_depth(depth: int) -> None:
+    """Refuse a formula depth below 1 with :class:`InvalidDepth`."""
     if depth < 1:
         raise InvalidDepth(f"depth {depth} is below 1; atoms have depth 1")
+
+
+def _enumerate(properties, depth: int, depth_cap: int, unary, binary):
+    check_depth(depth)
     if depth > depth_cap:
         raise DepthCapExceeded(
             f"depth {depth} exceeds the cap {depth_cap}")

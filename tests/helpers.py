@@ -16,7 +16,9 @@ The reference checkers are the exception: they are the quantum and
 assertive checkers written as per-(formula, state) and per-pair loops
 over the public single-query functions (``q_truth``, ``justified``,
 ``tq_physical_proposition``), and pin the checkers that compute each
-formula's facts once.
+formula's facts once.  The sec3 reference loops over every pair of
+formulas with the set-algebra evaluator, and pins the suite's loop over
+distinct profiles.
 """
 
 from __future__ import annotations
@@ -84,6 +86,53 @@ def oracle_formulas(props, depth: int) -> list:
         items += fresh
         depths += [d] * len(fresh)
     return items
+
+
+def reference_sec3_lines(m: Model, depth: int) -> list[str]:
+    """The lines of ``check --suite sec3``, by a loop over every pair of
+    formulas from :func:`oracle_formulas`, with extensions from the set
+    algebra of :func:`_set_extension` and a state's proposition holding
+    where the extension is the whole universe."""
+    from qlprop.syntax import format_lx
+
+    formulas = oracle_formulas(m.properties, depth)
+    exts = [[_set_extension(m, s, f) for s in m.states] for f in formulas]
+    univ = [frozenset(m.universes[s]) for s in m.states]
+
+    def prop(ext) -> frozenset:
+        return frozenset(s for s, x, u in zip(m.states, ext, univ) if x == u)
+
+    props = [prop(e) for e in exts]
+    everything = frozenset(m.states)
+    lines = []
+    neg_ok, neg_strict = True, None
+    for f, e, p in zip(formulas, exts, props):
+        pn = prop([u - x for u, x in zip(univ, e)])
+        if pn & p:
+            neg_ok = False
+        elif neg_strict is None and pn != everything - p:
+            neg_strict = format_lx(f)
+    lines.append(f"{'PASS' if neg_ok else 'FAIL'} negation proposition below "
+                 "set complement")
+    if neg_strict:
+        lines.append(f"REPORT strict negation inclusion at {neg_strict!r}")
+    conj_ok, disj_ok, strict = True, True, None
+    for a, ea, pa in zip(formulas, exts, props):
+        for b, eb, pb in zip(formulas, exts, props):
+            if prop([x & y for x, y in zip(ea, eb)]) != pa & pb:
+                conj_ok = False
+            por = prop([x | y for x, y in zip(ea, eb)])
+            if (pa | pb) - por:
+                disj_ok = False
+            elif strict is None and pa | pb != por:
+                strict = (format_lx(a), format_lx(b))
+    lines.append(f"{'PASS' if conj_ok else 'FAIL'} conjunction proposition "
+                 "equals intersection")
+    lines.append(f"{'PASS' if disj_ok else 'FAIL'} disjunction proposition "
+                 "above union")
+    if strict:
+        lines.append(f"REPORT strict disjunction inclusion at {strict!r}")
+    return lines
 
 
 def naive_closure(m: Model, depth: int) -> list[tuple]:

@@ -1,6 +1,7 @@
 """Command line behavior: output, exit codes, JSON mode, error display."""
 
 import json
+import random
 import subprocess
 import sys
 import time
@@ -12,7 +13,16 @@ import qlprop.cli as cli
 from qlprop.cli import main
 from qlprop.errors import ThetaNotInjectiveWarning
 from qlprop.hilbert import Subspace
-from qlprop.model import HilbertAnnotation, dump_model, m_qbit, make_model
+from qlprop.model import (
+    HilbertAnnotation,
+    dump_model,
+    m_cm,
+    m_qbit,
+    m_sr,
+    make_model,
+)
+
+from helpers import random_model, reference_sec3_lines
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +237,30 @@ def test_check_sec3(models_dir, capsys):
     assert "REPORT strict disjunction inclusion" in out
 
 
+def _sec3_lines(m, depth):
+    out = cli._Suite()
+    cli._suite_sec3(m, depth, out)
+    return out.lines
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_sec3_suite_matches_the_formula_pair_loop(seed):
+    rng = random.Random(seed)
+    m = random_model(rng, max_states=4, max_objects=3, max_props=3,
+                     cms=seed % 4 == 0)
+    depth = 3 if len(m.properties) == 1 else rng.choice([1, 2])
+    assert _sec3_lines(m, depth) == reference_sec3_lines(m, depth)
+
+
+@pytest.mark.parametrize("fixture", [m_sr, m_cm])
+def test_sec3_suite_matches_the_formula_pair_loop_at_depth_3(fixture):
+    m = fixture()
+    lines = _sec3_lines(m, 3)
+    assert lines == reference_sec3_lines(m, 3)
+    if fixture is m_sr:
+        assert lines[-1].startswith("REPORT strict disjunction inclusion at")
+
+
 def test_check_cm_passes_on_cm_fixture(models_dir, capsys):
     assert main(["check", "--model", str(models_dir / "m_cm.json"),
                  "--suite", "cm"]) == 0
@@ -350,6 +384,14 @@ def test_lattice_testable_refuses_depth_below_one(depth, models_dir, capsys):
     # printed an empty poset with exit 0
     _refuses_depth(["lattice", "--model", str(models_dir / "m_sr.json"),
                     "--which", "testable", "--depth", depth], capsys)
+
+
+@pytest.mark.parametrize("model", ["m_qbit", "m_sr"])
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_lattice_LS_refuses_depth_below_one(model, depth, models_dir, capsys):
+    # printed the state lattice, which does not read --depth, and exited 0
+    _refuses_depth(["lattice", "--model", str(models_dir / f"{model}.json"),
+                    "--which", "LS", "--depth", depth], capsys)
 
 
 @pytest.mark.parametrize("depth", ["0", "-1"])

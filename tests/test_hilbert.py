@@ -8,6 +8,7 @@ meaningful.
 """
 
 import gc
+import itertools
 import random
 import weakref
 
@@ -24,6 +25,7 @@ from qlprop.errors import (
     NonOrthonormalBasis,
     NotOperationClosed,
     RankError,
+    SchemaError,
     ThetaNotInjectiveWarning,
     UnknownProperty,
 )
@@ -345,14 +347,172 @@ def test_meet_and_ortho_are_one_svd_each(monkeypatch):
     assert meet(a, b) == Subspace.ray([0, 1, 0], dim=3) and len(calls) == 2
 
 
+@st.composite
+def _families(draw):
+    """A family of subspaces of C^dim (dim 1..4) with ranks 0..dim, and
+    the tolerance they are built with.
+
+    Members are fresh spans of random vectors, duplicates of earlier
+    members (the same object, or a span of its rows in reverse order),
+    or earlier members with one row tilted towards their complement by
+    0.5, 1.25 or 2 times the member's tol.  Where the member has another
+    row, the two are then mixed at 45 degrees: the tilt leaves a residual
+    of 1/sqrt(2) of it on each mixed row against the member, while the
+    member's row keeps the whole tilt against the result, so at 1.25 tol
+    the tilted member lies inside the member but not the other way round.
+    Fresh members and duplicates get tol or 3 tol, tilted ones the tol of
+    the member they tilt or 3 tol, so a pair decides with
+    max(tol_a, tol_b).
+    Tilts of tilted members compose, so a residual can land on its
+    threshold; :func:`_assume_clear` skips those examples.  Dimensions 3
+    and 4 come first: only there can a tilted member of rank 2 or more
+    lie inside its member one way only.
+    """
+    dim = draw(st.sampled_from([3, 4, 2, 1]))
+    tol = draw(st.sampled_from([MIN_TOL, DEFAULT_TOL, MAX_TOL]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    family: list[Subspace] = []
+    for _ in range(draw(st.integers(1, 8))):
+        member_tol = draw(st.sampled_from([tol, 3 * tol]))
+        kind = draw(st.sampled_from(["fresh", "duplicate", "tilted"]))
+        tiltable = [x for x in family if 0 < x.rank < dim]
+        if kind == "duplicate" and family:
+            x = draw(st.sampled_from(family))
+            family.append(draw(st.sampled_from(
+                [x, Subspace.span(x.basis[::-1], dim, member_tol)])))
+        elif kind == "tilted" and tiltable:
+            x = draw(st.sampled_from(tiltable))
+            angle = x.tol * draw(st.sampled_from([0.5, 1.25, 2.0]))
+            rows = x.basis.copy()
+            i = draw(st.integers(0, x.rank - 1))
+            rows[i] = np.cos(angle) * rows[i] + np.sin(angle) * ortho(x).basis[0]
+            if x.rank > 1:
+                k = (i + 1) % x.rank
+                rows[i], rows[k] = ((rows[i] + rows[k]) / np.sqrt(2),
+                                    (rows[i] - rows[k]) / np.sqrt(2))
+            family.append(Subspace.span(
+                rows, dim, draw(st.sampled_from([x.tol, 3 * tol]))))
+        else:
+            rank = draw(st.integers(0, dim))
+            family.append(Subspace.span(
+                random_subspace_vectors(rng, dim, rank), dim, member_tol))
+    return family, tol
+
+
+def _assume_clear(subspaces):
+    """Skip an example in which some row's residual against some other
+    subspace lies within rounding of its threshold: there the batched and
+    the pairwise products may round to different sides of it."""
+    for a in subspaces:
+        for b in subspaces:
+            if a.dim == b.dim and b.rank:
+                tol = max(a.tol, b.tol)
+                r = b.basis - (b.basis @ a.basis.conj().T) @ a.basis
+                gap = np.abs(np.linalg.norm(r, axis=1) - tol)
+                assume(gap.min() > max(1e-3 * tol, 1e-14))
+
+
+def _first_equal_pair_by_loop(family):
+    return next(((i, j) for i, j in itertools.combinations(range(len(family)), 2)
+                 if family[i] == family[j]), None)
+
+
+@given(_families())
+@settings(max_examples=300, deadline=None)
+def test_batched_distinctness_matches_the_pairwise_loop(fam):
+    family, _ = fam
+    _assume_clear(family)
+    pair = _first_equal_pair_by_loop(family)
+    assert hilbert._first_equal_pair(family) == pair
+    # make_model names the same first pair
+    dim = family[0].dim
+    names = [f"P{i}" for i in range(len(family))]
+    ann = HilbertAnnotation(dim, {"S": Subspace.ray(np.eye(dim)[0])},
+                            dict(zip(names, family)))
+
+    def build():
+        return make_model(["S"], {"S": ["a"]}, names,
+                          {"S": {e: [] for e in names}}, hilbert=ann)
+
+    if pair is None:
+        build()
+    else:
+        with pytest.raises(SchemaError) as exc:
+            build()
+        assert str(exc.value) == (f"properties 'P{pair[0]}' and "
+                                  f"'P{pair[1]}' map to the same subspace")
+
+
+@given(_families(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_property_table_matches_the_pairwise_loops(fam, data):
+    family, tol = fam
+    dim = family[0].dim
+    subs = {f"P{i}": x for i, x in enumerate(family)}
+    # rays: rows of members, rows tilted off them, and random directions
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    rays = {}
+    for i, x in enumerate(family):
+        for j, row in enumerate(x.basis):
+            if x.rank < dim and data.draw(st.booleans()):
+                angle = tol * data.draw(st.sampled_from([0.5, 0.75, 1.5, 2.0]))
+                row = np.cos(angle) * row + np.sin(angle) * ortho(x).basis[0]
+            rays[f"S{i}.{j}"] = Subspace.ray(
+                row, dim, tol=data.draw(st.sampled_from([tol, 3 * tol])))
+    rays["R"] = Subspace.ray(random_unit(rng, dim), dim, tol)
+    targets = family + [ortho(x) for x in family]
+    _assume_clear(targets + list(rays.values()))
+    table = hilbert.PropertyTable(HilbertAnnotation(dim, rays, subs))
+    for e, x in subs.items():
+        assert table.certain(e) == frozenset(
+            s for s, ray in rays.items() if contains(x, ray))
+    # every member and its complement, twice: the second lookup reads
+    # the rank groups the first one built
+    for target in targets + targets:
+        assert table._property_of(target) == next(
+            (e for e, x in subs.items() if x == target), None)
+
+
+def test_containment_one_way_only_is_not_equality():
+    # b is a with one row tilted by 1.25 tol and mixed with the other: each
+    # row of b leaves 1.25/sqrt(2) tol against a, a's first row 1.25 tol
+    tol = DEFAULT_TOL
+    a = Subspace.span([[1, 0, 0], [0, 1, 0]], 3, tol)
+    angle = 1.25 * tol
+    tilted = [np.cos(angle), 0, np.sin(angle)]
+    b = Subspace.span([np.add(tilted, [0, 1, 0]) / np.sqrt(2),
+                       np.subtract(tilted, [0, 1, 0]) / np.sqrt(2)], 3, tol)
+    assert contains(a, b) and not contains(b, a) and a != b
+    assert hilbert._first_equal_pair([a, b]) is None
+    for subs in ({"A": a, "B": b}, {"B": b, "A": a}):
+        table = hilbert.PropertyTable(HilbertAnnotation(
+            3, {"S": Subspace.ray([0, 0, 1], 3)}, subs))
+        assert table._property_of(a) == "A" and table._property_of(b) == "B"
+    # a pair decides with the larger tolerance: at 3 tol both directions hold
+    b3 = Subspace._of_rows(b.basis, 3 * tol)
+    assert a == b3 and hilbert._first_equal_pair([a, b, b3]) == (0, 2)
+
+
 def test_loading_a_model_compares_only_subspaces_of_equal_rank(monkeypatch):
     text = dump_model(m_qutrit())
-    ranks = []
-    real = contains
-    monkeypatch.setattr(hilbert, "contains",
-                        lambda x, y: ranks.append((x.rank, y.rank)) or real(x, y))
+    ann = load_model(text).hilbert
+    declared = [*ann.state_rays.values(), *ann.property_subspaces.values()]
+    calls = []
+    real = hilbert._residual_norms
+    monkeypatch.setattr(hilbert, "_residual_norms",
+                        lambda a, b: calls.append((a, b)) or real(a, b))
     load_model(text)
-    assert ranks and all(rx == ry for rx, ry in ranks)
+    # one residual per group of two or more: the rays (rank 1), and the
+    # properties of rank 1 and of rank 2; ranks 0 and 3 have one each
+    assert len(calls) == 3
+    for a, b in calls:
+        rank = a.shape[-2]
+        bases = [s.basis for s in declared if s.rank == rank]
+        # every basis, and every block of rank rows tested against it, is
+        # the basis of a declared subspace of that same rank
+        for block in (*a.reshape(-1, rank, ann.dim),
+                      *b.reshape(-1, rank, ann.dim)):
+            assert any(np.array_equal(block, x) for x in bases)
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +586,8 @@ def test_property_table_is_per_annotation_and_lazy(monkeypatch):
     assert a.hilbert.table is not b.hilbert.table
 
     calls = []
-    real = contains
-    monkeypatch.setattr(hilbert, "contains",
+    real = hilbert._residual_norms
+    monkeypatch.setattr(hilbert, "_residual_norms",
                         lambda x, y: calls.append(1) or real(x, y))
     first = certain_states(a, "P1")
     assert calls

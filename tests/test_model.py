@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import qlprop.model as model
 from qlprop.errors import (
     DuplicateId,
     EnumerationCapExceeded,
@@ -258,6 +259,42 @@ def test_load_rejects_integer_beyond_float_range():
     with pytest.raises(SchemaError, match=r"state_rays\['Sz\+'\]\[0\] must be "
                        r"a \[re, im\] pair of finite numbers"):
         load_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field", ["state_rays['Sx+']",
+                                   "property_subspaces['Ex-']"])
+@pytest.mark.parametrize("bad, shown", [
+    ([True, 0.0], "[True, 0.0]"),
+    ([float("nan"), 0.0], "[nan, 0.0]"),
+    ([float("inf"), 0.0], "[inf, 0.0]"),
+    ([10 ** 400, 0.0], f"[{10 ** 400}, 0.0]"),
+    ([0.5, 0.0, 0.0], "[0.5, 0.0, 0.0]"),
+    (0.5, "0.5"),
+])
+def test_one_array_vector_path_keeps_the_per_vector_errors(field, bad, shown):
+    # a file whose vectors fail the one structural check is read vector
+    # by vector, so the error names the first bad pair as before
+    doc = json.loads(dump_model(m_qbit()))
+    h = doc["hilbert"]
+    vec = (h["state_rays"]["Sx+"] if field.startswith("state_rays")
+           else h["property_subspaces"]["Ex-"][0])
+    vec[1] = bad
+    with pytest.raises(SchemaError) as exc:
+        load_model(json.dumps(doc))
+    assert type(exc.value) is SchemaError
+    assert str(exc.value) == (f"{field}[1] must be a [re, im] pair of finite "
+                              f"numbers, got {shown}")
+
+
+@pytest.mark.parametrize("fixture", [m_qbit, m_qutrit])
+def test_well_formed_vectors_are_read_as_one_array(fixture, monkeypatch):
+    calls = []
+    real = model._as_complex_vector
+    monkeypatch.setattr(model, "_as_complex_vector",
+                        lambda *a: calls.append(a) or real(*a))
+    text = dump_model(fixture())
+    assert dump_model(load_model(text)) == text
+    assert calls == []
 
 
 def test_load_rejects_overlong_integer_literal():
