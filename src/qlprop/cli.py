@@ -20,7 +20,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError, QlpropError
@@ -66,25 +65,16 @@ from .syntax import (
     parse_tq,
 )
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 
-@dataclass
-class RunConfig:
-    """Resolved global settings for one invocation."""
-
-    tol: float = DEFAULT_TOL
-    enum_cap: int = DEFAULT_ENUM_CAP
-    json_out: bool = False
-
-
-def _config(args) -> RunConfig:
+def _tol(args) -> float:
+    """The containment tolerance, from ``--tol`` or ``QLPROP_TOL``; every
+    subcommand validates it first."""
     if args.tol is not None:
-        tol = check_tol(args.tol, "--tol")
-    else:
-        env = os.environ.get("QLPROP_TOL")
-        tol = check_tol(env, "QLPROP_TOL") if env else DEFAULT_TOL
-    return RunConfig(tol=tol, enum_cap=args.enum_cap, json_out=args.json)
+        return check_tol(args.tol, "--tol")
+    env = os.environ.get("QLPROP_TOL")
+    return check_tol(env, "QLPROP_TOL") if env else DEFAULT_TOL
 
 
 def _path(name: str, option: str) -> Path:
@@ -95,8 +85,8 @@ def _path(name: str, option: str) -> Path:
     return Path(name)
 
 
-def _load(args, cfg: RunConfig) -> Model:
-    return load_model(_path(args.model, "--model").read_bytes(), tol=cfg.tol)
+def _load(args, tol: float) -> Model:
+    return load_model(_path(args.model, "--model").read_bytes(), tol=tol)
 
 
 def _parse_interp(m: Model, text: str) -> dict[str, str]:
@@ -113,8 +103,8 @@ def _parse_interp(m: Model, text: str) -> dict[str, str]:
     return default_interpretation(m, overrides)
 
 
-def _emit(cfg: RunConfig, lines: list[str], payload: dict):
-    if cfg.json_out:
+def _emit(args, lines: list[str], payload: dict):
+    if args.json:
         print(json.dumps(payload, indent=2))
     else:
         for line in lines:
@@ -126,7 +116,7 @@ def _emit(cfg: RunConfig, lines: list[str], payload: dict):
 
 
 def cmd_parse(args) -> int:
-    cfg = _config(args)
+    _tol(args)  # a bad tolerance fails every subcommand
     parse = {"lx": parse_lx, "ltq": parse_tq, "prag": parse_prag}[args.lang]
     fmt = {"lx": format_lx, "ltq": format_tq, "prag": format_prag}[args.lang]
     try:
@@ -137,7 +127,7 @@ def cmd_parse(args) -> int:
         print(f"  {' ' * exc.position}^", file=sys.stderr)
         return 1
     canonical = fmt(f)
-    _emit(cfg, [canonical],
+    _emit(args, [canonical],
           {"command": "parse", "lang": args.lang, "canonical": canonical})
     return 0
 
@@ -147,8 +137,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _config(args)
-    m = _load(args, cfg)
+    m = _load(args, _tol(args))
     if args.state not in m.extensions:
         raise QlpropError(f"unknown state {args.state!r}")
 
@@ -173,7 +162,7 @@ def cmd_eval(args) -> int:
             value = "T" if is_true(m, interp, args.state, parse_lx(args.formula)) else "F"
         else:
             value = "T" if tq_is_true(m, interp, args.state, parse_tq(args.formula)) else "F"
-    _emit(cfg, [value], {"command": "eval", "lang": args.lang,
+    _emit(args, [value], {"command": "eval", "lang": args.lang,
                          "state": args.state, "value": value})
     return 0
 
@@ -183,12 +172,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_props(args) -> int:
-    cfg = _config(args)
-    m = _load(args, cfg)
+    m = _load(args, _tol(args))
     lines: list[str] = []
     payload: dict = {"command": "props"}
     if args.lang == "ltq":
-        if not args.physical:
+        if args.individual is not None or args.forall:
             raise QlpropError("quantum formulas support --physical only")
         f = parse_tq(args.formula)
         prop = tq_physical_proposition(m, f)
@@ -202,7 +190,7 @@ def cmd_props(args) -> int:
         payload.update(kind="individual", states=sorted(prop))
     elif args.forall:
         f = parse_lx(args.formula)
-        prop = forall_proposition(m, f, cap=cfg.enum_cap)
+        prop = forall_proposition(m, f, cap=args.enum_cap)
         lines.append(set_label(prop, m.states))
         lines.append("matches per-state form: yes")
         payload.update(kind="forall", states=sorted(prop), matches_physical=True)
@@ -211,7 +199,7 @@ def cmd_props(args) -> int:
         prop = physical_proposition(m, f)
         lines.append(set_label(prop, m.states))
         payload.update(kind="physical", states=sorted(prop))
-    _emit(cfg, lines, payload)
+    _emit(args, lines, payload)
     return 0
 
 
@@ -364,8 +352,7 @@ _SUITE_DEPTH = {"sec3": 2, "cm": 3, "qm": 2, "prag": 3}
 
 
 def cmd_check(args) -> int:
-    cfg = _config(args)
-    m = _load(args, cfg)
+    m = _load(args, _tol(args))
     depth = args.depth if args.depth is not None else _SUITE_DEPTH[args.suite]
     out = _Suite()
     if args.suite == "sec3":
@@ -376,7 +363,7 @@ def cmd_check(args) -> int:
         _suite_qm(m, depth, out)
     else:
         _suite_prag(m, depth, out)
-    _emit(cfg, out.lines,
+    _emit(args, out.lines,
           {"command": "check", "suite": args.suite,
            "ok": not out.failed, "lines": out.lines})
     return 1 if out.failed else 0
@@ -387,8 +374,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    cfg = _config(args)
-    m = _load(args, cfg)
+    m = _load(args, _tol(args))
     if args.depth is not None:  # refused for every --which, LS included
         check_depth(args.depth)
     if args.which == "testable":
@@ -410,7 +396,7 @@ def cmd_lattice(args) -> int:
     if args.dot:
         _path(args.dot, "--dot").write_text(export_dot(poset), encoding="utf-8")
         lines.append(f"wrote {args.dot}")
-    _emit(cfg, lines,
+    _emit(args, lines,
           {"command": "lattice", "which": args.which,
            "elements": list(poset.labels), "covers": covers})
     return 0
@@ -421,7 +407,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    cfg = _config(args)
+    _tol(args)  # a bad tolerance fails every subcommand
     outdir = _path(args.out, "--out")
     outdir.mkdir(parents=True, exist_ok=True)
     lines = []
@@ -431,7 +417,7 @@ def cmd_fixtures(args) -> int:
         path.write_text(dump_model(m), encoding="utf-8")
         lines.append(f"wrote {path}")
         written.append(str(path))
-    _emit(cfg, lines, {"command": "fixtures", "written": written})
+    _emit(args, lines, {"command": "fixtures", "written": written})
     return 0
 
 

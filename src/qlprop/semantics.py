@@ -62,7 +62,7 @@ from .syntax import And, Atom, Formula, Not, Or, QNot, format_lx
 __all__ = [
     "DEFAULT_DEPTH_CAP", "check_depth",
     "extension_of", "is_true", "individual_proposition",
-    "physical_proposition", "profile_proposition", "certainly_true",
+    "physical_proposition", "certainly_true",
     "extension_profile",
     "logical_leq", "logical_equiv", "physical_leq", "physical_equiv",
     "testable_witness", "testable_proposition_poset", "forall_proposition",
@@ -233,18 +233,6 @@ def physical_proposition(m: Model, f: Formula) -> frozenset[str]:
     """
     k = m.kernel
     return k.proposition(k.profile(f))
-
-
-def profile_proposition(m: Model, profile) -> frozenset[str]:
-    """States whose extension in ``profile`` is the whole universe.
-
-    ``profile`` holds one extension per state, in state order, each a
-    subset of its state's universe: an :func:`extension_profile`, or one
-    made from such profiles by pointwise complement, intersection and
-    union.
-    """
-    k = m.kernel
-    return k.proposition(k.encode(profile))
 
 
 def certainly_true(m: Model, state: str, f: Formula) -> bool:

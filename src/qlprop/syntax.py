@@ -1,7 +1,7 @@
 """Formula ASTs, one parser and one printer for the three surface languages.
 
 The package works with three languages over atoms ``NAME(x)`` where NAME
-matches ``[A-Za-z_][A-Za-z0-9_+-]*``.  They differ only in their operator
+matches ``[A-Za-z_][A-Za-z0-9_+-]*``.  They differ only in their token
 tables (``_LX``, ``_TQ`` and ``_PRAG`` below):
 
 ``lx`` (classical)
@@ -16,17 +16,32 @@ tables (``_LX``, ``_TQ`` and ``_PRAG`` below):
     ``And`` are shared with the classical language, so conjunctive trees
     can be fed to either semantics.  ``~q`` and ``|q`` are read as
     such whatever follows them (``~qE(x)``), because bare ``~`` and
-    ``|`` are not quantum connectives; ``->q`` must not run into a name.
+    ``|`` are not quantum connectives; ``->q`` must not be followed by a
+    name character.
 ``prag`` (assertive)
     prefix ``N``; infix ``A`` (1) and ``K`` (2); ``|- f`` asserts a whole
     quantum formula, which extends as far right as possible.  ``N``,
-    ``K`` and ``A`` are reserved words in this language only.
+    ``K`` and ``A`` are reserved words in this language only.  Its table
+    is followed by the quantum one, whose tokens an asserted formula uses.
+
+One table per language drives the tokenizer, the parser and the
+printer.  It lists the language's tokens in match order, each entry
+``(kind, pattern, builder, precedence, printed form)``: the kind names
+the token for the parser, the pattern is a regular expression without
+capturing groups, the builder makes the node, the precedence places an
+infix operator (prefix operators have ``_PREFIX``, atoms and assertions
+``_ATOMIC``) and the printed form, if any, is how the printer writes the
+builder's node (an atom prints as ``NAME(x)``).  A spelling the language rejects is an entry whose kind
+is ``(exception class, message)``.  Each table compiles at import into
+one regular-expression alternation (whitespace, the parentheses, the
+entries, then a catch-all that reports an unexpected character), the
+parser's prefix and infix maps, and the printer's map from node type to
+(precedence, printed form).
 
 One precedence-climbing parser reads every table: prefix operators bind
 tighter than any infix one, higher precedence binds tighter, binary
 connectives associate to the left and parentheses override.  One printer
-reads one notation table, node type -> (precedence, symbol, operand
-floor), and emits a canonical, minimally parenthesised rendering;
+emits a canonical, minimally parenthesised rendering;
 ``parse(format(f)) == f`` holds for every AST of the matching language.
 
 Limits: ``MAX_DEPTH`` (256) bounds both the parser's nesting (every
@@ -46,7 +61,7 @@ import functools
 import operator
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import ClassicalConnectiveInTQ, ParseError, UnknownConnective
 
@@ -160,136 +175,98 @@ def atoms_of(f) -> frozenset[str]:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
-
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_+\-]*")
-_IDENT_CHAR_RE = re.compile(r"[A-Za-z0-9_+\-]")
+# Token tables (see the module docstring) and the tokenizer
 
 
-def _is_ident_char(s: str) -> bool:
-    return bool(s) and bool(_IDENT_CHAR_RE.match(s))
-
-
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     pos: int
 
 
-def _tokenize(text: str, mode: str) -> list[_Token]:
-    toks: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "(":
-            toks.append(_Token("LPAREN", "(", i))
-            i += 1
-            continue
-        if c == ")":
-            toks.append(_Token("RPAREN", ")", i))
-            i += 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            name = m.group()
-            kind = "IDENT"
-            if mode == "prag" and name in ("N", "K", "A"):
-                kind = name
-            toks.append(_Token(kind, name, i))
-            i = m.end()
-            continue
-        if c == "&":
-            toks.append(_Token("AND", "&", i))
-            i += 1
-            continue
-        if c == "!":
-            if mode == "lx":
-                toks.append(_Token("NOT", "!", i))
-                i += 1
-                continue
-            raise ClassicalConnectiveInTQ(
-                "classical negation '!' is not part of the quantum language", i)
-        if c == "~":
-            if mode == "lx":
-                toks.append(_Token("NOT", "~", i))
-                i += 1
-                continue
-            # bare '~' is never valid here, so '~q' is read whatever follows
-            if text[i + 1:i + 2] == "q":
-                toks.append(_Token("QNOT", "~q", i))
-                i += 2
-                continue
-            raise ClassicalConnectiveInTQ(
-                "classical negation '~' is not part of the quantum language "
-                "(write '~q')", i)
-        if c == "|":
-            nxt = text[i + 1:i + 2]
-            if mode == "prag" and nxt == "-":
-                toks.append(_Token("ASSERT", "|-", i))
-                i += 2
-                continue
-            if mode == "lx":
-                toks.append(_Token("OR", "|", i))
-                i += 1
-                continue
-            if nxt == "q":  # as with '~q': bare '|' is never valid here
-                toks.append(_Token("QOR", "|q", i))
-                i += 2
-                continue
-            raise ClassicalConnectiveInTQ(
-                "classical disjunction '|' is not part of the quantum "
-                "language (write '|q')", i)
-        if text[i:i + 3] == "->q" and not _is_ident_char(text[i + 3:i + 4]):
-            if mode == "lx":
-                raise UnknownConnective(
-                    "quantum connective '->q' is not part of the classical "
-                    "language", i)
-            toks.append(_Token("SASAKI", "->q", i))
-            i += 3
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    toks.append(_Token("EOF", "", n))
-    return toks
+_PREFIX = 3  # prefix operators bind tighter than any infix one
+_ATOMIC = 4  # atoms and assertions, never parenthesised
+_NAME_END = r"(?![A-Za-z0-9_+\-])"  # no name character follows
 
 
-# ---------------------------------------------------------------------------
-# Operator tables
+def _rejected(pattern: str, exc: type, message: str) -> tuple:
+    """The entry of a spelling the language rejects."""
+    return (exc, message), pattern, None, None, None
 
 
-@dataclass(frozen=True)
+_IDENT = ("IDENT", r"[A-Za-z_][A-Za-z0-9_+\-]*", Atom, _ATOMIC, "")
+_AND = ("AND", "&", And, 2, " & ")
+_SASAKI = "->q" + _NAME_END
+
+
 class _Language:
-    mode: str         # tokenizer mode
-    noun: str         # "a classical", ... for the printer's TypeError
-    prefix: dict      # token kind -> node constructor
-    infix: dict       # token kind -> (precedence, builder), tighter is higher
-    nodes: frozenset  # node types the parser builds and the printer accepts
+    """A language compiled from its token table.  ``inner`` is the
+    language of asserted formulas: its tokens are matched after the
+    table's own, but build no node of this language."""
+
+    def __init__(self, noun: str, table: list, inner: _Language | None = None):
+        self.noun = noun  # "a classical", ... for the printer's TypeError
+        self.inner = inner
+        self.table = table + (inner.table if inner else [])
+        # group 1 is whitespace; the catch-all '.' is the last group
+        patterns = [r"\s+", r"\(", r"\)", *(e[1] for e in self.table), "."]
+        self.scan = re.compile("|".join(f"({p})" for p in patterns),
+                               re.DOTALL).finditer
+        self.kinds = (None, None, "LPAREN", "RPAREN",
+                      *(e[0] for e in self.table), (ParseError, None))
+        self.prefix = {k: b for k, _, b, prec, _ in table if prec == _PREFIX}
+        self.infix = {k: (prec, b) for k, _, b, prec, _ in table
+                      if prec is not None and prec < _PREFIX}
+        # node type -> (precedence, printed form)
+        self.notation = {b: (prec, form) for _, _, b, prec, form in table
+                         if form is not None}
 
 
-_LX = _Language("lx", "a classical", {"NOT": Not},
-                {"OR": (1, Or), "AND": (2, And)},
-                frozenset({Atom, Not, And, Or}))
-_TQ = _Language("ltq", "a quantum", {"QNOT": QNot},
-                {"SASAKI": (0, sasaki_formula), "QOR": (1, quantum_join),
-                 "AND": (2, And)},
-                frozenset({Atom, QNot, And}))
-_PRAG = _Language("prag", "an assertive", {"N": N},
-                  {"A": (1, A), "K": (2, K)},
-                  frozenset({Assert, N, K, A}))
+_LX = _Language("a classical", [
+    _IDENT, _AND,
+    ("NOT", "[!~]", Not, _PREFIX, "!"),
+    ("OR", r"\|", Or, 1, " | "),
+    _rejected(_SASAKI, UnknownConnective,
+              "quantum connective '->q' is not part of the classical "
+              "language"),
+])
+_TQ = _Language("a quantum", [
+    _IDENT, _AND,
+    # bare '~' and '|' are never quantum, so '~q' and '|q' are read
+    # whatever follows them
+    ("QNOT", "~q", QNot, _PREFIX, "~q "),
+    ("QOR", r"\|q", quantum_join, 1, None),
+    ("SASAKI", _SASAKI, sasaki_formula, 0, None),
+    _rejected("!", ClassicalConnectiveInTQ,
+              "classical negation '!' is not part of the quantum language"),
+    _rejected("~", ClassicalConnectiveInTQ,
+              "classical negation '~' is not part of the quantum language "
+              "(write '~q')"),
+    _rejected(r"\|", ClassicalConnectiveInTQ,
+              "classical disjunction '|' is not part of the quantum "
+              "language (write '|q')"),
+])
+_PRAG = _Language("an assertive", [
+    ("N", "N" + _NAME_END, N, _PREFIX, "N "),
+    ("K", "K" + _NAME_END, K, 2, " K "),
+    ("A", "A" + _NAME_END, A, 1, " A "),
+    ("ASSERT", r"\|-", Assert, _ATOMIC, "|- "),
+], inner=_TQ)
 
-# node type -> (precedence, symbol, operand floor).  An operand whose
-# precedence is below its floor is parenthesised; binary connectives
-# associate to the left, so their right operand's floor is one higher.
-_NOTATION = {
-    Or: (1, " | ", 1), A: (1, " A ", 1),
-    And: (2, " & ", 2), K: (2, " K ", 2),
-    Not: (3, "!", 3), QNot: (3, "~q ", 3), N: (3, "N ", 3),
-    # the quantum operand of |- extends as far right as possible
-    Atom: (4, "", 0), Assert: (4, "|- ", 0),
-}
+
+def _tokenize(text: str, lang: _Language) -> list[_Token]:
+    toks = []
+    kinds = lang.kinds
+    for m in lang.scan(text):
+        kind = kinds[m.lastindex]
+        if kind.__class__ is str:
+            toks.append(_Token(kind, m.group(), m.start()))
+        elif kind:  # a rejected spelling or the catch-all
+            exc, message = kind
+            raise exc(message or f"unexpected character {m.group()!r}",
+                      m.start())
+    toks.append(_Token("EOF", "", len(text)))
+    return toks
 
 
 @functools.cache
@@ -334,9 +311,8 @@ def _build(tok: _Token, builder, *operands):
 # ``(node, size, depth)`` so that every build can check the limits.
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], mode: str):
+    def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
-        self.mode = mode
         self.i = 0
         self.cur = tokens[0]
         self.nesting = 0
@@ -357,19 +333,19 @@ class _Parser:
         if self.cur.kind != "EOF":
             raise ParseError(f"unexpected {self.cur.text!r}", self.cur.pos)
 
-    # atoms (shared by all modes)
-
-    def atom(self):
+    def atom(self, lang: _Language):
         if self.cur.kind != "IDENT":
             raise ParseError("expected a formula", self.cur.pos,
                              expected="property name or '('")
         name = self.advance()
         if self.cur.kind != "LPAREN":
-            # In classical mode an adjacent "~q"/"|q" that cannot be an
-            # atom application is a quantum connective used in the wrong
-            # language; report it as such.
+            # In the classical language an adjacent "~q"/"|q" that cannot
+            # be an atom application is a quantum connective used in the
+            # wrong language; report it as such.  This stays in the parser,
+            # so an unexpected character later in the text is reported
+            # first.
             prev = self.tokens[self.i - 2] if self.i >= 2 else None
-            if (self.mode == "lx" and name.text == "q" and prev is not None
+            if (lang is _LX and name.text == "q" and prev is not None
                     and prev.kind in ("NOT", "OR")
                     and prev.pos + len(prev.text) == name.pos):
                 raise UnknownConnective(
@@ -412,11 +388,11 @@ class _Parser:
             self.advance()
             f = self.expr(lang)
             self.expect("RPAREN", "')'")
-        elif tok.kind == "ASSERT" and Assert in lang.nodes:
+        elif tok.kind == "ASSERT" and lang.inner:
             self.advance()
-            f = _build(tok, Assert, self.expr(_TQ))
-        elif Atom in lang.nodes:
-            f = (self.atom(), 1, 1)
+            f = _build(tok, Assert, self.expr(lang.inner))
+        elif Atom in lang.notation:
+            f = (self.atom(lang), 1, 1)
         else:
             raise ParseError("expected '|-', 'N' or '('", tok.pos,
                              expected="'|-'")
@@ -426,10 +402,10 @@ class _Parser:
 
 
 def _parse(text: str, lang: _Language):
-    toks = _tokenize(text, lang.mode)
+    toks = _tokenize(text, lang)
     if toks[0].kind == "EOF":
         raise ParseError("empty input", 0, expected="a formula")
-    p = _Parser(toks, lang.mode)
+    p = _Parser(toks)
     f = p.expr(lang)[0]
     p.expect_eof()
     return f
@@ -456,13 +432,15 @@ def parse_prag(text: str) -> AssertiveFormula:
 
 def _format(f, lang: _Language) -> str:
     kind = type(f)
-    if kind not in lang.nodes:
+    if kind not in lang.notation:
         raise TypeError(f"not {lang.noun} formula node: {f!r}")
     if kind is Atom:
         return f"{f.prop}(x)"
-    _, symbol, floor = _NOTATION[kind]
-    if kind is Assert:
-        lang = _TQ
+    # an operand below its floor is parenthesised; binary connectives
+    # associate to the left, so their right operand's floor is one higher
+    floor, symbol = lang.notation[kind]
+    if kind is Assert:  # its quantum operand extends as far right as possible
+        lang, floor = lang.inner, 0
     ops = _operands(f)
     if len(ops) == 1:
         return symbol + _operand(ops[0], lang, floor)
@@ -472,7 +450,7 @@ def _format(f, lang: _Language) -> str:
 
 def _operand(f, lang: _Language, floor: int) -> str:
     s = _format(f, lang)
-    return s if _NOTATION[type(f)][0] >= floor else f"({s})"
+    return s if lang.notation[type(f)][0] >= floor else f"({s})"
 
 
 def format_lx(f: Formula) -> str:

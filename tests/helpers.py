@@ -10,7 +10,9 @@ works on projector matrices instead of basis rows, the witness oracle
 (which imports nothing from ``qlprop.hilbert`` or ``qlprop.quantum``)
 reduces quantum formulas with projectors and SVD null spaces, and the
 lattice oracle (which imports nothing from ``qlprop.lattice``) finds
-bounds and law violations by explicit scans over nested lists.
+bounds and law violations by explicit scans over nested lists.  The
+tokenizer oracle is the hand-written character loop that the syntax
+module's compiled token tables replaced.
 
 The reference checkers are the exception: they are the quantum and
 assertive checkers written as per-(formula, state) and per-pair loops
@@ -25,9 +27,15 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import numpy as np
 
+from qlprop.errors import (
+    ClassicalConnectiveInTQ,
+    ParseError,
+    UnknownConnective,
+)
 from qlprop.model import Model, build_qm_model, make_model
 from qlprop.syntax import A, And, Assert, Atom, K, N, Not, Or, QNot
 
@@ -529,6 +537,101 @@ def oracle_ortho_witnesses(leq, meet, join, ortho) -> dict:
             n, 3, lambda a, b, c:
             not leq[a][c] or join[a][meet[b][c]] == meet[join[a][b]][c]),
     }
+
+
+# ---------------------------------------------------------------------------
+# tokenizer oracle: the hand-written character loop the token tables
+# replaced, kept frozen; it uses nothing from qlprop.syntax
+
+
+_ORACLE_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_+\-]*")
+_ORACLE_IDENT_CHAR_RE = re.compile(r"[A-Za-z0-9_+\-]")
+
+
+def _oracle_is_ident_char(s: str) -> bool:
+    return bool(s) and bool(_ORACLE_IDENT_CHAR_RE.match(s))
+
+
+def oracle_tokenize(text: str, mode: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, pos)`` tokens of ``text`` in the language ``mode``
+    (``"lx"``, ``"ltq"`` or ``"prag"``), ending in ``("EOF", "", len(text))``;
+    raises the tokenizer's error for a rejected or unexpected character."""
+    toks = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c == "(":
+            toks.append(("LPAREN", "(", i))
+            i += 1
+            continue
+        if c == ")":
+            toks.append(("RPAREN", ")", i))
+            i += 1
+            continue
+        m = _ORACLE_IDENT_RE.match(text, i)
+        if m:
+            name = m.group()
+            kind = "IDENT"
+            if mode == "prag" and name in ("N", "K", "A"):
+                kind = name
+            toks.append((kind, name, i))
+            i = m.end()
+            continue
+        if c == "&":
+            toks.append(("AND", "&", i))
+            i += 1
+            continue
+        if c == "!":
+            if mode == "lx":
+                toks.append(("NOT", "!", i))
+                i += 1
+                continue
+            raise ClassicalConnectiveInTQ(
+                "classical negation '!' is not part of the quantum language", i)
+        if c == "~":
+            if mode == "lx":
+                toks.append(("NOT", "~", i))
+                i += 1
+                continue
+            if text[i + 1:i + 2] == "q":
+                toks.append(("QNOT", "~q", i))
+                i += 2
+                continue
+            raise ClassicalConnectiveInTQ(
+                "classical negation '~' is not part of the quantum language "
+                "(write '~q')", i)
+        if c == "|":
+            nxt = text[i + 1:i + 2]
+            if mode == "prag" and nxt == "-":
+                toks.append(("ASSERT", "|-", i))
+                i += 2
+                continue
+            if mode == "lx":
+                toks.append(("OR", "|", i))
+                i += 1
+                continue
+            if nxt == "q":
+                toks.append(("QOR", "|q", i))
+                i += 2
+                continue
+            raise ClassicalConnectiveInTQ(
+                "classical disjunction '|' is not part of the quantum "
+                "language (write '|q')", i)
+        if (text[i:i + 3] == "->q"
+                and not _oracle_is_ident_char(text[i + 3:i + 4])):
+            if mode == "lx":
+                raise UnknownConnective(
+                    "quantum connective '->q' is not part of the classical "
+                    "language", i)
+            toks.append(("SASAKI", "->q", i))
+            i += 3
+            continue
+        raise ParseError(f"unexpected character {c!r}", i)
+    toks.append(("EOF", "", n))
+    return toks
 
 
 # ---------------------------------------------------------------------------

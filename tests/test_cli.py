@@ -209,6 +209,24 @@ def test_props_quantum(models_dir, capsys):
     assert capsys.readouterr().out.strip() == "{Sz+, Sz-, Sx+, Sx-}"
 
 
+def test_props_quantum_without_a_flag_is_physical(models_dir, capsys):
+    # --physical is the documented default for both languages
+    args = ["props", "--model", str(models_dir / "m_qbit.json"),
+            "--lang", "ltq", "Ez+(x) |q Ez-(x)"]
+    assert main(args) == 0
+    assert capsys.readouterr().out.strip() == "{Sz+, Sz-, Sx+, Sx-}"
+    assert main(args[:-1] + ["--json", "Ez+(x)"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "props", "kind": "physical", "states": ["Sz+"]}
+
+
+def test_props_quantum_rejects_forall(models_dir, capsys):
+    assert main(["props", "--model", str(models_dir / "m_qbit.json"),
+                 "--lang", "ltq", "--forall", "Ez+(x)"]) == 1
+    assert capsys.readouterr().err == (
+        "ERROR QlpropError: quantum formulas support --physical only\n")
+
+
 def test_props_quantum_rejects_individual(models_dir, capsys):
     assert main(["props", "--model", str(models_dir / "m_qbit.json"),
                  "--lang", "ltq", "--individual", "Sz+=o1", "Ez+(x)"]) == 1
@@ -441,6 +459,26 @@ def test_tol_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("QLPROP_TOL", "1e-12")
     assert main(args + ["--tol", "1e-3"]) == 0
     assert capsys.readouterr().out.strip() == "{Sz+}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "E(x)"],
+    ["fixtures", "--out", "{out}"],
+    ["eval", "--model", "{model}", "--state", "S1", "E(x)"],
+    ["props", "--model", "{model}", "E(x)"],
+    ["check", "--model", "{model}", "--suite", "sec3"],
+    ["lattice", "--model", "{model}", "--which", "testable"],
+])
+def test_bad_env_tolerance_fails_every_subcommand(models_dir, tmp_path,
+                                                  monkeypatch, capsys, argv):
+    out = tmp_path / "out"
+    argv = [a.format(model=models_dir / "m_sr.json", out=out) for a in argv]
+    monkeypatch.setenv("QLPROP_TOL", "1")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ERROR InvalidTolerance: QLPROP_TOL")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad", ["abc", "nan", "inf", "5", "-1e-6", "0",

@@ -16,6 +16,7 @@ from qlprop.errors import (
     ParseError,
     UnknownConnective,
 )
+from qlprop import syntax
 from qlprop.syntax import (
     MAX_DEPTH,
     MAX_NODES,
@@ -39,7 +40,12 @@ from qlprop.syntax import (
     sasaki_formula,
 )
 
-from helpers import random_formula, random_prag_formula, random_tq_formula
+from helpers import (
+    oracle_tokenize,
+    random_formula,
+    random_prag_formula,
+    random_tq_formula,
+)
 
 # ---------------------------------------------------------------------------
 # reference oracle: fully parenthesized emitter + matching tiny parser
@@ -542,3 +548,76 @@ def test_printers_reject_nodes_of_other_languages():
         format_prag(K(Assert(Or(Atom("E"), Atom("F"))), Assert(Atom("G"))))
     with pytest.raises(TypeError, match="not an assertive formula node"):
         format_prag(N(Atom("E")))
+
+
+# ---------------------------------------------------------------------------
+# tokenizer against the frozen hand-written loop in helpers.oracle_tokenize
+
+_LANGUAGES = (("lx", syntax._LX), ("ltq", syntax._TQ), ("prag", syntax._PRAG))
+
+
+def _tokens_or_error(tokenize, text, lang):
+    try:
+        return [tuple(t) for t in tokenize(text, lang)]
+    except ParseError as exc:
+        return type(exc), str(exc), exc.position
+
+
+def _assert_tokenizer_matches_oracle(text):
+    for mode, lang in _LANGUAGES:
+        got = _tokens_or_error(syntax._tokenize, text, lang)
+        assert got == _tokens_or_error(oracle_tokenize, text, mode), mode
+
+
+# single characters, plus the multi-character spellings, which random
+# characters would seldom put together
+_CONNECTIVE_TEXT = st.lists(st.sampled_from(
+    [*"()!~|&->qxNKAE_+0123456789 \x1c\n", "->q", "~q", "|q", "|-", "(x)"],
+)).map("".join)
+
+
+@given(_CONNECTIVE_TEXT)
+@settings(max_examples=2000, deadline=None)
+def test_tokenizer_matches_oracle_on_connective_text(text):
+    _assert_tokenizer_matches_oracle(text)
+
+
+@given(st.text())
+@settings(max_examples=2000, deadline=None)
+def test_tokenizer_matches_oracle_on_any_text(text):
+    _assert_tokenizer_matches_oracle(text)
+
+
+@pytest.mark.parametrize("text", [
+    "E(x) ->qF(x)", "E(x) ->q F(x)", "->q", "E(x) ->q", "|-", "|- E(x)",
+    "N(x)", "NK(x)", "N K(x)", "E(x)\n", "~q E(x) $", "~qE(x)", "|q", "",
+])
+def test_tokenizer_matches_oracle_on_named_cases(text):
+    _assert_tokenizer_matches_oracle(text)
+
+
+def test_tokenizer_named_cases():
+    with pytest.raises(ParseError, match="unexpected character '-'") as exc:
+        syntax._tokenize("E(x) ->qF(x)", syntax._TQ)
+    assert exc.value.position == 5
+    with pytest.raises(UnknownConnective):
+        syntax._tokenize("->q", syntax._LX)
+    with pytest.raises(ClassicalConnectiveInTQ, match="disjunction"):
+        syntax._tokenize("|-", syntax._TQ)
+    for lang in (syntax._LX, syntax._TQ):
+        assert syntax._tokenize("N(x)", lang)[0].kind == "IDENT"
+    assert syntax._tokenize("N(x)", syntax._PRAG)[0].kind == "N"
+    for _, lang in _LANGUAGES:
+        assert syntax._tokenize("NK(x)", lang)[0] == ("IDENT", "NK", 0)
+        assert syntax._tokenize("E(x)\n", lang)[-1] == ("EOF", "", 5)
+
+
+def test_unexpected_character_wins_over_glued_quantum_connective():
+    # the tokenizer reads all of the text before the parser sees "~" "q"
+    with pytest.raises(ParseError) as exc:
+        parse_lx("~q E(x) $")
+    assert type(exc.value) is ParseError
+    assert str(exc.value) == "unexpected character '$' at position 8"
+    with pytest.raises(UnknownConnective) as exc:
+        parse_lx("~q E(x)")
+    assert exc.value.position == 0
