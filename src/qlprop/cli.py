@@ -137,7 +137,18 @@ def cmd_parse(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    m = _load(args, _tol(args))
+    tol = _tol(args)
+    # refused, not dropped: assertive formulas have no Q-truth, and
+    # neither they nor Q-truth depend on the chosen objects
+    if args.lang == "prag" and args.qtruth:
+        raise QlpropError("--qtruth cannot be used with --lang prag")
+    if args.lang == "prag" or args.qtruth:
+        mode = "--lang prag" if args.lang == "prag" else "--qtruth"
+        for option, value in (("--object", args.object),
+                              ("--interp", args.interp)):
+            if value is not None:
+                raise QlpropError(f"{option} cannot be used with {mode}")
+    m = _load(args, tol)
     if args.state not in m.extensions:
         raise QlpropError(f"unknown state {args.state!r}")
 
@@ -285,11 +296,15 @@ def _suite_cm(m: Model, depth: int, assume_cmt: bool, out: _Suite):
     rho_ok = all(p | k.full(top ^ v) == top for v, p in zip(vals, props))
     out.passfail(rho_ok, "truth independent of the interpretation")
     if interpretation_count(m) <= 10 ** 4:
-        # the picked slots that hold are exactly those in full blocks
+        # the picked slots that hold are exactly those in full blocks:
+        # v & pick == p & pick for every formula, so no picked slot lies
+        # in any formula's difference v ^ p
+        diff = 0
+        for v, p in zip(vals, props):
+            diff |= v ^ p
         same = True
         for interp in enumerate_interpretations(m):
-            pick = k.pick(interp)
-            if not all(v & pick == pick & p for v, p in zip(vals, props)):
+            if k.pick(interp) & diff:
                 same = False
                 break
         out.passfail(same, "individual propositions collapse to physical")

@@ -112,14 +112,6 @@ class MeetJoinMissing(QlpropError):
         self.witness = witness
 
 
-class IncompatiblePreorder(QlpropError):
-    """A preorder does not factor through the given equivalence."""
-
-    def __init__(self, message: str, witness: tuple | None = None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class SearchCapExceeded(QlpropError):
     """An isomorphism search was attempted on too large a structure."""
 

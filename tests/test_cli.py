@@ -1,5 +1,6 @@
 """Command line behavior: output, exit codes, JSON mode, error display."""
 
+import itertools
 import json
 import random
 import subprocess
@@ -16,13 +17,20 @@ from qlprop.hilbert import Subspace
 from qlprop.model import (
     HilbertAnnotation,
     dump_model,
+    interpretation_count,
     m_cm,
     m_qbit,
     m_sr,
     make_model,
 )
 
-from helpers import random_model, reference_sec3_lines
+from helpers import (
+    brute_force_physical,
+    oracle_formulas,
+    oracle_individual,
+    random_model,
+    reference_sec3_lines,
+)
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +179,44 @@ def test_eval_pragmatic(models_dir, capsys):
     assert main(["eval", "--model", str(models_dir / "m_qbit.json"),
                  "--lang", "prag", "--state", "Sx+", "|- Ez+(x)"]) == 0
     assert capsys.readouterr().out.strip() == "Unjustified"
+
+
+def _refuses_eval(models_dir, capsys, argv, message):
+    assert main(["eval", "--model", str(models_dir / "m_qbit.json"),
+                 "--state", "Sz+", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ERROR QlpropError: {message}\n"
+
+
+def test_eval_prag_refuses_qtruth(models_dir, capsys):
+    _refuses_eval(models_dir, capsys, ["--lang", "prag", "--qtruth",
+                                       "|- Ez+(x)"],
+                  "--qtruth cannot be used with --lang prag")
+
+
+def test_eval_qtruth_refuses_object(models_dir, capsys):
+    _refuses_eval(models_dir, capsys, ["--qtruth", "--object", "o1",
+                                       "Ez+(x)"],
+                  "--object cannot be used with --qtruth")
+
+
+def test_eval_qtruth_refuses_interp(models_dir, capsys):
+    _refuses_eval(models_dir, capsys, ["--lang", "ltq", "--qtruth",
+                                       "--interp", "Sz+=o1", "Ez+(x)"],
+                  "--interp cannot be used with --qtruth")
+
+
+def test_eval_prag_refuses_object(models_dir, capsys):
+    _refuses_eval(models_dir, capsys, ["--lang", "prag", "--object", "o1",
+                                       "|- Ez+(x)"],
+                  "--object cannot be used with --lang prag")
+
+
+def test_eval_prag_refuses_interp(models_dir, capsys):
+    _refuses_eval(models_dir, capsys, ["--lang", "prag", "--interp",
+                                       "Sz+=o1", "|- Ez+(x)"],
+                  "--interp cannot be used with --lang prag")
 
 
 def test_eval_unknown_state(models_dir, capsys):
@@ -619,6 +665,56 @@ def test_check_cm_collapse_sees_the_last_state(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "FAIL every extension full or empty: witness ('S3', 'E')"
     assert "FAIL individual propositions collapse to physical" in out
+
+
+_COLLAPSE = "individual propositions collapse to physical"
+
+
+def _oracle_collapse(m, depth) -> bool:
+    """Whether every individual proposition equals the physical one, over
+    every interpretation and every formula of the suite's depth."""
+    formulas = oracle_formulas(m.properties, min(depth, 2))
+    physical = [brute_force_physical(m, f) for f in formulas]
+    for combo in itertools.product(*(m.universes[s] for s in m.states)):
+        interp = dict(zip(m.states, combo))
+        if any(oracle_individual(m, interp, f) != p
+               for f, p in zip(formulas, physical)):
+            return False
+    return True
+
+
+def _collapse_line(m, depth, tmp_path, capsys) -> str:
+    path = tmp_path / "model.json"
+    path.write_text(dump_model(m), encoding="utf-8")
+    main(["check", "--model", str(path), "--suite", "cm",
+          "--depth", str(depth)])
+    lines = capsys.readouterr().out.splitlines()
+    return next(line for line in lines if line.endswith(_COLLAPSE))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_check_cm_collapse_matches_oracle(seed, tmp_path, capsys):
+    rng = random.Random(seed)
+    m = random_model(rng, max_states=5, max_objects=4, max_props=3,
+                     cms=seed % 3 == 0)
+    depth = rng.choice([1, 2])
+    tag = "PASS" if _oracle_collapse(m, depth) else "FAIL"
+    assert _collapse_line(m, depth, tmp_path, capsys) == f"{tag} {_COLLAPSE}"
+
+
+def test_check_cm_collapse_fails_at_one_interpretation(tmp_path, capsys):
+    # E holds of c2 alone, so of the two interpretations only the last,
+    # which picks c2, splits the propositions.  With negations (depth 2
+    # and up) every pick in S3 would split them, through E or through !E.
+    m = make_model(["S1", "S2", "S3"],
+                   {"S1": ["a"], "S2": ["b"], "S3": ["c1", "c2"]},
+                   ["E", "F"],
+                   {"S1": {"E": ["a"], "F": []},
+                    "S2": {"E": [], "F": ["b"]},
+                    "S3": {"E": ["c2"], "F": ["c1", "c2"]}})
+    assert interpretation_count(m) == 2
+    assert not _oracle_collapse(m, 1)
+    assert _collapse_line(m, 1, tmp_path, capsys) == f"FAIL {_COLLAPSE}"
 
 
 @pytest.mark.parametrize("argv", [

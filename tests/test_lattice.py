@@ -1,4 +1,4 @@
-"""Order-theoretic machinery: posets, law checkers, quotients, DOT.
+"""Order-theoretic machinery: posets, law checkers, isomorphism, DOT.
 
 Oracles: the powerset lattice (all laws must pass) and the six-element
 benzene-ring ortholattice (orthomodularity must fail at a documented
@@ -16,12 +16,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qlprop.errors import (
-    IncompatiblePreorder,
     MeetJoinMissing,
     NotAPartialOrder,
     SearchCapExceeded,
 )
 from qlprop.lattice import (
+    LawCheck,
     build_poset,
     check_boolean,
     check_ortho_modular,
@@ -30,9 +30,8 @@ from qlprop.lattice import (
     order_isomorphic,
     ortho_lattice_from_poset,
     powerset_lattice,
-    quotient_poset,
 )
-from qlprop.lattice import _meet_join_tables
+from qlprop.lattice import _join_prime, _meet_join_tables
 
 from helpers import (
     oracle_boolean_witnesses,
@@ -120,25 +119,6 @@ def test_export_dot_quotes_special_labels():
                     labels=['say "hi"'])
     dot = export_dot(p)
     assert '"say \\"hi\\"";' in dot
-
-
-# ---------------------------------------------------------------------------
-# quotients
-
-
-def test_quotient_poset_collapses_classes():
-    items = list(range(12))
-    q = quotient_poset(items, equiv=lambda a, b: a % 4 == b % 4,
-                       leq=lambda a, b: a % 4 <= b % 4)
-    assert q.n == 4
-    assert [q.elements[i] for i in range(4)] == [0, 1, 2, 3]
-
-
-def test_quotient_poset_rejects_incompatible_preorder():
-    # 0 ~ 2 but leq distinguishes members of the class
-    with pytest.raises(IncompatiblePreorder):
-        quotient_poset([0, 1, 2], equiv=lambda a, b: a % 2 == b % 2,
-                       leq=lambda a, b: a <= b)
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +234,16 @@ def _subset_order(sets) -> list[list[bool]]:
 
 
 @st.composite
-def closure_systems(draw) -> list[list[bool]]:
-    """Families of subsets of a ground set of at most four points, closed
-    under intersection and holding the full set, in a random order.
-    Their lattices include non-distributive ones such as M3 and N5."""
-    k = draw(st.integers(1, 4))
+def closure_systems(draw, points=(1, 4), sets=(0, 7)) -> list[list[bool]]:
+    """Families of subsets of a ground set, closed under intersection and
+    holding the full set, in a random order.  The ground set's size and
+    the number of random subsets generating the family are drawn from the
+    inclusive ranges ``points`` and ``sets``.  Their lattices include
+    non-distributive ones such as M3 and N5."""
+    k = draw(st.integers(*points))
     full = (1 << k) - 1
-    family = {full, *draw(st.lists(st.integers(0, full), max_size=7))}
+    family = {full, *draw(st.lists(st.integers(0, full), min_size=sets[0],
+                                   max_size=sets[1]))}
     while True:
         more = {a & b for a in family for b in family} - family
         if not more:
@@ -321,21 +304,65 @@ def test_meet_join_tables_match_oracle(leq):
                               f"and {p.labels[j]!r}")
 
 
-@given(closure_systems())
-@example(_subset_order(M3))
-@example(_subset_order(N5))
-@settings(max_examples=150, deadline=None)
-def test_check_boolean_matches_oracle(leq):
-    p = _poset(leq)
+# ---------------------------------------------------------------------------
+# check_boolean and Birkhoff's join-prime certificate against the oracle
+
+
+def _assert_boolean_matches_oracle(p):
+    leq = p.leq.tolist()
     meet, join, _ = oracle_tables(leq)
+    want = oracle_boolean_witnesses(meet, join)
+    assert _join_prime(p, np.array(join)) == (set(want.values()) == {None})
     rep = check_boolean(p)
     assert rep["bounded"].passed
-    for law, hit in oracle_boolean_witnesses(meet, join).items():
-        assert rep[law].passed == (hit is None)
-        assert rep[law].witness == _labelled(p, hit)
+    for law, hit in want.items():
+        assert rep[law] == LawCheck(law, hit is None, _labelled(p, hit))
     bad = oracle_complement_witness(leq, meet, join)
     assert rep["unique_complement"].witness == (
         None if bad is None else (p.labels[bad[0]], bad[1]))
+    return rep
+
+
+# the second family reaches lattices of up to 32 elements, with more
+# join-irreducibles than four points allow
+@given(st.one_of(closure_systems(),
+                 closure_systems(points=(3, 5), sets=(2, 8))))
+@example(_subset_order(M3))
+@example(_subset_order(N5))
+@settings(max_examples=250, deadline=None)
+def test_check_boolean_matches_oracle(leq):
+    _assert_boolean_matches_oracle(_poset(leq))
+
+
+def _grid3():
+    cells = list(itertools.product(range(3), repeat=2))
+    return build_poset(cells, lambda a, b: a[0] <= b[0] and a[1] <= b[1],
+                       [f"{a}{b}" for a, b in cells])
+
+
+# per lattice: the witnesses of both distributive laws and of
+# unique_complement, as the cell-by-cell scans have always reported them
+NAMED_LATTICES = {
+    "N5": (lambda: _poset(_subset_order(N5)),
+           ("e2", "e1", "e3"), ("e1", "e2", "e3"), ("e3", 2)),
+    "M3": (lambda: _poset(_subset_order(M3)),
+           ("e1", "e2", "e3"), ("e1", "e2", "e3"), ("e1", 2)),
+    "hexagon": (lambda: hexagon().poset,
+                ("b", "a", "c"), ("a", "b", "c"), ("a", 2)),
+    # distributive, but only the four corners have a complement
+    "grid3x3": (_grid3, None, None, ("01", 0)),
+    "boolean2^7": (lambda: _poset(_subset_order(range(1 << 7))),
+                   None, None, None),
+}
+
+
+@pytest.mark.parametrize("name", NAMED_LATTICES)
+def test_named_lattices_distributivity(name):
+    make, meet_join, join_meet, complement = NAMED_LATTICES[name]
+    rep = _assert_boolean_matches_oracle(make())
+    assert rep["distributive_meet_over_join"].witness == meet_join
+    assert rep["distributive_join_over_meet"].witness == join_meet
+    assert rep["unique_complement"].witness == complement
 
 
 def _assert_ortho_matches_oracle(lat):
