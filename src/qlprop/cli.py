@@ -26,7 +26,6 @@ from .errors import ParseError, QlpropError
 from .hilbert import DEFAULT_TOL, MAX_TOL, MIN_TOL, check_tol, state_lattice
 from .lattice import check_boolean, check_ortho_modular, export_dot, set_label
 from .model import (
-    DEFAULT_ENUM_CAP,
     Model,
     canonical_models,
     check_cms,
@@ -56,7 +55,6 @@ from .semantics import (
     testable_witness,
 )
 from .syntax import (
-    Atom,
     format_lx,
     format_prag,
     format_tq,
@@ -148,6 +146,8 @@ def cmd_eval(args) -> int:
                               ("--interp", args.interp)):
             if value is not None:
                 raise QlpropError(f"{option} cannot be used with {mode}")
+    if args.object is not None and args.interp is not None:
+        raise QlpropError("--object cannot be used with --interp")
     m = _load(args, tol)
     if args.state not in m.extensions:
         raise QlpropError(f"unknown state {args.state!r}")
@@ -183,7 +183,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_props(args) -> int:
-    m = _load(args, _tol(args))
+    tol = _tol(args)
+    if args.enum_cap is not None and not args.forall:
+        raise QlpropError("--enum-cap requires --forall")
+    m = _load(args, tol)
     lines: list[str] = []
     payload: dict = {"command": "props"}
     if args.lang == "ltq":
@@ -351,9 +354,9 @@ def _suite_qm(m: Model, depth: int, out: _Suite):
                  "" if not eq["join"] else f"first {eq['join'][0]!r}")
     if eq["join_strict_witness"]:
         out.report(f"join strictly above union at {eq['join_strict_witness']!r}")
-    images = {tq_physical_proposition(m, Atom(e)) for e in m.properties}
+    # the state lattice holds one element per distinct certain-state set
     out.report(f"certain-state map injective: "
-               f"{'yes' if len(images) == len(m.properties) else 'no'}")
+               f"{'yes' if lat.poset.n == len(m.properties) else 'no'}")
 
 
 def _suite_prag(m: Model, depth: int, out: _Suite):
@@ -367,7 +370,10 @@ _SUITE_DEPTH = {"sec3": 2, "cm": 3, "qm": 2, "prag": 3}
 
 
 def cmd_check(args) -> int:
-    m = _load(args, _tol(args))
+    tol = _tol(args)
+    if args.assume_cmt and args.suite != "cm":
+        raise QlpropError("--assume-cmt requires --suite cm")
+    m = _load(args, tol)
     depth = args.depth if args.depth is not None else _SUITE_DEPTH[args.suite]
     out = _Suite()
     if args.suite == "sec3":
@@ -389,7 +395,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    m = _load(args, _tol(args))
+    tol = _tol(args)
+    if args.closed and args.which != "lindenbaum":
+        raise QlpropError("--closed requires --which lindenbaum")
+    m = _load(args, tol)
     if args.depth is not None:  # refused for every --which, LS included
         check_depth(args.depth)
     if args.which == "testable":
@@ -452,8 +461,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="containment tolerance, finite and within "
                              f"[{MIN_TOL:g}, {MAX_TOL:g}] (default: "
                              "QLPROP_TOL or 1e-9)")
-    common.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP,
-                        help="interpretation enumeration cap")
     common.add_argument("--json", action="store_true",
                         help="machine-readable output")
 
@@ -489,6 +496,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="states where it holds under the interpretation")
     group.add_argument("--forall", action="store_true",
                        help="brute-force universal quantification")
+    sp.add_argument("--enum-cap", type=int, default=None,
+                    help="interpretation enumeration cap (--forall only)")
     sp.add_argument("formula")
 
     sp = sub.add_parser("check", parents=[common],

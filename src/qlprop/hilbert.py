@@ -63,9 +63,9 @@ from .errors import (
     ThetaNotInjectiveWarning,
     UnknownProperty,
 )
+from .lattice import FinitePoset, OrthoLattice, build_poset, set_label
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .lattice import OrthoLattice
     from .model import Model
 
 __all__ = [
@@ -473,7 +473,7 @@ def certain_states(model: "Model", prop: str) -> frozenset[str]:
     return ann.table.certain(prop)
 
 
-def state_lattice(model: "Model") -> "OrthoLattice":
+def state_lattice(model: "Model") -> OrthoLattice:
     """Ortholattice of certain-state sets of a quantum model.
 
     Requires the declared property subspaces to be closed under
@@ -484,8 +484,6 @@ def state_lattice(model: "Model") -> "OrthoLattice":
     declaration order.  Only the table is kept: the poset is rebuilt, and
     the warnings are issued, on every call.
     """
-    from .lattice import FinitePoset, OrthoLattice, build_poset, set_label
-
     ann = model.hilbert
     if ann is None:
         raise NoHilbertAnnotation("model carries no Hilbert annotation")

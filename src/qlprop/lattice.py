@@ -8,8 +8,11 @@ orthomodularity in the hexagon fixture) can be inspected.
 
 Meet and join tables are computed from the order alone (never from the
 payloads), so callers can compare them with operations computed
-elsewhere.  Tables and law checks are numpy row slabs of at most n x n
-entries, so memory stays O(n^2); laws over pairs cost O(n^2) work.  A
+elsewhere.  Tables and covers are derived once per poset: a
+:class:`FinitePoset` computes its meet and join tables and its cover
+matrix on first use and caches them, and every checker reads that copy.
+Tables and law checks are numpy row slabs of at most n x n entries, so
+memory stays O(n^2); laws over pairs cost O(n^2) work.  A
 law over triples is evaluated for one value of its first variable at a
 time over all n x n values of the others, O(n^3) work in n slabs.
 Distributivity is decided before that, by the fact that a finite
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,7 +54,12 @@ __all__ = [
 
 @dataclass
 class FinitePoset:
-    """A finite partial order over opaque payloads."""
+    """A finite partial order over opaque payloads.
+
+    The order fixes the meet and join tables and the cover matrix; each
+    is derived on first use, cached on the instance and returned
+    read-only.  ``leq`` must not be mutated after construction.
+    """
 
     elements: tuple
     labels: tuple[str, ...]
@@ -67,58 +76,59 @@ class FinitePoset:
                 return i
         raise KeyError(f"element not in poset: {element!r}")
 
-    def lower_mask(self, i: int, j: int) -> np.ndarray:
-        return self.leq[:, i] & self.leq[:, j]
-
-    def meet_index(self, i: int, j: int) -> int | None:
-        mask = self.lower_mask(i, j)
-        if not mask.any():
-            return None
-        below = np.flatnonzero(mask)
-        ok = self.leq[below, :].all(axis=0) & mask
-        hits = np.flatnonzero(ok)
-        return int(hits[0]) if hits.size == 1 else None
-
-    def join_index(self, i: int, j: int) -> int | None:
-        mask = self.leq[i, :] & self.leq[j, :]
-        if not mask.any():
-            return None
-        above = np.flatnonzero(mask)
-        ok = self.leq[:, above].all(axis=1) & mask
-        hits = np.flatnonzero(ok)
-        return int(hits[0]) if hits.size == 1 else None
-
     def bottom_index(self) -> int | None:
-        for i in range(self.n):
-            if self.leq[i, :].all():
-                return i
-        return None
+        hits = np.flatnonzero(self.leq.all(axis=1))
+        return int(hits[0]) if hits.size else None
 
     def top_index(self) -> int | None:
-        for i in range(self.n):
-            if self.leq[:, i].all():
-                return i
-        return None
+        hits = np.flatnonzero(self.leq.all(axis=0))
+        return int(hits[0]) if hits.size else None
+
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+        meet, has_meet = _glb_table(self.leq)
+        join, has_join = _glb_table(self.leq.T)
+        meet.flags.writeable = join.flags.writeable = False
+        hit = _first(~(has_meet & has_join))
+        missing = None if hit is None else (
+            "join" if has_meet[hit] else "meet", *hit)
+        return meet, join, missing
+
+    def meet_join_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Meet and join index tables of the poset, from the order alone.
+
+        Raises :class:`MeetJoinMissing` at the first pair (i, j) in
+        row-major order that lacks a meet or a join, naming the meet when
+        both are missing.
+        """
+        meet, join, missing = self._tables
+        if missing is not None:
+            what, i, j = missing
+            raise MeetJoinMissing(
+                f"no {what} for {self.labels[i]!r} and {self.labels[j]!r}",
+                witness=(i, j))
+        return meet, join
+
+    @cached_property
+    def _covers(self) -> np.ndarray:
+        cm = _cover_matrix(self.leq)
+        cm.flags.writeable = False
+        return cm
 
     def cover_matrix(self) -> np.ndarray:
-        less = self.leq & ~np.eye(self.n, dtype=bool)
-        # counts paths of length two with a BLAS product; each count is
-        # at most n, so exact in float32
-        f = less.astype(np.float32)
-        return less & ~((f @ f) > 0)
+        """Boolean (n, n) matrix: ``[i, j]`` when j covers i."""
+        return self._covers
 
     def covers(self) -> list[tuple[int, int]]:
         """Hasse diagram edges as (lower, upper) index pairs."""
-        cm = self.cover_matrix()
-        return [(int(i), int(j)) for i, j in zip(*np.nonzero(cm))]
+        return [(int(i), int(j)) for i, j in zip(*np.nonzero(self._covers))]
 
     def atom_indices(self) -> list[int]:
         """Elements covering the bottom (requires a bottom)."""
         b = self.bottom_index()
         if b is None:
             return []
-        cm = self.cover_matrix()
-        return [int(j) for j in np.flatnonzero(cm[b, :])]
+        return [int(j) for j in np.flatnonzero(self._covers[b, :])]
 
 
 def set_label(members, order: Sequence) -> str:
@@ -259,23 +269,13 @@ def _glb_table(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return table, has
 
 
-def _meet_join_tables(p: FinitePoset) -> tuple[np.ndarray, np.ndarray]:
-    """Meet and join index tables of a poset, from the order alone.
-
-    Raises :class:`MeetJoinMissing` at the first pair (i, j) in row-major
-    order that lacks a meet or a join, naming the meet when both are
-    missing.
-    """
-    meet, has_meet = _glb_table(p.leq)
-    join, has_join = _glb_table(p.leq.T)
-    hit = _first(~(has_meet & has_join))
-    if hit is not None:
-        i, j = hit
-        what = "join" if has_meet[i, j] else "meet"
-        raise MeetJoinMissing(
-            f"no {what} for {p.labels[i]!r} and {p.labels[j]!r}",
-            witness=(i, j))
-    return meet, join
+def _cover_matrix(leq: np.ndarray) -> np.ndarray:
+    """Cover relation of a partial order: i < j with nothing in between."""
+    less = leq & ~np.eye(leq.shape[0], dtype=bool)
+    # counts paths of length two with a BLAS product; each count is at
+    # most n, so exact in float32
+    f = less.astype(np.float32)
+    return less & ~((f @ f) > 0)
 
 
 def _labels(p: FinitePoset, hit: tuple[int, ...] | None) -> tuple | None:
@@ -289,18 +289,19 @@ def check_boolean(p: FinitePoset) -> LawReport:
     :class:`MeetJoinMissing` otherwise).  Laws checked: boundedness, both
     distributivity directions, existence and uniqueness of complements.
 
-    Cost: the meet and join tables take O(n^3) numpy work in n row
-    slabs of n x n entries, so memory stays O(n^2), and the complement
-    count O(n^2).  Both distributive laws hold exactly when every
-    join-irreducible element is join-prime (Birkhoff 1937; Davey &
-    Priestley 2002, ch. 5), which costs one matrix product for the lower
-    covers and O(n^2 * |J|) for the |J| join-irreducibles.  Only when
-    that fails are the laws evaluated cell by cell, O(n^3) work in n row
-    slabs of n x n entries (one per first variable), to find the
-    witnesses.  A failed law's witness is the lexicographically first
-    violating tuple of element labels.
+    Cost: the meet and join tables, built once per poset, take O(n^3)
+    numpy work in n row slabs of n x n entries, so memory stays O(n^2),
+    and the complement count O(n^2).  Both distributive laws hold
+    exactly when every join-irreducible element is join-prime (Birkhoff
+    1937; Davey & Priestley 2002, ch. 5), which costs one matrix product
+    for the lower covers (also built once per poset) and O(n^2 * |J|)
+    for the |J| join-irreducibles.  Only when that fails are the laws
+    evaluated cell by cell, O(n^3) work in n row slabs of n x n entries
+    (one per first variable), to find the witnesses.  A failed law's
+    witness is the lexicographically first violating tuple of element
+    labels.
     """
-    meet, join = _meet_join_tables(p)
+    meet, join = p.meet_join_tables()
     checks: list[LawCheck] = []
     bot, top = p.bottom_index(), p.top_index()
     checks.append(LawCheck("bounded", bot is not None and top is not None))
@@ -355,7 +356,7 @@ class OrthoLattice:
         if bot is None or top is None:
             raise MeetJoinMissing("ortholattice must be bounded")
         self.bottom, self.top = bot, top
-        want_meet, want_join = _meet_join_tables(p)
+        want_meet, want_join = p.meet_join_tables()
         if not (np.array_equal(self.meet, want_meet)
                 and np.array_equal(self.join, want_join)):
             raise QlpropError(
@@ -372,8 +373,8 @@ class OrthoLattice:
 
 
 def ortho_lattice_from_poset(p: FinitePoset, ortho: Sequence[int]) -> OrthoLattice:
-    """Complete a poset to an ortholattice by computing glb/lub tables."""
-    meet, join = _meet_join_tables(p)
+    """Complete a poset to an ortholattice with its glb/lub tables."""
+    meet, join = p.meet_join_tables()
     return OrthoLattice(p, meet, join, np.asarray(ortho, dtype=int))
 
 

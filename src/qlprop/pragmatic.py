@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from .errors import NotPDecidable
 from .model import Model
 from .quantum import QProposition, QTruth, q_truth
-from .semantics import enumerate_tq_formulas
+from .semantics import DEFAULT_DEPTH_CAP, enumerate_tq_formulas
 from .syntax import (
     A,
     And,
@@ -130,7 +130,8 @@ class PreservationReport:
 
 
 def check_preservation(m: Model, depth: int,
-                       depth_cap: int = 4) -> PreservationReport:
+                       depth_cap: int = DEFAULT_DEPTH_CAP
+                       ) -> PreservationReport:
     """Verify that the assertive translation respects the quantum
     semantics on all formulas up to ``depth``.
 

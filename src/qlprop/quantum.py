@@ -47,6 +47,7 @@ from .hilbert import certain_states, state_lattice
 from .lattice import OrthoLattice
 from .model import Interpretation, Model
 from .semantics import (
+    DEFAULT_DEPTH_CAP,
     enumerate_tq_formulas,
     is_true,
     physical_proposition,
@@ -216,7 +217,8 @@ def q_truth_classical(m: Model, state: str, f: Formula) -> QTruth | None:
     return QTruth.INDETERMINATE
 
 
-def check_tq_equalities(m: Model, depth: int, depth_cap: int = 4,
+def check_tq_equalities(m: Model, depth: int,
+                        depth_cap: int = DEFAULT_DEPTH_CAP,
                         lat: OrthoLattice | None = None) -> dict:
     """Compare formula propositions against state-lattice operations.
 

@@ -11,6 +11,7 @@ import warnings
 import pytest
 
 import qlprop.cli as cli
+import qlprop.lattice as lattice
 from qlprop.cli import main
 from qlprop.errors import ThetaNotInjectiveWarning
 from qlprop.hilbert import Subspace
@@ -219,6 +220,26 @@ def test_eval_prag_refuses_interp(models_dir, capsys):
                   "--interp cannot be used with --lang prag")
 
 
+def _refuses_unread(tmp_path, capsys, argv, message):
+    # the model file does not exist: a refusal made after reading it
+    # would end in ERROR FileNotFound instead
+    model = str(tmp_path / "missing.json")
+    assert main([a.replace("{model}", model) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ERROR QlpropError: {message}\n"
+
+
+def test_eval_refuses_object_with_interp(models_dir, tmp_path, capsys):
+    _refuses_unread(tmp_path, capsys,
+                    ["eval", "--model", "{model}", "--state", "S1",
+                     "--object", "u2", "--interp", "S1=u1", "E(x)"],
+                    "--object cannot be used with --interp")
+    _refuses_eval(models_dir, capsys, ["--object", "o1", "--interp",
+                                       "Sz+=o1", "Ez+(x)"],
+                  "--object cannot be used with --interp")
+
+
 def test_eval_unknown_state(models_dir, capsys):
     assert main(["eval", "--model", str(models_dir / "m_sr.json"),
                  "--state", "S9", "E(x)"]) == 1
@@ -247,6 +268,38 @@ def test_props_forall(models_dir, capsys):
     out = capsys.readouterr().out
     assert "{S1, S2}" in out
     assert "matches per-state form: yes" in out
+
+
+def test_props_forall_enum_cap_is_read(models_dir, capsys):
+    # m_sr has two interpretations
+    assert main(["props", "--model", str(models_dir / "m_sr.json"),
+                 "--forall", "--enum-cap", "1", "E(x)"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ERROR EnumerationCapExceeded: ")
+    assert main(["props", "--model", str(models_dir / "m_sr.json"),
+                 "--forall", "--enum-cap", "2", "E(x)"]) == 0
+    assert capsys.readouterr().out.startswith("{S2}\n")
+
+
+def test_props_refuses_enum_cap_without_forall(tmp_path, capsys):
+    _refuses_unread(tmp_path, capsys,
+                    ["props", "--model", "{model}", "--enum-cap", "5",
+                     "E(x)"],
+                    "--enum-cap requires --forall")
+
+
+@pytest.mark.parametrize("command", [
+    ["parse", "E(x)"], ["eval", "--model", "m.json", "--state", "S1", "E(x)"],
+    ["check", "--model", "m.json", "--suite", "sec3"],
+    ["lattice", "--model", "m.json", "--which", "LS"],
+    ["fixtures"],
+])
+def test_enum_cap_is_a_usage_error_outside_props(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--enum-cap", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --enum-cap 5" in capsys.readouterr().err
 
 
 def test_props_quantum(models_dir, capsys):
@@ -345,6 +398,14 @@ def test_check_cm_assume_cmt_flags_missing_witnesses(models_dir, capsys):
     assert "FAIL every formula testable" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("suite", ["sec3", "qm", "prag"])
+def test_check_refuses_assume_cmt_without_cm(suite, tmp_path, capsys):
+    _refuses_unread(tmp_path, capsys,
+                    ["check", "--model", "{model}", "--suite", suite,
+                     "--assume-cmt"],
+                    "--assume-cmt requires --suite cm")
+
+
 def test_check_qm(models_dir, capsys):
     assert main(["check", "--model", str(models_dir / "m_qbit.json"),
                  "--suite", "qm"]) == 0
@@ -383,6 +444,14 @@ def test_lattice_ls(models_dir, capsys, tmp_path):
     text = dot.read_text()
     assert text.startswith("digraph {\n  rankdir=BT;\n")
     assert '"{Sz+}"' in text
+
+
+@pytest.mark.parametrize("which", ["LS", "testable"])
+def test_lattice_refuses_closed_without_lindenbaum(which, tmp_path, capsys):
+    _refuses_unread(tmp_path, capsys,
+                    ["lattice", "--model", "{model}", "--which", which,
+                     "--closed"],
+                    "--closed requires --which lindenbaum")
 
 
 def test_lattice_testable(models_dir, capsys):
@@ -624,6 +693,29 @@ def test_check_qm_builds_the_state_lattice_once(tmp_path, capsys):
             "properties 'E0' and 'Pp' share the certain-state set; using the first",
         ]
     assert "certain-state map injective: no" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--model", "{models}/m_qbit.json", "--suite", "qm"],
+    ["check", "--model", "{models}/m_qutrit.json", "--suite", "qm"],
+    ["lattice", "--model", "{models}/m_qbit.json", "--which", "LS"],
+    ["check", "--model", "{models}/m_cm.json", "--suite", "cm"],
+])
+def test_a_run_builds_its_poset_tables_and_covers_once(
+        argv, models_dir, monkeypatch, capsys):
+    # one glb/lub table each for the meet and the join, one cover matrix
+    counts = {"_glb_table": 0, "_cover_matrix": 0}
+    for name in counts:
+        real = getattr(lattice, name)
+
+        def counted(leq, name=name, real=real):
+            counts[name] += 1
+            return real(leq)
+
+        monkeypatch.setattr(lattice, name, counted)
+    assert main([a.replace("{models}", str(models_dir)) for a in argv]) == 0
+    capsys.readouterr()
+    assert counts == {"_glb_table": 2, "_cover_matrix": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -138,12 +138,13 @@ _VALUES = {
     "--tol": _value(["1e-9", "0.5", "nan", "-1", "1e-300"]),
     "--enum-cap": _value(["-1", "0", "1", "100"]),
 }
-_COMMON = ["--tol", "--enum-cap", "--json"]
+_COMMON = ["--tol", "--json"]
 _FLAGS_OF = {
     "parse": ["--lang"],
     "eval": ["--model", "--lang", "--state", "--object", "--interp",
              "--qtruth"],
-    "props": ["--model", "--lang", "--physical", "--individual", "--forall"],
+    "props": ["--model", "--lang", "--physical", "--individual", "--forall",
+              "--enum-cap"],
     "check": ["--model", "--suite", "--depth", "--assume-cmt"],
     "lattice": ["--model", "--which", "--depth", "--closed", "--dot"],
     "fixtures": ["--out"],

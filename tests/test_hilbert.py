@@ -24,6 +24,7 @@ from qlprop.errors import (
     NoHilbertAnnotation,
     NonOrthonormalBasis,
     NotOperationClosed,
+    QlpropError,
     RankError,
     SchemaError,
     ThetaNotInjectiveWarning,
@@ -575,6 +576,17 @@ def test_state_lattice_requires_closure():
         hilbert=ann)
     with pytest.raises(NotOperationClosed):
         state_lattice(m)
+
+
+def test_state_lattice_refuses_a_join_that_is_not_the_lub(monkeypatch):
+    # a property table whose join names the left operand: bottom v x is
+    # then bottom, which the order's lub contradicts
+    monkeypatch.setattr(hilbert.PropertyTable, "join", lambda self, e, f: e)
+    with pytest.raises(QlpropError) as exc:
+        state_lattice(m_qbit())
+    assert type(exc.value) is QlpropError
+    assert str(exc.value) == ("meet/join tables disagree with the poset's "
+                              "glb/lub")
 
 
 def test_property_table_is_per_annotation_and_lazy(monkeypatch):

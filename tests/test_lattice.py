@@ -18,10 +18,12 @@ from hypothesis import example, given, settings, strategies as st
 from qlprop.errors import (
     MeetJoinMissing,
     NotAPartialOrder,
+    QlpropError,
     SearchCapExceeded,
 )
 from qlprop.lattice import (
     LawCheck,
+    OrthoLattice,
     build_poset,
     check_boolean,
     check_ortho_modular,
@@ -31,7 +33,8 @@ from qlprop.lattice import (
     ortho_lattice_from_poset,
     powerset_lattice,
 )
-from qlprop.lattice import _join_prime, _meet_join_tables
+import qlprop.lattice as lattice
+from qlprop.lattice import _join_prime
 
 from helpers import (
     oracle_boolean_witnesses,
@@ -49,8 +52,9 @@ def test_build_poset_from_predicate():
     assert p.n == 4
     assert p.bottom_index() == p.index_of(1)
     assert p.top_index() == p.index_of(6)
-    assert p.meet_index(p.index_of(2), p.index_of(3)) == p.index_of(1)
-    assert p.join_index(p.index_of(2), p.index_of(3)) == p.index_of(6)
+    meet, join = p.meet_join_tables()
+    assert meet[p.index_of(2), p.index_of(3)] == p.index_of(1)
+    assert join[p.index_of(2), p.index_of(3)] == p.index_of(6)
 
 
 def test_build_poset_rejects_missing_reflexivity():
@@ -78,8 +82,18 @@ def test_antichain_has_no_bounds():
     p = build_poset([frozenset({1}), frozenset({2})], lambda a, b: a <= b)
     assert p.bottom_index() is None
     assert p.top_index() is None
-    assert p.meet_index(0, 1) is None
-    assert p.join_index(0, 1) is None
+    with pytest.raises(MeetJoinMissing) as exc:
+        p.meet_join_tables()
+    assert exc.value.witness == (0, 1)
+    assert str(exc.value) == (f"no meet for {p.labels[0]!r} "
+                              f"and {p.labels[1]!r}")
+    # with a bottom added the meet exists and the join is still missing
+    p = build_poset([frozenset(), frozenset({1}), frozenset({2})],
+                    lambda a, b: a <= b, labels=["{}", "{1}", "{2}"])
+    with pytest.raises(MeetJoinMissing) as exc:
+        p.meet_join_tables()
+    assert exc.value.witness == (1, 2)
+    assert str(exc.value) == "no join for '{1}' and '{2}'"
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +196,77 @@ def test_hexagon_law_fingerprint():
 
 def test_meet_join_tables_against_nested_scan():
     p = powerset_lattice(["a", "b", "c"])
+    meet, _ = p.meet_join_tables()
     for i in range(p.n):
         for j in range(p.n):
             # independent scan: maximal common lower bound
             lows = [k for k in range(p.n) if p.leq[k][i] and p.leq[k][j]]
             best = max(lows, key=lambda k: int(p.leq.astype(int)[:, k].sum()))
-            assert p.meet_index(i, j) == p.index_of(p.elements[i]
-                                                    & p.elements[j])
+            assert meet[i, j] == p.index_of(p.elements[i] & p.elements[j])
             assert p.elements[best] == p.elements[i] & p.elements[j]
+
+
+# ---------------------------------------------------------------------------
+# what the order determines is derived once per poset
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    calls = []
+    real = getattr(lattice, name)
+    monkeypatch.setattr(lattice, name,
+                        lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_tables_and_covers_are_derived_once(monkeypatch):
+    glb = _count_calls(monkeypatch, "_glb_table")
+    cov = _count_calls(monkeypatch, "_cover_matrix")
+    p = powerset_lattice(["a", "b", "c"])
+    full = frozenset("abc")
+    lat = ortho_lattice_from_poset(
+        p, [p.index_of(full - e) for e in p.elements])
+    check_ortho_modular(lat)
+    check_boolean(p)
+    check_boolean(p)
+    assert len(p.covers()) == 12 and len(p.atom_indices()) == 3
+    assert (len(glb), len(cov)) == (2, 1)
+    meet, join = p.meet_join_tables()
+    assert meet is lat.meet and join is lat.join
+    for table in (meet, join, p.cover_matrix()):
+        with pytest.raises(ValueError):
+            table[0, 0] = table[0, 1]
+    # a missing meet is found once and raised on every request
+    q = build_poset(["a", "b"], np.eye(2, dtype=bool))
+    for _ in range(2):
+        with pytest.raises(MeetJoinMissing):
+            check_boolean(q)
+    assert len(glb) == 4
+
+
+def test_hexagon_builds_its_tables_once(monkeypatch):
+    glb = _count_calls(monkeypatch, "_glb_table")
+    hexagon()
+    assert len(glb) == 2
+
+
+def test_ortho_lattice_from_poset_raises_missing_meet_before_bounds():
+    # an antichain is unbounded as well, but its tables fail first
+    p = build_poset(["a", "b"], np.eye(2, dtype=bool))
+    with pytest.raises(MeetJoinMissing) as exc:
+        ortho_lattice_from_poset(p, [1, 0])
+    assert str(exc.value) == "no meet for 'a' and 'b'"
+
+
+def test_ortho_lattice_refuses_tables_that_disagree_with_the_order():
+    p = powerset_lattice(["a", "b"])
+    meet, join = p.meet_join_tables()
+    wrong = join.copy()
+    wrong[1, 2] = wrong[2, 1] = 1  # {a} v {b} is {a, b}, not {a}
+    with pytest.raises(QlpropError) as exc:
+        OrthoLattice(p, meet, wrong, np.array([3, 2, 1, 0]))
+    assert type(exc.value) is QlpropError
+    assert str(exc.value) == ("meet/join tables disagree with the poset's "
+                              "glb/lub")
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +369,7 @@ def test_meet_join_tables_match_oracle(leq):
     p = _poset(leq)
     meet, join, missing = oracle_tables(leq)
     if missing is None:
-        got_meet, got_join = _meet_join_tables(p)
+        got_meet, got_join = p.meet_join_tables()
         assert got_meet.tolist() == meet
         assert got_join.tolist() == join
         return
