@@ -186,12 +186,12 @@ def cmd_props(args) -> int:
     tol = _tol(args)
     if args.enum_cap is not None and not args.forall:
         raise QlpropError("--enum-cap requires --forall")
+    if args.lang == "ltq" and (args.individual is not None or args.forall):
+        raise QlpropError("quantum formulas support --physical only")
     m = _load(args, tol)
     lines: list[str] = []
     payload: dict = {"command": "props"}
     if args.lang == "ltq":
-        if args.individual is not None or args.forall:
-            raise QlpropError("quantum formulas support --physical only")
         f = parse_tq(args.formula)
         prop = tq_physical_proposition(m, f)
         lines.append(set_label(prop, m.states))
@@ -243,7 +243,7 @@ def _suite_sec3(m: Model, depth: int, out: _Suite):
     full = k.full
     top = k.universe
     formulas = enumerate_formulas(m.properties, depth)
-    vals = [k.profile(f) for f in formulas]
+    vals = k.profiles(formulas)
     props = [full(v) for v in vals]
 
     neg_ok = True
@@ -293,7 +293,7 @@ def _suite_cm(m: Model, depth: int, assume_cmt: bool, out: _Suite):
     k = m.kernel
     top = k.universe
     formulas = enumerate_formulas(m.properties, min(depth, 2))
-    vals = [k.profile(f) for f in formulas]
+    vals = k.profiles(formulas)
     props = [k.full(v) for v in vals]
     # every state block full in the profile or in its complement
     rho_ok = all(p | k.full(top ^ v) == top for v, p in zip(vals, props))

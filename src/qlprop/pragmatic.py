@@ -14,23 +14,30 @@ Q-true there.  Because justification is defined through the preimage,
 the translation preserves the physical preorder and equivalence; the
 preservation checker verifies this exhaustively on enumerated formulas.
 
-The checker computes each enumerated formula's facts once: its
-:class:`~qlprop.quantum.QProposition` (witness, proposition, and the
-orthocomplement's proposition when a state outside it is reached), its
-translation, one :func:`assertive_preimage` round trip, and the
-justification set, the proposition of that preimage.  Per state it then
-tests set membership, and per pair of witness classes it compares two
-propositions and two justification sets.
+The translation and the preimage are each written once, as a one-node
+step (:func:`_assertive_step`, :func:`_preimage_step`) that the
+recursive public functions and the checker share.  The checker fills
+each enumerated formula's facts in enumeration order from its operands'
+entries: its witness (one property-table lookup), its translation (one
+step from the operands' translations) and its round trip (one step from
+the preimages already given back, then a comparison with the formula
+that is one node deep, since the preimage's operands are the formula's
+own operand objects).  The preimage is the formula, so its
+justification set is the proposition of the formula's witness; the
+states where Q-truth and justification disagree are found once per
+witness class and reported per formula, and per pair of classes the
+checker compares two propositions and two justification sets.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .errors import NotPDecidable
 from .model import Model
-from .quantum import QProposition, QTruth, q_truth
+from .quantum import QTruth, _witness_classes, q_truth
 from .semantics import DEFAULT_DEPTH_CAP, enumerate_tq_formulas
 from .syntax import (
     A,
@@ -60,8 +67,12 @@ class Justification(enum.Enum):
         return self.value
 
 
-def to_assertive(f: TQFormula) -> AssertiveFormula:
-    """Translate a quantum formula into the assertive language."""
+def _assertive_step(f: TQFormula, sub) -> AssertiveFormula:
+    """Translate the top node of ``f``; ``sub`` translates a subformula.
+
+    :func:`to_assertive` passes itself; :func:`check_preservation` reads
+    the translations it has already built.
+    """
     if isinstance(f, Atom):
         return Assert(f)
     if isinstance(f, QNot):
@@ -69,14 +80,21 @@ def to_assertive(f: TQFormula) -> AssertiveFormula:
         # the derived-disjunction pattern takes priority over plain N
         if (isinstance(g, And) and isinstance(g.left, QNot)
                 and isinstance(g.right, QNot)):
-            return A(to_assertive(g.left.inner), to_assertive(g.right.inner))
-        return N(to_assertive(g))
+            return A(sub(g.left.inner), sub(g.right.inner))
+        return N(sub(g))
     if isinstance(f, And):
-        return K(to_assertive(f.left), to_assertive(f.right))
+        return K(sub(f.left), sub(f.right))
     raise TypeError(f"not a quantum formula node: {f!r}")
 
 
-def _preimage(af: AssertiveFormula) -> TQFormula:
+def to_assertive(f: TQFormula) -> AssertiveFormula:
+    """Translate a quantum formula into the assertive language."""
+    return _assertive_step(f, to_assertive)
+
+
+def _preimage_step(af: AssertiveFormula, sub) -> TQFormula:
+    """The quantum node that the top node of ``af`` translates; ``sub``
+    gives an assertive subformula's preimage."""
     if isinstance(af, Assert):
         if not isinstance(af.inner, Atom):
             raise NotPDecidable(
@@ -85,13 +103,22 @@ def _preimage(af: AssertiveFormula) -> TQFormula:
                 "fragment")
         return af.inner
     if isinstance(af, N):
-        return QNot(_preimage(af.inner))
+        return QNot(sub(af.inner))
     if isinstance(af, K):
-        return And(_preimage(af.left), _preimage(af.right))
+        return And(sub(af.left), sub(af.right))
     if isinstance(af, A):
-        return QNot(And(QNot(_preimage(af.left)),
-                        QNot(_preimage(af.right))))
+        return QNot(And(QNot(sub(af.left)), QNot(sub(af.right))))
     raise TypeError(f"not an assertive formula node: {af!r}")
+
+
+def _preimage(af: AssertiveFormula) -> TQFormula:
+    return _preimage_step(af, _preimage)
+
+
+def _outside_image(af: AssertiveFormula) -> NotPDecidable:
+    return NotPDecidable(
+        f"{format_prag(af)!r} is not in the image of the assertive "
+        "translation")
 
 
 def assertive_preimage(af: AssertiveFormula) -> TQFormula:
@@ -103,9 +130,7 @@ def assertive_preimage(af: AssertiveFormula) -> TQFormula:
     """
     f = _preimage(af)
     if to_assertive(f) != af:
-        raise NotPDecidable(
-            f"{format_prag(af)!r} is not in the image of the assertive "
-            "translation")
+        raise _outside_image(af)
     return f
 
 
@@ -116,6 +141,46 @@ def justified(m: Model, state: str, af: AssertiveFormula,
     if q_truth(m, state, f, cache) is QTruth.TRUE:
         return Justification.JUSTIFIED
     return Justification.UNJUSTIFIED
+
+
+def _translations(formulas) -> Iterator[AssertiveFormula]:
+    """Yield the translation of each enumerated formula, in order, once
+    its round trip has given the formula back.
+
+    ``formulas`` is an :class:`~qlprop.semantics.Enumeration`, so every
+    subformula comes before the formulas built on it.  A translation is
+    one :func:`_assertive_step` from its subformulas' translations, and
+    the preimage one :func:`_preimage_step` from the preimages already
+    given back, which are the formula's own subformula objects.  The
+    preimage is then compared with the formula: a new node over the
+    same operand objects, so the comparison is one node deep (a
+    dataclass compares its fields as a tuple, and tuple comparison
+    passes identical items without comparing them).  An atom's
+    preimage is the atom itself, so there is nothing to compare.  A
+    preimage that differs raises :class:`NotPDecidable`, as
+    :func:`assertive_preimage` would.
+    """
+    translation: dict[int, AssertiveFormula] = {}  # by id of the formula
+    preimage: dict[int, TQFormula] = {}  # by id of the translation
+
+    def translated(g: TQFormula) -> AssertiveFormula:
+        return translation[id(g)]
+
+    def given_back(ag: AssertiveFormula) -> TQFormula:
+        return preimage[id(ag)]
+
+    # only an operand's entries are read again (the A pattern reads an
+    # operand of an operand)
+    operands = {c for kids in formulas.children for c in kids}
+    for i, f in enumerate(formulas):
+        af = _assertive_step(f, translated)
+        pre = _preimage_step(af, given_back)
+        if pre is not f and pre != f:
+            raise _outside_image(af)
+        if i in operands:
+            translation[id(f)] = af
+            preimage[id(af)] = f
+        yield af
 
 
 @dataclass
@@ -140,38 +205,39 @@ def check_preservation(m: Model, depth: int,
     classes, that the physical preorder between formulas matches the
     state-wise justification implication between their translations.
     """
-    cache: dict = {}
     formulas = enumerate_tq_formulas(m.properties, depth, depth_cap)
-    report = PreservationReport(formulas=len(formulas), classes=0)
-    props = [QProposition(m, f, cache) for f in formulas]
-    reps: dict[str, int] = {}
-    for i, p in enumerate(props):
-        reps.setdefault(p.witness, i)
-    report.classes = len(reps)
+    witnesses, first, props = _witness_classes(m, formulas)
+    report = PreservationReport(formulas=len(formulas), classes=len(props))
 
-    # where each formula's translation is justified: the states where its
-    # preimage is Q-true, which is the preimage's proposition
-    justified_at: list[frozenset[str]] = []
-    for f, p in zip(formulas, props):
-        # one round trip per formula; to_assertive is injective, so the
-        # preimage is f again and the round trip never raises
-        pre = assertive_preimage(to_assertive(f))
-        just = QProposition(m, pre, cache).states
-        justified_at.append(just)
-        for s in m.states:
-            qt = p.truth(s)
-            if (qt is QTruth.TRUE) != (s in just):
-                j = (Justification.JUSTIFIED if s in just
-                     else Justification.UNJUSTIFIED)
-                report.counterexamples.append(
-                    ("truth", format_tq(f), s, str(qt), str(j)))
+    # Q-truth and justification depend on the witness only: the preimage
+    # is the formula, so its justification set, the states where it is
+    # Q-true, is the proposition of the formula's witness.  The states
+    # where the two disagree are found once per class and reported per
+    # formula.
+    justified_at: dict[str, frozenset[str]] = {}
+    mismatches: dict[str, list[tuple[str, str, str]]] = {}
+    # each formula's round trip runs as the loop reaches the formula
+    for f, e, _ in zip(formulas, witnesses, _translations(formulas)):
+        bad = mismatches.get(e)
+        if bad is None:
+            p = props[e]
+            just = justified_at[e] = p.states
+            bad = mismatches[e] = []
+            for s in m.states:
+                qt = p.truth(s)
+                if (qt is QTruth.TRUE) != (s in just):
+                    j = (Justification.JUSTIFIED if s in just
+                         else Justification.UNJUSTIFIED)
+                    bad.append((s, str(qt), str(j)))
+        report.counterexamples.extend(
+            ("truth", format_tq(f), *b) for b in bad)
 
-    for a in reps.values():
-        for b in reps.values():
+    for a, ia in first.items():
+        for b, ib in first.items():
             phys = props[a].states <= props[b].states
             af_leq = justified_at[a] <= justified_at[b]
             if phys != af_leq:
                 report.counterexamples.append(
-                    ("preorder", format_tq(formulas[a]),
-                     format_tq(formulas[b]), phys, af_leq))
+                    ("preorder", format_tq(formulas[ia]),
+                     format_tq(formulas[ib]), phys, af_leq))
     return report

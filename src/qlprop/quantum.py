@@ -11,8 +11,8 @@ annotation's :class:`~qlprop.hilbert.PropertyTable`: the subspace
 operation behind an entry runs at most once per annotation, on the
 first formula that needs it, and its result is matched to a declared
 property by the ``Subspace.__eq__`` rule (mutual containment within
-tolerance).  The optional ``cache`` arguments only memoise the walk
-from formula to witness.
+tolerance).  The optional ``cache`` arguments of the single-formula
+functions only memoise the walk from formula to witness.
 
 Q-truth is three-valued: a formula is Q-true at a state lying in its
 proposition, Q-false at a state lying in the proposition's
@@ -24,12 +24,14 @@ property.
 A :class:`QProposition` holds one formula's facts: its witness, its
 proposition and, looked up when a state outside the proposition is
 first asked about, the orthocomplement's proposition.  :func:`q_truth`
-builds one per query.  :func:`check_tq_equalities` builds one per
-enumerated formula, so the witness walk, with its cache lookup that
-hashes the whole formula tree, runs once per formula; after that, the
-negation law is two poset-index lookups per formula, and each pair of
-witness classes reduces its conjunction and join over the classes'
-witness atoms instead of over the formula trees.
+builds one per query.  The checkers do not walk formula trees: the
+enumeration records each formula's operands by index, so the witnesses
+are filled in enumeration order, one property-table lookup per formula
+from its operands' witnesses (atoms go through :func:`witness_property`).
+They then build one :class:`QProposition` per distinct witness.
+:func:`check_tq_equalities` decides the negation law once per witness
+class and reports it per formula, and each pair of classes reduces its
+conjunction and join over the classes' witness atoms.
 """
 
 from __future__ import annotations
@@ -217,6 +219,33 @@ def q_truth_classical(m: Model, state: str, f: Formula) -> QTruth | None:
     return QTruth.INDETERMINATE
 
 
+def _witness_classes(m: Model, formulas) -> tuple[list[str], dict, dict]:
+    """Each enumerated formula's witness; each distinct witness with the
+    index of its first formula; and one :class:`QProposition` per
+    distinct witness.  Both dicts run in order of first appearance.
+
+    ``formulas`` is an :class:`~qlprop.semantics.Enumeration`: each
+    witness is filled in enumeration order from its operands' entries,
+    one property-table lookup per formula, as :func:`witness_property`
+    recurses (atoms go through it).  A formula's only new lookup is its
+    own, so a missing operation raises at the first formula that needs
+    it, as the recursion would.
+    """
+    table = _hilbert(m).table
+    w: list[str] = []
+    for f, kids in zip(formulas, formulas.children):
+        if isinstance(f, And):
+            w.append(table.meet(w[kids[0]], w[kids[1]]))
+        elif isinstance(f, QNot):
+            w.append(table.ortho(w[kids[0]]))
+        else:
+            w.append(witness_property(m, f))
+    first: dict[str, int] = {}
+    for i, e in enumerate(w):
+        first.setdefault(e, i)
+    return w, first, {e: QProposition(m, Atom(e)) for e in first}
+
+
 def check_tq_equalities(m: Model, depth: int,
                         depth_cap: int = DEFAULT_DEPTH_CAP,
                         lat: OrthoLattice | None = None) -> dict:
@@ -236,22 +265,25 @@ def check_tq_equalities(m: Model, depth: int,
     """
     if lat is None:
         lat = state_lattice(m)
-    cache: dict = {}
     formulas = enumerate_tq_formulas(m.properties, depth, depth_cap)
-    props = [QProposition(m, f, cache) for f in formulas]
-    reps: dict[str, int] = {}
-    for i, p in enumerate(props):
-        reps.setdefault(p.witness, i)
+    witnesses, first, props = _witness_classes(m, formulas)
     index_of = lat.poset.index_of
 
     neg_bad, conj_bad, join_bad = [], [], []
-    for f, p in zip(formulas, props):
-        if index_of(p.neg) != lat.ortho[index_of(p.states)]:
+    # the negation law depends on the witness only: decided once per
+    # class, when its first formula is reached, and reported per formula
+    neg_ok: dict[str, bool] = {}
+    for f, w in zip(formulas, witnesses):
+        ok = neg_ok.get(w)
+        if ok is None:
+            p = props[w]
+            ok = neg_ok[w] = index_of(p.neg) == lat.ortho[index_of(p.states)]
+        if not ok:
             neg_bad.append(format_tq(f))
     # a pair's conjunction and join reduce through the operands'
     # witnesses, so they are built over witness atoms, not the formulas
-    classes = [(formulas[i], Atom(props[i].witness), props[i].states,
-                index_of(props[i].states)) for i in reps.values()]
+    classes = [(formulas[i], Atom(w), props[w].states, index_of(props[w].states))
+               for w, i in first.items()]
     strict = None
     for a, wa, pa, ia in classes:
         for b, wb, pb, ib in classes:
@@ -268,7 +300,7 @@ def check_tq_equalities(m: Model, depth: int,
                 strict = (format_tq(a), format_tq(b))
     return {
         "formulas": len(formulas),
-        "classes": len(reps),
+        "classes": len(props),
         "negation": neg_bad,
         "conjunction": conj_bad,
         "join": join_bad,

@@ -32,6 +32,14 @@ The public functions keep their frozenset signatures and decode at this
 boundary; there is no second evaluator beside the kernel (the bit
 tricks are those of Knuth, *TAOCP* 4A, section 7.1.3).
 
+The enumeration (:func:`enumerate_formulas`,
+:func:`enumerate_tq_formulas`) builds every formula from operands it
+has already built, and returns an :class:`Enumeration`: the formulas in
+canonical order, with ``children`` giving each one's operand indices.
+Checkers fill a per-formula fact as an array in that order, one step
+from the operands' entries (:meth:`ProfileKernel.profiles` for the
+classical profile), instead of walking each formula's tree again.
+
 :meth:`LTAlgebra.closed` runs the closure semi-naively (Bancilhon 1986;
 Abiteboul, Hull & Vianu, *Foundations of Databases*, ch. 13).  A round
 complements only the members not complemented before, and combines only
@@ -44,6 +52,7 @@ the same order, with the same representatives.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +75,8 @@ __all__ = [
     "extension_profile",
     "logical_leq", "logical_equiv", "physical_leq", "physical_equiv",
     "testable_witness", "testable_proposition_poset", "forall_proposition",
-    "enumerate_formulas", "LTClass", "LTAlgebra", "lindenbaum_tarski",
+    "enumerate_formulas", "Enumeration", "LTClass", "LTAlgebra",
+    "lindenbaum_tarski",
 ]
 
 DEFAULT_DEPTH_CAP = 4
@@ -144,6 +154,24 @@ class ProfileKernel:
         if isinstance(f, Or):
             return self.profile(f.left) | self.profile(f.right)
         raise TypeError(f"not a classical formula node: {f!r}")
+
+    def profiles(self, formulas: "Enumeration") -> list[int]:
+        """The profile of every enumerated formula, in order, each one
+        step from its operands' entries (see :meth:`profile`)."""
+        top = self.universe
+        out: list[int] = []
+        for f, kids in zip(formulas, formulas.children):
+            if isinstance(f, Atom):
+                out.append(self.atom(f.prop))
+            elif isinstance(f, Not):
+                out.append(top ^ out[kids[0]])
+            elif isinstance(f, And):
+                out.append(out[kids[0]] & out[kids[1]])
+            elif isinstance(f, Or):
+                out.append(out[kids[0]] | out[kids[1]])
+            else:
+                raise TypeError(f"not a classical formula node: {f!r}")
+        return out
 
     def full(self, v: int) -> int:
         """The union of the state blocks that ``v`` covers entirely."""
@@ -304,38 +332,100 @@ def check_depth(depth: int) -> None:
         raise InvalidDepth(f"depth {depth} is below 1; atoms have depth 1")
 
 
+class Enumeration(list):
+    """Enumerated formulas in canonical order, with their operands' indices.
+
+    ``children[i]`` is the tuple of indices of the formulas that item
+    ``i`` was built from: ``()`` for an atom, ``(c,)`` for a negation and
+    ``(l, r)`` for a binary node.  Every operand comes before the node,
+    and ``items[i]`` holds the very objects ``items[c]`` as its operands,
+    so a per-formula fact can be filled in enumeration order, one step
+    from its operands' entries.  The indices are kept as two ``int32``
+    columns (-1 where there is no operand), 8 bytes a formula.  They
+    describe the list as enumerated: mutating the list invalidates them.
+    """
+
+    __slots__ = ("_first", "_second")
+
+    @property
+    def children(self) -> "_Children":
+        return _Children(self._first, self._second)
+
+
+class _Children(Sequence):
+    """A read-only view of an :class:`Enumeration`'s operand indices."""
+
+    __slots__ = ("_first", "_second")
+
+    def __init__(self, first: np.ndarray, second: np.ndarray):
+        self._first = first
+        self._second = second
+
+    def __len__(self) -> int:
+        return len(self._first)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        return self._entry(int(self._first[i]), int(self._second[i]))
+
+    def __iter__(self):
+        entry = self._entry
+        for a, b in zip(self._first.tolist(), self._second.tolist()):
+            yield entry(a, b)
+
+    @staticmethod
+    def _entry(a: int, b: int) -> tuple[int, ...]:
+        if a < 0:
+            return ()
+        return (a,) if b < 0 else (a, b)
+
+
 def _enumerate(properties, depth: int, depth_cap: int, unary, binary):
     check_depth(depth)
     if depth > depth_cap:
         raise DepthCapExceeded(
             f"depth {depth} exceeds the cap {depth_cap}")
-    items: list = [Atom(p) for p in properties]
-    depths: list[int] = [1] * len(items)
-    for d in range(2, depth + 1):
-        prev_end = len(items)
+    items = Enumeration(Atom(p) for p in properties)
+    first = [np.full(len(items), -1, np.int32)]
+    second = [np.full(len(items), -1, np.int32)]
+    # the formulas of depth d - 1 are exactly items[lo:hi], so a pair has
+    # depth d when its first member lies there or, if not, its second:
+    # each i < lo pairs with [lo, hi), each later i with [0, hi)
+    lo = 0
+    for _ in range(2, depth + 1):
+        hi = len(items)
+        below = items[:hi]
+        top = np.arange(lo, hi, dtype=np.int32)
+        every = np.arange(hi, dtype=np.int32)
         for ctor in unary:
-            for i in range(prev_end):
-                if depths[i] == d - 1:
-                    items.append(ctor(items[i]))
-                    depths.append(d)
+            items += [ctor(f) for f in below[lo:]]
+            first.append(top)
+            second.append(np.full(hi - lo, -1, np.int32))
         for ctor in binary:
-            for i in range(prev_end):
-                for j in range(prev_end):
-                    if max(depths[i], depths[j]) == d - 1:
-                        items.append(ctor(items[i], items[j]))
-                        depths.append(d)
+            for i, a in enumerate(below):
+                items += [ctor(a, b) for b in below[0 if i >= lo else lo:]]
+            first.append(np.repeat(every, [hi - lo] * lo + [hi] * (hi - lo)))
+            second.append(np.concatenate([np.tile(top, lo),
+                                          np.tile(every, hi - lo)]))
+        lo = hi
+    items._first = np.concatenate(first)
+    items._second = np.concatenate(second)
     return items
 
 
 def enumerate_formulas(properties, depth: int,
-                       depth_cap: int = DEFAULT_DEPTH_CAP) -> list[Formula]:
-    """All classical formulas over ``properties`` up to AST depth."""
+                       depth_cap: int = DEFAULT_DEPTH_CAP) -> Enumeration:
+    """All classical formulas over ``properties`` up to AST depth, as an
+    :class:`Enumeration` (a list that also records each formula's
+    operands by index)."""
     return _enumerate(properties, depth, depth_cap, [Not], [And, Or])
 
 
 def enumerate_tq_formulas(properties, depth: int,
-                          depth_cap: int = DEFAULT_DEPTH_CAP) -> list:
-    """All quantum formulas (atoms, quantum negation, conjunction)."""
+                          depth_cap: int = DEFAULT_DEPTH_CAP) -> Enumeration:
+    """All quantum formulas (atoms, quantum negation, conjunction), as an
+    :class:`Enumeration`."""
     return _enumerate(properties, depth, depth_cap, [QNot], [And])
 
 
@@ -464,8 +554,8 @@ def lindenbaum_tarski(m: Model, depth: int,
     k = m.kernel
     reps: dict[int, Formula] = {}
     counts: dict[int, int] = {}
-    for f in enumerate_formulas(m.properties, depth, depth_cap):
-        v = k.profile(f)
+    formulas = enumerate_formulas(m.properties, depth, depth_cap)
+    for f, v in zip(formulas, k.profiles(formulas)):
         if v not in reps:
             reps[v] = f
             counts[v] = 0

@@ -332,6 +332,16 @@ def test_props_quantum_rejects_individual(models_dir, capsys):
     assert "ERROR" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--forall"], ["--individual", "Sz+=o1"]],
+                         ids=["forall", "individual"])
+def test_props_quantum_refuses_other_flags_before_reading_the_model(
+        tmp_path, capsys, flag):
+    _refuses_unread(tmp_path, capsys,
+                    ["props", "--model", "{model}", "--lang", "ltq", *flag,
+                     "Ez+(x)"],
+                    "quantum formulas support --physical only")
+
+
 def test_props_json(models_dir, capsys):
     assert main(["props", "--json", "--model", str(models_dir / "m_sr.json"),
                  "E(x)"]) == 0
