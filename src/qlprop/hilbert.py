@@ -14,13 +14,22 @@ product.  ``contains(a, b)`` applies it to the basis rows of ``b``, and
 the bases as the rows of A and B, their residuals against ``b`` are the
 singular values of R = A - (A B^H) B, and the left singular vectors with
 singular value at most ``tol``, mapped back through A, span the meet
-(principal angles; Bjorck & Golub, Math. Comp. 1973).  ``Subspace.span``
-(and ``join``, the span of both bases) is modified Gram-Schmidt, which
-keeps a vector ``v`` when its residual against the rows kept so far
-exceeds ``tol * max(1, |v|)``.  ``ortho(a)`` takes the trailing rows of
-one full SVD of ``a``'s basis, so its rank is ``dim - rank(a)`` exactly.
+(principal angles; Bjorck & Golub, Math. Comp. 1973).  ``join(a, b)`` is
+its dual: ``a``'s rows, then the right singular vectors of R = B -
+(B A^H) A with singular value above ``tol``, re-orthogonalised against
+``a`` (Golub & Van Loan, Matrix Computations, 4th ed., section 6.4).
+Both count the principal angles of the pair, so ``join(a, b)`` and
+``join(b, a)`` have one rank, and ``contains(b, a)`` gives ``join(a, b)
+== b`` wherever the angles lie clear of ``tol``.  ``ortho(a)`` takes the
+trailing rows of one full SVD of ``a``'s basis, so its rank is ``dim -
+rank(a)`` exactly.  Each of the three is written once, as a kernel over
+stacked bases (k, r, dim); :func:`ortho`, :func:`meet` and :func:`join`
+call it with a stack of one, and :func:`closure_generate` and the
+property table with all the operations they need at once.
 
-``span`` keeps the order of its vectors: each row is the next vector
+``Subspace.span`` is modified Gram-Schmidt, which keeps a vector ``v``
+when its residual against the rows kept so far exceeds ``tol * max(1,
+|v|)``.  It keeps the order of its vectors: each row is the next vector
 with its part along the earlier rows removed.  Declared vectors thus
 come back as basis rows, and a dumped model loads and dumps again to
 the same bytes; an SVD would rotate the rows on every round trip.
@@ -33,12 +42,16 @@ certain for each property.  The table is created on first use and filled
 lazily, so every fact is computed at most once per annotation and only
 when something asks for it; loading or building a model computes none.
 A subspace result maps to the first declared property equal to it under
-``Subspace.__eq__``.  The table groups the declared subspaces by rank the
-first time a rank is asked for, and compares a result only with its rank
-group, in one batched residual (the reverse direction only for the
-subspaces that pass it); ``certain`` tests all state rays in one
-residual.  :func:`certain_states`, :func:`state_lattice` and
-the quantum-language semantics all read the same table.
+``Subspace.__eq__``.  :meth:`PropertyTable.realise` computes the missing
+entries of many keys at once, stacking their operations by kind and
+operand ranks; it then groups the results by rank and decides each
+group against the declared subspaces of that rank in one mutual
+containment matrix, both directions at once (:func:`_equal_matrix`, the
+batch that also finds a model's first equal pair of declared
+subspaces).  A single lookup that misses realises its one key.
+``certain`` tests all state rays in one residual.
+:func:`certain_states`, :func:`state_lattice` and the quantum-language
+semantics all read the same table.
 """
 
 from __future__ import annotations
@@ -47,7 +60,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -242,7 +255,7 @@ def _check_dims(a: Subspace, b: Subspace):
 
 # At most about this many complex entries of R are formed at once when
 # many subspaces are compared pairwise, so memory stays small.
-_BLOCK = 1 << 16
+_BLOCK = 1 << 10
 
 
 def _residual_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -254,11 +267,13 @@ def _residual_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     inside when its norm is not above the tolerance.
     """
     if a.ndim == b.ndim == 2:  # ndarray.dot: the same product, called faster
-        r = b - b.dot(a.conj().T).dot(a)
+        r = b.dot(a.conj().T).dot(a)
     else:
-        r = b - (b @ a.conj().swapaxes(-1, -2)) @ a
-    x = r.view(float)
-    return np.sqrt((x * x).sum(-1))
+        r = (b @ a.conj().swapaxes(-1, -2)) @ a
+    # in place, so that one (..., m, dim) array is held at a time
+    x = np.subtract(b, r, out=r).view(float)
+    x *= x
+    return np.sqrt(x.sum(-1))
 
 
 def _outside(norms: np.ndarray, tol: float) -> bool:
@@ -266,37 +281,45 @@ def _outside(norms: np.ndarray, tol: float) -> bool:
     return any(map(float(tol).__lt__, norms.tolist()))
 
 
+def _equal_matrix(bases: np.ndarray, tols: np.ndarray) -> np.ndarray:
+    """Which of the stacked same-rank bases ``bases`` (n, rank, dim), with
+    tolerances ``tols`` (n,), span equal subspaces: the (n, n) matrix of
+    mutual containment, each pair at the larger of its tolerances.
+
+    It is decided in one batched residual (in blocks of ``_BLOCK``
+    entries): all rows against each basis, so that entry ``[i, j]`` first
+    holds the residuals of ``j``'s rows against ``i``'s basis.
+    """
+    n, rank, dim = bases.shape
+    rows = bases.reshape(n * rank, dim)
+    step = max(1, _BLOCK // max(1, rows.size))
+    parts = []
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        norms = _residual_norms(bases[lo:hi], rows).reshape(hi - lo, n, rank)
+        tol = np.maximum(tols[lo:hi, None], tols)
+        parts.append((norms > tol[..., None]).any(-1))
+    outside = np.concatenate(parts)
+    return ~(outside | outside.T)
+
+
 def _first_equal_pair(subspaces: Sequence[Subspace]) -> tuple[int, int] | None:
     """The first pair ``(i, j)`` in ``itertools.combinations`` order with
     ``subspaces[i] == subspaces[j]``, or None.  All live in one dimension.
-
-    Each group of equal rank is decided in one batched residual (in
-    blocks of ``_BLOCK`` entries): all rows of the group against each
-    basis, so that entry ``[i, j]`` holds the residuals of ``j``'s rows
-    against ``i``'s basis.
+    Each group of equal rank is decided in one :func:`_equal_matrix`.
     """
     groups: dict[int, list[int]] = {}
     for i, s in enumerate(subspaces):
         groups.setdefault(s.rank, []).append(i)
     first = None
     for idx in groups.values():
-        k = len(idx)
-        if k < 2:
+        if len(idx) < 2:
             continue
-        bases = np.array([subspaces[i].basis for i in idx])
-        _, rank, dim = bases.shape
-        rows = bases.reshape(k * rank, dim)
-        tols = np.array([subspaces[i].tol for i in idx])
-        step = max(1, _BLOCK // max(1, rows.size))
-        outside = np.empty((k, k), dtype=bool)
-        for lo in range(0, k, step):
-            hi = min(lo + step, k)
-            norms = _residual_norms(bases[lo:hi], rows).reshape(hi - lo, k, rank)
-            tol = np.maximum(tols[lo:hi, None], tols[None, :])
-            outside[lo:hi] = (norms > tol[..., None]).any(-1)
+        equal = _equal_matrix(np.array([subspaces[i].basis for i in idx]),
+                              np.array([subspaces[i].tol for i in idx]))
         # nonzero lists the equal pairs row by row, so the first with
         # i < j is the group's first; idx keeps declaration order
-        ii, jj = np.nonzero(~(outside | outside.T))
+        ii, jj = np.nonzero(equal)
         pair = next(((idx[i], idx[j]) for i, j in zip(ii.tolist(), jj.tolist())
                      if i < j), None)
         if pair and (first is None or pair < first):
@@ -310,27 +333,112 @@ def contains(a: Subspace, b: Subspace) -> bool:
     return not _outside(_residual_norms(a.basis, b.basis), max(a.tol, b.tol))
 
 
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """Equal-shape arrays stacked along a new first axis (one is viewed,
+    not copied)."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
+# Each kernel below computes one operation on a stack of k bases (k, r,
+# dim) and returns candidate rows (k, c, dim) with the bounds lo and hi of
+# the rows that span each result.  Singular values come sorted in
+# descending order, so the rows a rule keeps are always contiguous.
+
+
+def _ortho_rows(a: np.ndarray) -> tuple[np.ndarray, list, list]:
+    """Orthocomplements: the trailing ``dim - r`` right singular vectors
+    of each basis."""
+    _, _, vh = np.linalg.svd(a)
+    k, r, dim = a.shape
+    return vh, [r] * k, [dim] * k
+
+
+def _meet_rows(a: np.ndarray, b: np.ndarray,
+               tol: list[float]) -> tuple[np.ndarray, list, list]:
+    """Meets of the pairs ``a`` (k, ra, dim) and ``b`` (k, rb, dim) at the
+    tolerances ``tol`` (k of them): the rows U^H A whose singular value of R =
+    A - (A B^H) B = U S V^H is at most tol."""
+    resid = a - (a @ b.conj().swapaxes(-1, -2)) @ b
+    u, sv, _ = np.linalg.svd(resid, full_matrices=False)
+    ra = a.shape[1]
+    lo = [ra - sum(x <= t for x in row) for row, t in zip(sv.tolist(), tol)]
+    return u.conj().swapaxes(-1, -2) @ a, lo, [ra] * len(a)
+
+
+def _join_rows(a: np.ndarray, b: np.ndarray,
+               tol: list[float]) -> tuple[np.ndarray, list, list]:
+    """Joins of the pairs ``a`` (k, ra, dim) and ``b`` (k, rb, dim) at the
+    tolerances ``tol`` (k of them): ``a``'s rows, then the right singular
+    vectors V^H of R = B - (B A^H) A = U S V^H whose singular value
+    exceeds tol.
+
+    A vector of V^H with singular value s keeps a part of about eps/s
+    along ``a``, so the kept ones are re-orthogonalised against ``a``, W
+    = V^H - (V^H A^H) A, and the others zeroed.  That leaves W off
+    orthonormal by E = W W^H - I, of order (eps/tol)^2, and W - E W / 2
+    = (3 W - W W^H W) / 2 takes out its first order.
+    """
+    ah = a.conj().swapaxes(-1, -2)
+    _, sv, vh = np.linalg.svd(b - (b @ ah) @ a, full_matrices=False)
+    keep = sv > np.array(tol)[:, None]
+    w = (vh - (vh @ ah) @ a) * keep[..., None]
+    w = 1.5 * w - 0.5 * (w @ w.conj().swapaxes(-1, -2)) @ w
+    ra = a.shape[1]
+    return (np.concatenate([a, w], -2), [0] * len(a),
+            [ra + sum(row) for row in keep.tolist()])
+
+
+def _stacked(ops: Sequence[tuple]) -> Iterator[tuple[list, list]]:
+    """The results of ``ops``, one stacked kernel call at a time: each op
+    is ``("ortho", a, None)``, ``("meet", a, b)`` or ``("join", a, b)``,
+    and the ops of one kind on operands of the same shapes share a call.
+    Yields each call's op indices and results; a result's tolerance is
+    its operands' largest."""
+    groups: dict[tuple, list[tuple]] = {}
+    for i, (op, a, b) in enumerate(ops):
+        shapes = (op, a.basis.shape, b is not None and b.basis.shape)
+        groups.setdefault(shapes, []).append((i, a, b))
+    for (op, _, _), group in groups.items():
+        a = _stack([x[1].basis for x in group])
+        if op == "ortho":
+            tols = [x[1].tol for x in group]
+            rows, lo, hi = _ortho_rows(a)
+        else:
+            b = _stack([x[2].basis for x in group])
+            tols = [max(x[1].tol, x[2].tol) for x in group]
+            kernel = _meet_rows if op == "meet" else _join_rows
+            rows, lo, hi = kernel(a, b, tols)
+        yield [x[0] for x in group], [
+            Subspace._of_rows(r[start:stop], tol)
+            for r, start, stop, tol in zip(rows, lo, hi, tols)]
+
+
+def _operate(ops: Sequence[tuple]) -> list[Subspace]:
+    """The results of ``ops`` (see :func:`_stacked`), in order."""
+    out: list[Subspace] = [None] * len(ops)  # type: ignore[list-item]
+    for idx, results in _stacked(ops):
+        for i, r in zip(idx, results):
+            out[i] = r
+    return out
+
+
 def ortho(a: Subspace) -> Subspace:
     """Orthogonal complement, of rank exactly ``dim - rank(a)``."""
-    _, _, vh = np.linalg.svd(a.basis)
-    return Subspace._of_rows(vh[a.rank:], a.tol)
+    return _operate([("ortho", a, None)])[0]
 
 
 def join(a: Subspace, b: Subspace) -> Subspace:
-    """Closed span of the union."""
+    """Closed span of the union: ``a``'s rows, then the directions of
+    ``b`` whose residuals against ``a`` exceed tol."""
     _check_dims(a, b)
-    return Subspace.span(np.vstack([a.basis, b.basis]), a.dim,
-                         max(a.tol, b.tol))
+    return _operate([("join", a, b)])[0]
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection: the directions U^H A of ``a`` whose residuals against
-    ``b``, the singular values of R = A - (A B^H) B = U S V^H, are <= tol."""
+    """Intersection: the directions of ``a`` whose residuals against
+    ``b`` are at most tol."""
     _check_dims(a, b)
-    tol = max(a.tol, b.tol)
-    resid = a.basis - (a.basis @ b.basis.conj().T) @ b.basis
-    u, sv, _ = np.linalg.svd(resid, full_matrices=False)
-    return Subspace._of_rows(u[:, sv <= tol].conj().T @ a.basis, tol)
+    return _operate([("meet", a, b)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +463,28 @@ class HilbertAnnotation:
         return PropertyTable(self)
 
 
+def _not_closed(key: tuple):
+    *operands, op = key
+    what = "complement" if op == "ortho" else op
+    raise NotOperationClosed(
+        f"no property realises the {what} of "
+        + " and ".join(map(repr, operands)), witness=key)
+
+
 class PropertyTable:
     """Lazily filled subspace facts of one annotation's properties.
 
     ``ortho(e)``, ``meet(e, f)`` and ``join(e, f)`` name the declared
     property realising the operation on the operands' subspaces;
     ``certain(e)`` is the set of states whose ray lies in ``e``'s
-    subspace.  Every entry is computed on its first lookup and kept,
-    including a missing operation result: that lookup and every later
-    one raise the same :class:`NotOperationClosed`.  Operands must be
-    declared properties.
+    subspace.  Every entry is computed once and kept, including a missing
+    operation result: every lookup of it raises the same
+    :class:`NotOperationClosed`.  Operands must be declared properties.
+
+    An operation entry is named by its key, ``(e, "ortho")`` or ``(e, f,
+    op)``, which is also the error's witness.  :meth:`realise` computes
+    the missing entries of many keys at once; a lookup reads its entry
+    and, on a miss, realises its one key.
     """
 
     def __init__(self, ann: HilbertAnnotation):
@@ -373,8 +493,10 @@ class PropertyTable:
         # the cyclic garbage collector frees
         self._subspaces = ann.property_subspaces
         self._rays = ann.state_rays
-        # keyed by the NotOperationClosed witness: (e, "ortho") or (e, f, op)
-        self._realised: dict[tuple, str | None] = {}
+        # e -> name, and e -> f -> name; None where no property realises it
+        self._ortho: dict[str, str | None] = {}
+        self._meet: dict[str, dict[str, str | None]] = {}
+        self._join: dict[str, dict[str, str | None]] = {}
         self._certain: dict[str, frozenset[str]] = {}
         # rank -> declared names, stacked bases, tolerances
         self._groups: dict[int, tuple] = {}
@@ -391,47 +513,97 @@ class PropertyTable:
             self._groups[rank] = group
             return group
 
-    def _property_of(self, target: Subspace) -> str | None:
-        """The first declared property whose subspace equals ``target``.
+    def _property_of(self, targets: Sequence[Subspace]) -> list[str | None]:
+        """The first declared property whose subspace equals each target;
+        the targets share one rank.
 
-        ``target``'s rows are tested against its whole rank group in one
-        batched residual; the other direction is tested only for the
-        subspaces that contain them, in declaration order, as there are
-        rarely more than one.
+        The targets are decided with their rank group in one
+        :func:`_equal_matrix` of the group and the targets together, which
+        tests both directions of containment at once.  Its target-target
+        block goes unused, so the targets go in blocks of at least 16 and
+        at least the group's size: the unused block then costs at most a
+        small multiple of the rest.
         """
-        names, bases, tols = self._group(target.rank)
-        if not names:
-            return None
-        tols = np.maximum(tols, target.tol)
-        inside = ~(_residual_norms(bases, target.basis) > tols[:, None]).any(-1)
-        for i in np.flatnonzero(inside).tolist():
-            if not _outside(_residual_norms(target.basis, bases[i]), tols[i]):
-                return names[i]
-        return None
+        names, bases, tols = self._group(targets[0].rank)
+        g = len(names)
+        if not g:
+            return [None] * len(targets)
+        step = max(g, 16)
+        out: list[str | None] = []
+        for lo in range(0, len(targets), step):
+            block = targets[lo:lo + step]
+            equal = _equal_matrix(
+                np.concatenate([bases, [t.basis for t in block]]),
+                np.concatenate([tols, [t.tol for t in block]]))
+            out += [names[row.index(True)] if True in row else None
+                    for row in equal[g:, :g].tolist()]
+        return out
 
-    def _realise(self, key: tuple,
-                 compute: Callable[[dict[str, Subspace]], Subspace]) -> str:
-        try:
-            name = self._realised[key]
-        except KeyError:
-            name = self._property_of(compute(self._subspaces))
-            self._realised[key] = name
-        if name is None:
-            *operands, op = key
-            what = "complement" if op == "ortho" else op
-            raise NotOperationClosed(
-                f"no property realises the {what} of "
-                + " and ".join(map(repr, operands)), witness=key)
-        return name
+    def _entries(self, key: tuple) -> dict:
+        """The dict that holds ``key``'s entry, under ``key[-2]``."""
+        if key[-1] == "ortho":
+            return self._ortho
+        pairs = self._meet if key[-1] == "meet" else self._join
+        return pairs.setdefault(key[0], {})
+
+    def realise(self, keys: Iterable[tuple]) -> None:
+        """Compute every entry of ``keys`` not yet in the table, at once.
+
+        The operations are stacked by kind and operand ranks, and each
+        stack's results are matched to properties in one batch per result
+        rank, so that only one stack's results are held at a time.
+        """
+        todo: dict[tuple, dict] = {}
+        for key in keys:
+            if key not in todo:
+                entries = self._entries(key)
+                if key[-2] not in entries:
+                    todo[key] = entries
+        if not todo:
+            return
+        subs = self._subspaces
+        keys = list(todo)
+        for idx, results in _stacked([(key[-1], subs[key[0]],
+                                       subs[key[1]] if len(key) == 3 else None)
+                                      for key in keys]):
+            by_rank: dict[int, list[tuple]] = {}
+            for i, r in zip(idx, results):
+                by_rank.setdefault(r.rank, []).append((i, r))
+            for same in by_rank.values():
+                names = self._property_of([r for _, r in same])
+                for (i, _), name in zip(same, names):
+                    todo[keys[i]][keys[i][-2]] = name
+
+    def _miss(self, key: tuple) -> str | None:
+        self.realise((key,))
+        return self._entries(key)[key[-2]]
 
     def ortho(self, e: str) -> str:
-        return self._realise((e, "ortho"), lambda subs: ortho(subs[e]))
+        try:
+            name = self._ortho[e]
+        except KeyError:
+            name = self._miss((e, "ortho"))
+        if name is None:
+            _not_closed((e, "ortho"))
+        return name
 
     def meet(self, e: str, f: str) -> str:
-        return self._realise((e, f, "meet"), lambda subs: meet(subs[e], subs[f]))
+        try:
+            name = self._meet[e][f]
+        except KeyError:
+            name = self._miss((e, f, "meet"))
+        if name is None:
+            _not_closed((e, f, "meet"))
+        return name
 
     def join(self, e: str, f: str) -> str:
-        return self._realise((e, f, "join"), lambda subs: join(subs[e], subs[f]))
+        try:
+            name = self._join[e][f]
+        except KeyError:
+            name = self._miss((e, f, "join"))
+        if name is None:
+            _not_closed((e, f, "join"))
+        return name
 
     def certain(self, e: str) -> frozenset[str]:
         try:
@@ -490,8 +662,12 @@ def state_lattice(model: "Model") -> OrthoLattice:
     props = list(model.properties)
     table = ann.table
 
-    # all complements first, then meet before join per pair: this order
-    # decides which NotOperationClosed is raised first
+    # realised all at once, then read back with all complements first and
+    # meet before join per pair: this order decides which
+    # NotOperationClosed is raised first
+    table.realise([(e, "ortho") for e in props]
+                  + [(e, f, op) for e in props for f in props
+                     for op in ("meet", "join")])
     ortho_prop = {e: table.ortho(e) for e in props}
     meet_prop: dict[tuple[str, str], str] = {}
     join_prop: dict[tuple[str, str], str] = {}
@@ -566,12 +742,14 @@ def closure_generate(dim: int, generators: Sequence[Subspace], cap: int,
         add(g)
     changed = True
     while changed:
+        # each round's operations act on the elements it starts with and
+        # are added in this order: complements, then meet before join per
+        # pair
         size = len(elems)
-        for i in range(size):
-            add(ortho(elems[i]))
-        for i in range(size):
-            for j in range(i + 1, size):
-                add(meet(elems[i], elems[j]))
-                add(join(elems[i], elems[j]))
+        ops = [("ortho", x, None) for x in elems]
+        ops += [(op, elems[i], elems[j]) for i in range(size)
+                for j in range(i + 1, size) for op in ("meet", "join")]
+        for s in _operate(ops):
+            add(s)
         changed = len(elems) != size
     return elems

@@ -224,26 +224,46 @@ def _witness_classes(m: Model, formulas) -> tuple[list[str], dict, dict]:
     index of its first formula; and one :class:`QProposition` per
     distinct witness.  Both dicts run in order of first appearance.
 
-    ``formulas`` is an :class:`~qlprop.semantics.Enumeration`: each
-    witness is filled in enumeration order from its operands' entries,
-    one property-table lookup per formula, as :func:`witness_property`
-    recurses (atoms go through it).  A formula's only new lookup is its
-    own, so a missing operation raises at the first formula that needs
-    it, as the recursion would.
+    ``formulas`` is an :class:`~qlprop.semantics.Enumeration` of quantum
+    formulas, whose one-operand items are negations and two-operand items
+    conjunctions.  Atoms go through :func:`witness_property`; every later
+    level is filled from its operands' witnesses, which earlier levels
+    hold: its distinct (operation, operands) keys are realised in one
+    property-table call and read back once each.  A missing operation
+    raises at the first formula in enumeration order that needs it, as
+    the recursion would.
     """
     table = _hilbert(m).table
-    w: list[str] = []
-    for f, kids in zip(formulas, formulas.children):
-        if isinstance(f, And):
-            w.append(table.meet(w[kids[0]], w[kids[1]]))
-        elif isinstance(f, QNot):
-            w.append(table.ortho(w[kids[0]]))
-        else:
-            w.append(witness_property(m, f))
+    names = list(m.properties)
+    ids = {e: i for i, e in enumerate(names)}
+    n = len(names) + 1
+    first_op, second_op = formulas.children.columns
+    (lo, hi), *levels = formulas.levels
+    w = [ids[witness_property(m, f)] for f in formulas[lo:hi]]  # as indices
+    for lo, hi in levels:
+        # a code per formula: code // n is its first operand's witness,
+        # code % n one past its second operand's, or 0 if it has none
+        codes = [w[a] * n + (w[b] + 1 if b >= 0 else 0) for a, b in
+                 zip(first_op[lo:hi].tolist(), second_op[lo:hi].tolist())]
+        keys = {}
+        for c in dict.fromkeys(codes):
+            e, f = divmod(c, n)
+            keys[c] = ((names[e], "ortho") if f == 0
+                       else (names[e], names[f - 1], "meet"))
+        table.realise(keys.values())
+        got: dict[int, int] = {}
+        # read in order, so that a missing result raises at its first formula
+        for c in codes:
+            if c not in got:
+                key = keys[c]
+                got[c] = ids[table.ortho(key[0]) if len(key) == 2
+                             else table.meet(key[0], key[1])]
+        w += [got[c] for c in codes]
+    witnesses = [names[i] for i in w]
     first: dict[str, int] = {}
-    for i, e in enumerate(w):
+    for i, e in enumerate(witnesses):
         first.setdefault(e, i)
-    return w, first, {e: QProposition(m, Atom(e)) for e in first}
+    return witnesses, first, {e: QProposition(m, Atom(e)) for e in first}
 
 
 def check_tq_equalities(m: Model, depth: int,

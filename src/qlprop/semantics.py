@@ -341,15 +341,22 @@ class Enumeration(list):
     and ``items[i]`` holds the very objects ``items[c]`` as its operands,
     so a per-formula fact can be filled in enumeration order, one step
     from its operands' entries.  The indices are kept as two ``int32``
-    columns (-1 where there is no operand), 8 bytes a formula.  They
-    describe the list as enumerated: mutating the list invalidates them.
+    columns (-1 where there is no operand), 8 bytes a formula.
+    ``levels`` gives the ``(lo, hi)`` bounds of each depth's items, in
+    order; every operand of a level's items lies in an earlier level.
+    Both describe the list as enumerated: mutating the list invalidates
+    them.
     """
 
-    __slots__ = ("_first", "_second")
+    __slots__ = ("_first", "_second", "_ends")
 
     @property
     def children(self) -> "_Children":
         return _Children(self._first, self._second)
+
+    @property
+    def levels(self) -> list[tuple[int, int]]:
+        return list(zip([0, *self._ends], self._ends))
 
 
 class _Children(Sequence):
@@ -363,6 +370,14 @@ class _Children(Sequence):
 
     def __len__(self) -> int:
         return len(self._first)
+
+    @property
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The indices as two read-only ``int32`` arrays, the first and
+        the second operand of each item, -1 where there is none."""
+        first, second = self._first.view(), self._second.view()
+        first.flags.writeable = second.flags.writeable = False
+        return first, second
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -393,6 +408,7 @@ def _enumerate(properties, depth: int, depth_cap: int, unary, binary):
     # depth d when its first member lies there or, if not, its second:
     # each i < lo pairs with [lo, hi), each later i with [0, hi)
     lo = 0
+    ends = [len(items)]
     for _ in range(2, depth + 1):
         hi = len(items)
         below = items[:hi]
@@ -409,6 +425,8 @@ def _enumerate(properties, depth: int, depth_cap: int, unary, binary):
             second.append(np.concatenate([np.tile(top, lo),
                                           np.tile(every, hi - lo)]))
         lo = hi
+        ends.append(len(items))
+    items._ends = ends
     items._first = np.concatenate(first)
     items._second = np.concatenate(second)
     return items

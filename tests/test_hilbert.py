@@ -262,10 +262,10 @@ def test_equality_matches_projector_mutual_containment(pair):
 
 
 @st.composite
-def _tilted_pairs(draw):
-    """Subspaces ``a`` and ``b`` of C^dim (dim 1..4, ranks 0..dim), one of
-    the three tolerance ends, and the smallest tilt above tol (1.0 if
-    none).
+def _tilted_pairs(draw, dims=st.integers(1, 4)):
+    """Subspaces ``a`` and ``b`` of C^dim (dim drawn from ``dims``, ranks
+    0..dim), one of the three tolerance ends, and the smallest tilt above
+    tol (1.0 if none).
 
     With q_1..q_dim the rows of a random unitary, ``a`` spans its first
     rank(a) rows.  Each vector of ``b`` is an unused row of ``a``, an
@@ -274,7 +274,7 @@ def _tilted_pairs(draw):
     Those vectors are the principal vectors of the pair, so every residual
     of a unit vector of one against the other lies clearly on one side
     of tol."""
-    dim = draw(st.integers(1, 4))
+    dim = draw(dims)
     tol = draw(st.sampled_from([MIN_TOL, DEFAULT_TOL, MAX_TOL]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     q, _ = np.linalg.qr(rng.normal(size=(dim, dim))
@@ -323,6 +323,127 @@ def test_residual_rule_meet_ortho_join(pair):
     oracle_join = span_projector(np.vstack([a.basis, b.basis]), dim, thresh=tol)
     assert j.rank == round(np.trace(oracle_join).real)
     assert np.max(np.abs(j.projector() - oracle_join)) < slack
+
+
+def test_join_near_tol_is_order_independent():
+    # b's two vectors both lie within 1e-7 of a = span(e1); their
+    # difference spans a second direction.  Gram-Schmidt over a's rows
+    # then b's kept a third, noise-level direction, so join(a, b) had rank
+    # 3 and join(b, a) rank 2, and a <= b did not give a v b = b.
+    tol = 1e-9
+    a = Subspace.span([[1, 0, 0]], 3, tol)
+    b = Subspace.span([[1, 1e-7, 0], [1, -1e-7, 1e-10]], 3, tol)
+    assert contains(b, a)
+    assert join(a, b).rank == join(b, a).rank == 2
+    assert join(a, b) == join(b, a) == b
+
+
+@st.composite
+def _near_pairs(draw):
+    """Subspaces ``a`` (rank 1..dim of C^dim, dim 2..4) and ``b``, the span
+    of vectors that each lie near ``a``: a random combination of a's rows
+    plus a random unit vector scaled by tol * 10**k, k in -3..3.  Two such
+    vectors can span a direction far from ``a`` (their difference) while
+    ``a`` stays within tol of ``b``, the shape of the case in
+    :func:`test_join_near_tol_is_order_independent`."""
+    dim = draw(st.integers(2, 4))
+    tol = draw(st.sampled_from([MIN_TOL, DEFAULT_TOL, MAX_TOL]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    rank = draw(st.integers(1, dim))
+    a = Subspace.span(random_subspace_vectors(rng, dim, rank), dim, tol)
+    vectors = []
+    for _ in range(draw(st.integers(1, dim))):
+        coeffs = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                           for _ in range(a.rank)])
+        eps = tol * 10.0 ** draw(st.integers(-3, 3))
+        vectors.append(coeffs @ a.basis + eps * random_unit(rng, dim))
+    return a, Subspace.span(vectors, dim, tol), tol, None
+
+
+def _principal_sines(a, b):
+    """Sines of the principal angles between ``a`` and ``b``, from both
+    sides, as the singular values of (I - P) Q on projector matrices."""
+    eye = np.eye(a.dim)
+    return [s for x, y in ((a, b), (b, a)) if y.rank
+            for s in np.linalg.svd((eye - x.projector()) @ y.basis.T,
+                                   compute_uv=False)]
+
+
+@given(st.one_of(_tilted_pairs(), _near_pairs()))
+@settings(max_examples=400, deadline=None)
+def test_join_is_commutative_and_absorbs_a_contained_operand(pair):
+    a, b, tol, _ = pair
+    # every principal angle clearly inside tol or clearly outside it, also
+    # for a row that shares it with the others of a rank-dim basis
+    sines = _principal_sines(a, b)
+    assume(all(s < tol / 2 or s > 2 * np.sqrt(a.dim) * tol for s in sines))
+    ab, ba = join(a, b), join(b, a)
+    assert ab.rank == ba.rank
+    if contains(b, a):
+        assert ab.rank == b.rank
+    if contains(a, b):
+        assert ab.rank == a.rank
+    # a direction at angle s from a carries rounding of about eps / s, so
+    # the results agree to that, and within tol where it is far below tol
+    above = [s for s in sines if s > tol]
+    slack = 10 * tol + 1e-13 / min(above, default=1.0)
+    assert np.max(np.abs(ab.projector() - ba.projector())) < slack
+    if slack < 11 * tol:
+        assert ab == ba
+        if contains(b, a):
+            assert ab == b
+        if contains(a, b):
+            assert ab == a
+
+
+def _oracle_projector(op, a, b=None):
+    """The projector onto ``op`` of ``a`` and ``b`` by the projector
+    oracle, at tolerance max(tol_a, tol_b)."""
+    if op == "ortho":
+        return np.eye(a.dim) - a.projector()
+    tol = max(a.tol, b.tol)
+    if op == "meet":
+        return null_space_meet(a.projector(), b.projector(), thresh=tol)
+    return span_projector(np.vstack([a.basis, b.basis]), a.dim, thresh=tol)
+
+
+@st.composite
+def _stacks(draw):
+    """Two to eight pairs from :func:`_tilted_pairs` in one dimension, so
+    that operations on equal operand ranks share a stack."""
+    dim = draw(st.integers(1, 4))
+    return draw(st.lists(_tilted_pairs(st.just(dim)), min_size=2, max_size=8))
+
+
+def _ops(pairs):
+    ops = []
+    for a, b, _, _ in pairs:
+        ops += [("ortho", a, None), ("ortho", b, None), ("meet", a, b),
+                ("meet", b, a), ("join", a, b), ("join", b, a)]
+    return ops
+
+
+@given(_stacks())
+@settings(max_examples=200, deadline=None)
+def test_stacked_kernels_match_the_projector_oracle(pairs):
+    slack = max(10 * tol + 1e-13 / gap for _, _, tol, gap in pairs)
+    ops = _ops(pairs)
+    for (op, a, b), got in zip(ops, hilbert._operate(ops)):
+        want = _oracle_projector(op, a, b)
+        assert got.rank == round(np.trace(want).real)
+        assert np.max(np.abs(got.projector() - want)) < slack
+        gram = got.basis @ got.basis.conj().T
+        assert np.max(np.abs(gram - np.eye(got.rank)), initial=0) < 1e-13
+
+
+@given(_stacks())
+@settings(max_examples=200, deadline=None)
+def test_a_stack_of_operations_gives_the_single_calls_results(pairs):
+    ops = _ops(pairs)
+    single = {"ortho": lambda a, _: ortho(a), "meet": meet, "join": join}
+    for (op, a, b), got in zip(ops, hilbert._operate(ops)):
+        want = single[op](a, b)
+        assert np.array_equal(got.basis, want.basis) and got.tol == want.tol
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -470,8 +591,14 @@ def test_property_table_matches_the_pairwise_loops(fam, data):
     # every member and its complement, twice: the second lookup reads
     # the rank groups the first one built
     for target in targets + targets:
-        assert table._property_of(target) == next(
+        assert table._property_of([target]) == [next(
+            (e for e, x in subs.items() if x == target), None)]
+    # and stacked: every target of one rank in one call
+    for rank in {x.rank for x in targets}:
+        same = [x for x in targets if x.rank == rank]
+        assert table._property_of(same) == [next(
             (e for e, x in subs.items() if x == target), None)
+            for target in same]
 
 
 def test_containment_one_way_only_is_not_equality():
@@ -488,7 +615,7 @@ def test_containment_one_way_only_is_not_equality():
     for subs in ({"A": a, "B": b}, {"B": b, "A": a}):
         table = hilbert.PropertyTable(HilbertAnnotation(
             3, {"S": Subspace.ray([0, 0, 1], 3)}, subs))
-        assert table._property_of(a) == "A" and table._property_of(b) == "B"
+        assert table._property_of([a, b]) == ["A", "B"]
     # a pair decides with the larger tolerance: at 3 tol both directions hold
     b3 = Subspace._of_rows(b.basis, 3 * tol)
     assert a == b3 and hilbert._first_equal_pair([a, b, b3]) == (0, 2)
@@ -607,6 +734,34 @@ def test_property_table_is_per_annotation_and_lazy(monkeypatch):
     assert certain_states(a, "P1") == first and calls == []
     # the other model's table is still empty and computes its own entry
     assert certain_states(b, "P1") == first and calls
+
+
+def test_state_lattice_realises_its_table_in_one_batch(monkeypatch):
+    m = m_qutrit()
+    n = len(m.properties)
+    calls = []
+    real = hilbert._stacked
+    monkeypatch.setattr(hilbert, "_stacked",
+                        lambda ops: calls.append(len(ops)) or real(ops))
+    state_lattice(m)
+    # every complement, meet and join, in one stacked call
+    assert calls == [n + 2 * n * n]
+    # a second lattice of the same model computes nothing
+    state_lattice(m)
+    assert calls == [n + 2 * n * n]
+
+
+def test_batched_and_single_lookups_name_the_same_properties():
+    m = m_qutrit()
+    props = m.properties
+    keys = [(e, "ortho") for e in props] + [
+        (e, f, op) for e in props for f in props for op in ("meet", "join")]
+    batched = m.hilbert.table
+    batched.realise(keys)
+    for key in keys:
+        single = m_qutrit().hilbert.table  # a fresh table: one-key misses
+        assert getattr(batched, key[-1])(*key[:-1]) \
+            == getattr(single, key[-1])(*key[:-1])
 
 
 def test_model_with_a_filled_table_is_freed_without_the_cyclic_collector():

@@ -22,6 +22,7 @@ from qlprop.errors import (
 from qlprop.hilbert import Subspace
 from qlprop.model import (
     HilbertAnnotation,
+    build_qm_model,
     default_interpretation,
     dump_model,
     load_model,
@@ -32,6 +33,7 @@ from qlprop.model import (
 )
 from qlprop.quantum import (
     QTruth,
+    _witness_classes,
     check_tq_equalities,
     q_truth,
     q_truth_classical,
@@ -199,6 +201,92 @@ def test_non_closed_model_evaluates_what_it_can(monkeypatch):
             assert exc.value.witness == witness
             if attempt:  # the missing result was stored, not recomputed
                 assert calls == []
+
+
+_R = 0.5 ** 0.5
+
+# models missing operation results, each with the first missing operation
+# in the order state_lattice and the witness fill read their lookups:
+# all complements, then meet before join per pair; and formula by formula
+OPEN_MODELS = {
+    # two oblique rays of a qubit, no complements
+    "ortho-open": (
+        lambda: build_qm_model(
+            2, {"A+": [1, 0], "B+": [_R, _R]},
+            {"E0": [], "Ea": [[1, 0]], "Eb": [[_R, _R]],
+             "EI": [[1, 0], [0, 1]]}),
+        ("Ea", "ortho"), ("Ea", "ortho")),
+    # two planes of C^3 with their complements but not their meet line
+    "meet-open": (
+        lambda: build_qm_model(
+            3, {"S1": [1, 0, 0], "S2": [0, 1, 0], "S3": [0, 0, 1],
+                "S4": [_R, _R, 0]},
+            {"E0": [], "P12": [[1, 0, 0], [0, 1, 0]], "P3": [[0, 0, 1]],
+             "P23": [[0, 1, 0], [0, 0, 1]], "P1": [[1, 0, 0]],
+             "EI": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+        ("P12", "P23", "meet"), ("P12", "P23", "meet")),
+    # closed under complement; the first pair that misses misses its join
+    "join-open": (
+        lambda: build_qm_model(
+            3, {"S1": [1, 0, 0], "S4": [_R, _R, 0]},
+            {"E0": [], "P1": [[1, 0, 0]], "P23": [[0, 1, 0], [0, 0, 1]],
+             "V": [[_R, _R, 0]], "Vp": [[_R, -_R, 0], [0, 0, 1]],
+             "EI": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+        ("P1", "V", "join"), ("P23", "Vp", "meet")),
+}
+
+
+def _first_missing(call):
+    with pytest.raises(NotOperationClosed) as exc:
+        call()
+    return exc.value.witness
+
+
+@pytest.mark.parametrize("name", list(OPEN_MODELS))
+def test_batched_fills_raise_the_first_missing_operation(name):
+    build, lattice_witness, formula_witness = OPEN_MODELS[name]
+    assert _first_missing(lambda: hilbert.state_lattice(build())) \
+        == lattice_witness
+    # the same order, one lookup at a time on a fresh table
+    m = build()
+    table, props = m.hilbert.table, m.properties
+
+    def one_at_a_time():
+        for e in props:
+            table.ortho(e)
+        for e in props:
+            for f in props:
+                table.meet(e, f)
+                table.join(e, f)
+
+    assert _first_missing(one_at_a_time) == lattice_witness
+    for depth in (2, 3):
+        m = build()
+        formulas = enumerate_tq_formulas(m.properties, depth)
+        assert _first_missing(lambda: _witness_classes(m, formulas)) \
+            == formula_witness
+        # the recursion, formula by formula in enumeration order
+        m = build()
+        assert _first_missing(lambda: [witness_property(m, f)
+                                       for f in formulas]) == formula_witness
+    m = build()
+    atoms = enumerate_tq_formulas(m.properties, 1)
+    assert _witness_classes(m, atoms)[0] == list(m.properties)
+
+
+def test_witness_fill_realises_one_batch_per_level(monkeypatch):
+    m, fresh = m_qutrit(), m_qutrit()
+    formulas = enumerate_tq_formulas(m.properties, 3)
+    calls = []
+    real = hilbert._stacked
+    monkeypatch.setattr(hilbert, "_stacked",
+                        lambda ops: calls.append(len(ops)) or real(ops))
+    witnesses = _witness_classes(m, formulas)[0]
+    # the atoms need no lookup; depth 2 misses every complement and
+    # meet of the closed property set in one call, depth 3 none
+    n = len(m.properties)
+    assert len(formulas.levels) == 3 and calls == [n + n * n]
+    assert witnesses == [witness_property(fresh, f) for f in formulas]
 
 
 # ---------------------------------------------------------------------------
