@@ -299,7 +299,7 @@ def _equal_matrix(bases: np.ndarray, tols: np.ndarray) -> np.ndarray:
         norms = _residual_norms(bases[lo:hi], rows).reshape(hi - lo, n, rank)
         tol = np.maximum(tols[lo:hi, None], tols)
         parts.append((norms > tol[..., None]).any(-1))
-    outside = np.concatenate(parts)
+    outside = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return ~(outside | outside.T)
 
 

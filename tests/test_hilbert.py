@@ -327,9 +327,9 @@ def test_residual_rule_meet_ortho_join(pair):
 
 def test_join_near_tol_is_order_independent():
     # b's two vectors both lie within 1e-7 of a = span(e1); their
-    # difference spans a second direction.  Gram-Schmidt over a's rows
-    # then b's kept a third, noise-level direction, so join(a, b) had rank
-    # 3 and join(b, a) rank 2, and a <= b did not give a v b = b.
+    # difference spans a second direction.  A rule that decides one vector
+    # at a time (Gram-Schmidt over a's rows, then b's) keeps a third,
+    # noise-level direction for join(a, b) but not for join(b, a).
     tol = 1e-9
     a = Subspace.span([[1, 0, 0]], 3, tol)
     b = Subspace.span([[1, 1e-7, 0], [1, -1e-7, 1e-10]], 3, tol)
@@ -752,14 +752,15 @@ def test_state_lattice_realises_its_table_in_one_batch(monkeypatch):
 
 
 def test_batched_and_single_lookups_name_the_same_properties():
-    m = m_qutrit()
+    text = dump_model(m_qutrit())
+    m = load_model(text)
     props = m.properties
     keys = [(e, "ortho") for e in props] + [
         (e, f, op) for e in props for f in props for op in ("meet", "join")]
     batched = m.hilbert.table
     batched.realise(keys)
     for key in keys:
-        single = m_qutrit().hilbert.table  # a fresh table: one-key misses
+        single = load_model(text).hilbert.table  # fresh: one-key misses
         assert getattr(batched, key[-1])(*key[:-1]) \
             == getattr(single, key[-1])(*key[:-1])
 

@@ -8,6 +8,7 @@ lattice's order-derived meet/join/ortho tables.
 import functools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -233,6 +234,15 @@ OPEN_MODELS = {
              "V": [[_R, _R, 0]], "Vp": [[_R, -_R, 0], [0, 0, 1]],
              "EI": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
         ("P1", "V", "join"), ("P23", "Vp", "meet")),
+    # two planes of C^4 sharing a line: their meet and join both missing
+    "meet-and-join-open": (
+        lambda: build_qm_model(
+            4, {f"S{i}": row for i, row in enumerate(np.eye(4).tolist())},
+            {"E0": [], "P": [[1, 0, 0, 0], [0, 1, 0, 0]],
+             "Q": [[0, 1, 0, 0], [0, 0, 1, 0]],
+             "Pp": [[0, 0, 1, 0], [0, 0, 0, 1]],
+             "Qp": [[1, 0, 0, 0], [0, 0, 0, 1]], "EI": np.eye(4).tolist()}),
+        ("P", "Q", "meet"), ("P", "Q", "meet")),
 }
 
 
