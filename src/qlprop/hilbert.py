@@ -361,7 +361,7 @@ def _meet_rows(a: np.ndarray, b: np.ndarray,
     resid = a - (a @ b.conj().swapaxes(-1, -2)) @ b
     u, sv, _ = np.linalg.svd(resid, full_matrices=False)
     ra = a.shape[1]
-    lo = [ra - sum(x <= t for x in row) for row, t in zip(sv.tolist(), tol)]
+    lo = [ra - sum(map(t.__ge__, row)) for row, t in zip(sv.tolist(), tol)]
     return u.conj().swapaxes(-1, -2) @ a, lo, [ra] * len(a)
 
 
@@ -388,12 +388,12 @@ def _join_rows(a: np.ndarray, b: np.ndarray,
             [ra + sum(row) for row in keep.tolist()])
 
 
-def _stacked(ops: Sequence[tuple]) -> Iterator[tuple[list, list]]:
+def _stacked(ops: Sequence[tuple]) -> Iterator[tuple]:
     """The results of ``ops``, one stacked kernel call at a time: each op
     is ``("ortho", a, None)``, ``("meet", a, b)`` or ``("join", a, b)``,
     and the ops of one kind on operands of the same shapes share a call.
-    Yields each call's op indices and results; a result's tolerance is
-    its operands' largest."""
+    Yields each call's op indices, candidate rows, bounds and tolerances
+    (see the kernels); a result's tolerance is its operands' largest."""
     groups: dict[tuple, list[tuple]] = {}
     for i, (op, a, b) in enumerate(ops):
         shapes = (op, a.basis.shape, b is not None and b.basis.shape)
@@ -408,17 +408,15 @@ def _stacked(ops: Sequence[tuple]) -> Iterator[tuple[list, list]]:
             tols = [max(x[1].tol, x[2].tol) for x in group]
             kernel = _meet_rows if op == "meet" else _join_rows
             rows, lo, hi = kernel(a, b, tols)
-        yield [x[0] for x in group], [
-            Subspace._of_rows(r[start:stop], tol)
-            for r, start, stop, tol in zip(rows, lo, hi, tols)]
+        yield [x[0] for x in group], rows, lo, hi, tols
 
 
 def _operate(ops: Sequence[tuple]) -> list[Subspace]:
     """The results of ``ops`` (see :func:`_stacked`), in order."""
     out: list[Subspace] = [None] * len(ops)  # type: ignore[list-item]
-    for idx, results in _stacked(ops):
-        for i, r in zip(idx, results):
-            out[i] = r
+    for idx, rows, lo, hi, tols in _stacked(ops):
+        for i, r, start, stop, tol in zip(idx, rows, lo, hi, tols):
+            out[i] = Subspace._of_rows(r[start:stop], tol)
     return out
 
 
@@ -513,9 +511,10 @@ class PropertyTable:
             self._groups[rank] = group
             return group
 
-    def _property_of(self, targets: Sequence[Subspace]) -> list[str | None]:
-        """The first declared property whose subspace equals each target;
-        the targets share one rank.
+    def _property_of(self, bases: Sequence[np.ndarray],
+                     tols: Sequence[float]) -> list[str | None]:
+        """The first declared property whose subspace equals each target,
+        given by its basis and tolerance; the targets share one rank.
 
         The targets are decided with their rank group in one
         :func:`_equal_matrix` of the group and the targets together, which
@@ -524,17 +523,16 @@ class PropertyTable:
         at least the group's size: the unused block then costs at most a
         small multiple of the rest.
         """
-        names, bases, tols = self._group(targets[0].rank)
+        names, group, group_tols = self._group(len(bases[0]))
         g = len(names)
         if not g:
-            return [None] * len(targets)
+            return [None] * len(bases)
         step = max(g, 16)
         out: list[str | None] = []
-        for lo in range(0, len(targets), step):
-            block = targets[lo:lo + step]
+        for lo in range(0, len(bases), step):
             equal = _equal_matrix(
-                np.concatenate([bases, [t.basis for t in block]]),
-                np.concatenate([tols, [t.tol for t in block]]))
+                np.concatenate([group, _stack(bases[lo:lo + step])]),
+                np.concatenate([group_tols, tols[lo:lo + step]]))
             out += [names[row.index(True)] if True in row else None
                     for row in equal[g:, :g].tolist()]
         return out
@@ -563,16 +561,18 @@ class PropertyTable:
             return
         subs = self._subspaces
         keys = list(todo)
-        for idx, results in _stacked([(key[-1], subs[key[0]],
-                                       subs[key[1]] if len(key) == 3 else None)
-                                      for key in keys]):
-            by_rank: dict[int, list[tuple]] = {}
-            for i, r in zip(idx, results):
-                by_rank.setdefault(r.rank, []).append((i, r))
+        ops = [(key[-1], subs[key[0]], subs[key[1]] if len(key) == 3 else None)
+               for key in keys]
+        for idx, rows, lo, hi, tols in _stacked(ops):
+            by_rank: dict[int, list[int]] = {}
+            for j, (start, stop) in enumerate(zip(lo, hi)):
+                by_rank.setdefault(stop - start, []).append(j)
             for same in by_rank.values():
-                names = self._property_of([r for _, r in same])
-                for (i, _), name in zip(same, names):
-                    todo[keys[i]][keys[i][-2]] = name
+                names = self._property_of([rows[j][lo[j]:hi[j]] for j in same],
+                                          [tols[j] for j in same])
+                for j, name in zip(same, names):
+                    key = keys[idx[j]]
+                    todo[key][key[-2]] = name
 
     def _miss(self, key: tuple) -> str | None:
         self.realise((key,))

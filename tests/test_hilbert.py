@@ -591,12 +591,13 @@ def test_property_table_matches_the_pairwise_loops(fam, data):
     # every member and its complement, twice: the second lookup reads
     # the rank groups the first one built
     for target in targets + targets:
-        assert table._property_of([target]) == [next(
+        assert table._property_of([target.basis], [target.tol]) == [next(
             (e for e, x in subs.items() if x == target), None)]
     # and stacked: every target of one rank in one call
     for rank in {x.rank for x in targets}:
         same = [x for x in targets if x.rank == rank]
-        assert table._property_of(same) == [next(
+        assert table._property_of([x.basis for x in same],
+                                  [x.tol for x in same]) == [next(
             (e for e, x in subs.items() if x == target), None)
             for target in same]
 
@@ -615,7 +616,7 @@ def test_containment_one_way_only_is_not_equality():
     for subs in ({"A": a, "B": b}, {"B": b, "A": a}):
         table = hilbert.PropertyTable(HilbertAnnotation(
             3, {"S": Subspace.ray([0, 0, 1], 3)}, subs))
-        assert table._property_of([a, b]) == ["A", "B"]
+        assert table._property_of([a.basis, b.basis], [tol, tol]) == ["A", "B"]
     # a pair decides with the larger tolerance: at 3 tol both directions hold
     b3 = Subspace._of_rows(b.basis, 3 * tol)
     assert a == b3 and hilbert._first_equal_pair([a, b, b3]) == (0, 2)
