@@ -542,9 +542,6 @@ def main(argv=None) -> int:
             return 1  # no file descriptor, so no final flush to quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
         return 1
-    except ParseError as exc:
-        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
     except QlpropError as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

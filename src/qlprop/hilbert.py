@@ -42,14 +42,16 @@ certain for each property.  The table is created on first use and filled
 lazily, so every fact is computed at most once per annotation and only
 when something asks for it; loading or building a model computes none.
 A subspace result maps to the first declared property equal to it under
-``Subspace.__eq__``.  :meth:`PropertyTable.realise` computes the missing
-entries of many keys at once, stacking their operations by kind and
-operand ranks; it then groups the results by rank and decides each
-group against the declared subspaces of that rank in one mutual
-containment matrix, both directions at once (:func:`_equal_matrix`, the
-batch that also finds a model's first equal pair of declared
-subspaces).  A single lookup that misses realises its one key.
-``certain`` tests all state rays in one residual.
+``Subspace.__eq__``.  :meth:`PropertyTable.names` answers a list of
+operation keys in order: it computes the missing ones at once, stacking
+their operations by kind and operand ranks, then groups the results by
+rank and decides each group against the declared subspaces of that rank
+in one mutual containment matrix, both directions at once
+(:func:`_equal_matrix`, the batch that also finds a model's first equal
+pair of declared subspaces).  It raises at the first key, in order, that
+no property realises; ``ortho``, ``meet`` and ``join`` ask it for one
+key when their entry is not yet in the table.  ``certain`` tests all
+state rays in one residual.
 :func:`certain_states`, :func:`state_lattice` and the quantum-language
 semantics all read the same table.
 """
@@ -60,7 +62,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -388,33 +390,26 @@ def _join_rows(a: np.ndarray, b: np.ndarray,
             [ra + sum(row) for row in keep.tolist()])
 
 
-def _stacked(ops: Sequence[tuple]) -> Iterator[tuple]:
-    """The results of ``ops``, one stacked kernel call at a time: each op
-    is ``("ortho", a, None)``, ``("meet", a, b)`` or ``("join", a, b)``,
-    and the ops of one kind on operands of the same shapes share a call.
-    Yields each call's op indices, candidate rows, bounds and tolerances
-    (see the kernels); a result's tolerance is its operands' largest."""
-    groups: dict[tuple, list[tuple]] = {}
+def _operate(ops: Sequence[tuple]) -> list[Subspace]:
+    """The results of ``ops``, in order: each op is ``("ortho", a,
+    None)``, ``("meet", a, b)`` or ``("join", a, b)``, and the ops of one
+    kind on operands of the same shapes share one stacked kernel call.  A
+    result's tolerance is its operands' largest."""
+    groups: dict[tuple, list[int]] = {}
     for i, (op, a, b) in enumerate(ops):
         shapes = (op, a.basis.shape, b is not None and b.basis.shape)
-        groups.setdefault(shapes, []).append((i, a, b))
-    for (op, _, _), group in groups.items():
-        a = _stack([x[1].basis for x in group])
+        groups.setdefault(shapes, []).append(i)
+    out: list[Subspace] = [None] * len(ops)  # type: ignore[list-item]
+    for (op, _, _), idx in groups.items():
+        a = _stack([ops[i][1].basis for i in idx])
         if op == "ortho":
-            tols = [x[1].tol for x in group]
+            tols = [ops[i][1].tol for i in idx]
             rows, lo, hi = _ortho_rows(a)
         else:
-            b = _stack([x[2].basis for x in group])
-            tols = [max(x[1].tol, x[2].tol) for x in group]
+            b = _stack([ops[i][2].basis for i in idx])
+            tols = [max(ops[i][1].tol, ops[i][2].tol) for i in idx]
             kernel = _meet_rows if op == "meet" else _join_rows
             rows, lo, hi = kernel(a, b, tols)
-        yield [x[0] for x in group], rows, lo, hi, tols
-
-
-def _operate(ops: Sequence[tuple]) -> list[Subspace]:
-    """The results of ``ops`` (see :func:`_stacked`), in order."""
-    out: list[Subspace] = [None] * len(ops)  # type: ignore[list-item]
-    for idx, rows, lo, hi, tols in _stacked(ops):
         for i, r, start, stop, tol in zip(idx, rows, lo, hi, tols):
             out[i] = Subspace._of_rows(r[start:stop], tol)
     return out
@@ -461,28 +456,18 @@ class HilbertAnnotation:
         return PropertyTable(self)
 
 
-def _not_closed(key: tuple):
-    *operands, op = key
-    what = "complement" if op == "ortho" else op
-    raise NotOperationClosed(
-        f"no property realises the {what} of "
-        + " and ".join(map(repr, operands)), witness=key)
-
-
 class PropertyTable:
     """Lazily filled subspace facts of one annotation's properties.
 
-    ``ortho(e)``, ``meet(e, f)`` and ``join(e, f)`` name the declared
-    property realising the operation on the operands' subspaces;
-    ``certain(e)`` is the set of states whose ray lies in ``e``'s
-    subspace.  Every entry is computed once and kept, including a missing
-    operation result: every lookup of it raises the same
-    :class:`NotOperationClosed`.  Operands must be declared properties.
-
-    An operation entry is named by its key, ``(e, "ortho")`` or ``(e, f,
-    op)``, which is also the error's witness.  :meth:`realise` computes
-    the missing entries of many keys at once; a lookup reads its entry
-    and, on a miss, realises its one key.
+    An operation is named by its key, ``(e, "ortho")``, ``(e, f, "meet")``
+    or ``(e, f, "join")``, whose operands are declared properties.
+    :meth:`names` gives, for a list of keys, the declared property that
+    realises each operation on the operands' subspaces; ``ortho(e)``,
+    ``meet(e, f)`` and ``join(e, f)`` answer one key each.  ``certain(e)``
+    is the set of states whose ray lies in ``e``'s subspace.  Every entry
+    is computed once and kept, including a missing operation result: every
+    request for it raises the same :class:`NotOperationClosed`, with the
+    key as its witness.
     """
 
     def __init__(self, ann: HilbertAnnotation):
@@ -491,10 +476,8 @@ class PropertyTable:
         # the cyclic garbage collector frees
         self._subspaces = ann.property_subspaces
         self._rays = ann.state_rays
-        # e -> name, and e -> f -> name; None where no property realises it
-        self._ortho: dict[str, str | None] = {}
-        self._meet: dict[str, dict[str, str | None]] = {}
-        self._join: dict[str, dict[str, str | None]] = {}
+        # key -> name; None where no property realises it
+        self._names: dict[tuple, str | None] = {}
         self._certain: dict[str, frozenset[str]] = {}
         # rank -> declared names, stacked bases, tolerances
         self._groups: dict[int, tuple] = {}
@@ -511,99 +494,74 @@ class PropertyTable:
             self._groups[rank] = group
             return group
 
-    def _property_of(self, bases: Sequence[np.ndarray],
-                     tols: Sequence[float]) -> list[str | None]:
-        """The first declared property whose subspace equals each target,
-        given by its basis and tolerance; the targets share one rank.
+    def _property_of(self, targets: Sequence[Subspace]) -> list[str | None]:
+        """The first declared property whose subspace equals each target.
 
-        The targets are decided with their rank group in one
-        :func:`_equal_matrix` of the group and the targets together, which
-        tests both directions of containment at once.  Its target-target
-        block goes unused, so the targets go in blocks of at least 16 and
-        at least the group's size: the unused block then costs at most a
-        small multiple of the rest.
+        The targets of one rank are decided with that rank's declared
+        subspaces in one :func:`_equal_matrix` of the group and the
+        targets together, which tests both directions of containment at
+        once.  Its target-target block goes unused, so the targets go in
+        blocks of at least 16 and at least the group's size: the unused
+        block then costs at most a small multiple of the rest.
         """
-        names, group, group_tols = self._group(len(bases[0]))
-        g = len(names)
-        if not g:
-            return [None] * len(bases)
-        step = max(g, 16)
-        out: list[str | None] = []
-        for lo in range(0, len(bases), step):
-            equal = _equal_matrix(
-                np.concatenate([group, _stack(bases[lo:lo + step])]),
-                np.concatenate([group_tols, tols[lo:lo + step]]))
-            out += [names[row.index(True)] if True in row else None
-                    for row in equal[g:, :g].tolist()]
+        by_rank: dict[int, list[int]] = {}
+        for i, target in enumerate(targets):
+            by_rank.setdefault(target.rank, []).append(i)
+        out: list[str | None] = [None] * len(targets)
+        for rank, idx in by_rank.items():
+            names, group, group_tols = self._group(rank)
+            g = len(names)
+            if not g:
+                continue
+            step = max(g, 16)
+            for lo in range(0, len(idx), step):
+                block = idx[lo:lo + step]
+                equal = _equal_matrix(
+                    np.concatenate([group, _stack([targets[i].basis
+                                                   for i in block])]),
+                    np.concatenate([group_tols, [targets[i].tol
+                                                 for i in block]]))
+                for i, row in zip(block, equal[g:, :g].tolist()):
+                    if True in row:
+                        out[i] = names[row.index(True)]
         return out
 
-    def _entries(self, key: tuple) -> dict:
-        """The dict that holds ``key``'s entry, under ``key[-2]``."""
-        if key[-1] == "ortho":
-            return self._ortho
-        pairs = self._meet if key[-1] == "meet" else self._join
-        return pairs.setdefault(key[0], {})
+    def names(self, keys: Sequence[tuple]) -> list[str]:
+        """The property realising each of ``keys``, in order.
 
-    def realise(self, keys: Iterable[tuple]) -> None:
-        """Compute every entry of ``keys`` not yet in the table, at once.
-
-        The operations are stacked by kind and operand ranks, and each
-        stack's results are matched to properties in one batch per result
-        rank, so that only one stack's results are held at a time.
+        The keys not yet in the table are computed at once: their
+        operations are stacked by kind and operand ranks, and the results
+        are matched to properties in one batch per rank.  Raises
+        :class:`NotOperationClosed` at the first key, in order, that no
+        property realises.
         """
-        todo: dict[tuple, dict] = {}
-        for key in keys:
-            if key not in todo:
-                entries = self._entries(key)
-                if key[-2] not in entries:
-                    todo[key] = entries
-        if not todo:
-            return
-        subs = self._subspaces
-        keys = list(todo)
-        ops = [(key[-1], subs[key[0]], subs[key[1]] if len(key) == 3 else None)
-               for key in keys]
-        for idx, rows, lo, hi, tols in _stacked(ops):
-            by_rank: dict[int, list[int]] = {}
-            for j, (start, stop) in enumerate(zip(lo, hi)):
-                by_rank.setdefault(stop - start, []).append(j)
-            for same in by_rank.values():
-                names = self._property_of([rows[j][lo[j]:hi[j]] for j in same],
-                                          [tols[j] for j in same])
-                for j, name in zip(same, names):
-                    key = keys[idx[j]]
-                    todo[key][key[-2]] = name
-
-    def _miss(self, key: tuple) -> str | None:
-        self.realise((key,))
-        return self._entries(key)[key[-2]]
+        known = self._names
+        todo = list(dict.fromkeys(key for key in keys if key not in known))
+        if todo:
+            subs = self._subspaces
+            known.update(zip(todo, self._property_of(_operate([
+                (key[-1], subs[key[0]], subs[key[1]] if len(key) == 3 else None)
+                for key in todo]))))
+        out = [known[key] for key in keys]
+        if None in out:
+            *operands, op = key = keys[out.index(None)]
+            raise NotOperationClosed(
+                f"no property realises the "
+                f"{'complement' if op == 'ortho' else op} of "
+                + " and ".join(map(repr, operands)), witness=key)
+        return out  # type: ignore[return-value]
 
     def ortho(self, e: str) -> str:
-        try:
-            name = self._ortho[e]
-        except KeyError:
-            name = self._miss((e, "ortho"))
-        if name is None:
-            _not_closed((e, "ortho"))
-        return name
+        name = self._names.get((e, "ortho"))
+        return self.names([(e, "ortho")])[0] if name is None else name
 
     def meet(self, e: str, f: str) -> str:
-        try:
-            name = self._meet[e][f]
-        except KeyError:
-            name = self._miss((e, f, "meet"))
-        if name is None:
-            _not_closed((e, f, "meet"))
-        return name
+        name = self._names.get((e, f, "meet"))
+        return self.names([(e, f, "meet")])[0] if name is None else name
 
     def join(self, e: str, f: str) -> str:
-        try:
-            name = self._join[e][f]
-        except KeyError:
-            name = self._miss((e, f, "join"))
-        if name is None:
-            _not_closed((e, f, "join"))
-        return name
+        name = self._names.get((e, f, "join"))
+        return self.names([(e, f, "join")])[0] if name is None else name
 
     def certain(self, e: str) -> frozenset[str]:
         try:
@@ -661,20 +619,16 @@ def state_lattice(model: "Model") -> OrthoLattice:
         raise NoHilbertAnnotation("model carries no Hilbert annotation")
     props = list(model.properties)
     table = ann.table
-
-    # realised all at once, then read back with all complements first and
-    # meet before join per pair: this order decides which
-    # NotOperationClosed is raised first
-    table.realise([(e, "ortho") for e in props]
-                  + [(e, f, op) for e in props for f in props
-                     for op in ("meet", "join")])
-    ortho_prop = {e: table.ortho(e) for e in props}
-    meet_prop: dict[tuple[str, str], str] = {}
-    join_prop: dict[tuple[str, str], str] = {}
-    for e in props:
-        for f in props:
-            meet_prop[e, f] = table.meet(e, f)
-            join_prop[e, f] = table.join(e, f)
+    n = len(props)
+    pairs = [(e, f) for e in props for f in props]
+    # all complements first, then meet before join per pair: this order
+    # decides which NotOperationClosed is raised first
+    names = table.names([(e, "ortho") for e in props]
+                        + [(e, f, op) for e, f in pairs
+                           for op in ("meet", "join")])
+    ortho_prop = dict(zip(props, names[:n]))
+    meet_prop = dict(zip(pairs, names[n::2]))
+    join_prop = dict(zip(pairs, names[n + 1::2]))
 
     images = {e: table.certain(e) for e in props}
     rep_for_image: dict[frozenset, str] = {}

@@ -26,9 +26,10 @@ proposition and, looked up when a state outside the proposition is
 first asked about, the orthocomplement's proposition.  :func:`q_truth`
 builds one per query.  The checkers do not walk formula trees: the
 enumeration records each formula's operands by index, so the witnesses
-are filled in enumeration order, one property-table lookup per formula
-from its operands' witnesses (atoms go through :func:`witness_property`).
-They then build one :class:`QProposition` per distinct witness.
+are filled in enumeration order from the operands' witnesses, with one
+:meth:`~qlprop.hilbert.PropertyTable.names` call per enumeration level
+(atoms go through :func:`witness_property`).  They then build one
+:class:`QProposition` per distinct witness.
 :func:`check_tq_equalities` decides the negation law once per witness
 class and reports it per formula, and each pair of classes reduces its
 conjunction and join over the classes' witness atoms.
@@ -228,42 +229,23 @@ def _witness_classes(m: Model, formulas) -> tuple[list[str], dict, dict]:
     formulas, whose one-operand items are negations and two-operand items
     conjunctions.  Atoms go through :func:`witness_property`; every later
     level is filled from its operands' witnesses, which earlier levels
-    hold: its distinct (operation, operands) keys are realised in one
-    property-table call and read back once each.  A missing operation
-    raises at the first formula in enumeration order that needs it, as
+    hold, in one :meth:`~qlprop.hilbert.PropertyTable.names` call over
+    its formulas' (operands, operation) keys in enumeration order.  A
+    missing operation thus raises at the first formula that needs it, as
     the recursion would.
     """
     table = _hilbert(m).table
-    names = list(m.properties)
-    ids = {e: i for i, e in enumerate(names)}
-    n = len(names) + 1
     first_op, second_op = formulas.children.columns
     (lo, hi), *levels = formulas.levels
-    w = [ids[witness_property(m, f)] for f in formulas[lo:hi]]  # as indices
+    w = [witness_property(m, f) for f in formulas[lo:hi]]
     for lo, hi in levels:
-        # a code per formula: code // n is its first operand's witness,
-        # code % n one past its second operand's, or 0 if it has none
-        codes = [w[a] * n + (w[b] + 1 if b >= 0 else 0) for a, b in
-                 zip(first_op[lo:hi].tolist(), second_op[lo:hi].tolist())]
-        keys = {}
-        for c in dict.fromkeys(codes):
-            e, f = divmod(c, n)
-            keys[c] = ((names[e], "ortho") if f == 0
-                       else (names[e], names[f - 1], "meet"))
-        table.realise(keys.values())
-        got: dict[int, int] = {}
-        # read in order, so that a missing result raises at its first formula
-        for c in codes:
-            if c not in got:
-                key = keys[c]
-                got[c] = ids[table.ortho(key[0]) if len(key) == 2
-                             else table.meet(key[0], key[1])]
-        w += [got[c] for c in codes]
-    witnesses = [names[i] for i in w]
+        w += table.names([
+            (w[a], "ortho") if b < 0 else (w[a], w[b], "meet") for a, b in
+            zip(first_op[lo:hi].tolist(), second_op[lo:hi].tolist())])
     first: dict[str, int] = {}
-    for i, e in enumerate(witnesses):
+    for i, e in enumerate(w):
         first.setdefault(e, i)
-    return witnesses, first, {e: QProposition(m, Atom(e)) for e in first}
+    return w, first, {e: QProposition(m, Atom(e)) for e in first}
 
 
 def check_tq_equalities(m: Model, depth: int,

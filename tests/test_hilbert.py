@@ -591,15 +591,12 @@ def test_property_table_matches_the_pairwise_loops(fam, data):
     # every member and its complement, twice: the second lookup reads
     # the rank groups the first one built
     for target in targets + targets:
-        assert table._property_of([target.basis], [target.tol]) == [next(
+        assert table._property_of([target]) == [next(
             (e for e, x in subs.items() if x == target), None)]
-    # and stacked: every target of one rank in one call
-    for rank in {x.rank for x in targets}:
-        same = [x for x in targets if x.rank == rank]
-        assert table._property_of([x.basis for x in same],
-                                  [x.tol for x in same]) == [next(
-            (e for e, x in subs.items() if x == target), None)
-            for target in same]
+    # and stacked: every target, of mixed ranks, in one call
+    assert table._property_of(targets) == [next(
+        (e for e, x in subs.items() if x == target), None)
+        for target in targets]
 
 
 def test_containment_one_way_only_is_not_equality():
@@ -616,7 +613,7 @@ def test_containment_one_way_only_is_not_equality():
     for subs in ({"A": a, "B": b}, {"B": b, "A": a}):
         table = hilbert.PropertyTable(HilbertAnnotation(
             3, {"S": Subspace.ray([0, 0, 1], 3)}, subs))
-        assert table._property_of([a.basis, b.basis], [tol, tol]) == ["A", "B"]
+        assert table._property_of([a, b]) == ["A", "B"]
     # a pair decides with the larger tolerance: at 3 tol both directions hold
     b3 = Subspace._of_rows(b.basis, 3 * tol)
     assert a == b3 and hilbert._first_equal_pair([a, b, b3]) == (0, 2)
@@ -709,7 +706,11 @@ def test_state_lattice_requires_closure():
 def test_state_lattice_refuses_a_join_that_is_not_the_lub(monkeypatch):
     # a property table whose join names the left operand: bottom v x is
     # then bottom, which the order's lub contradicts
-    monkeypatch.setattr(hilbert.PropertyTable, "join", lambda self, e, f: e)
+    real = hilbert.PropertyTable.names
+    monkeypatch.setattr(
+        hilbert.PropertyTable, "names",
+        lambda self, keys: [key[0] if key[-1] == "join" else name
+                            for key, name in zip(keys, real(self, keys))])
     with pytest.raises(QlpropError) as exc:
         state_lattice(m_qbit())
     assert type(exc.value) is QlpropError
@@ -741,8 +742,8 @@ def test_state_lattice_realises_its_table_in_one_batch(monkeypatch):
     m = m_qutrit()
     n = len(m.properties)
     calls = []
-    real = hilbert._stacked
-    monkeypatch.setattr(hilbert, "_stacked",
+    real = hilbert._operate
+    monkeypatch.setattr(hilbert, "_operate",
                         lambda ops: calls.append(len(ops)) or real(ops))
     state_lattice(m)
     # every complement, meet and join, in one stacked call
@@ -758,12 +759,62 @@ def test_batched_and_single_lookups_name_the_same_properties():
     props = m.properties
     keys = [(e, "ortho") for e in props] + [
         (e, f, op) for e in props for f in props for op in ("meet", "join")]
-    batched = m.hilbert.table
-    batched.realise(keys)
-    for key in keys:
+    batched = m.hilbert.table.names(keys)
+    for key, name in zip(keys, batched):
         single = load_model(text).hilbert.table  # fresh: one-key misses
-        assert getattr(batched, key[-1])(*key[:-1]) \
-            == getattr(single, key[-1])(*key[:-1])
+        assert name == getattr(single, key[-1])(*key[:-1])
+
+
+def test_names_answers_in_key_order_and_raises_at_the_first_missing_key(
+        monkeypatch):
+    # two planes of C^3 with their complements but not their meet line,
+    # nor the plane P1 v P3
+    subs = {e: Subspace.span(rows, 3) for e, rows in {
+        "E0": [], "P12": [[1, 0, 0], [0, 1, 0]], "P3": [[0, 0, 1]],
+        "P23": [[0, 1, 0], [0, 0, 1]], "P1": [[1, 0, 0]],
+        "EI": np.eye(3)}.items()}
+    ann = HilbertAnnotation(3, {"S": Subspace.ray([1, 0, 0])}, subs)
+    table = hilbert.PropertyTable(ann)
+    calls = []
+    real = hilbert._operate
+    monkeypatch.setattr(hilbert, "_operate",
+                        lambda ops: calls.append(len(ops)) or real(ops))
+
+    # duplicates come back in order; the distinct keys take one call
+    keys = [("P12", "ortho"), ("P12", "P3", "join"), ("P12", "ortho"),
+            ("P1", "P12", "meet"), ("P12", "P3", "join")]
+    assert table.names(keys) == ["P3", "EI", "P3", "P1", "EI"]
+    assert calls == [3]
+
+    def first_missing(call):
+        with pytest.raises(NotOperationClosed) as exc:
+            call()
+        return str(exc.value), exc.value.witness
+
+    meet_missing = ("no property realises the meet of 'P12' and 'P23'",
+                    ("P12", "P23", "meet"))
+    join_missing = ("no property realises the join of 'P1' and 'P3'",
+                    ("P1", "P3", "join"))
+    # the first missing key in key order raises, whatever its kind, also
+    # with present keys after it in the same batch
+    keys = [("P3", "ortho"), ("P12", "P23", "meet"), ("P23", "ortho"),
+            ("P1", "P3", "join"), ("P12", "ortho")]
+    del calls[:]
+    assert first_missing(lambda: table.names(keys)) == meet_missing
+    assert calls == [4]
+    assert first_missing(lambda: table.names(keys[::-1])) == join_missing
+    # which is the key that one lookup at a time reaches first
+    fresh = hilbert.PropertyTable(ann)
+    assert first_missing(lambda: [getattr(fresh, key[-1])(*key[:-1])
+                                  for key in keys]) == meet_missing
+
+    # a repeat computes nothing: hits and stored misses alike
+    del calls[:]
+    assert first_missing(lambda: table.names(keys)) == meet_missing
+    assert first_missing(lambda: table.meet("P12", "P23")) == meet_missing
+    assert table.names(keys[:1] + keys[2:3]) == ["P12", "P1"]
+    assert table.ortho("P23") == "P1"
+    assert calls == []
 
 
 def test_model_with_a_filled_table_is_freed_without_the_cyclic_collector():

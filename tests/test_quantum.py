@@ -288,8 +288,8 @@ def test_witness_fill_realises_one_batch_per_level(monkeypatch):
     m, fresh = m_qutrit(), m_qutrit()
     formulas = enumerate_tq_formulas(m.properties, 3)
     calls = []
-    real = hilbert._stacked
-    monkeypatch.setattr(hilbert, "_stacked",
+    real = hilbert._operate
+    monkeypatch.setattr(hilbert, "_operate",
                         lambda ops: calls.append(len(ops)) or real(ops))
     witnesses = _witness_classes(m, formulas)[0]
     # the atoms need no lookup; depth 2 misses every complement and
