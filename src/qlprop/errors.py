@@ -89,7 +89,7 @@ class ForallMismatch(QlpropError):
 
 
 class DepthCapExceeded(QlpropError):
-    """A requested formula depth exceeds the configured cap."""
+    """A requested formula depth exceeds ``semantics.DEPTH_CAP``."""
 
 
 class InvalidDepth(QlpropError):

@@ -35,10 +35,10 @@ import enum
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .errors import NotPDecidable
+from .errors import NotPDecidable, SchemaError
 from .model import Model
-from .quantum import QTruth, _witness_classes, q_truth
-from .semantics import DEFAULT_DEPTH_CAP, enumerate_tq_formulas
+from .quantum import QTruth, _witness_classes, tq_physical_proposition
+from .semantics import enumerate_tq_formulas
 from .syntax import (
     A,
     And,
@@ -134,13 +134,19 @@ def assertive_preimage(af: AssertiveFormula) -> TQFormula:
     return f
 
 
-def justified(m: Model, state: str, af: AssertiveFormula,
-              cache: dict | None = None) -> Justification:
-    """Justified iff the quantum preimage is Q-true at the state."""
+def justified(m: Model, state: str, af: AssertiveFormula) -> Justification:
+    """Justified iff the quantum preimage is Q-true at the state, that
+    is, iff the state lies in the preimage's physical proposition.
+
+    Only that proposition is needed: where a formula is not Q-true, it
+    does not matter whether it is Q-false, so the orthocomplement of its
+    witness is not looked up.
+    """
     f = assertive_preimage(af)
-    if q_truth(m, state, f, cache) is QTruth.TRUE:
-        return Justification.JUSTIFIED
-    return Justification.UNJUSTIFIED
+    if state not in m.extensions:
+        raise SchemaError(f"unknown state {state!r}")
+    return (Justification.JUSTIFIED if state in tq_physical_proposition(m, f)
+            else Justification.UNJUSTIFIED)
 
 
 def _translations(formulas) -> Iterator[AssertiveFormula]:
@@ -194,9 +200,7 @@ class PreservationReport:
         return not self.counterexamples
 
 
-def check_preservation(m: Model, depth: int,
-                       depth_cap: int = DEFAULT_DEPTH_CAP
-                       ) -> PreservationReport:
+def check_preservation(m: Model, depth: int) -> PreservationReport:
     """Verify that the assertive translation respects the quantum
     semantics on all formulas up to ``depth``.
 
@@ -205,7 +209,7 @@ def check_preservation(m: Model, depth: int,
     classes, that the physical preorder between formulas matches the
     state-wise justification implication between their translations.
     """
-    formulas = enumerate_tq_formulas(m.properties, depth, depth_cap)
+    formulas = enumerate_tq_formulas(m.properties, depth)
     witnesses, first, props = _witness_classes(m, formulas)
     report = PreservationReport(formulas=len(formulas), classes=len(props))
 

@@ -11,8 +11,7 @@ annotation's :class:`~qlprop.hilbert.PropertyTable`: the subspace
 operation behind an entry runs at most once per annotation, on the
 first formula that needs it, and its result is matched to a declared
 property by the ``Subspace.__eq__`` rule (mutual containment within
-tolerance).  The optional ``cache`` arguments of the single-formula
-functions only memoise the walk from formula to witness.
+tolerance).
 
 Q-truth is three-valued: a formula is Q-true at a state lying in its
 proposition, Q-false at a state lying in the proposition's
@@ -31,8 +30,8 @@ are filled in enumeration order from the operands' witnesses, with one
 (atoms go through :func:`witness_property`).  They then build one
 :class:`QProposition` per distinct witness.
 :func:`check_tq_equalities` decides the negation law once per witness
-class and reports it per formula, and each pair of classes reduces its
-conjunction and join over the classes' witness atoms.
+class and reports it per formula, and each pair of classes reads the
+witnesses of its conjunction and join from the table.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ from .hilbert import certain_states, state_lattice
 from .lattice import OrthoLattice
 from .model import Interpretation, Model
 from .semantics import (
-    DEFAULT_DEPTH_CAP,
     enumerate_tq_formulas,
     is_true,
     physical_proposition,
@@ -63,7 +61,6 @@ from .syntax import (
     QNot,
     TQFormula,
     format_tq,
-    quantum_join,
     sasaki_formula,
 )
 
@@ -89,8 +86,7 @@ def _hilbert(m: Model):
     return m.hilbert
 
 
-def witness_property(m: Model, f: TQFormula,
-                     cache: dict | None = None) -> str:
+def witness_property(m: Model, f: TQFormula) -> str:
     """The declared property realising ``f`` through the subspace map.
 
     Recursion: an atom is its own witness; quantum negation looks up the
@@ -100,28 +96,20 @@ def witness_property(m: Model, f: TQFormula,
     contain the required subspace.
     """
     ann = _hilbert(m)
-    if cache is not None:
-        out = cache.get(f)  # one hash of the tree per lookup, not two
-        if out is not None:
-            return out
     if isinstance(f, Atom):
         if f.prop not in m.properties:
             raise UnknownProperty(f"model declares no property {f.prop!r}")
-        out = f.prop
-    elif isinstance(f, QNot):
-        out = ann.table.ortho(witness_property(m, f.inner, cache))
-    elif isinstance(f, And):
-        out = ann.table.meet(witness_property(m, f.left, cache),
-                             witness_property(m, f.right, cache))
-    else:
-        raise TypeError(f"not a quantum formula node: {f!r}")
-    if cache is not None:
-        cache[f] = out
-    return out
+        return f.prop
+    if isinstance(f, QNot):
+        return ann.table.ortho(witness_property(m, f.inner))
+    if isinstance(f, And):
+        return ann.table.meet(witness_property(m, f.left),
+                              witness_property(m, f.right))
+    raise TypeError(f"not a quantum formula node: {f!r}")
 
 
 def tq_is_true(m: Model, interp: Interpretation, state: str,
-               f: TQFormula, cache: dict | None = None) -> bool:
+               f: TQFormula) -> bool:
     """Truth of a quantum formula: classical truth of its witness atom.
 
     On conjunctive trees without quantum negation this agrees with the
@@ -129,14 +117,13 @@ def tq_is_true(m: Model, interp: Interpretation, state: str,
     at indeterminate states the two can differ because fabricated proper
     extensions carry no quantum information.
     """
-    return is_true(m, interp, state, Atom(witness_property(m, f, cache)))
+    return is_true(m, interp, state, Atom(witness_property(m, f)))
 
 
-def tq_physical_proposition(m: Model, f: TQFormula,
-                            cache: dict | None = None) -> frozenset[str]:
+def tq_physical_proposition(m: Model, f: TQFormula) -> frozenset[str]:
     """States where the formula is certain: the certain-state set of its
     witness property."""
-    return certain_states(m, witness_property(m, f, cache))
+    return certain_states(m, witness_property(m, f))
 
 
 def sasaki_hook(m: Model, a: TQFormula, b: TQFormula):
@@ -158,20 +145,20 @@ class QProposition:
     checkers read Q-truth from :meth:`truth`, so it is defined once.
     """
 
-    __slots__ = ("_m", "witness", "states", "_neg")
+    __slots__ = ("_table", "witness", "states", "_neg")
 
-    def __init__(self, m: Model, f: TQFormula, cache: dict | None = None):
-        self._m = m
-        self.witness = witness_property(m, f, cache)
-        self.states = certain_states(m, self.witness)
+    def __init__(self, m: Model, f: TQFormula):
+        self._table = table = _hilbert(m).table
+        self.witness = witness_property(m, f)
+        self.states = table.certain(self.witness)
         self._neg: frozenset[str] | None = None
 
     @property
     def neg(self) -> frozenset[str]:
         if self._neg is None:
-            # witnesses compose, so ~q f and ~q (its witness) share one
-            self._neg = tq_physical_proposition(self._m,
-                                                QNot(Atom(self.witness)))
+            # the proposition of ~q f: witnesses compose, so its witness
+            # is the orthocomplement of f's
+            self._neg = self._table.certain(self._table.ortho(self.witness))
         return self._neg
 
     def truth(self, state: str) -> QTruth:
@@ -183,12 +170,11 @@ class QProposition:
         return QTruth.INDETERMINATE
 
 
-def q_truth(m: Model, state: str, f: TQFormula,
-            cache: dict | None = None) -> QTruth:
+def q_truth(m: Model, state: str, f: TQFormula) -> QTruth:
     """Three-valued truth at a state; see the module docstring."""
     if state not in m.extensions:
         raise SchemaError(f"unknown state {state!r}")
-    return QProposition(m, f, cache).truth(state)
+    return QProposition(m, f).truth(state)
 
 
 def q_truth_classical(m: Model, state: str, f: Formula) -> QTruth | None:
@@ -249,7 +235,6 @@ def _witness_classes(m: Model, formulas) -> tuple[list[str], dict, dict]:
 
 
 def check_tq_equalities(m: Model, depth: int,
-                        depth_cap: int = DEFAULT_DEPTH_CAP,
                         lat: OrthoLattice | None = None) -> dict:
     """Compare formula propositions against state-lattice operations.
 
@@ -257,8 +242,13 @@ def check_tq_equalities(m: Model, depth: int,
     property): the proposition of a negation must be the lattice
     orthocomplement, of a conjunction the lattice meet, and of a derived
     disjunction the lattice join of the operand propositions.  The
-    lattice side is computed order-theoretically (validated glb/lub
-    tables), so the two routes are independent.
+    lattice meet and join are computed order-theoretically (validated
+    glb/lub tables), so those two laws compare independent routes.  The
+    negation law does not: both its sides come from
+    :meth:`~qlprop.hilbert.PropertyTable.ortho`, since
+    :func:`~qlprop.hilbert.state_lattice` builds the lattice
+    orthocomplement from the same table entries that give a negation's
+    witness.
 
     Returns a dict with violation lists per law, the number of formulas
     checked, and a witness pair for strictness of the join inclusion
@@ -267,7 +257,7 @@ def check_tq_equalities(m: Model, depth: int,
     """
     if lat is None:
         lat = state_lattice(m)
-    formulas = enumerate_tq_formulas(m.properties, depth, depth_cap)
+    formulas = enumerate_tq_formulas(m.properties, depth)
     witnesses, first, props = _witness_classes(m, formulas)
     index_of = lat.poset.index_of
 
@@ -283,16 +273,19 @@ def check_tq_equalities(m: Model, depth: int,
         if not ok:
             neg_bad.append(format_tq(f))
     # a pair's conjunction and join reduce through the operands'
-    # witnesses, so they are built over witness atoms, not the formulas
-    classes = [(formulas[i], Atom(w), props[w].states, index_of(props[w].states))
+    # witnesses, so their witnesses are read from the table: the meet, and
+    # the join as ~q (~q a & ~q b), in the order the recursion reads them
+    table = _hilbert(m).table
+    classes = [(formulas[i], w, props[w].states, index_of(props[w].states))
                for w, i in first.items()]
     strict = None
     for a, wa, pa, ia in classes:
         for b, wb, pb, ib in classes:
-            if index_of(tq_physical_proposition(m, And(wa, wb))) \
+            if index_of(certain_states(m, table.meet(wa, wb))) \
                     != lat.meet[ia, ib]:
                 conj_bad.append((format_tq(a), format_tq(b)))
-            joined = tq_physical_proposition(m, quantum_join(wa, wb))
+            joined = certain_states(
+                m, table.ortho(table.meet(table.ortho(wa), table.ortho(wb))))
             if index_of(joined) != lat.join[ia, ib]:
                 join_bad.append((format_tq(a), format_tq(b)))
             union = pa | pb

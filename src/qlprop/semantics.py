@@ -69,7 +69,7 @@ from .model import Interpretation, Model, enumerate_interpretations
 from .syntax import And, Atom, Formula, Not, Or, QNot, format_lx
 
 __all__ = [
-    "DEFAULT_DEPTH_CAP", "check_depth",
+    "DEPTH_CAP", "check_depth",
     "extension_of", "is_true", "individual_proposition",
     "physical_proposition", "certainly_true",
     "extension_profile",
@@ -79,7 +79,9 @@ __all__ = [
     "lindenbaum_tarski",
 ]
 
-DEFAULT_DEPTH_CAP = 4
+# the deepest formula enumeration any function runs: over one classical
+# property, depth 4 is 2,776 formulas and depth 5 would be 15,415,129
+DEPTH_CAP = 4
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +398,10 @@ class _Children(Sequence):
         return (a,) if b < 0 else (a, b)
 
 
-def _enumerate(properties, depth: int, depth_cap: int, unary, binary):
+def _enumerate(properties, depth: int, unary, binary):
     check_depth(depth)
-    if depth > depth_cap:
-        raise DepthCapExceeded(
-            f"depth {depth} exceeds the cap {depth_cap}")
+    if depth > DEPTH_CAP:
+        raise DepthCapExceeded(f"depth {depth} exceeds the cap {DEPTH_CAP}")
     items = Enumeration(Atom(p) for p in properties)
     first = [np.full(len(items), -1, np.int32)]
     second = [np.full(len(items), -1, np.int32)]
@@ -432,31 +433,28 @@ def _enumerate(properties, depth: int, depth_cap: int, unary, binary):
     return items
 
 
-def enumerate_formulas(properties, depth: int,
-                       depth_cap: int = DEFAULT_DEPTH_CAP) -> Enumeration:
+def enumerate_formulas(properties, depth: int) -> Enumeration:
     """All classical formulas over ``properties`` up to AST depth, as an
     :class:`Enumeration` (a list that also records each formula's
     operands by index)."""
-    return _enumerate(properties, depth, depth_cap, [Not], [And, Or])
+    return _enumerate(properties, depth, [Not], [And, Or])
 
 
-def enumerate_tq_formulas(properties, depth: int,
-                          depth_cap: int = DEFAULT_DEPTH_CAP) -> Enumeration:
+def enumerate_tq_formulas(properties, depth: int) -> Enumeration:
     """All quantum formulas (atoms, quantum negation, conjunction), as an
     :class:`Enumeration`."""
-    return _enumerate(properties, depth, depth_cap, [QNot], [And])
+    return _enumerate(properties, depth, [QNot], [And])
 
 
 # ---------------------------------------------------------------------------
 # Poset of testable propositions
 
 
-def testable_proposition_poset(m: Model, depth: int,
-                               depth_cap: int = DEFAULT_DEPTH_CAP) -> FinitePoset:
+def testable_proposition_poset(m: Model, depth: int) -> FinitePoset:
     """Distinct physical propositions of testable formulas up to depth,
     ordered by inclusion."""
     seen: dict[frozenset, None] = {}
-    for f in enumerate_formulas(m.properties, depth, depth_cap):
+    for f in enumerate_formulas(m.properties, depth):
         if testable_witness(m, f) is not None:
             seen.setdefault(physical_proposition(m, f))
     props = list(seen)
@@ -562,8 +560,7 @@ def _lt_poset(classes: tuple[LTClass, ...], bits: list[int]) -> FinitePoset:
                        [format_lx(c.representative) for c in classes])
 
 
-def lindenbaum_tarski(m: Model, depth: int,
-                      depth_cap: int = DEFAULT_DEPTH_CAP) -> LTAlgebra:
+def lindenbaum_tarski(m: Model, depth: int) -> LTAlgebra:
     """Quotient the formulas of depth <= ``depth`` by logical equivalence.
 
     Classes are keyed by extension profile; representatives are the first
@@ -572,7 +569,7 @@ def lindenbaum_tarski(m: Model, depth: int,
     k = m.kernel
     reps: dict[int, Formula] = {}
     counts: dict[int, int] = {}
-    formulas = enumerate_formulas(m.properties, depth, depth_cap)
+    formulas = enumerate_formulas(m.properties, depth)
     for f, v in zip(formulas, k.profiles(formulas)):
         if v not in reps:
             reps[v] = f

@@ -343,14 +343,13 @@ def reference_tq_equalities(m: Model, depth: int) -> dict:
     from qlprop.syntax import format_tq, quantum_join
 
     lat = state_lattice(m)
-    cache: dict = {}
     formulas = enumerate_tq_formulas(m.properties, depth)
     reps: dict = {}
     for f in formulas:
-        reps.setdefault(witness_property(m, f, cache), f)
+        reps.setdefault(witness_property(m, f), f)
 
     def idx(f) -> int:
-        return lat.poset.index_of(tq_physical_proposition(m, f, cache))
+        return lat.poset.index_of(tq_physical_proposition(m, f))
 
     neg_bad, conj_bad, join_bad = [], [], []
     for f in formulas:
@@ -366,9 +365,9 @@ def reference_tq_equalities(m: Model, depth: int) -> dict:
             jf = quantum_join(a, b)
             if idx(jf) != lat.join[ia, ib]:
                 join_bad.append((format_tq(a), format_tq(b)))
-            union = (tq_physical_proposition(m, a, cache)
-                     | tq_physical_proposition(m, b, cache))
-            joined = tq_physical_proposition(m, jf, cache)
+            union = (tq_physical_proposition(m, a)
+                     | tq_physical_proposition(m, b))
+            joined = tq_physical_proposition(m, jf)
             if not union <= joined:
                 join_bad.append((format_tq(a), format_tq(b), "union not below"))
             elif strict is None and union < joined:
@@ -392,30 +391,29 @@ def reference_preservation(m: Model, depth: int) -> tuple:
     from qlprop.semantics import enumerate_tq_formulas
     from qlprop.syntax import format_tq
 
-    cache: dict = {}
     formulas = enumerate_tq_formulas(m.properties, depth)
     reps: dict = {}
     for f in formulas:
-        reps.setdefault(witness_property(m, f, cache), f)
+        reps.setdefault(witness_property(m, f), f)
     bad = []
     for f in formulas:
         af = to_assertive(f)
         for s in m.states:
-            qt = q_truth(m, s, f, cache)
-            j = justified(m, s, af, cache)
+            qt = q_truth(m, s, f)
+            j = justified(m, s, af)
             if (qt is QTruth.TRUE) != (j is Justification.JUSTIFIED):
                 bad.append(("truth", format_tq(f), s, str(qt), str(j)))
     for a in reps.values():
-        pa = tq_physical_proposition(m, a, cache)
+        pa = tq_physical_proposition(m, a)
         ta = to_assertive(a)
         for b in reps.values():
-            pb = tq_physical_proposition(m, b, cache)
+            pb = tq_physical_proposition(m, b)
             tb = to_assertive(b)
             phys = pa <= pb
             af_leq = all(
-                justified(m, s, tb, cache) is Justification.JUSTIFIED
+                justified(m, s, tb) is Justification.JUSTIFIED
                 for s in m.states
-                if justified(m, s, ta, cache) is Justification.JUSTIFIED)
+                if justified(m, s, ta) is Justification.JUSTIFIED)
             if phys != af_leq:
                 bad.append(("preorder", format_tq(a), format_tq(b),
                             phys, af_leq))

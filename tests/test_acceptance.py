@@ -251,24 +251,22 @@ def _determinate_fixtures():
 def test_criterion_6_trichotomy():
     viol: list[tuple] = []
     for m in (m_qbit(), m_qutrit()):
-        cache: dict = {}
         for f in enumerate_tq_formulas(m.properties, 2):
-            pos = tq_physical_proposition(m, f, cache)
-            neg = tq_physical_proposition(m, QNot(f), cache)
+            pos = tq_physical_proposition(m, f)
+            neg = tq_physical_proposition(m, QNot(f))
             if pos & neg:
                 viol.append(("overlap", format_tq(f)))
             for s in m.states:
                 want = (QTruth.TRUE if s in pos
                         else QTruth.FALSE if s in neg
                         else QTruth.INDETERMINATE)
-                if q_truth(m, s, f, cache) is not want:
+                if q_truth(m, s, f) is not want:
                     viol.append(("value", format_tq(f), s))
     for m in _determinate_fixtures():
-        cache = {}
         for f in enumerate_tq_formulas(m.properties, 2):
             certain = physical_proposition(m, _classical_counterpart(f))
             for s in m.states:
-                if (q_truth(m, s, f, cache) is QTruth.TRUE) != (s in certain):
+                if (q_truth(m, s, f) is QTruth.TRUE) != (s in certain):
                     viol.append(("determinate", format_tq(f), s))
     mq = m_qbit()
     witness = (q_truth(mq, "Sx+", Atom("Ez+")) is QTruth.INDETERMINATE

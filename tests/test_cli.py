@@ -543,6 +543,40 @@ def test_lattice_lindenbaum_refuses_depth_below_one(depth, models_dir, capsys):
                     "--which", "lindenbaum", "--depth", depth], capsys)
 
 
+# the depth cap is one constant: every command that enumerates formulas
+# refuses depth 5 with the same text, and LS, which enumerates none, runs
+
+_ENUMERATING = [
+    ("check", "m_sr", "--suite", "sec3"),
+    ("check", "m_sr", "--suite", "cm"),
+    ("check", "m_qbit", "--suite", "qm"),
+    ("check", "m_qbit", "--suite", "prag"),
+    ("lattice", "m_sr", "--which", "testable"),
+    ("lattice", "m_sr", "--which", "lindenbaum"),
+]
+
+
+@pytest.mark.parametrize("command, model, flag, value", _ENUMERATING)
+def test_enumerating_commands_refuse_depth_above_the_cap(
+        command, model, flag, value, models_dir, capsys):
+    argv = [command, "--model", str(models_dir / f"{model}.json"),
+            flag, value, "--depth", "5"]
+    for extra in ([], ["--json"]):
+        assert main(argv + extra) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "ERROR DepthCapExceeded: depth 5 exceeds the cap 4\n"
+
+
+def test_lattice_LS_ignores_the_depth_cap(models_dir, capsys):
+    argv = ["lattice", "--model", str(models_dir / "m_qbit.json"),
+            "--which", "LS"]
+    assert main(argv) == 0
+    want = capsys.readouterr()
+    assert main(argv + ["--depth", "5"]) == 0
+    assert capsys.readouterr() == want
+
+
 # ---------------------------------------------------------------------------
 # global options
 

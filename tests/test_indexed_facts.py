@@ -82,8 +82,7 @@ def test_indexed_witnesses_match_the_recursion(name, depth):
     m = HILBERT[name]
     formulas = enumerate_tq_formulas(m.properties, depth)
     witnesses, first, props = _witness_classes(m, formulas)
-    cache: dict = {}
-    assert witnesses == [witness_property(m, f, cache) for f in formulas]
+    assert witnesses == [witness_property(m, f) for f in formulas]
     assert list(first) == list(props) == list(dict.fromkeys(witnesses))
     assert all(witnesses[i] == e and e not in witnesses[:i]
                for e, i in first.items())

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from qlprop.errors import NotPDecidable
-from qlprop.model import build_qm_model, m_qbit
+from qlprop.errors import NotOperationClosed, NotPDecidable, SchemaError
+from qlprop.hilbert import Subspace
+from qlprop.model import HilbertAnnotation, build_qm_model, m_qbit, make_model
 from qlprop.pragmatic import (
     Justification,
     assertive_preimage,
@@ -126,20 +127,44 @@ def test_justified_string_values():
     assert str(Justification.UNJUSTIFIED) == "Unjustified"
 
 
+def test_justification_reads_the_proposition_only():
+    # two oblique rays: no declared property realises the complement of
+    # P, so P's Q-truth outside its certain set is undefined, but
+    # justifying |- P(x) needs only that certain set
+    ann = HilbertAnnotation(
+        2,
+        {"S1": Subspace.ray([1, 0]), "S2": Subspace.ray([1, 1])},
+        {"P": Subspace.ray([1, 0]), "Q": Subspace.ray([1, 1])})
+    m = make_model(
+        ["S1", "S2"], {"S1": ["a"], "S2": ["a"]}, ["P", "Q"],
+        {"S1": {"P": ["a"], "Q": []}, "S2": {"P": [], "Q": ["a"]}},
+        hilbert=ann)
+    assert justified(m, "S1", parse_prag("|- P(x)")) \
+        is Justification.JUSTIFIED
+    assert justified(m, "S2", parse_prag("|- P(x)")) \
+        is Justification.UNJUSTIFIED
+    with pytest.raises(NotOperationClosed):
+        q_truth(m, "S2", Atom("P"))
+    # N needs the complement itself, and an unknown state is refused
+    # before any witness is looked up
+    with pytest.raises(NotOperationClosed):
+        justified(m, "S1", parse_prag("N |- P(x)"))
+    with pytest.raises(SchemaError):
+        justified(m, "S3", parse_prag("N |- P(x)"))
+
+
 def test_justified_iff_q_true_exhaustive():
     m = m_qbit()
-    cache: dict = {}
     for f in enumerate_tq_formulas(m.properties, 2):
         af = to_assertive(f)
         for s in m.states:
-            want = q_truth(m, s, f, cache) is QTruth.TRUE
-            got = justified(m, s, af, cache) is Justification.JUSTIFIED
+            want = q_truth(m, s, f) is QTruth.TRUE
+            got = justified(m, s, af) is Justification.JUSTIFIED
             assert want == got, (s, f)
 
 
 def test_k_justification_is_conjunction_of_justifications():
     m = m_qbit()
-    cache: dict = {}
     formulas = enumerate_tq_formulas(m.properties, 2)
     rng = random.Random(6)
     for _ in range(200):
@@ -147,11 +172,11 @@ def test_k_justification_is_conjunction_of_justifications():
         b = rng.choice(formulas)
         af = K(to_assertive(a), to_assertive(b))
         for s in m.states:
-            want = (justified(m, s, to_assertive(a), cache)
+            want = (justified(m, s, to_assertive(a))
                     is Justification.JUSTIFIED) \
-                and (justified(m, s, to_assertive(b), cache)
+                and (justified(m, s, to_assertive(b))
                      is Justification.JUSTIFIED)
-            got = justified(m, s, af, cache) is Justification.JUSTIFIED
+            got = justified(m, s, af) is Justification.JUSTIFIED
             assert want == got
 
 

@@ -6,7 +6,6 @@ lattice's order-derived meet/join/ortho tables.
 """
 
 import functools
-import random
 
 import numpy as np
 import pytest
@@ -46,7 +45,7 @@ from qlprop.quantum import (
 from qlprop.semantics import enumerate_tq_formulas
 from qlprop.syntax import And, Atom, QNot, parse_lx, parse_tq
 
-from helpers import WitnessOracle, mo2_qubit, random_tq_formula
+from helpers import WitnessOracle, mo2_qubit
 
 # ---------------------------------------------------------------------------
 # witness recursion, frozen on the qubit fixture
@@ -79,17 +78,6 @@ def test_witness_join_and_sasaki():
     f, prop = sasaki_hook(m, parse_tq("Ex+(x)"), parse_tq("Ez+(x)"))
     assert witness_property(m, f) == "Ex-"
     assert prop == frozenset({"Sx-"})
-
-
-def test_witness_cache_consistency():
-    m = m_qbit()
-    cache: dict = {}
-    rng = random.Random(8)
-    for _ in range(50):
-        f = random_tq_formula(rng, list(m.properties), 3)
-        assert witness_property(m, f, cache) == witness_property(m, f)
-    for f, w in cache.items():
-        assert witness_property(m, f) == w
 
 
 def test_witness_errors():
@@ -352,13 +340,12 @@ def test_q_false_is_lattice_complement_not_set_complement():
 
 def test_q_truth_partition_exhaustive_depth2():
     m = m_qbit()
-    cache: dict = {}
     for f in enumerate_tq_formulas(m.properties, 2):
-        pos = tq_physical_proposition(m, f, cache)
-        neg = tq_physical_proposition(m, QNot(f), cache)
+        pos = tq_physical_proposition(m, f)
+        neg = tq_physical_proposition(m, QNot(f))
         assert not (pos & neg)
         for s in m.states:
-            value = q_truth(m, s, f, cache)
+            value = q_truth(m, s, f)
             if s in pos:
                 assert value is QTruth.TRUE
             elif s in neg:
@@ -372,11 +359,10 @@ def test_q_truth_matches_certainly_true_on_determinate_states():
     # classical certainly-true notion agrees
     from qlprop.semantics import certainly_true
     m = m_qbit()
-    cache: dict = {}
     for f in enumerate_tq_formulas(m.properties, 2):
-        w = witness_property(m, f, cache)
+        w = witness_property(m, f)
         for s in m.states:
-            if q_truth(m, s, f, cache) is QTruth.TRUE:
+            if q_truth(m, s, f) is QTruth.TRUE:
                 assert certainly_true(m, s, Atom(w))
 
 
@@ -459,7 +445,6 @@ def test_conjunction_witness_agrees_classically_at_determinate_states():
     m = m_qbit()
     interp = default_interpretation(m)
     from qlprop.semantics import is_true
-    cache: dict = {}
     for f in enumerate_tq_formulas(m.properties, 2):
         if any(isinstance(g, QNot) for g in _walk(f)):
             continue
@@ -468,7 +453,7 @@ def test_conjunction_witness_agrees_classically_at_determinate_states():
             determinate = all(
                 e in (frozenset(), frozenset(m.universe(s))) for e in exts)
             if determinate:
-                assert tq_is_true(m, interp, s, f, cache) \
+                assert tq_is_true(m, interp, s, f) \
                     == is_true(m, interp, s, f)
 
 
