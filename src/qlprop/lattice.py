@@ -11,20 +11,25 @@ payloads), so callers can compare them with operations computed
 elsewhere.  Tables and covers are derived once per poset: a
 :class:`FinitePoset` computes its meet and join tables and its cover
 matrix on first use and caches them, and every checker reads that copy.
-Tables and law checks are numpy row slabs of at most n x n entries, so
-memory stays O(n^2); laws over pairs cost O(n^2) work.  A
-law over triples is evaluated for one value of its first variable at a
-time over all n x n values of the others, O(n^3) work in n slabs.
-Distributivity is decided before that, by the fact that a finite
-lattice is distributive exactly when every join-irreducible element is
-join-prime (Birkhoff, "Rings of sets", Duke Math. J. 1937; Davey &
-Priestley, *Introduction to Lattices and Order*, 2nd ed. 2002, ch. 5):
-once the lower covers are known, O(n^2 * |J|) work for the |J|
-join-irreducibles.  Only a lattice that is not distributive falls back
-to the O(n^3) slabs, which find the witnesses.  Witnesses are the
-lexicographically first violating tuple, the order a nested scan would
-meet them in.  See Freese, Jezek & Nation, *Free Lattices* (AMS 1995)
-for the finite lattice algorithms.
+A table costs O(n^2) lookups: each element's down-set is one integer
+bitmask, and a pair has a glb exactly when some element's down-set is
+the AND of theirs (computing lattice operations from an encoding of the
+order follows Ait-Kaci, Boyer, Lincoln & Nasr, "Efficient implementation
+of lattice operations", ACM TOPLAS 11(1), 1989).  Law checks are numpy
+row slabs of at most n x n entries, so memory stays O(n^2); laws over
+pairs cost O(n^2) work.  Only the laws over triples (the modular law,
+and the distributive laws' witness scan) cost O(n^3): each is evaluated
+for one value of its first variable at a time over all n x n values of
+the others, in n slabs.  Distributivity is decided before that, by the
+fact that a finite lattice is distributive exactly when every
+join-irreducible element is join-prime (Birkhoff, "Rings of sets", Duke
+Math. J. 1937; Davey & Priestley, *Introduction to Lattices and Order*,
+2nd ed. 2002, ch. 5): once the lower covers are known, O(n^2 * |J|)
+work for the |J| join-irreducibles.  Only a lattice that is not
+distributive falls back to the O(n^3) slabs, which find the witnesses.
+Witnesses are the lexicographically first violating tuple, the order a
+nested scan would meet them in.  See Freese, Jezek & Nation, *Free
+Lattices* (AMS 1995) for the finite lattice algorithms.
 """
 
 from __future__ import annotations
@@ -158,18 +163,21 @@ def build_poset(elements: Sequence, leq: Callable | np.ndarray,
         if len(labels) != n:
             raise NotAPartialOrder(f"{len(labels)} labels for {n} elements")
 
-    for i in range(n):
-        if not mat[i, i]:
-            raise NotAPartialOrder(f"not reflexive at {labels[i]!r}",
-                                   witness=(els[i],))
+    hit = _first(~mat.diagonal())
+    if hit is not None:
+        i, = hit
+        raise NotAPartialOrder(f"not reflexive at {labels[i]!r}",
+                               witness=(els[i],))
     both = mat & mat.T & ~np.eye(n, dtype=bool)
     if both.any():
         i, j = map(int, next(zip(*np.nonzero(both))))
         raise NotAPartialOrder(
             f"antisymmetry fails between {labels[i]!r} and {labels[j]!r}",
             witness=(els[i], els[j]))
-    closure = mat @ mat
-    gap = closure & ~mat
+    # counts paths of length two with a BLAS product; each count is at
+    # most n, so exact in float32
+    f = mat.astype(np.float32)
+    gap = ((f @ f) > 0) & ~mat
     if gap.any():
         i, j = map(int, next(zip(*np.nonzero(gap))))
         k = int(np.nonzero(mat[i] & mat[:, j])[0][0])
@@ -250,22 +258,26 @@ def _glb_table(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Greatest-lower-bound table of a partial order and the mask of the
     pairs that have one.
 
-    A lower bound k of (i, j) is their glb exactly when every lower bound
-    lies below k; by transitivity the down-set of k lies inside the set of
-    lower bounds, so that holds exactly when both sets have the same size.
-    The table is filled one row i at a time in O(n^2) work and memory.
-    Run on ``leq.T`` the same kernel gives least upper bounds.
+    (i, j) has a glb exactly when its common lower bounds are the
+    down-set of one element m, and then m is the glb.  Each down-set is
+    one int bitmask, and distinct elements have distinct down-sets, so
+    the glb is one AND of n-bit ints and one dict lookup per pair:
+    O(n^2) lookups and O(n^2) memory.  The glb is symmetric, so only
+    the pairs i <= j are looked up.  Pairs without a glb hold 0.  Run on
+    ``leq.T`` the same kernel gives least upper bounds.
     """
     n = leq.shape[0]
-    below = np.ascontiguousarray(leq.T)  # below[j, k]: k <= j
-    down = leq.sum(axis=0)  # size of the down-set of each k
-    table = np.zeros((n, n), dtype=int)
-    has = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        lower = below & leq[:, i]  # lower[j, k]: k <= i and k <= j
-        glb = lower & (down == lower.sum(axis=1)[:, None])
-        table[i] = glb.argmax(axis=1)
-        has[i] = glb.any(axis=1)
+    down = [int.from_bytes(row.tobytes(), "little") for row in
+            np.packbits(leq.T, axis=1, bitorder="little")]
+    element = {d: k for k, d in enumerate(down)}.get
+    found = np.array([element(d & e, -1)
+                      for i, d in enumerate(down) for e in down[i:]],
+                     dtype=int)
+    upper = np.triu_indices(n)
+    table = np.empty((n, n), dtype=int)
+    table[upper] = table.T[upper] = found
+    has = table >= 0
+    table[~has] = 0
     return table, has
 
 
@@ -289,17 +301,16 @@ def check_boolean(p: FinitePoset) -> LawReport:
     :class:`MeetJoinMissing` otherwise).  Laws checked: boundedness, both
     distributivity directions, existence and uniqueness of complements.
 
-    Cost: the meet and join tables, built once per poset, take O(n^3)
-    numpy work in n row slabs of n x n entries, so memory stays O(n^2),
-    and the complement count O(n^2).  Both distributive laws hold
-    exactly when every join-irreducible element is join-prime (Birkhoff
-    1937; Davey & Priestley 2002, ch. 5), which costs one matrix product
-    for the lower covers (also built once per poset) and O(n^2 * |J|)
-    for the |J| join-irreducibles.  Only when that fails are the laws
-    evaluated cell by cell, O(n^3) work in n row slabs of n x n entries
-    (one per first variable), to find the witnesses.  A failed law's
-    witness is the lexicographically first violating tuple of element
-    labels.
+    Cost: the meet and join tables, built once per poset, take O(n^2)
+    down-set lookups and O(n^2) memory, and the complement count O(n^2)
+    numpy work.  Both distributive laws hold exactly when every
+    join-irreducible element is join-prime (Birkhoff 1937; Davey &
+    Priestley 2002, ch. 5), which costs one matrix product for the lower
+    covers (also built once per poset) and O(n^2 * |J|) for the |J|
+    join-irreducibles.  Only when that fails are the laws evaluated cell
+    by cell, O(n^3) work in n row slabs of n x n entries (one per first
+    variable), to find the witnesses.  A failed law's witness is the
+    lexicographically first violating tuple of element labels.
     """
     meet, join = p.meet_join_tables()
     checks: list[LawCheck] = []

@@ -35,6 +35,8 @@ from qlprop.lattice import (
 )
 import qlprop.lattice as lattice
 from qlprop.lattice import _join_prime
+from qlprop.model import m_qutrit
+from qlprop.semantics import lindenbaum_tarski
 
 from helpers import (
     oracle_boolean_witnesses,
@@ -304,6 +306,8 @@ def test_atoms_of_powerset():
 # M3 (three atoms) and N5 (the pentagon) as families of subsets of {0, 1, 2}
 M3 = [0b000, 0b001, 0b010, 0b100, 0b111]
 N5 = [0b000, 0b001, 0b011, 0b100, 0b111]
+# the hexagon's order (0 < a < b < 1 and 0 < c < d < 1) on {0, 1, 2, 3}
+HEXAGON = [0b0000, 0b0001, 0b0011, 0b0100, 0b1100, 0b1111]
 
 
 def _subset_order(sets) -> list[list[bool]]:
@@ -364,6 +368,11 @@ BOWTIE = [[True, False, True, True],
 @given(st.one_of(closure_systems(), random_posets()))
 @example(BOWTIE)
 @example(_subset_order(M3))
+@example(_subset_order(N5))
+@example(_subset_order(HEXAGON))
+@example(np.eye(3, dtype=bool).tolist())  # an antichain
+@example(_subset_order([0b000, 0b001, 0b011, 0b111]))  # a chain
+@example(np.zeros((0, 0), dtype=bool))  # the empty poset
 @settings(max_examples=200, deadline=None)
 def test_meet_join_tables_match_oracle(leq):
     p = _poset(leq)
@@ -379,6 +388,52 @@ def test_meet_join_tables_match_oracle(leq):
     assert exc.value.witness == (i, j)
     assert str(exc.value) == (f"no {kind} for {p.labels[i]!r} "
                               f"and {p.labels[j]!r}")
+
+
+@given(st.data(), st.one_of(closure_systems(), random_posets()))
+@settings(max_examples=200, deadline=None)
+def test_tables_are_symmetric_and_permute_with_the_elements(data, leq):
+    # element a of the permuted order is element perm[a] of the original
+    leq = np.array(leq, dtype=bool)
+    perm = np.array(data.draw(st.permutations(range(len(leq)))), dtype=int)
+    inv = np.argsort(perm)
+    moved = np.ix_(perm, perm)
+    has = {}
+    for kind, order in (("meet", leq), ("join", leq.T)):
+        table, has[kind] = lattice._glb_table(order)
+        assert np.array_equal(table, table.T)
+        assert np.array_equal(has[kind], has[kind].T)
+        got, got_has = lattice._glb_table(order[moved])
+        assert np.array_equal(got_has, has[kind][moved])
+        # pairs without a bound hold 0 in both tables
+        assert np.array_equal(got, np.where(got_has, inv[table][moved], 0))
+    # the first missing pair of the permuted poset lacks the same bound
+    # in the original, and the meet is named when both are missing
+    p, q = _poset(leq), _poset(leq[moved])
+    if has["meet"].all() and has["join"].all():
+        p.meet_join_tables()
+        q.meet_join_tables()
+        return
+    with pytest.raises(MeetJoinMissing):
+        p.meet_join_tables()
+    with pytest.raises(MeetJoinMissing) as exc:
+        q.meet_join_tables()
+    i, j = perm[list(exc.value.witness)]
+    kind = str(exc.value).split()[1]
+    assert not has[kind][i, j]
+    assert kind == "meet" or has["meet"][i, j]
+
+
+def test_closed_qutrit_algebra_tables_are_and_and_or_of_profiles():
+    # the 512 classes of the closed algebra are profiles, so their meet
+    # and join are the AND and the OR of the kernel bits
+    alg = lindenbaum_tarski(m_qutrit(), 3).closed()
+    bits = [alg.model.kernel.encode(c.profile) for c in alg.classes]
+    index = {b: i for i, b in enumerate(bits)}
+    assert len(index) == 512
+    meet, join = alg.poset.meet_join_tables()
+    assert meet.tolist() == [[index[a & b] for b in bits] for a in bits]
+    assert join.tolist() == [[index[a | b] for b in bits] for a in bits]
 
 
 # ---------------------------------------------------------------------------
