@@ -45,14 +45,12 @@ from .quantum import (
 )
 from .semantics import (
     check_depth,
-    enumerate_formulas,
     forall_proposition,
     individual_proposition,
     is_true,
     lindenbaum_tarski,
     physical_proposition,
     testable_proposition_poset,
-    testable_witness,
 )
 from .syntax import (
     format_lx,
@@ -238,17 +236,21 @@ class _Suite:
 
 def _suite_sec3(m: Model, depth: int, out: _Suite):
     # profiles are slot ints and propositions are masks of full state
-    # blocks (see qlprop.semantics.ProfileKernel)
+    # blocks (see qlprop.semantics.ProfileKernel).  Every verdict depends
+    # on a formula's profile only, and the classes come in order of their
+    # first formula, so the first strict formula is the first strict
+    # class's representative and the first strict formula pair is the
+    # first strict class pair in row-major order.
     k = m.kernel
     full = k.full
     top = k.universe
-    formulas = enumerate_formulas(m.properties, depth)
-    vals = k.profiles(formulas)
-    props = [full(v) for v in vals]
+    lt = lindenbaum_tarski(m, depth)
+    classes = [(v, c.representative, full(v))
+               for v, c in zip(lt.bits, lt.classes)]
 
     neg_ok = True
     neg_strict = None
-    for f, v, p in zip(formulas, vals, props):
+    for v, f, p in classes:
         pn = full(top ^ v)
         if pn & p:
             neg_ok = False
@@ -258,32 +260,23 @@ def _suite_sec3(m: Model, depth: int, out: _Suite):
     if neg_strict:
         out.report(f"strict negation inclusion at {neg_strict!r}")
 
-    # a pair's verdicts depend on its two profiles only, so the pair loop
-    # runs over distinct profiles, each with its first formula's index;
-    # the first strict formula pair is the least (index, index) pair of
-    # a strict profile pair
-    first: dict[int, int] = {}
-    for i, v in enumerate(vals):
-        first.setdefault(v, i)
-    distinct = [(v, i, props[i]) for v, i in first.items()]
     conj_ok = True
     disj_ok = True
     strict = None
-    for va, i, pa in distinct:
-        for vb, j, pb in distinct:
+    for va, fa, pa in classes:
+        for vb, fb, pb in classes:
             if full(va & vb) != pa & pb:
                 conj_ok = False
             por = full(va | vb)
             union = pa | pb
             if union & ~por:
                 disj_ok = False
-            elif union != por and (strict is None or (i, j) < strict):
-                strict = (i, j)
+            elif strict is None and union != por:
+                strict = (format_lx(fa), format_lx(fb))
     out.passfail(conj_ok, "conjunction proposition equals intersection")
     out.passfail(disj_ok, "disjunction proposition above union")
     if strict:
-        pair = (format_lx(formulas[strict[0]]), format_lx(formulas[strict[1]]))
-        out.report(f"strict disjunction inclusion at {pair!r}")
+        out.report(f"strict disjunction inclusion at {strict!r}")
 
 
 def _suite_cm(m: Model, depth: int, assume_cmt: bool, out: _Suite):
@@ -292,18 +285,19 @@ def _suite_cm(m: Model, depth: int, assume_cmt: bool, out: _Suite):
                  "" if ok else f"witness {witness}")
     k = m.kernel
     top = k.universe
-    formulas = enumerate_formulas(m.properties, min(depth, 2))
-    vals = k.profiles(formulas)
-    props = [k.full(v) for v in vals]
+    # each check below reads a formula's profile only, so it runs over
+    # the classes of the formulas up to depth 2
+    low = lindenbaum_tarski(m, min(depth, 2))
+    props = [k.full(v) for v in low.bits]
     # every state block full in the profile or in its complement
-    rho_ok = all(p | k.full(top ^ v) == top for v, p in zip(vals, props))
+    rho_ok = all(p | k.full(top ^ v) == top for v, p in zip(low.bits, props))
     out.passfail(rho_ok, "truth independent of the interpretation")
     if interpretation_count(m) <= 10 ** 4:
         # the picked slots that hold are exactly those in full blocks:
         # v & pick == p & pick for every formula, so no picked slot lies
         # in any formula's difference v ^ p
         diff = 0
-        for v, p in zip(vals, props):
+        for v, p in zip(low.bits, props):
             diff |= v ^ p
         same = True
         for interp in enumerate_interpretations(m):
@@ -311,15 +305,18 @@ def _suite_cm(m: Model, depth: int, assume_cmt: bool, out: _Suite):
                 same = False
                 break
         out.passfail(same, "individual propositions collapse to physical")
-    untestable = [f for f in formulas if testable_witness(m, f) is None]
+    # a formula is testable when its class's profile is some atom's
+    atoms = {k.atom(e) for e in m.properties}
+    untestable = [c for v, c in zip(low.bits, low.classes) if v not in atoms]
+    count = sum(c.size for c in untestable)
     if assume_cmt:
         out.passfail(not untestable, "every formula testable",
                      "" if not untestable
-                     else f"{len(untestable)} formulas lack a witness, "
-                     f"first {format_lx(untestable[0])!r}")
+                     else f"{count} formulas lack a witness, "
+                     f"first {format_lx(untestable[0].representative)!r}")
     elif untestable:
-        out.report(f"{len(untestable)} of {len(formulas)} formulas lack a "
-                   "testable witness")
+        total = sum(c.size for c in low.classes)
+        out.report(f"{count} of {total} formulas lack a testable witness")
     lt = lindenbaum_tarski(m, depth).closed()
     rep = check_boolean(lt.poset)
     for c in rep.checks:

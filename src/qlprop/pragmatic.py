@@ -176,14 +176,16 @@ def _translations(formulas) -> Iterator[AssertiveFormula]:
         return preimage[id(ag)]
 
     # only an operand's entries are read again (the A pattern reads an
-    # operand of an operand)
-    operands = {c for kids in formulas.children for c in kids}
+    # operand of an operand).  The operands are exactly the formulas below
+    # the last level: an operand lies in an earlier level than its node,
+    # and every formula below the last level is an operand in the next
+    operands = formulas.levels[-1][0]
     for i, f in enumerate(formulas):
         af = _assertive_step(f, translated)
         pre = _preimage_step(af, given_back)
         if pre is not f and pre != f:
             raise _outside_image(af)
-        if i in operands:
+        if i < operands:
             translation[id(f)] = af
             preimage[id(af)] = f
         yield af

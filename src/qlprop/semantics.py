@@ -40,6 +40,14 @@ Checkers fill a per-formula fact as an array in that order, one step
 from the operands' entries (:meth:`ProfileKernel.profiles` for the
 classical profile), instead of walking each formula's tree again.
 
+:func:`lindenbaum_tarski` is the one place where the classical
+enumeration is grouped by profile.  Its :class:`LTAlgebra` keeps each
+class's kernel profile (``bits``), in order of the class's first
+formula, and builds the poset over the classes on the first read of
+``poset``.  Every classical verdict depends on a formula's profile only,
+so the testable-proposition poset and the classical suites of the
+command line read the classes, not the formulas.
+
 :meth:`LTAlgebra.closed` runs the closure semi-naively (Bancilhon 1986;
 Abiteboul, Hull & Vianu, *Foundations of Databases*, ch. 13).  A round
 complements only the members not complemented before, and combines only
@@ -54,6 +62,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -213,15 +222,6 @@ class ProfileKernel:
         """Per-state extensions, in state order."""
         return tuple(frozenset(o for o, bit in slots.items() if v & bit)
                      for slots in self._slots.values())
-
-    def encode(self, profile) -> int:
-        """Inverse of :meth:`decode`; objects outside a state's universe
-        contribute no bit."""
-        v = 0
-        for slots, ext in zip(self._slots.values(), profile):
-            for o in ext:
-                v |= slots.get(o, 0)
-        return v
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +452,16 @@ def enumerate_tq_formulas(properties, depth: int) -> Enumeration:
 
 def testable_proposition_poset(m: Model, depth: int) -> FinitePoset:
     """Distinct physical propositions of testable formulas up to depth,
-    ordered by inclusion."""
-    seen: dict[frozenset, None] = {}
-    for f in enumerate_formulas(m.properties, depth):
-        if testable_witness(m, f) is not None:
-            seen.setdefault(physical_proposition(m, f))
-    props = list(seen)
+    ordered by inclusion.
+
+    A formula is testable when its class's profile is some atom's, and
+    the classes come in order of their first formula, so the
+    propositions come in order of their first testable formula.
+    """
+    k = m.kernel
+    atoms = {k.atom(e) for e in m.properties}
+    bits = lindenbaum_tarski(m, depth).bits
+    props = list(dict.fromkeys(k.proposition(v) for v in bits if v in atoms))
     return build_poset(props, lambda x, y: x <= y,
                        [set_label(p, m.states) for p in props])
 
@@ -498,24 +502,46 @@ class LTAlgebra:
     """Quotient of the depth-bounded formula algebra by logical
     equivalence, ordered by the logical preorder.
 
-    ``closed()`` extends the carrier with every profile reachable by the
-    pointwise operations (complement, intersection, union per state).
-    The closure is the full quotient algebra of the model: it no longer
-    depends on the depth bound, and on it every meet and join exists, so
-    lattice law checkers can run without truncation artifacts.
+    ``bits`` holds each class's kernel profile, in class order; the
+    poset over the classes is built from them on the first read of
+    ``poset`` and kept.  ``closed()`` extends the carrier with every
+    profile reachable by the pointwise operations (complement,
+    intersection, union per state).  The closure is the full quotient
+    algebra of the model: it no longer depends on the depth bound, and
+    on it every meet and join exists, so lattice law checkers can run
+    without truncation artifacts.
     """
 
     model: Model
     depth: int
     classes: tuple[LTClass, ...]
-    poset: FinitePoset
+    bits: tuple[int, ...]
     is_closed: bool
+
+    @cached_property
+    def poset(self) -> FinitePoset:
+        """The classes ordered by slot inclusion of their profiles.
+
+        Row i of ``b`` holds the slot bits of class i, so
+        ``(b @ (1 - b).T)[i, j]`` counts the slots of i missing from j; a
+        count is at most the slot count, below 2**24, so the float32
+        product is exact.
+        """
+        slots = self.model.kernel.universe.bit_length()
+        width = (slots + 7) // 8
+        raw = b"".join(v.to_bytes(width, "little") for v in self.bits)
+        rows = np.frombuffer(raw, np.uint8).reshape(len(self.bits), width)
+        b = np.unpackbits(rows, axis=1, count=slots,
+                          bitorder="little").astype(np.float32)
+        leq = (b @ (1 - b).T) == 0
+        return build_poset([c.profile for c in self.classes], leq,
+                           [format_lx(c.representative) for c in self.classes])
 
     def closed(self) -> "LTAlgebra":
         m = self.model
         k = m.kernel
         top = k.universe
-        order = [k.encode(c.profile) for c in self.classes]
+        order = list(self.bits)
         reps = {v: c.representative for v, c in zip(order, self.classes)}
         # members [0, negated) are complemented; pairs within [0, paired)
         # were combined by the previous round
@@ -547,24 +573,14 @@ class LTAlgebra:
         n = len(self.classes)
         classes = self.classes + tuple(
             LTClass(reps[v], k.decode(v), 0) for v in order[n:])
-        return LTAlgebra(m, self.depth, classes, _lt_poset(classes, order),
-                         True)
-
-
-def _lt_poset(classes: tuple[LTClass, ...], bits: list[int]) -> FinitePoset:
-    """Classes ordered by slot inclusion of their profiles ``bits``."""
-    n = len(bits)
-    leq = np.array([[p | q == q for q in bits] for p in bits],
-                   dtype=bool).reshape(n, n)
-    return build_poset([c.profile for c in classes], leq,
-                       [format_lx(c.representative) for c in classes])
+        return LTAlgebra(m, self.depth, classes, tuple(order), True)
 
 
 def lindenbaum_tarski(m: Model, depth: int) -> LTAlgebra:
     """Quotient the formulas of depth <= ``depth`` by logical equivalence.
 
-    Classes are keyed by extension profile; representatives are the first
-    members in canonical enumeration order.
+    Classes are keyed by extension profile, in order of their first
+    member in canonical enumeration order, which is their representative.
     """
     k = m.kernel
     reps: dict[int, Formula] = {}
@@ -575,6 +591,6 @@ def lindenbaum_tarski(m: Model, depth: int) -> LTAlgebra:
             reps[v] = f
             counts[v] = 0
         counts[v] += 1
-    order = list(reps)
-    classes = tuple(LTClass(reps[v], k.decode(v), counts[v]) for v in order)
-    return LTAlgebra(m, depth, classes, _lt_poset(classes, order), False)
+    classes = tuple(LTClass(f, k.decode(v), counts[v])
+                    for v, f in reps.items())
+    return LTAlgebra(m, depth, classes, tuple(reps), False)

@@ -19,8 +19,10 @@ assertive checkers written as per-(formula, state) and per-pair loops
 over the public single-query functions (``q_truth``, ``justified``,
 ``tq_physical_proposition``), and pin the checkers that compute each
 formula's facts once.  The sec3 reference loops over every pair of
-formulas with the set-algebra evaluator, and pins the suite's loop over
-distinct profiles.
+formulas with the set-algebra evaluator; the cm reference (the lines
+before the quotient-algebra laws) and the testable-poset reference loop
+over every formula with it.  They pin the suites and the testable poset,
+which loop over the Lindenbaum-Tarski classes instead.
 """
 
 from __future__ import annotations
@@ -141,6 +143,76 @@ def reference_sec3_lines(m: Model, depth: int) -> list[str]:
     if strict:
         lines.append(f"REPORT strict disjunction inclusion at {strict!r}")
     return lines
+
+
+def _profile(m: Model, f) -> tuple:
+    return tuple(_set_extension(m, s, f) for s in m.states)
+
+
+def _full_states(m: Model, profile) -> frozenset:
+    """States whose extension in ``profile`` is the whole universe."""
+    return frozenset(s for s, x in zip(m.states, profile)
+                     if x == frozenset(m.universes[s]))
+
+
+def _atom_profiles(m: Model) -> set:
+    """The profiles of the declared properties: a formula is testable
+    exactly when its profile is one of them."""
+    return {_profile(m, Atom(e)) for e in m.properties}
+
+
+def reference_cm_lines(m: Model, depth: int, assume_cmt: bool) -> list[str]:
+    """The lines of ``check --suite cm`` before the quotient-algebra laws,
+    by loops over every formula up to depth 2 from
+    :func:`oracle_formulas` and over every interpretation, with
+    extensions from the set algebra of :func:`_set_extension`."""
+    from qlprop.syntax import format_lx
+
+    def passfail(ok: bool, what: str, extra: str = "") -> str:
+        return f"{'PASS' if ok else 'FAIL'} {what}" + (
+            f": {extra}" if extra else "")
+
+    witness = next(((s, e) for s in m.states for e in m.properties
+                    if m.extensions[s][e]
+                    and set(m.extensions[s][e]) != set(m.universes[s])), None)
+    lines = [passfail(witness is None, "every extension full or empty",
+                      f"witness {witness}" if witness else "")]
+    formulas = oracle_formulas(m.properties, min(depth, 2))
+    profiles = [_profile(m, f) for f in formulas]
+    lines.append(passfail(
+        all(x in (frozenset(), frozenset(m.universes[s]))
+            for p in profiles for s, x in zip(m.states, p)),
+        "truth independent of the interpretation"))
+    interps = list(itertools.product(*(m.universes[s] for s in m.states)))
+    if len(interps) <= 10 ** 4:
+        lines.append(passfail(
+            all(oracle_individual(m, dict(zip(m.states, combo)), f)
+                == _full_states(m, p)
+                for combo in interps for f, p in zip(formulas, profiles)),
+            "individual propositions collapse to physical"))
+    atoms = _atom_profiles(m)
+    untestable = [f for f, p in zip(formulas, profiles) if p not in atoms]
+    if assume_cmt:
+        lines.append(passfail(
+            not untestable, "every formula testable",
+            f"{len(untestable)} formulas lack a witness, first "
+            f"{format_lx(untestable[0])!r}" if untestable else ""))
+    elif untestable:
+        lines.append(f"REPORT {len(untestable)} of {len(formulas)} formulas "
+                     "lack a testable witness")
+    return lines
+
+
+def reference_testable_labels(m: Model, depth: int) -> list[str]:
+    """The element labels of the testable-proposition poset: the physical
+    proposition of each formula from :func:`oracle_formulas` whose
+    profile is some declared property's, in order of its first such
+    formula, with states listed in declaration order."""
+    atoms = _atom_profiles(m)
+    profiles = [_profile(m, f) for f in oracle_formulas(m.properties, depth)]
+    props = dict.fromkeys(_full_states(m, p) for p in profiles if p in atoms)
+    return ["{" + ", ".join(s for s in m.states if s in p) + "}"
+            for p in props]
 
 
 def naive_closure(m: Model, depth: int) -> list[tuple]:
@@ -654,6 +726,15 @@ def random_model(rng: random.Random, max_states=4, max_objects=3,
                 row[e] = [o for o in objs if rng.random() < 0.5]
         extensions[s] = row
     return make_model(states, universes, props, extensions)
+
+
+def random_check_case(seed: int) -> tuple[Model, int]:
+    """A small random model and a check depth: 3 over one property, else
+    1 or 2, so that every pair loop of a reference checker stays small."""
+    rng = random.Random(seed)
+    m = random_model(rng, max_states=4, max_objects=3, max_props=3,
+                     cms=seed % 4 == 0)
+    return m, 3 if len(m.properties) == 1 else rng.choice([1, 2])
 
 
 def random_formula(rng: random.Random, props, depth: int):

@@ -12,6 +12,7 @@ import pytest
 
 import qlprop.cli as cli
 import qlprop.lattice as lattice
+import qlprop.semantics as semantics
 from qlprop.cli import main
 from qlprop.errors import ThetaNotInjectiveWarning
 from qlprop.hilbert import Subspace
@@ -29,8 +30,11 @@ from helpers import (
     brute_force_physical,
     oracle_formulas,
     oracle_individual,
+    random_check_case,
     random_model,
+    reference_cm_lines,
     reference_sec3_lines,
+    reference_testable_labels,
 )
 
 
@@ -372,11 +376,28 @@ def _sec3_lines(m, depth):
 
 @pytest.mark.parametrize("seed", range(60))
 def test_sec3_suite_matches_the_formula_pair_loop(seed):
-    rng = random.Random(seed)
-    m = random_model(rng, max_states=4, max_objects=3, max_props=3,
-                     cms=seed % 4 == 0)
-    depth = 3 if len(m.properties) == 1 else rng.choice([1, 2])
+    m, depth = random_check_case(seed)
     assert _sec3_lines(m, depth) == reference_sec3_lines(m, depth)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_cm_suite_matches_the_per_formula_loop(seed):
+    # the suite's lines up to its quotient-algebra laws, with and
+    # without --assume-cmt
+    m, depth = random_check_case(seed)
+    for assume_cmt in (False, True):
+        out = cli._Suite()
+        cli._suite_cm(m, depth, assume_cmt, out)
+        laws = next(i for i, line in enumerate(out.lines)
+                    if "quotient algebra law" in line)
+        assert out.lines[:laws] == reference_cm_lines(m, depth, assume_cmt)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_testable_poset_matches_the_per_formula_loop(seed):
+    m, depth = random_check_case(seed)
+    assert list(semantics.testable_proposition_poset(m, depth).labels) \
+        == reference_testable_labels(m, depth)
 
 
 @pytest.mark.parametrize("fixture", [m_sr, m_cm])
@@ -400,6 +421,22 @@ def test_check_cm_fails_on_sr_fixture(models_dir, capsys):
     assert main(["check", "--model", str(models_dir / "m_sr.json"),
                  "--suite", "cm"]) == 1
     assert "FAIL every extension full or empty" in capsys.readouterr().out
+
+
+def test_check_cm_builds_one_quotient_poset(models_dir, monkeypatch, capsys):
+    # only the closed algebra's poset is read; the depth-2 and depth-3
+    # quotients it is derived from are never ordered
+    sizes = []
+
+    def counting(elements, *a, **k):
+        sizes.append(len(elements))
+        return build_poset(elements, *a, **k)
+
+    build_poset = semantics.build_poset
+    monkeypatch.setattr(semantics, "build_poset", counting)
+    assert main(["check", "--model", str(models_dir / "m_cm.json"),
+                 "--suite", "cm"]) == 0
+    assert sizes == [8]
 
 
 def test_check_cm_assume_cmt_flags_missing_witnesses(models_dir, capsys):

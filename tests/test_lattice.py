@@ -425,12 +425,14 @@ def test_tables_are_symmetric_and_permute_with_the_elements(data, leq):
 
 
 def test_closed_qutrit_algebra_tables_are_and_and_or_of_profiles():
-    # the 512 classes of the closed algebra are profiles, so their meet
-    # and join are the AND and the OR of the kernel bits
+    # the 512 classes of the closed algebra are profiles, so their order
+    # is slot inclusion, and their meet and join are the AND and the OR
+    # of the kernel bits
     alg = lindenbaum_tarski(m_qutrit(), 3).closed()
-    bits = [alg.model.kernel.encode(c.profile) for c in alg.classes]
+    bits = alg.bits
     index = {b: i for i, b in enumerate(bits)}
     assert len(index) == 512
+    assert alg.poset.leq.tolist() == [[a | b == b for b in bits] for a in bits]
     meet, join = alg.poset.meet_join_tables()
     assert meet.tolist() == [[index[a & b] for b in bits] for a in bits]
     assert join.tolist() == [[index[a | b] for b in bits] for a in bits]

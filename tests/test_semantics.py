@@ -10,6 +10,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qlprop.semantics as semantics
 from qlprop.errors import (
     DepthCapExceeded,
     EnumerationCapExceeded,
@@ -52,6 +53,7 @@ from helpers import (
     naive_closure,
     oracle_covers,
     oracle_individual,
+    random_check_case,
     random_formula,
     random_model,
 )
@@ -435,6 +437,35 @@ def test_lt_closed_is_idempotent_and_boolean():
         closed = lindenbaum_tarski(m, 2).closed()
         assert check_boolean(closed.poset).all_passed()
         assert closed.is_closed
+
+
+def test_lt_poset_is_built_once_when_read(monkeypatch):
+    calls = []
+    build_poset = semantics.build_poset
+
+    def counting(*a, **k):
+        calls.append(1)
+        return build_poset(*a, **k)
+
+    monkeypatch.setattr(semantics, "build_poset", counting)
+    alg = lindenbaum_tarski(m_cm(), 3)
+    closed = alg.closed()
+    assert calls == []
+    poset = closed.poset
+    assert closed.poset is poset
+    assert len(calls) == 1
+    assert alg.poset.n == 8 and len(calls) == 2
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_lt_order_is_slot_inclusion_on_random_models(seed):
+    m, depth = random_check_case(seed)
+    lt = lindenbaum_tarski(m, depth)
+    for alg in (lt, lt.closed()):
+        bits = alg.bits
+        assert len(bits) == len(alg.classes)
+        assert alg.poset.leq.tolist() \
+            == [[p | q == q for q in bits] for p in bits]
 
 
 # ---------------------------------------------------------------------------
