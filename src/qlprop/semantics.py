@@ -26,8 +26,8 @@ contiguous block of bits and a formula's extension profile is a single
 first use; ``Not`` is XOR with the all-slots mask, ``And`` and ``Or``
 are ``&`` and ``|``.  A state belongs to the physical proposition when
 its block is full, which the kernel memoises by profile value.  An
-interpretation becomes a *pick mask* with the bit of the chosen object
-in each state, so the individual proposition is read off ``v & pick``.
+interpretation picks one slot per state, and the individual proposition
+is the set of states whose picked slot lies in the profile.
 The public functions keep their frozenset signatures and decode at this
 boundary; there is no second evaluator beside the kernel (the bit
 tricks are those of Knuth, *TAOCP* 4A, section 7.1.3).
@@ -36,13 +36,15 @@ The enumeration (:func:`enumerate_formulas`,
 :func:`enumerate_tq_formulas`) builds every formula from operands it
 has already built, and returns an :class:`Enumeration`: the formulas in
 canonical order, with ``children`` giving each one's operand indices.
-Checkers fill a per-formula fact as an array in that order, one step
-from the operands' entries (:meth:`ProfileKernel.profiles` for the
-classical profile), instead of walking each formula's tree again.
+The quantum and assertive checkers fill a per-formula fact as an array
+in that order, one step from the operands' entries, instead of walking
+each formula's tree again.
 
-:func:`lindenbaum_tarski` is the one place where the classical
-enumeration is grouped by profile.  Its :class:`LTAlgebra` keeps each
-class's kernel profile (``bits``), in order of the class's first
+:func:`lindenbaum_tarski` is the one classical quotient, and it counts
+classes instead of enumerating formulas: per depth it maps each profile
+to its number of formulas and its first one, built from the classes of
+the shallower depths (see its docstring).  Its :class:`LTAlgebra` keeps
+each class's kernel profile (``bits``), in order of the class's first
 formula, and builds the poset over the classes on the first read of
 ``poset``.  Every classical verdict depends on a formula's profile only,
 so the testable-proposition poset and the classical suites of the
@@ -166,24 +168,6 @@ class ProfileKernel:
             return self.profile(f.left) | self.profile(f.right)
         raise TypeError(f"not a classical formula node: {f!r}")
 
-    def profiles(self, formulas: "Enumeration") -> list[int]:
-        """The profile of every enumerated formula, in order, each one
-        step from its operands' entries (see :meth:`profile`)."""
-        top = self.universe
-        out: list[int] = []
-        for f, kids in zip(formulas, formulas.children):
-            if isinstance(f, Atom):
-                out.append(self.atom(f.prop))
-            elif isinstance(f, Not):
-                out.append(top ^ out[kids[0]])
-            elif isinstance(f, And):
-                out.append(out[kids[0]] & out[kids[1]])
-            elif isinstance(f, Or):
-                out.append(out[kids[0]] | out[kids[1]])
-            else:
-                raise TypeError(f"not a classical formula node: {f!r}")
-        return out
-
     def full(self, v: int) -> int:
         """The union of the state blocks that ``v`` covers entirely."""
         out = self._full.get(v)
@@ -202,14 +186,6 @@ class ProfileKernel:
         if out is None:
             out = frozenset(s for s, mask in self._blocks.items() if fb & mask)
             self._states[fb] = out
-        return out
-
-    def pick(self, interp: Interpretation) -> int:
-        """The slot of the object ``interp`` chooses in each state; a
-        choice outside the state's universe contributes no bit."""
-        out = 0
-        for s, slots in self._slots.items():
-            out |= slots.get(interp[s], 0)
         return out
 
     def holds(self, v: int, interp: Interpretation) -> frozenset[str]:
@@ -398,10 +374,15 @@ class _Children(Sequence):
         return (a,) if b < 0 else (a, b)
 
 
-def _enumerate(properties, depth: int, unary, binary):
+def _check_cap(depth: int) -> None:
+    """Refuse a depth below 1 or above :data:`DEPTH_CAP`."""
     check_depth(depth)
     if depth > DEPTH_CAP:
         raise DepthCapExceeded(f"depth {depth} exceeds the cap {DEPTH_CAP}")
+
+
+def _enumerate(properties, depth: int, unary, binary):
+    _check_cap(depth)
     items = Enumeration(Atom(p) for p in properties)
     first = [np.full(len(items), -1, np.int32)]
     second = [np.full(len(items), -1, np.int32)]
@@ -494,7 +475,7 @@ def forall_proposition(m: Model, f: Formula, cap: int | None = None) -> frozense
 class LTClass:
     representative: Formula
     profile: tuple[frozenset[str], ...]
-    size: int  # enumerated members; 0 for classes added by closure
+    size: int  # formulas up to the depth; 0 for classes added by closure
 
 
 @dataclass
@@ -581,16 +562,52 @@ def lindenbaum_tarski(m: Model, depth: int) -> LTAlgebra:
 
     Classes are keyed by extension profile, in order of their first
     member in canonical enumeration order, which is their representative.
+
+    The formulas are counted, not enumerated.  Level d maps each profile
+    of a depth-d formula to ``[count, first formula]``, filled in the
+    order :func:`_enumerate` emits that depth: ``Not`` over level d - 1,
+    then ``And``, then ``Or``, over the pairs of entries whose first
+    member lies below level d - 1 and second in it, or whose first
+    member lies in it.  A pair of entries stands for every pair of their
+    formulas, so counts multiply, and its first formula pair is the pair
+    of the entries' first formulas.  The entries come in order of their
+    first formulas, so the first insertion of a profile into a level is
+    its first formula there.  The work grows with the pairs of entries,
+    at most the square of the class count per level, not with the
+    formulas (counting trees by height: Flajolet & Sedgewick, *Analytic
+    Combinatorics*, 2009, section III).
     """
+    _check_cap(depth)
     k = m.kernel
-    reps: dict[int, Formula] = {}
-    counts: dict[int, int] = {}
-    formulas = enumerate_formulas(m.properties, depth)
-    for f, v in zip(formulas, k.profiles(formulas)):
-        if v not in reps:
-            reps[v] = f
-            counts[v] = 0
-        counts[v] += 1
-    classes = tuple(LTClass(f, k.decode(v), counts[v])
-                    for v, f in reps.items())
-    return LTAlgebra(m, depth, classes, tuple(reps), False)
+    top = k.universe
+    levels: list[dict[int, list]] = [{}]
+    for p in m.properties:
+        _add(levels[0], k.atom(p), 1, Atom(p))
+    for _ in range(2, depth + 1):
+        prev = list(levels[-1].items())
+        below = [e for lv in levels[:-1] for e in lv.items()]
+        level: dict[int, list] = {}
+        for v, (n, f) in prev:
+            _add(level, top ^ v, n, Not(f))
+        for ctor, op in ((And, int.__and__), (Or, int.__or__)):
+            for firsts, seconds in ((below, prev), (prev, below + prev)):
+                for va, (na, fa) in firsts:
+                    for vb, (nb, fb) in seconds:
+                        _add(level, op(va, vb), na * nb, ctor(fa, fb))
+        levels.append(level)
+    # the classes in order of first appearance, the sizes summed over levels
+    total: dict[int, list] = {}
+    for lv in levels:
+        for v, (n, f) in lv.items():
+            _add(total, v, n, f)
+    classes = tuple(LTClass(f, k.decode(v), n) for v, (n, f) in total.items())
+    return LTAlgebra(m, depth, classes, tuple(total), False)
+
+
+def _add(level: dict[int, list], v: int, n: int, f: Formula) -> None:
+    """Count ``n`` formulas of profile ``v``; the first ``f`` stays."""
+    entry = level.get(v)
+    if entry is None:
+        level[v] = [n, f]
+    else:
+        entry[0] += n

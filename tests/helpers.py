@@ -22,7 +22,10 @@ formula's facts once.  The sec3 reference loops over every pair of
 formulas with the set-algebra evaluator; the cm reference (the lines
 before the quotient-algebra laws) and the testable-poset reference loop
 over every formula with it.  They pin the suites and the testable poset,
-which loop over the Lindenbaum-Tarski classes instead.
+which loop over the Lindenbaum-Tarski classes instead.  The quotient
+oracle groups every formula by its set-algebra profile; it pins
+``lindenbaum_tarski``, which counts the classes per depth without
+building the formulas.
 """
 
 from __future__ import annotations
@@ -201,6 +204,20 @@ def reference_cm_lines(m: Model, depth: int, assume_cmt: bool) -> list[str]:
         lines.append(f"REPORT {len(untestable)} of {len(formulas)} formulas "
                      "lack a testable witness")
     return lines
+
+
+def reference_lindenbaum(m: Model, depth: int) -> list[tuple]:
+    """The quotient of the formulas up to ``depth`` by profile, as
+    ``(representative, profile, size)`` triples: the formulas from
+    :func:`oracle_formulas` grouped by their set-algebra profile, in
+    order of each class's first formula, which is its representative."""
+    reps: dict = {}
+    sizes: dict = {}
+    for f in oracle_formulas(m.properties, depth):
+        p = _profile(m, f)
+        reps.setdefault(p, f)
+        sizes[p] = sizes.get(p, 0) + 1
+    return [(reps[p], p, sizes[p]) for p in reps]
 
 
 def reference_testable_labels(m: Model, depth: int) -> list[str]:

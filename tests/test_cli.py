@@ -11,6 +11,7 @@ import warnings
 import pytest
 
 import qlprop.cli as cli
+import qlprop.model
 import qlprop.lattice as lattice
 import qlprop.semantics as semantics
 from qlprop.cli import main
@@ -437,6 +438,34 @@ def test_check_cm_builds_one_quotient_poset(models_dir, monkeypatch, capsys):
     assert main(["check", "--model", str(models_dir / "m_cm.json"),
                  "--suite", "cm"]) == 0
     assert sizes == [8]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--model", "m_cm", "--suite", "cm"],
+    ["check", "--model", "m_sr", "--suite", "sec3"],
+    ["lattice", "--model", "m_qbit", "--which", "lindenbaum"],
+    ["lattice", "--model", "m_qbit", "--which", "testable"],
+])
+def test_classical_commands_build_no_formulas_or_interpretations(
+        argv, models_dir, monkeypatch, capsys):
+    # the quotient counts its classes and the collapse check is one
+    # mask test; every qlprop module that binds either function gets a
+    # counting stand-in, so a call through any import is seen
+    calls = []
+    for fn in (semantics.enumerate_formulas,
+               qlprop.model.enumerate_interpretations):
+        def counting(*a, _fn=fn, **k):
+            calls.append(_fn.__name__)
+            return _fn(*a, **k)
+
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("qlprop")
+                    and getattr(mod, fn.__name__, None) is fn):
+                monkeypatch.setattr(mod, fn.__name__, counting)
+    argv = [str(models_dir / f"{a}.json") if a.startswith("m_") else a
+            for a in argv]
+    assert main(argv) == 0
+    assert calls == []
 
 
 def test_check_cm_assume_cmt_flags_missing_witnesses(models_dir, capsys):
@@ -888,6 +917,27 @@ def test_check_cm_collapse_fails_at_one_interpretation(tmp_path, capsys):
     assert interpretation_count(m) == 2
     assert not _oracle_collapse(m, 1)
     assert _collapse_line(m, 1, tmp_path, capsys) == f"FAIL {_COLLAPSE}"
+
+
+@pytest.mark.parametrize("sizes", [(10, 10, 10, 10), (73, 137)])
+def test_check_cm_collapse_line_is_gated_at_10_000_interpretations(
+        sizes, tmp_path, capsys):
+    # the collapse is decided without enumerating interpretations, but
+    # the line still appears only up to 10**4 of them (10,001 = 73 * 137)
+    states = [f"S{i + 1}" for i in range(len(sizes))]
+    universes = {s: [f"o{j}" for j in range(n)]
+                 for s, n in zip(states, sizes)}
+    m = make_model(states, universes, ["E"],
+                   {s: {"E": u[:1] if s == "S1" else u}
+                    for s, u in universes.items()})
+    count = interpretation_count(m)
+    assert count in (10 ** 4, 10 ** 4 + 1)
+    path = tmp_path / "model.json"
+    path.write_text(dump_model(m), encoding="utf-8")
+    assert main(["check", "--model", str(path), "--suite", "cm"]) == 1
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.endswith(_COLLAPSE)]
+    assert lines == ([f"FAIL {_COLLAPSE}"] if count == 10 ** 4 else [])
 
 
 @pytest.mark.parametrize("argv", [

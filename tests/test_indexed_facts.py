@@ -2,12 +2,16 @@
 
 The enumeration records each formula's operand indices, and the
 checkers fill their per-formula facts in enumeration order, one step
-from the operands' entries: the classical profile
-(``ProfileKernel.profiles``), the witness property
+from the operands' entries: the witness property
 (``quantum._witness_classes``) and the assertive translation with its
 round trip (``pragmatic._translations``).  Each must equal the public
 recursive function on every enumerated formula, and the round trip must
 still be a check: a preimage step that gets ``K`` wrong is caught.
+
+The classical quotient (``lindenbaum_tarski``) fills its classes level
+by level from the entries of the shallower levels, without building the
+formulas.  It must equal the enumeration grouped by the recursive
+profile, and the set-algebra oracle on drawn models.
 """
 
 import random
@@ -20,10 +24,14 @@ from qlprop.errors import NotPDecidable
 from qlprop.model import canonical_models, m_qbit
 from qlprop.pragmatic import _translations, assertive_preimage, to_assertive
 from qlprop.quantum import _witness_classes, witness_property
-from qlprop.semantics import enumerate_formulas, enumerate_tq_formulas
-from qlprop.syntax import K
+from qlprop.semantics import (
+    enumerate_formulas,
+    enumerate_tq_formulas,
+    lindenbaum_tarski,
+)
+from qlprop.syntax import K, format_lx
 
-from helpers import mo2_qubit, random_model
+from helpers import mo2_qubit, random_model, reference_lindenbaum
 
 MODELS = {**canonical_models(),
           **{f"mo2-{seed}": mo2_qubit(seed) for seed in (1, 2, 5)}}
@@ -66,14 +74,30 @@ def test_children_are_read_only():
     assert items.children[:3] == [(), (), (0,)]
 
 
+def _classes(alg) -> list[tuple]:
+    return [(format_lx(c.representative), c.profile, c.size)
+            for c in alg.classes]
+
+
 @pytest.mark.parametrize("depth", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_indexed_profiles_match_the_recursion(name, depth):
+    # the counted classes against the enumeration grouped by the
+    # recursive profile: first member, profile and member count
     m = MODELS[name]
     k = m.kernel
     formulas = enumerate_formulas(m.properties, depth)
     _assert_children(formulas)
-    assert k.profiles(formulas) == [k.profile(f) for f in formulas]
+    reps: dict = {}
+    sizes: dict = {}
+    for f in formulas:
+        v = k.profile(f)
+        reps.setdefault(v, f)
+        sizes[v] = sizes.get(v, 0) + 1
+    alg = lindenbaum_tarski(m, depth)
+    assert alg.bits == tuple(reps)
+    assert _classes(alg) == [(format_lx(f), k.decode(v), sizes[v])
+                             for v, f in reps.items()]
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -102,9 +126,8 @@ def test_indexed_translations_match_the_recursion(name, depth):
 @settings(max_examples=60, deadline=None)
 def test_indexed_profiles_on_drawn_models(seed, depth):
     m = random_model(random.Random(seed))
-    k = m.kernel
-    formulas = enumerate_formulas(m.properties, depth)
-    assert k.profiles(formulas) == [k.profile(f) for f in formulas]
+    assert _classes(lindenbaum_tarski(m, depth)) \
+        == [(format_lx(f), p, n) for f, p, n in reference_lindenbaum(m, depth)]
 
 
 def test_round_trip_catches_a_preimage_step_that_swaps_k(monkeypatch):

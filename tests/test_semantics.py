@@ -56,6 +56,7 @@ from helpers import (
     random_check_case,
     random_formula,
     random_model,
+    reference_lindenbaum,
 )
 
 # ---------------------------------------------------------------------------
@@ -353,18 +354,24 @@ def test_forall_disagreement_is_typed(monkeypatch):
 # formula enumeration
 
 
+def _formula_counts(nprops: int, depth: int) -> list[int]:
+    """``cum[d]``, the number of formulas up to depth d, by an independent
+    recurrence: atoms at depth 1; new at depth d are one unary ctor over
+    depth d-1 plus two binary ctors over pairs whose max depth is
+    exactly d-1."""
+    cum = [0, nprops]
+    new = [0, nprops]
+    for d in range(2, depth + 1):
+        fresh = new[d - 1] + 2 * (cum[d - 1] ** 2 - cum[d - 2] ** 2)
+        new.append(fresh)
+        cum.append(cum[d - 1] + fresh)
+    return cum
+
+
 def test_enumeration_counts_match_recurrence():
-    # independent recurrence: atoms at depth 1; new at depth d are one
-    # unary ctor over depth d-1 plus two binary ctors over pairs whose
-    # max depth is exactly d-1
     for nprops in (1, 2, 3):
         props = [f"E{i}" for i in range(nprops)]
-        cum = [0, nprops]
-        new = [0, nprops]
-        for d in (2, 3):
-            fresh = new[d - 1] + 2 * (cum[d - 1] ** 2 - cum[d - 2] ** 2)
-            new.append(fresh)
-            cum.append(cum[d - 1] + fresh)
+        cum = _formula_counts(nprops, 3)
         for d in (1, 2, 3):
             assert len(enumerate_formulas(props, d)) == cum[d], (nprops, d)
 
@@ -424,6 +431,46 @@ def test_lt_class_bookkeeping():
     assert total == len(enumerate_formulas(m_sr().properties, 2))
     for c in alg.classes:
         assert extension_profile(m_sr(), c.representative) == c.profile
+
+
+def test_lt_sizes_sum_to_the_recurrence():
+    # the classes are counted, not enumerated, so depth 4 over three
+    # properties (2,781,264 formulas) is summed without building them
+    for nprops in (1, 2, 3):
+        props = [f"E{i}" for i in range(nprops)]
+        exts = [["a"], ["b"], ["a", "b"]]
+        m = make_model(["S1", "S2"], {"S1": ["a", "b"], "S2": ["c"]}, props,
+                       {"S1": {e: exts[i] for i, e in enumerate(props)},
+                        "S2": {e: ["c"] * (i % 2) for i, e in enumerate(props)}})
+        cum = _formula_counts(nprops, 4)
+        for d in (1, 2, 3, 4):
+            assert sum(c.size for c in lindenbaum_tarski(m, d).classes) \
+                == cum[d], (nprops, d)
+
+
+def _quotient(alg) -> list[tuple]:
+    return [(format_lx(c.representative), c.profile, c.size)
+            for c in alg.classes]
+
+
+def _reference_quotient(m, depth) -> list[tuple]:
+    return [(format_lx(f), p, n) for f, p, n in reference_lindenbaum(m, depth)]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_lt_matches_the_oracle_on_random_cases(seed):
+    m, _ = random_check_case(seed)
+    for depth in (1, 2, 3):
+        assert _quotient(lindenbaum_tarski(m, depth)) \
+            == _reference_quotient(m, depth), depth
+
+
+@pytest.mark.parametrize("name, depth", [("m_sr", 3), ("m_cm", 3),
+                                         ("m_qbit", 3), ("m_qutrit", 2)])
+def test_lt_matches_the_oracle_on_fixtures(name, depth):
+    m = canonical_models()[name]
+    assert _quotient(lindenbaum_tarski(m, depth)) \
+        == _reference_quotient(m, depth)
 
 
 def test_lt_closed_is_idempotent_and_boolean():
