@@ -11,34 +11,39 @@ by the quantum semantics.
 
 An assertive formula is justified at a state iff its quantum preimage is
 Q-true there.  Because justification is defined through the preimage,
-the translation preserves the physical preorder and equivalence; the
-preservation checker verifies this exhaustively on enumerated formulas.
+the translation preserves the physical preorder and equivalence.
 
 The translation and the preimage are each written once, as a one-node
 step (:func:`_assertive_step`, :func:`_preimage_step`) that the
-recursive public functions and the checker share.  The checker fills
-each enumerated formula's facts in enumeration order from its operands'
-entries: its witness (one property-table lookup), its translation (one
-step from the operands' translations) and its round trip (one step from
-the preimages already given back, then a comparison with the formula
-that is one node deep, since the preimage's operands are the formula's
-own operand objects).  The preimage is the formula, so its
-justification set is the proposition of the formula's witness; the
-states where Q-truth and justification disagree are found once per
-witness class and reported per formula, and per pair of classes the
-checker compares two propositions and two justification sets.
+recursive public functions pass themselves to.  Since
+:func:`_preimage_step` inverts :func:`_assertive_step` node by node, the
+round trip gives every formula back by induction; the unit tests check
+the two steps on each node shape.
+
+:func:`check_preservation` counts the formulas per witness class, as the
+quantum checker does.  The preimage of a formula's translation is the
+formula, so its justification set is the proposition of its witness:
+the checker compares, per class, Q-truth with that set state by state
+(which reads the complement of the witness where the formula is not
+Q-true), and, per pair of classes, the two propositions' inclusion with
+the two justification sets' inclusion.  Both comparisons hold on every
+model on which they run; an evaluation of the assertive connectives that
+does not go through the preimage is not written yet.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .errors import NotPDecidable, SchemaError
 from .model import Model
-from .quantum import QTruth, _witness_classes, tq_physical_proposition
-from .semantics import enumerate_tq_formulas
+from .quantum import (
+    QProposition,
+    QTruth,
+    _witness_classes,
+    tq_physical_proposition,
+)
 from .syntax import (
     A,
     And,
@@ -115,12 +120,6 @@ def _preimage(af: AssertiveFormula) -> TQFormula:
     return _preimage_step(af, _preimage)
 
 
-def _outside_image(af: AssertiveFormula) -> NotPDecidable:
-    return NotPDecidable(
-        f"{format_prag(af)!r} is not in the image of the assertive "
-        "translation")
-
-
 def assertive_preimage(af: AssertiveFormula) -> TQFormula:
     """The unique quantum formula translating to ``af``.
 
@@ -130,7 +129,9 @@ def assertive_preimage(af: AssertiveFormula) -> TQFormula:
     """
     f = _preimage(af)
     if to_assertive(f) != af:
-        raise _outside_image(af)
+        raise NotPDecidable(
+            f"{format_prag(af)!r} is not in the image of the assertive "
+            "translation")
     return f
 
 
@@ -149,48 +150,6 @@ def justified(m: Model, state: str, af: AssertiveFormula) -> Justification:
             else Justification.UNJUSTIFIED)
 
 
-def _translations(formulas) -> Iterator[AssertiveFormula]:
-    """Yield the translation of each enumerated formula, in order, once
-    its round trip has given the formula back.
-
-    ``formulas`` is an :class:`~qlprop.semantics.Enumeration`, so every
-    subformula comes before the formulas built on it.  A translation is
-    one :func:`_assertive_step` from its subformulas' translations, and
-    the preimage one :func:`_preimage_step` from the preimages already
-    given back, which are the formula's own subformula objects.  The
-    preimage is then compared with the formula: a new node over the
-    same operand objects, so the comparison is one node deep (a
-    dataclass compares its fields as a tuple, and tuple comparison
-    passes identical items without comparing them).  An atom's
-    preimage is the atom itself, so there is nothing to compare.  A
-    preimage that differs raises :class:`NotPDecidable`, as
-    :func:`assertive_preimage` would.
-    """
-    translation: dict[int, AssertiveFormula] = {}  # by id of the formula
-    preimage: dict[int, TQFormula] = {}  # by id of the translation
-
-    def translated(g: TQFormula) -> AssertiveFormula:
-        return translation[id(g)]
-
-    def given_back(ag: AssertiveFormula) -> TQFormula:
-        return preimage[id(ag)]
-
-    # only an operand's entries are read again (the A pattern reads an
-    # operand of an operand).  The operands are exactly the formulas below
-    # the last level: an operand lies in an earlier level than its node,
-    # and every formula below the last level is an operand in the next
-    operands = formulas.levels[-1][0]
-    for i, f in enumerate(formulas):
-        af = _assertive_step(f, translated)
-        pre = _preimage_step(af, given_back)
-        if pre is not f and pre != f:
-            raise _outside_image(af)
-        if i < operands:
-            translation[id(f)] = af
-            preimage[id(af)] = f
-        yield af
-
-
 @dataclass
 class PreservationReport:
     formulas: int
@@ -203,47 +162,40 @@ class PreservationReport:
 
 
 def check_preservation(m: Model, depth: int) -> PreservationReport:
-    """Verify that the assertive translation respects the quantum
-    semantics on all formulas up to ``depth``.
+    """Compare Q-truth with justification, and the physical preorder with
+    the justification preorder, over the quantum formulas up to
+    ``depth``.
 
-    Checks, for every enumerated formula and state, that Q-truth and
-    justification coincide; and, for every pair of witness-property
-    classes, that the physical preorder between formulas matches the
-    state-wise justification implication between their translations.
+    The formulas are counted per witness class
+    (:func:`~qlprop.quantum._witness_classes`); ``formulas`` is the sum
+    of the counts.  Justification is read through the preimage, which is
+    the formula itself, so a class's justification set is its witness's
+    proposition.  Per class and state, the check compares "Q-true" (which
+    looks up the witness's complement at a state outside the
+    proposition) with "justified"; per pair of classes, it compares
+    inclusion of propositions with inclusion of justification sets.  A
+    counterexample names the first formula of its class.
     """
-    formulas = enumerate_tq_formulas(m.properties, depth)
-    witnesses, first, props = _witness_classes(m, formulas)
-    report = PreservationReport(formulas=len(formulas), classes=len(props))
-
-    # Q-truth and justification depend on the witness only: the preimage
-    # is the formula, so its justification set, the states where it is
-    # Q-true, is the proposition of the formula's witness.  The states
-    # where the two disagree are found once per class and reported per
-    # formula.
-    justified_at: dict[str, frozenset[str]] = {}
-    mismatches: dict[str, list[tuple[str, str, str]]] = {}
-    # each formula's round trip runs as the loop reaches the formula
-    for f, e, _ in zip(formulas, witnesses, _translations(formulas)):
-        bad = mismatches.get(e)
-        if bad is None:
-            p = props[e]
-            just = justified_at[e] = p.states
-            bad = mismatches[e] = []
-            for s in m.states:
-                qt = p.truth(s)
-                if (qt is QTruth.TRUE) != (s in just):
-                    j = (Justification.JUSTIFIED if s in just
-                         else Justification.UNJUSTIFIED)
-                    bad.append((s, str(qt), str(j)))
-        report.counterexamples.extend(
-            ("truth", format_tq(f), *b) for b in bad)
-
-    for a, ia in first.items():
-        for b, ib in first.items():
-            phys = props[a].states <= props[b].states
-            af_leq = justified_at[a] <= justified_at[b]
+    classes = _witness_classes(m, depth)
+    report = PreservationReport(
+        formulas=sum(n for n, _ in classes.values()), classes=len(classes))
+    reps = []
+    for w, (_, f) in classes.items():
+        p = QProposition(m, Atom(w))
+        just = p.states
+        for s in m.states:
+            qt = p.truth(s)
+            if (qt is QTruth.TRUE) != (s in just):
+                j = (Justification.JUSTIFIED if s in just
+                     else Justification.UNJUSTIFIED)
+                report.counterexamples.append(
+                    ("truth", format_tq(f), s, str(qt), str(j)))
+        reps.append((format_tq(f), p.states, just))
+    for a, pa, ja in reps:
+        for b, pb, jb in reps:
+            phys = pa <= pb
+            af_leq = ja <= jb
             if phys != af_leq:
                 report.counterexamples.append(
-                    ("preorder", format_tq(formulas[ia]),
-                     format_tq(formulas[ib]), phys, af_leq))
+                    ("preorder", a, b, phys, af_leq))
     return report

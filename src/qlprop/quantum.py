@@ -23,21 +23,26 @@ property.
 A :class:`QProposition` holds one formula's facts: its witness, its
 proposition and, looked up when a state outside the proposition is
 first asked about, the orthocomplement's proposition.  :func:`q_truth`
-builds one per query.  The checkers do not walk formula trees: the
-enumeration records each formula's operands by index, so the witnesses
-are filled in enumeration order from the operands' witnesses, with one
-:meth:`~qlprop.hilbert.PropertyTable.names` call per enumeration level
-(atoms go through :func:`witness_property`).  They then build one
-:class:`QProposition` per distinct witness.
-:func:`check_tq_equalities` decides the negation law once per witness
-class and reports it per formula, and each pair of classes reads the
-witnesses of its conjunction and join from the table.
+builds one per query.
+
+Every fact the checkers report depends on a formula's witness only, so
+they do not build the formulas: :func:`_witness_classes` counts them per
+witness class with :func:`~qlprop.semantics._levels`, one
+:meth:`~qlprop.hilbert.PropertyTable.names` call per depth, and gives
+each class's formula count and first formula.
+:func:`check_tq_equalities` decides each law once per class, or per
+pair of classes, and reports a violation by the class's first formula.
+The negation law compares the lattice orthocomplement with the states
+whose ray is orthogonal to the witness's subspace, computed from the
+rays and subspaces themselves, not from the table's complements.
 """
 
 from __future__ import annotations
 
 import enum
 import warnings
+
+import numpy as np
 
 from .errors import (
     NoHilbertAnnotation,
@@ -49,6 +54,8 @@ from .hilbert import certain_states, state_lattice
 from .lattice import OrthoLattice
 from .model import Interpretation, Model
 from .semantics import (
+    _check_cap,
+    _levels,
     enumerate_tq_formulas,
     is_true,
     physical_proposition,
@@ -206,96 +213,109 @@ def q_truth_classical(m: Model, state: str, f: Formula) -> QTruth | None:
     return QTruth.INDETERMINATE
 
 
-def _witness_classes(m: Model, formulas) -> tuple[list[str], dict, dict]:
-    """Each enumerated formula's witness; each distinct witness with the
-    index of its first formula; and one :class:`QProposition` per
-    distinct witness.  Both dicts run in order of first appearance.
+def _witness_classes(m: Model, depth: int) -> dict[str, list]:
+    """Each witness of a quantum formula up to ``depth``, with its formula
+    count and first formula, ``[count, first]``, in order of the first
+    formulas.
 
-    ``formulas`` is an :class:`~qlprop.semantics.Enumeration` of quantum
-    formulas, whose one-operand items are negations and two-operand items
-    conjunctions.  Atoms go through :func:`witness_property`; every later
-    level is filled from its operands' witnesses, which earlier levels
-    hold, in one :meth:`~qlprop.hilbert.PropertyTable.names` call over
-    its formulas' (operands, operation) keys in enumeration order.  A
-    missing operation thus raises at the first formula that needs it, as
-    the recursion would.
+    The formulas are counted by :func:`~qlprop.semantics._levels`, keyed
+    by witness: one :meth:`~qlprop.hilbert.PropertyTable.names` call per
+    depth, over the ``(operands, operation)`` keys of its entry pairs in
+    canonical order.  The first formula whose operation no property
+    realises comes from the first such entry pair, so the same
+    :class:`NotOperationClosed` is raised as by the recursion, formula by
+    formula.
     """
+    _check_cap(depth)  # a bad depth is refused before a missing annotation
     table = _hilbert(m).table
-    first_op, second_op = formulas.children.columns
-    (lo, hi), *levels = formulas.levels
-    w = [witness_property(m, f) for f in formulas[lo:hi]]
-    for lo, hi in levels:
-        w += table.names([
-            (w[a], "ortho") if b < 0 else (w[a], w[b], "meet") for a, b in
-            zip(first_op[lo:hi].tolist(), second_op[lo:hi].tolist())])
-    first: dict[str, int] = {}
-    for i, e in enumerate(w):
-        first.setdefault(e, i)
-    return w, first, {e: QProposition(m, Atom(e)) for e in first}
+
+    def witnesses(ops) -> list[str]:
+        return table.names([(a, "ortho") if b is None else (a, b, "meet")
+                            for _, a, b in ops])
+
+    return _levels(((p, Atom(p)) for p in m.properties), depth,
+                   [QNot], [And], witnesses)
+
+
+def _orthogonal_states(m: Model, witnesses) -> dict[str, frozenset[str]]:
+    """For each witness, the states whose ray is orthogonal to its
+    subspace: the ray's projection onto the subspace has norm at most
+    the larger of the two tolerances.
+
+    One product of the rays with every witness's basis rows gives the
+    projection coefficients; the zero subspace has none, so every state
+    is orthogonal to it.  Neither the table's complements nor its
+    property matching are read.
+    """
+    ann = _hilbert(m)
+    rays = [ann.state_rays[s] for s in m.states]  # one basis row each
+    subs = [ann.property_subspaces[w] for w in witnesses]
+    coef = np.concatenate([r.basis for r in rays]) \
+        @ np.concatenate([sub.basis for sub in subs]).conj().T
+    # column j of `owner` marks the basis rows of the j-th witness
+    owner = np.repeat(np.eye(len(subs)), [sub.rank for sub in subs], axis=0)
+    norms = np.sqrt((np.abs(coef) ** 2) @ owner)
+    tols = np.maximum.outer([r.tol for r in rays], [sub.tol for sub in subs])
+    return {w: frozenset(s for s, ok in zip(m.states, col) if ok)
+            for w, col in zip(witnesses, (norms <= tols).T.tolist())}
 
 
 def check_tq_equalities(m: Model, depth: int,
                         lat: OrthoLattice | None = None) -> dict:
     """Compare formula propositions against state-lattice operations.
 
-    For all quantum formulas to ``depth`` (deduplicated by witness
-    property): the proposition of a negation must be the lattice
-    orthocomplement, of a conjunction the lattice meet, and of a derived
-    disjunction the lattice join of the operand propositions.  The
-    lattice meet and join are computed order-theoretically (validated
-    glb/lub tables), so those two laws compare independent routes.  The
-    negation law does not: both its sides come from
-    :meth:`~qlprop.hilbert.PropertyTable.ortho`, since
-    :func:`~qlprop.hilbert.state_lattice` builds the lattice
-    orthocomplement from the same table entries that give a negation's
-    witness.
+    For all quantum formulas to ``depth``, grouped by witness property:
+    the proposition of a negation must be the lattice orthocomplement, of
+    a conjunction the lattice meet, and of a derived disjunction the
+    lattice join of the operand propositions.  The lattice meet and join
+    are computed order-theoretically (validated glb/lub tables).  The
+    negation's proposition is taken as the states whose ray is orthogonal
+    to the witness's subspace, so none of the three laws reads the same
+    table entries on both sides.
 
-    Returns a dict with violation lists per law, the number of formulas
-    checked, and a witness pair for strictness of the join inclusion
-    (the join proposition strictly containing the union) when one exists.
-    ``lat`` is ``state_lattice(m)``, built here when not given.
+    Returns a dict with violation lists per law (a violation is named by
+    the first formula of its class, or of each class of a pair), the
+    number of formulas checked, and a witness pair for strictness of the
+    join inclusion (the join proposition strictly containing the union)
+    when one exists.  ``lat`` is ``state_lattice(m)``, built here when not
+    given.
     """
     if lat is None:
         lat = state_lattice(m)
-    formulas = enumerate_tq_formulas(m.properties, depth)
-    witnesses, first, props = _witness_classes(m, formulas)
-    index_of = lat.poset.index_of
+    classes = _witness_classes(m, depth)
+    table = _hilbert(m).table
+    index = {e: i for i, e in enumerate(lat.poset.elements)}
+    orthogonal = _orthogonal_states(m, classes)
 
     neg_bad, conj_bad, join_bad = [], [], []
-    # the negation law depends on the witness only: decided once per
-    # class, when its first formula is reached, and reported per formula
-    neg_ok: dict[str, bool] = {}
-    for f, w in zip(formulas, witnesses):
-        ok = neg_ok.get(w)
-        if ok is None:
-            p = props[w]
-            ok = neg_ok[w] = index_of(p.neg) == lat.ortho[index_of(p.states)]
-        if not ok:
+    reps = []
+    for w, (_, f) in classes.items():
+        states = table.certain(w)
+        i = index[states]
+        if index.get(orthogonal[w]) != lat.ortho[i]:
             neg_bad.append(format_tq(f))
+        reps.append((format_tq(f), w, states, i))
     # a pair's conjunction and join reduce through the operands'
     # witnesses, so their witnesses are read from the table: the meet, and
     # the join as ~q (~q a & ~q b), in the order the recursion reads them
-    table = _hilbert(m).table
-    classes = [(formulas[i], w, props[w].states, index_of(props[w].states))
-               for w, i in first.items()]
     strict = None
-    for a, wa, pa, ia in classes:
-        for b, wb, pb, ib in classes:
-            if index_of(certain_states(m, table.meet(wa, wb))) \
+    for a, wa, pa, ia in reps:
+        for b, wb, pb, ib in reps:
+            if index[certain_states(m, table.meet(wa, wb))] \
                     != lat.meet[ia, ib]:
-                conj_bad.append((format_tq(a), format_tq(b)))
+                conj_bad.append((a, b))
             joined = certain_states(
                 m, table.ortho(table.meet(table.ortho(wa), table.ortho(wb))))
-            if index_of(joined) != lat.join[ia, ib]:
-                join_bad.append((format_tq(a), format_tq(b)))
+            if index[joined] != lat.join[ia, ib]:
+                join_bad.append((a, b))
             union = pa | pb
             if not union <= joined:
-                join_bad.append((format_tq(a), format_tq(b), "union not below"))
+                join_bad.append((a, b, "union not below"))
             elif strict is None and union < joined:
-                strict = (format_tq(a), format_tq(b))
+                strict = (a, b)
     return {
-        "formulas": len(formulas),
-        "classes": len(props),
+        "formulas": sum(n for n, _ in classes.values()),
+        "classes": len(classes),
         "negation": neg_bad,
         "conjunction": conj_bad,
         "join": join_bad,

@@ -32,18 +32,18 @@ The public functions keep their frozenset signatures and decode at this
 boundary; there is no second evaluator beside the kernel (the bit
 tricks are those of Knuth, *TAOCP* 4A, section 7.1.3).
 
-The enumeration (:func:`enumerate_formulas`,
-:func:`enumerate_tq_formulas`) builds every formula from operands it
-has already built, and returns an :class:`Enumeration`: the formulas in
-canonical order, with ``children`` giving each one's operand indices.
-The quantum and assertive checkers fill a per-formula fact as an array
-in that order, one step from the operands' entries, instead of walking
-each formula's tree again.
+One level loop, :func:`_levels`, walks the formulas up to a depth in
+canonical order and groups them by a key: per depth it maps each key to
+its number of formulas and its first one, built from the entries of the
+shallower depths, so the work grows with the keys, not with the
+formulas.  Its callers differ only in the key.  :func:`lindenbaum_tarski`,
+the one classical quotient, keys by kernel profile; the quantum checkers
+key by witness property (:func:`qlprop.quantum._witness_classes`); and
+the enumerators (:func:`enumerate_formulas`,
+:func:`enumerate_tq_formulas`) key each formula by a fresh index, so
+every formula is its own class, and return the formulas as a list.
 
-:func:`lindenbaum_tarski` is the one classical quotient, and it counts
-classes instead of enumerating formulas: per depth it maps each profile
-to its number of formulas and its first one, built from the classes of
-the shallower depths (see its docstring).  Its :class:`LTAlgebra` keeps
+:func:`lindenbaum_tarski` returns an :class:`LTAlgebra`, which keeps
 each class's kernel profile (``bits``), in order of the class's first
 formula, and builds the poset over the classes on the first read of
 ``poset``.  Every classical verdict depends on a formula's profile only,
@@ -62,7 +62,7 @@ the same order, with the same representatives.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -86,7 +86,7 @@ __all__ = [
     "extension_profile",
     "logical_leq", "logical_equiv", "physical_leq", "physical_equiv",
     "testable_witness", "testable_proposition_poset", "forall_proposition",
-    "enumerate_formulas", "Enumeration", "LTClass", "LTAlgebra",
+    "enumerate_formulas", "LTClass", "LTAlgebra",
     "lindenbaum_tarski",
 ]
 
@@ -310,70 +310,6 @@ def check_depth(depth: int) -> None:
         raise InvalidDepth(f"depth {depth} is below 1; atoms have depth 1")
 
 
-class Enumeration(list):
-    """Enumerated formulas in canonical order, with their operands' indices.
-
-    ``children[i]`` is the tuple of indices of the formulas that item
-    ``i`` was built from: ``()`` for an atom, ``(c,)`` for a negation and
-    ``(l, r)`` for a binary node.  Every operand comes before the node,
-    and ``items[i]`` holds the very objects ``items[c]`` as its operands,
-    so a per-formula fact can be filled in enumeration order, one step
-    from its operands' entries.  The indices are kept as two ``int32``
-    columns (-1 where there is no operand), 8 bytes a formula.
-    ``levels`` gives the ``(lo, hi)`` bounds of each depth's items, in
-    order; every operand of a level's items lies in an earlier level.
-    Both describe the list as enumerated: mutating the list invalidates
-    them.
-    """
-
-    __slots__ = ("_first", "_second", "_ends")
-
-    @property
-    def children(self) -> "_Children":
-        return _Children(self._first, self._second)
-
-    @property
-    def levels(self) -> list[tuple[int, int]]:
-        return list(zip([0, *self._ends], self._ends))
-
-
-class _Children(Sequence):
-    """A read-only view of an :class:`Enumeration`'s operand indices."""
-
-    __slots__ = ("_first", "_second")
-
-    def __init__(self, first: np.ndarray, second: np.ndarray):
-        self._first = first
-        self._second = second
-
-    def __len__(self) -> int:
-        return len(self._first)
-
-    @property
-    def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The indices as two read-only ``int32`` arrays, the first and
-        the second operand of each item, -1 where there is none."""
-        first, second = self._first.view(), self._second.view()
-        first.flags.writeable = second.flags.writeable = False
-        return first, second
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        return self._entry(int(self._first[i]), int(self._second[i]))
-
-    def __iter__(self):
-        entry = self._entry
-        for a, b in zip(self._first.tolist(), self._second.tolist()):
-            yield entry(a, b)
-
-    @staticmethod
-    def _entry(a: int, b: int) -> tuple[int, ...]:
-        if a < 0:
-            return ()
-        return (a,) if b < 0 else (a, b)
-
-
 def _check_cap(depth: int) -> None:
     """Refuse a depth below 1 or above :data:`DEPTH_CAP`."""
     check_depth(depth)
@@ -381,50 +317,76 @@ def _check_cap(depth: int) -> None:
         raise DepthCapExceeded(f"depth {depth} exceeds the cap {DEPTH_CAP}")
 
 
-def _enumerate(properties, depth: int, unary, binary):
+def _levels(atoms, depth: int, unary, binary, keys) -> dict:
+    """Count the formulas of depth <= ``depth`` by key, without building
+    every one: each key maps to ``[count, first formula]``.
+
+    ``atoms`` gives each atom's ``(key, formula)``; ``unary`` and
+    ``binary`` are the constructors.  Level 1 maps each atom's key to its
+    entry.  Level d is made in canonical order: each unary constructor
+    over level d - 1, then, per binary constructor, the pairs of entries
+    whose first member lies below level d - 1 and second in it, then
+    those whose first member lies in it.  ``keys`` maps one level's
+    ``(constructor, key_a, key_b)`` list (``key_b`` None for a unary
+    node) to its keys in one call.  A pair of entries stands for every
+    pair of their formulas, so counts multiply, and its first formula
+    pair is the pair of the entries' first formulas.  The entries come in
+    order of their first formulas, so a key's first insertion into a
+    level is its first formula there.  The levels are merged in order of
+    first appearance.  The work grows with the pairs of entries, at most
+    the square of a level's key count, not with the formulas (counting
+    trees by height: Flajolet & Sedgewick, *Analytic Combinatorics*,
+    2009, section III).
+    """
     _check_cap(depth)
-    items = Enumeration(Atom(p) for p in properties)
-    first = [np.full(len(items), -1, np.int32)]
-    second = [np.full(len(items), -1, np.int32)]
-    # the formulas of depth d - 1 are exactly items[lo:hi], so a pair has
-    # depth d when its first member lies there or, if not, its second:
-    # each i < lo pairs with [lo, hi), each later i with [0, hi)
-    lo = 0
-    ends = [len(items)]
+    atom_level: dict = {}
+    for key, f in atoms:
+        atom_level.setdefault(key, [0, f])[0] += 1
+    levels = [atom_level]
     for _ in range(2, depth + 1):
-        hi = len(items)
-        below = items[:hi]
-        top = np.arange(lo, hi, dtype=np.int32)
-        every = np.arange(hi, dtype=np.int32)
-        for ctor in unary:
-            items += [ctor(f) for f in below[lo:]]
-            first.append(top)
-            second.append(np.full(hi - lo, -1, np.int32))
-        for ctor in binary:
-            for i, a in enumerate(below):
-                items += [ctor(a, b) for b in below[0 if i >= lo else lo:]]
-            first.append(np.repeat(every, [hi - lo] * lo + [hi] * (hi - lo)))
-            second.append(np.concatenate([np.tile(top, lo),
-                                          np.tile(every, hi - lo)]))
-        lo = hi
-        ends.append(len(items))
-    items._ends = ends
-    items._first = np.concatenate(first)
-    items._second = np.concatenate(second)
-    return items
+        prev = list(levels[-1].items())
+        below = [e for lv in levels[:-1] for e in lv.items()]
+        nodes = [(c, a, None) for c in unary for a in prev]
+        for c in binary:
+            nodes += [(c, a, b) for a in below for b in prev]
+            nodes += [(c, a, b) for a in prev for b in below + prev]
+        made = keys([(c, a[0], None if b is None else b[0])
+                     for c, a, b in nodes])
+        level: dict = {}
+        for key, (c, (_, (na, fa)), b) in zip(made, nodes):
+            n = na if b is None else na * b[1][0]
+            entry = level.get(key)
+            if entry is None:  # the first formula is built only here
+                level[key] = [n, c(fa) if b is None else c(fa, b[1][1])]
+            else:
+                entry[0] += n
+        levels.append(level)
+    total: dict = {}
+    for lv in levels:
+        for key, (n, f) in lv.items():
+            total.setdefault(key, [0, f])[0] += n
+    return total
 
 
-def enumerate_formulas(properties, depth: int) -> Enumeration:
-    """All classical formulas over ``properties`` up to AST depth, as an
-    :class:`Enumeration` (a list that also records each formula's
-    operands by index)."""
-    return _enumerate(properties, depth, [Not], [And, Or])
+def _all_formulas(properties, depth: int, unary, binary) -> list:
+    """Every formula up to ``depth`` in canonical order: each node is keyed
+    by a fresh index, so every count is 1."""
+    fresh = itertools.count()
+    return [f for _, f in _levels(
+        zip(fresh, map(Atom, properties)), depth, unary, binary,
+        lambda ops: itertools.islice(fresh, len(ops))).values()]
 
 
-def enumerate_tq_formulas(properties, depth: int) -> Enumeration:
-    """All quantum formulas (atoms, quantum negation, conjunction), as an
-    :class:`Enumeration`."""
-    return _enumerate(properties, depth, [QNot], [And])
+def enumerate_formulas(properties, depth: int) -> list[Formula]:
+    """All classical formulas over ``properties`` up to AST depth, in
+    canonical order."""
+    return _all_formulas(properties, depth, [Not], [And, Or])
+
+
+def enumerate_tq_formulas(properties, depth: int) -> list[Formula]:
+    """All quantum formulas (atoms, quantum negation, conjunction) up to
+    AST depth, in canonical order."""
+    return _all_formulas(properties, depth, [QNot], [And])
 
 
 # ---------------------------------------------------------------------------
@@ -563,51 +525,18 @@ def lindenbaum_tarski(m: Model, depth: int) -> LTAlgebra:
     Classes are keyed by extension profile, in order of their first
     member in canonical enumeration order, which is their representative.
 
-    The formulas are counted, not enumerated.  Level d maps each profile
-    of a depth-d formula to ``[count, first formula]``, filled in the
-    order :func:`_enumerate` emits that depth: ``Not`` over level d - 1,
-    then ``And``, then ``Or``, over the pairs of entries whose first
-    member lies below level d - 1 and second in it, or whose first
-    member lies in it.  A pair of entries stands for every pair of their
-    formulas, so counts multiply, and its first formula pair is the pair
-    of the entries' first formulas.  The entries come in order of their
-    first formulas, so the first insertion of a profile into a level is
-    its first formula there.  The work grows with the pairs of entries,
-    at most the square of the class count per level, not with the
-    formulas (counting trees by height: Flajolet & Sedgewick, *Analytic
-    Combinatorics*, 2009, section III).
+    The formulas are counted, not enumerated (:func:`_levels`, keyed by
+    kernel profile), so the work grows with the pairs of classes per
+    level, not with the formulas.
     """
-    _check_cap(depth)
     k = m.kernel
     top = k.universe
-    levels: list[dict[int, list]] = [{}]
-    for p in m.properties:
-        _add(levels[0], k.atom(p), 1, Atom(p))
-    for _ in range(2, depth + 1):
-        prev = list(levels[-1].items())
-        below = [e for lv in levels[:-1] for e in lv.items()]
-        level: dict[int, list] = {}
-        for v, (n, f) in prev:
-            _add(level, top ^ v, n, Not(f))
-        for ctor, op in ((And, int.__and__), (Or, int.__or__)):
-            for firsts, seconds in ((below, prev), (prev, below + prev)):
-                for va, (na, fa) in firsts:
-                    for vb, (nb, fb) in seconds:
-                        _add(level, op(va, vb), na * nb, ctor(fa, fb))
-        levels.append(level)
-    # the classes in order of first appearance, the sizes summed over levels
-    total: dict[int, list] = {}
-    for lv in levels:
-        for v, (n, f) in lv.items():
-            _add(total, v, n, f)
+
+    def profiles(ops) -> list[int]:
+        return [top ^ a if b is None else a & b if c is And else a | b
+                for c, a, b in ops]
+
+    total = _levels(((k.atom(p), Atom(p)) for p in m.properties), depth,
+                    [Not], [And, Or], profiles)
     classes = tuple(LTClass(f, k.decode(v), n) for v, (n, f) in total.items())
     return LTAlgebra(m, depth, classes, tuple(total), False)
-
-
-def _add(level: dict[int, list], v: int, n: int, f: Formula) -> None:
-    """Count ``n`` formulas of profile ``v``; the first ``f`` stays."""
-    entry = level.get(v)
-    if entry is None:
-        level[v] = [n, f]
-    else:
-        entry[0] += n

@@ -15,10 +15,12 @@ tokenizer oracle is the hand-written character loop that the syntax
 module's compiled token tables replaced.
 
 The reference checkers are the exception: they are the quantum and
-assertive checkers written as per-(formula, state) and per-pair loops
+assertive checkers written as per-(class, state) and per-pair loops
 over the public single-query functions (``q_truth``, ``justified``,
-``tq_physical_proposition``), and pin the checkers that compute each
-formula's facts once.  The sec3 reference loops over every pair of
+``tq_physical_proposition``), with the classes found by grouping
+:func:`oracle_tq_formulas` by ``witness_property``.  They pin the
+checkers, which count the formulas per witness class without building
+them.  The sec3 reference loops over every pair of
 formulas with the set-algebra evaluator; the cm reference (the lines
 before the quotient-algebra laws) and the testable-poset reference loop
 over every formula with it.  They pin the suites and the testable poset,
@@ -83,22 +85,30 @@ def oracle_individual(m: Model, interp, f) -> frozenset:
                      if interp[s] in _set_extension(m, s, f))
 
 
-def oracle_formulas(props, depth: int) -> list:
-    """Classical formulas up to AST depth in the canonical order: the
-    atoms, then per depth d the negations, conjunctions and disjunctions
-    of the earlier formulas whose deepest operand has depth d - 1 (pairs
-    in row-major order)."""
+def oracle_formulas(props, depth: int, unary=(Not,),
+                    binary=(And, Or)) -> list:
+    """Formulas up to AST depth in the canonical order: the atoms, then per
+    depth d each unary constructor over the formulas of depth d - 1, then
+    each binary constructor over the pairs of earlier formulas whose
+    deepest member has depth d - 1 (pairs in row-major order).  The
+    default constructors give the classical language; ``(QNot,)`` and
+    ``(And,)`` the quantum one."""
     items = [Atom(p) for p in props] if depth >= 1 else []
     depths = [1] * len(items)
     for d in range(2, depth + 1):
         prev = list(zip(items, depths))
-        fresh = [Not(f) for f, df in prev if df == d - 1]
-        for ctor in (And, Or):
+        fresh = [c(f) for c in unary for f, df in prev if df == d - 1]
+        for ctor in binary:
             fresh += [ctor(f, g) for f, df in prev for g, dg in prev
                       if max(df, dg) == d - 1]
         items += fresh
         depths += [d] * len(fresh)
     return items
+
+
+def oracle_tq_formulas(props, depth: int) -> list:
+    """Quantum formulas up to AST depth in the canonical order."""
+    return oracle_formulas(props, depth, (QNot,), (And,))
 
 
 def reference_sec3_lines(m: Model, depth: int) -> list[str]:
@@ -425,14 +435,14 @@ class WitnessOracle:
 
 def reference_tq_equalities(m: Model, depth: int) -> dict:
     """``quantum.check_tq_equalities`` as one proposition query per
-    formula, negation and pair."""
+    formula's witness, per class's negation and per pair of classes; a
+    violation is named by its class's first formula."""
     from qlprop.hilbert import state_lattice
     from qlprop.quantum import tq_physical_proposition, witness_property
-    from qlprop.semantics import enumerate_tq_formulas
     from qlprop.syntax import format_tq, quantum_join
 
     lat = state_lattice(m)
-    formulas = enumerate_tq_formulas(m.properties, depth)
+    formulas = oracle_tq_formulas(m.properties, depth)
     reps: dict = {}
     for f in formulas:
         reps.setdefault(witness_property(m, f), f)
@@ -441,7 +451,7 @@ def reference_tq_equalities(m: Model, depth: int) -> dict:
         return lat.poset.index_of(tq_physical_proposition(m, f))
 
     neg_bad, conj_bad, join_bad = [], [], []
-    for f in formulas:
+    for f in reps.values():
         if idx(QNot(f)) != lat.ortho[idx(f)]:
             neg_bad.append(format_tq(f))
     strict = None
@@ -468,8 +478,9 @@ def reference_tq_equalities(m: Model, depth: int) -> dict:
 
 def reference_preservation(m: Model, depth: int) -> tuple:
     """``pragmatic.check_preservation`` as one ``q_truth`` and one
-    ``justified`` call per (formula, state), and per state of each pair:
-    ``(formulas, classes, counterexamples)``."""
+    ``justified`` call per (class, state), and per state of each pair of
+    classes: ``(formulas, classes, counterexamples)``, a counterexample
+    named by its class's first formula."""
     from qlprop.pragmatic import Justification, justified, to_assertive
     from qlprop.quantum import (
         QTruth,
@@ -477,15 +488,14 @@ def reference_preservation(m: Model, depth: int) -> tuple:
         tq_physical_proposition,
         witness_property,
     )
-    from qlprop.semantics import enumerate_tq_formulas
     from qlprop.syntax import format_tq
 
-    formulas = enumerate_tq_formulas(m.properties, depth)
+    formulas = oracle_tq_formulas(m.properties, depth)
     reps: dict = {}
     for f in formulas:
         reps.setdefault(witness_property(m, f), f)
     bad = []
-    for f in formulas:
+    for f in reps.values():
         af = to_assertive(f)
         for s in m.states:
             qt = q_truth(m, s, f)

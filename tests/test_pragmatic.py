@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from qlprop import pragmatic
 from qlprop.errors import NotOperationClosed, NotPDecidable, SchemaError
 from qlprop.hilbert import Subspace
 from qlprop.model import HilbertAnnotation, build_qm_model, m_qbit, make_model
@@ -85,6 +86,49 @@ def test_preimage_inverts_tau_random():
     for _ in range(300):
         f = random_tq_formula(rng, ["E", "F", "G"], 4)
         assert assertive_preimage(to_assertive(f)) == f
+
+
+# the round trip of the one-node steps: each step reads its operands'
+# translations or preimages through the recursive functions
+ROUND_TRIP = {
+    "atom": "E(x)",
+    "negation": "~q E(x)",
+    "conjunction": "E(x) & F(x)",
+    "A pattern": "~q (~q E(x) & ~q F(x))",
+    "negated conjunction": "~q (E(x) & F(x))",
+    "half pattern": "~q (~q E(x) & F(x))",
+    "double negation": "~q ~q E(x)",
+    "A of A": "(E(x) |q F(x)) |q G(x)",
+    "conjunction of patterns": "(E(x) |q F(x)) & ~q (G(x) & E(x))",
+    "negated A": "~q (E(x) |q ~q (F(x) & ~q G(x)))",
+}
+
+
+@pytest.mark.parametrize("text", list(ROUND_TRIP.values()),
+                         ids=list(ROUND_TRIP))
+def test_preimage_step_inverts_the_assertive_step(text):
+    f = parse_tq(text)
+    af = pragmatic._assertive_step(f, to_assertive)
+    assert af == to_assertive(f)
+    assert pragmatic._preimage_step(af, assertive_preimage) == f
+
+
+def test_round_trip_catches_a_preimage_step_that_swaps_k(monkeypatch):
+    step = pragmatic._preimage_step
+
+    def swapped(af, sub):
+        if isinstance(af, K):
+            af = K(af.right, af.left)
+        return step(af, sub)
+
+    monkeypatch.setattr(pragmatic, "_preimage_step", swapped)
+    with pytest.raises(NotPDecidable, match="not in the image"):
+        assertive_preimage(to_assertive(parse_tq("E(x) & F(x)")))
+    with pytest.raises(NotPDecidable, match="not in the image"):
+        assertive_preimage(to_assertive(parse_tq("~q (E(x) & ~q F(x))")))
+    # a conjunction of one formula with itself reads the same swapped
+    f = parse_tq("E(x) & E(x)")
+    assert assertive_preimage(to_assertive(f)) == f
 
 
 def test_preimage_of_a_is_the_join():

@@ -33,6 +33,7 @@ from qlprop.model import (
 )
 from qlprop.quantum import (
     QTruth,
+    _orthogonal_states,
     _witness_classes,
     check_tq_equalities,
     q_truth,
@@ -260,31 +261,30 @@ def test_batched_fills_raise_the_first_missing_operation(name):
     assert _first_missing(one_at_a_time) == lattice_witness
     for depth in (2, 3):
         m = build()
-        formulas = enumerate_tq_formulas(m.properties, depth)
-        assert _first_missing(lambda: _witness_classes(m, formulas)) \
+        assert _first_missing(lambda: _witness_classes(m, depth)) \
             == formula_witness
         # the recursion, formula by formula in enumeration order
         m = build()
+        formulas = enumerate_tq_formulas(m.properties, depth)
         assert _first_missing(lambda: [witness_property(m, f)
                                        for f in formulas]) == formula_witness
     m = build()
-    atoms = enumerate_tq_formulas(m.properties, 1)
-    assert _witness_classes(m, atoms)[0] == list(m.properties)
+    assert list(_witness_classes(m, 1)) == list(m.properties)
 
 
 def test_witness_fill_realises_one_batch_per_level(monkeypatch):
     m, fresh = m_qutrit(), m_qutrit()
-    formulas = enumerate_tq_formulas(m.properties, 3)
     calls = []
     real = hilbert._operate
     monkeypatch.setattr(hilbert, "_operate",
                         lambda ops: calls.append(len(ops)) or real(ops))
-    witnesses = _witness_classes(m, formulas)[0]
+    classes = _witness_classes(m, 3)
     # the atoms need no lookup; depth 2 misses every complement and
     # meet of the closed property set in one call, depth 3 none
     n = len(m.properties)
-    assert len(formulas.levels) == 3 and calls == [n + n * n]
-    assert witnesses == [witness_property(fresh, f) for f in formulas]
+    assert calls == [n + n * n]
+    assert all(witness_property(fresh, f) == w
+               for w, (_, f) in classes.items())
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +428,40 @@ def test_tq_join_strictly_above_union_on_qbit():
     joined = tq_physical_proposition(
         m, parse_tq(f"({a}) |q ({b})"))
     assert pa | pb < joined
+
+
+def _swap_complements(m, e, f):
+    """Make the property table answer the complements of ``e`` and ``f``
+    with each other's complement, before anything reads them."""
+    table = m.hilbert.table
+    ce, cf = table.ortho(e), table.ortho(f)
+    table._names[e, "ortho"], table._names[f, "ortho"] = cf, ce
+
+
+def test_negation_law_catches_swapped_complements():
+    # Ez+ and Ex+ are rank-1; the lattice is built from the swapped
+    # answers, so only a negation read from the subspaces sees the swap
+    m = m_qbit()
+    _swap_complements(m, "Ez+", "Ex+")
+    out = check_tq_equalities(m, 2)
+    assert out["negation"] == ["Ez+(x)", "Ex+(x)"]
+    # swapping the answers of a complementary pair makes each of the two
+    # its own complement
+    m = m_qbit()
+    _swap_complements(m, "Ez+", "Ez-")
+    assert check_tq_equalities(m, 2)["negation"] == ["Ez+(x)", "Ez-(x)"]
+
+
+@pytest.mark.parametrize("name, build", [
+    ("m_qbit", m_qbit), ("m_qutrit", m_qutrit),
+    *((f"mo2-{seed}", functools.partial(mo2_qubit, seed))
+      for seed in range(40))])
+def test_orthogonal_states_are_the_certain_states_of_the_complement(
+        name, build):
+    m = build()
+    table = m.hilbert.table
+    assert _orthogonal_states(m, m.properties) \
+        == {e: table.certain(table.ortho(e)) for e in m.properties}
 
 
 def test_tq_equalities_formula_count():
