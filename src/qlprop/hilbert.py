@@ -4,7 +4,11 @@ model.
 Subspaces are held as row-orthonormal bases, and one rule decides
 whether a direction lies in a subspace: a unit vector does when its
 residual against it (the vector minus its projection) has norm at most
-``tol`` (a NaN residual counts as inside).  The rule is applied to many
+``tol`` (a NaN residual counts as inside).  Its dual decides whether a
+direction is orthogonal to a subspace: a unit vector is when its
+projection onto it, the rows of B A^H below, has norm at most ``tol``.
+That is the residual rule against the orthocomplement, decided without
+computing the complement.  The rule is applied to many
 rows at once: with a basis as the rows of A and the unit vectors as the
 rows of B, the residuals are the rows of R = B - (B A^H) A, and stacking
 bases and row sets along leading axes decides many pairs in one
@@ -38,9 +42,11 @@ A :class:`HilbertAnnotation` gives each state a ray and each property a
 subspace.  Its :attr:`~HilbertAnnotation.table` (a :class:`PropertyTable`)
 holds the facts the model-level maps need: which declared property
 realises the complement, meet or join of others, and which states are
-certain for each property.  The table is created on first use and filled
-lazily, so every fact is computed at most once per annotation and only
-when something asks for it; loading or building a model computes none.
+certain for, or orthogonal to, each property.  The table is created on
+first use and filled lazily, so every fact is computed at most once per
+annotation and only when something asks for it; loading a model computes
+none, and ``build_qm_model`` computes the certain and orthogonal states
+it derives the extensions from.
 A subspace result maps to the first declared property equal to it under
 ``Subspace.__eq__``.  :meth:`PropertyTable.names` answers a list of
 operation keys in order: it computes the missing ones at once, stacking
@@ -51,7 +57,8 @@ in one mutual containment matrix, both directions at once
 pair of declared subspaces).  It raises at the first key, in order, that
 no property realises; ``ortho``, ``meet`` and ``join`` ask it for one
 key when their entry is not yet in the table.  ``certain`` tests all
-state rays in one residual.
+state rays in one residual, and ``orthogonal`` in one projection,
+neither reading the table's complements.
 :func:`certain_states`, :func:`state_lattice` and the quantum-language
 semantics all read the same table.
 """
@@ -78,7 +85,8 @@ from .errors import (
     ThetaNotInjectiveWarning,
     UnknownProperty,
 )
-from .lattice import FinitePoset, OrthoLattice, build_poset, set_label
+from .lattice import (FinitePoset, OrthoLattice, _inclusion, build_poset,
+                      set_label)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import Model
@@ -278,6 +286,14 @@ def _residual_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(x.sum(-1))
 
 
+def _projection_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Norms of the rows of B A^H: the projections of the rows of ``b``
+    onto the orthonormal rows of ``a``, both 2-D.  A row is orthogonal to
+    ``a`` when its norm is not above the tolerance.
+    """
+    return np.linalg.norm(b.dot(a.conj().T), axis=1)
+
+
 def _outside(norms: np.ndarray, tol: float) -> bool:
     """Whether some residual norm is above ``tol``; a NaN norm is not."""
     return any(map(float(tol).__lt__, norms.tolist()))
@@ -464,7 +480,9 @@ class PropertyTable:
     :meth:`names` gives, for a list of keys, the declared property that
     realises each operation on the operands' subspaces; ``ortho(e)``,
     ``meet(e, f)`` and ``join(e, f)`` answer one key each.  ``certain(e)``
-    is the set of states whose ray lies in ``e``'s subspace.  Every entry
+    is the set of states whose ray lies in ``e``'s subspace, and
+    ``orthogonal(e)`` the set of those whose ray is orthogonal to it.
+    Every entry
     is computed once and kept, including a missing operation result: every
     request for it raises the same :class:`NotOperationClosed`, with the
     key as its witness.
@@ -479,6 +497,7 @@ class PropertyTable:
         # key -> name; None where no property realises it
         self._names: dict[tuple, str | None] = {}
         self._certain: dict[str, frozenset[str]] = {}
+        self._orthogonal: dict[str, frozenset[str]] = {}
         # rank -> declared names, stacked bases, tolerances
         self._groups: dict[int, tuple] = {}
         self._ray_rows: tuple | None = None
@@ -564,10 +583,23 @@ class PropertyTable:
         return self.names([(e, f, "join")])[0] if name is None else name
 
     def certain(self, e: str) -> frozenset[str]:
-        try:
-            return self._certain[e]
-        except KeyError:
-            pass
+        """The states whose ray lies in ``e``'s subspace."""
+        out = self._certain.get(e)
+        if out is None:
+            out = self._certain[e] = self._within(e, _residual_norms)
+        return out
+
+    def orthogonal(self, e: str) -> frozenset[str]:
+        """The states whose ray is orthogonal to ``e``'s subspace."""
+        out = self._orthogonal.get(e)
+        if out is None:
+            out = self._orthogonal[e] = self._within(e, _projection_norms)
+        return out
+
+    def _within(self, e: str, norms) -> frozenset[str]:
+        """The states all of whose ray rows have ``norms(basis, rows)``,
+        against ``e``'s basis, at most the larger of the ray's and
+        ``e``'s tolerance; one call decides every ray."""
         sub = self._subspaces[e]
         if self._ray_rows is None:
             # every ray's rows, their tolerances, and each ray's slice
@@ -580,11 +612,8 @@ class PropertyTable:
                 spans, np.array(rows, dtype=complex).reshape(len(rows), sub.dim),
                 np.array(tols))
         spans, rows, tols = self._ray_rows
-        outside = (_residual_norms(sub.basis, rows)
-                   > np.maximum(tols, sub.tol)).tolist()
-        out = frozenset(s for s, lo, hi in spans if not any(outside[lo:hi]))
-        self._certain[e] = out
-        return out
+        outside = (norms(sub.basis, rows) > np.maximum(tols, sub.tol)).tolist()
+        return frozenset(s for s, lo, hi in spans if not any(outside[lo:hi]))
 
 
 def certain_states(model: "Model", prop: str) -> frozenset[str]:
@@ -611,8 +640,9 @@ def state_lattice(model: "Model") -> OrthoLattice:
     the annotation's property table and then validated against the
     order.  If two properties share a certain-state set the lattice is
     still built, with a warning, using the first property per set in
-    declaration order.  Only the table is kept: the poset is rebuilt, and
-    the warnings are issued, on every call.
+    declaration order.  Each property is mapped to its element's index
+    once, and the tables are read from that map.  Only the table is kept:
+    the poset is rebuilt, and the warnings are issued, on every call.
     """
     ann = model.hilbert
     if ann is None:
@@ -620,54 +650,50 @@ def state_lattice(model: "Model") -> OrthoLattice:
     props = list(model.properties)
     table = ann.table
     n = len(props)
-    pairs = [(e, f) for e in props for f in props]
     # all complements first, then meet before join per pair: this order
     # decides which NotOperationClosed is raised first
     names = table.names([(e, "ortho") for e in props]
-                        + [(e, f, op) for e, f in pairs
+                        + [(e, f, op) for e in props for f in props
                            for op in ("meet", "join")])
-    ortho_prop = dict(zip(props, names[:n]))
-    meet_prop = dict(zip(pairs, names[n::2]))
-    join_prop = dict(zip(pairs, names[n + 1::2]))
 
-    images = {e: table.certain(e) for e in props}
-    rep_for_image: dict[frozenset, str] = {}
-    reps: list[str] = []
-    for e in props:
-        if images[e] not in rep_for_image:
-            rep_for_image[images[e]] = e
-            reps.append(e)
-        else:
+    # each certain-state set's element index, each property's element,
+    # and the first property of each element
+    index: dict[frozenset, int] = {}
+    element_of: dict[str, int] = {}
+    reps: list[int] = []
+    for i, e in enumerate(props):
+        k = element_of[e] = index.setdefault(table.certain(e), len(index))
+        if k < len(reps):
             warnings.warn(
-                f"properties {rep_for_image[images[e]]!r} and {e!r} share "
+                f"properties {props[reps[k]]!r} and {e!r} share "
                 f"the certain-state set; using the first",
                 ThetaNotInjectiveWarning)
-
-    elements = [images[e] for e in reps]
+        else:
+            reps.append(i)
+    elements = list(index)
+    bit = {s: 1 << i for i, s in enumerate(model.states)}
+    bits = [sum(map(bit.get, x)) for x in elements]
     poset: FinitePoset = build_poset(
-        elements, leq=lambda x, y: x <= y,
-        labels=[set_label(s, model.states) for s in elements])
+        elements, _inclusion(bits, len(bit)),
+        [set_label(x, model.states) for x in elements])
 
-    idx = {images[e]: poset.index_of(images[e]) for e in reps}
-    n = len(elements)
-    meet_t = np.zeros((n, n), dtype=int)
-    join_t = np.zeros((n, n), dtype=int)
-    ortho_t = np.zeros(n, dtype=int)
-    for i, e in enumerate(reps):
-        ortho_t[i] = idx[images[ortho_prop[e]]]
-        for j, f in enumerate(reps):
-            mi = idx[images[meet_prop[e, f]]]
-            meet_t[i, j] = mi
-            join_t[i, j] = idx[images[join_prop[e, f]]]
-            # the meet of certain-state sets is plain intersection
-            if elements[mi] != (elements[i] & elements[j]):
+    # the element of each key's result, read at the representatives
+    at = np.array([element_of[e] for e in names])
+    ortho_t = at[reps]
+    pair = at[n:].reshape(n, n, 2)[np.ix_(reps, reps)]
+    meet_t, join_t = pair[..., 0], pair[..., 1]
+    # the meet of certain-state sets is plain intersection
+    for i, row in enumerate(meet_t.tolist()):
+        for j, k in enumerate(row):
+            if bits[k] != bits[i] & bits[j]:
                 raise QlpropError(
-                    f"meet of {e!r} and {f!r} is not the set intersection")
+                    f"meet of {props[reps[i]]!r} and {props[reps[j]]!r} is "
+                    f"not the set intersection")
     return OrthoLattice(poset, meet_t, join_t, ortho_t)
 
 
-def closure_generate(dim: int, generators: Sequence[Subspace], cap: int,
-                     tol: float = DEFAULT_TOL) -> list[Subspace]:
+def closure_generate(dim: int, generators: Sequence[Subspace],
+                     cap: int) -> list[Subspace]:
     """Smallest set of subspaces containing the generators and closed
     under complement, meet and join.
 

@@ -187,6 +187,23 @@ def build_poset(elements: Sequence, leq: Callable | np.ndarray,
     return FinitePoset(els, labels, mat)
 
 
+def _inclusion(bits: Sequence[int], width: int) -> np.ndarray:
+    """The inclusion order of sets given as bitmasks of at most ``width``
+    bits: ``leq[i, j]`` when every bit of ``bits[i]`` is set in
+    ``bits[j]``.
+
+    Row i of ``b`` holds the bits of set i, so ``(b @ (1 - b).T)[i, j]``
+    counts the bits of i missing from j; a count is at most ``width``,
+    below 2**24, so the float32 product is exact.
+    """
+    nbytes = (width + 7) // 8
+    raw = b"".join(v.to_bytes(nbytes, "little") for v in bits)
+    rows = np.frombuffer(raw, np.uint8).reshape(len(bits), nbytes)
+    b = np.unpackbits(rows, axis=1, count=width,
+                      bitorder="little").astype(np.float32)
+    return (b @ (1 - b).T) == 0
+
+
 # ---------------------------------------------------------------------------
 # Law reports
 
@@ -527,9 +544,10 @@ def powerset_lattice(items: Sequence) -> FinitePoset:
     base = list(items)
     subsets = [frozenset(c) for r in range(len(base) + 1)
                for c in itertools.combinations(base, r)]
-
-    return build_poset(subsets, lambda x, y: x <= y,
-                       [set_label(s, base) for s in subsets])
+    bit = {x: 1 << i for i, x in enumerate(base)}
+    return build_poset(
+        subsets, _inclusion([sum(map(bit.get, s)) for s in subsets], len(base)),
+        [set_label(s, base) for s in subsets])
 
 
 def hexagon() -> OrthoLattice:

@@ -40,8 +40,6 @@ from .hilbert import (
     _first_equal_pair,
     check_tol,
     closure_generate,
-    contains,
-    ortho,
 )
 
 if TYPE_CHECKING:
@@ -434,9 +432,11 @@ def build_qm_model(dim: int, rays: Mapping[str, Sequence],
     """Build a model from Hilbert data, deriving classical extensions.
 
     Each state gets a universe ``o1..on``.  Where the state's ray lies in
-    a property's subspace the extension is full; where it lies in the
-    complement the extension is empty; otherwise a proper nonempty subset
-    is fabricated.  The default ``born`` policy takes the first
+    a property's subspace the extension is full; where it is orthogonal
+    to the subspace the extension is empty; otherwise a proper nonempty
+    subset is fabricated.  Both facts are read from the annotation's
+    property table (``certain`` and ``orthogonal``), which the model
+    keeps.  The default ``born`` policy takes the first
     ``k = round(p * n)`` objects (clamped to ``[1, n-1]``), with ``p`` the
     squared projection norm of the ray; the ``random`` policy draws a
     seeded random proper subset.  Proper subsets need ``n >= 2``.
@@ -450,6 +450,8 @@ def build_qm_model(dim: int, rays: Mapping[str, Sequence],
                 for s, v in rays.items()}
     prop_subs = {e: Subspace.span(list(vs), dim, tol)
                  for e, vs in subspaces.items()}
+    ann = HilbertAnnotation(dim, ray_subs, prop_subs)
+    table = ann.table
     universe = tuple(f"o{i + 1}" for i in range(universe_size))
     rng = random.Random(seed)
 
@@ -460,9 +462,9 @@ def build_qm_model(dim: int, rays: Mapping[str, Sequence],
         row: dict[str, frozenset[str]] = {}
         for e in props:
             sub = prop_subs[e]
-            if contains(sub, ray_subs[s]):
+            if s in table.certain(e):
                 row[e] = frozenset(universe)
-            elif contains(ortho(sub), ray_subs[s]):
+            elif s in table.orthogonal(e):
                 row[e] = frozenset()
             else:
                 n = universe_size
@@ -479,7 +481,6 @@ def build_qm_model(dim: int, rays: Mapping[str, Sequence],
                     picks = sorted(rng.sample(range(n), k))
                     row[e] = frozenset(universe[i] for i in picks)
         extensions[s] = row
-    ann = HilbertAnnotation(dim, ray_subs, prop_subs)
     return make_model(states, universes, props, extensions, ann)
 
 

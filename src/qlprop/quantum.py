@@ -33,16 +33,15 @@ each class's formula count and first formula.
 :func:`check_tq_equalities` decides each law once per class, or per
 pair of classes, and reports a violation by the class's first formula.
 The negation law compares the lattice orthocomplement with the states
-whose ray is orthogonal to the witness's subspace, computed from the
-rays and subspaces themselves, not from the table's complements.
+whose ray is orthogonal to the witness's subspace
+(:meth:`~qlprop.hilbert.PropertyTable.orthogonal`), decided from the
+rays and the witness's subspace, not from the table's complements.
 """
 
 from __future__ import annotations
 
 import enum
 import warnings
-
-import numpy as np
 
 from .errors import (
     NoHilbertAnnotation,
@@ -197,20 +196,17 @@ def q_truth_classical(m: Model, state: str, f: Formula) -> QTruth | None:
     w = testable_witness(m, f)
     if w is None:
         return None
-    ann = _hilbert(m)
+    q = QProposition(m, Atom(w))  # raises NoHilbertAnnotation first
     if state not in m.extensions:
         raise SchemaError(f"unknown state {state!r}")
     pos = physical_proposition(m, f)
-    theta_pos = certain_states(m, w)
-    if pos != theta_pos:
+    if pos != q.states:
         warnings.warn(
             f"classical proposition of {w!r}-equivalent formula differs "
             f"from the witness's certain-state set", WitnessMismatchWarning)
     if state in pos:
         return QTruth.TRUE
-    if state in certain_states(m, ann.table.ortho(w)):
-        return QTruth.FALSE
-    return QTruth.INDETERMINATE
+    return QTruth.FALSE if state in q.neg else QTruth.INDETERMINATE
 
 
 def _witness_classes(m: Model, depth: int) -> dict[str, list]:
@@ -237,29 +233,6 @@ def _witness_classes(m: Model, depth: int) -> dict[str, list]:
                    [QNot], [And], witnesses)
 
 
-def _orthogonal_states(m: Model, witnesses) -> dict[str, frozenset[str]]:
-    """For each witness, the states whose ray is orthogonal to its
-    subspace: the ray's projection onto the subspace has norm at most
-    the larger of the two tolerances.
-
-    One product of the rays with every witness's basis rows gives the
-    projection coefficients; the zero subspace has none, so every state
-    is orthogonal to it.  Neither the table's complements nor its
-    property matching are read.
-    """
-    ann = _hilbert(m)
-    rays = [ann.state_rays[s] for s in m.states]  # one basis row each
-    subs = [ann.property_subspaces[w] for w in witnesses]
-    coef = np.concatenate([r.basis for r in rays]) \
-        @ np.concatenate([sub.basis for sub in subs]).conj().T
-    # column j of `owner` marks the basis rows of the j-th witness
-    owner = np.repeat(np.eye(len(subs)), [sub.rank for sub in subs], axis=0)
-    norms = np.sqrt((np.abs(coef) ** 2) @ owner)
-    tols = np.maximum.outer([r.tol for r in rays], [sub.tol for sub in subs])
-    return {w: frozenset(s for s, ok in zip(m.states, col) if ok)
-            for w, col in zip(witnesses, (norms <= tols).T.tolist())}
-
-
 def check_tq_equalities(m: Model, depth: int,
                         lat: OrthoLattice | None = None) -> dict:
     """Compare formula propositions against state-lattice operations.
@@ -269,9 +242,9 @@ def check_tq_equalities(m: Model, depth: int,
     a conjunction the lattice meet, and of a derived disjunction the
     lattice join of the operand propositions.  The lattice meet and join
     are computed order-theoretically (validated glb/lub tables).  The
-    negation's proposition is taken as the states whose ray is orthogonal
-    to the witness's subspace, so none of the three laws reads the same
-    table entries on both sides.
+    negation's proposition is taken as the table's orthogonal states of
+    the witness, so none of the three laws reads the same table entries
+    on both sides.
 
     Returns a dict with violation lists per law (a violation is named by
     the first formula of its class, or of each class of a pair), the
@@ -285,14 +258,13 @@ def check_tq_equalities(m: Model, depth: int,
     classes = _witness_classes(m, depth)
     table = _hilbert(m).table
     index = {e: i for i, e in enumerate(lat.poset.elements)}
-    orthogonal = _orthogonal_states(m, classes)
 
     neg_bad, conj_bad, join_bad = [], [], []
     reps = []
     for w, (_, f) in classes.items():
         states = table.certain(w)
         i = index[states]
-        if index.get(orthogonal[w]) != lat.ortho[i]:
+        if index.get(table.orthogonal(w)) != lat.ortho[i]:
             neg_bad.append(format_tq(f))
         reps.append((format_tq(f), w, states, i))
     # a pair's conjunction and join reduce through the operands'

@@ -66,8 +66,6 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .errors import (
     DepthCapExceeded,
     ForallMismatch,
@@ -75,7 +73,7 @@ from .errors import (
     SchemaError,
     UnknownProperty,
 )
-from .lattice import FinitePoset, build_poset, set_label
+from .lattice import FinitePoset, _inclusion, build_poset, set_label
 from .model import Interpretation, Model, enumerate_interpretations
 from .syntax import And, Atom, Formula, Not, Or, QNot, format_lx
 
@@ -404,8 +402,11 @@ def testable_proposition_poset(m: Model, depth: int) -> FinitePoset:
     k = m.kernel
     atoms = {k.atom(e) for e in m.properties}
     bits = lindenbaum_tarski(m, depth).bits
-    props = list(dict.fromkeys(k.proposition(v) for v in bits if v in atoms))
-    return build_poset(props, lambda x, y: x <= y,
+    # a proposition's full-block mask includes another's exactly when
+    # its states do
+    full = list(dict.fromkeys(k.full(v) for v in bits if v in atoms))
+    props = [k.proposition(v) for v in full]
+    return build_poset(props, _inclusion(full, k.universe.bit_length()),
                        [set_label(p, m.states) for p in props])
 
 
@@ -463,20 +464,8 @@ class LTAlgebra:
 
     @cached_property
     def poset(self) -> FinitePoset:
-        """The classes ordered by slot inclusion of their profiles.
-
-        Row i of ``b`` holds the slot bits of class i, so
-        ``(b @ (1 - b).T)[i, j]`` counts the slots of i missing from j; a
-        count is at most the slot count, below 2**24, so the float32
-        product is exact.
-        """
-        slots = self.model.kernel.universe.bit_length()
-        width = (slots + 7) // 8
-        raw = b"".join(v.to_bytes(width, "little") for v in self.bits)
-        rows = np.frombuffer(raw, np.uint8).reshape(len(self.bits), width)
-        b = np.unpackbits(rows, axis=1, count=slots,
-                          bitorder="little").astype(np.float32)
-        leq = (b @ (1 - b).T) == 0
+        """The classes ordered by slot inclusion of their profiles."""
+        leq = _inclusion(self.bits, self.model.kernel.universe.bit_length())
         return build_poset([c.profile for c in self.classes], leq,
                            [format_lx(c.representative) for c in self.classes])
 

@@ -6,7 +6,8 @@ check.  The universal-proposition oracle (which imports nothing from
 intersects over every interpretation instead of testing extensions for
 fullness; the closure oracle enumerates formulas itself and closes their
 quotient round by round with the same set algebra.  The subspace oracle
-works on projector matrices instead of basis rows, the witness oracle
+works on projector matrices instead of basis rows, as does the
+orthogonality oracle, the witness oracle
 (which imports nothing from ``qlprop.hilbert`` or ``qlprop.quantum``)
 reduces quantum formulas with projectors and SVD null spaces, and the
 lattice oracle (which imports nothing from ``qlprop.lattice``) finds
@@ -360,6 +361,22 @@ def projector_equal(rows_a, rows_b, tol: float) -> bool | None:
     if any(abs(r - tol) < 1e-14 + 1e-9 * tol for r in res):
         return None
     return all(r <= tol for r in res)
+
+
+def oracle_orthogonal(m: Model) -> dict[str, frozenset]:
+    """For each property, the states whose ray ``psi`` has ``P psi`` of
+    norm at most the larger of the two tolerances, with ``P`` the
+    property's :func:`span_projector`."""
+    ann = m.hilbert
+    out = {}
+    for e in m.properties:
+        sub = ann.property_subspaces[e]
+        p = span_projector(sub.basis, ann.dim)
+        out[e] = frozenset(
+            s for s in m.states
+            if np.linalg.norm(p @ ann.state_rays[s].basis[0])
+            <= max(sub.tol, ann.state_rays[s].tol))
+    return out
 
 
 class WitnessOracle:

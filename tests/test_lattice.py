@@ -10,6 +10,7 @@ closure systems, random posets and the fixed fixtures.
 
 import functools
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from qlprop.lattice import (
     powerset_lattice,
 )
 import qlprop.lattice as lattice
-from qlprop.lattice import _join_prime
+from qlprop.lattice import _inclusion, _join_prime
 from qlprop.model import m_qutrit
 from qlprop.semantics import lindenbaum_tarski
 
@@ -57,6 +58,23 @@ def test_build_poset_from_predicate():
     meet, join = p.meet_join_tables()
     assert meet[p.index_of(2), p.index_of(3)] == p.index_of(1)
     assert join[p.index_of(2), p.index_of(3)] == p.index_of(6)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_inclusion_is_the_subset_order(seed):
+    # widths 1..70 cross the byte and 64-bit boundaries; each family has
+    # 0..40 distinct sets, at mixed densities so that inclusions occur
+    rng = random.Random(seed)
+    for width in range(1, 71):
+        n = min(rng.choice([0, 1, 40, rng.randint(0, 40)]), 2 ** width)
+        bits: dict[int, None] = {}
+        while len(bits) < n:
+            p = rng.random()
+            bits[sum(1 << i for i in range(width) if rng.random() < p)] = None
+        sets = [frozenset(i for i in range(width) if v >> i & 1) for v in bits]
+        want = build_poset(sets, lambda x, y: x <= y).leq
+        got = _inclusion(list(bits), width)
+        assert got.dtype == bool and np.array_equal(got, want), (width, n)
 
 
 def test_build_poset_rejects_missing_reflexivity():

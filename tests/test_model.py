@@ -1,5 +1,6 @@
 """Model construction, serialization, and interpretation enumeration."""
 
+import hashlib
 import json
 import random
 
@@ -32,7 +33,7 @@ from qlprop.model import (
     make_model,
 )
 
-from helpers import random_model
+from helpers import mo2_qubit, random_model
 
 # ---------------------------------------------------------------------------
 # construction and validation
@@ -216,6 +217,71 @@ def test_load_rejects_boolean_vector_entries():
 def test_dump_load_dump_is_byte_stable(fixture):
     text = dump_model(fixture())
     assert dump_model(load_model(text)) == text
+
+
+# sha256 of dump_model: the fixtures' bytes, and through build_qm_model's
+# extensions the full, empty and fabricated cells of 40 MO2 qubits
+_DUMP_SHA256 = {
+    "m_sr": "b76da4c84878496e4990b1b4f2dd86e8f4e75c66f49c87c5cbb937833a8602ad",
+    "m_cm": "a74740e586f850fc9f5ef9e9a09fc112852aa7bd81693ff841f413f0a3429bf6",
+    "m_qbit": "0ffa4660bd70bd9d68fd834aabbcd3d9b88c8b97b3d55c12aaa4ad7724eee889",
+    "m_qutrit": "b35b77032f50ea56a91f6eecba27e376aa82221ffc5e942fbee18625e434df87",
+}
+_MO2_DUMP_SHA256 = [
+    "e0214b0aa560efa7c65cbc34c65f2ed5aef013d2fad1356371d990a2504af93e",
+    "5d3d71f7a6ed6a361e89452904e32e778ec034def38cd7048622cfb2e41e5257",
+    "4b5917d7540d6a44c1ded744dd2a96e123fd958d3b514e1f8beed5de5037f7fd",
+    "ae1a5dc62b953cd61657fa5fb485de6f4ef55755a805803580b329baeb9f9cc0",
+    "548eafec77c646eee22532b7f3f2b18d9ca10be29da17d43399a72336fdbf2c0",
+    "c450009cbec8aa0b262a0491db19bae4aee6ab3700982852bfd748067161eb53",
+    "cbd91746f56686ab1a9857273f3a5f7717b27ad5b5be06c819f6d53a5f3cfdff",
+    "f692d176a8e890bc0088feea27583e6802dccf3fb944d6f123a964bbab0396cd",
+    "7a9c9be37d44d95e3ddfec526586b4f82374eea20212378d42e57a4382c836a9",
+    "40aecc03176742890c6ec2df79131505db22eeda3f4331a7606ab0c6508bf4d2",
+    "fdc3a999d4c3bf6635b199faea0ae4731d187dd2fac0b52e989feb5ebc3d651f",
+    "f5b0ef5315bcca860069e94a51dcbe9624cbf30464b8776adc06a8377de92eb9",
+    "f8b1c2bce6c72f856292208c8585f9ca2b988e538cad020d3bea4e5556a41654",
+    "469a1a5d0cb7aa84ba75fb7608f087561418eac8e6ead7d423a838660f9e513e",
+    "08c44c96af082b66142999b9698aa1a0738035d8f639b72d89d3e5257667b709",
+    "a3c3c304fcb1e115ee41be953ed332b2c7f51deccbcec46a96f1e3f945e729dc",
+    "09f84ee1b288fbfe3b2313e63661a8bf68f9b5763088de289d903fea54b25462",
+    "b7844c6b41870eab809e9f09a62f8af4906647796a1e2308e1874dea6816d6d3",
+    "6e8288f19eb6f23e4e2af9f7fd630137fe9d98f3408b3b6dd492a4b8460e4812",
+    "c5984c520950efce0ac94a4efd0030deb52c5afc7af05f89fa9ae56a646663f6",
+    "7679d4b446e7e484c17e23b9bc4c3b61d24a49c5ff9a5b542a8034d033200f58",
+    "74573696a688e4bd33d655da39b611264fa7fed2387024277172a6e4593ecd58",
+    "6ef30cafb3ec02c5d0a973debefdf689e8c8240879c5f524143b80b624b5770c",
+    "643ee65ee9dcc829cb3812ddc6226f76b9628ec496551800ca5730535cac9404",
+    "fd998c090a13efa5a12c06dac1f85addb75e359c4720b3911fc443a70eb7e6fa",
+    "e1a7995fadff01d7cd864bc23b1c86147df749bc4b1cbf5ce6e2210c6a67aca6",
+    "b23b60cc723a6e1727fff17d733656d03a9f58b9d0a477d7b34b75de388278d0",
+    "46a56644a992aec7121cd51bfad2f91cbcc37e1c7dbd291a63cce8aafa0e3590",
+    "c48e927aa78f56e2877dbacdfc2521fa8f5699a9eb1d0f5d4b093799081cf8e1",
+    "427b1150e6483b4472b3cd7c9fc8de7a498ec8a8a73c3fa53815e9347510f5e8",
+    "b98333eac77e401ce950ccb490dfe8c56b9db62fe3caa3abf7f24d7838645dce",
+    "2d547b0fa4cc9705ebc92d0b5eea8b730cc4ca75b33095801454d44ded1b3955",
+    "27e68316623904da288e13048d0d64e8e3b4db9be6f231de0a4b5add16dfd1e9",
+    "ec3173d36d39c1172ebb3dc041f9ae4c2e0255afa87f3e4e0307aac19fd48091",
+    "de215eaec9195fe2b083d0e71e6e5aacd6ae99889e132ecaeebe11d2acd7ee22",
+    "30f25bfd3f21b456f2fa0955e73af05efcef04edaa1d5937109a7e93899d21fe",
+    "9bbd16a1d5dd6235fd2aa48925201926360734839e08502ef994ea359bf93b15",
+    "4efd692cfe06cd38d4545793ed16d4d0f38233861e2ec6c54850a4290ffb9518",
+    "0d737b452c001f5dad064f7248960764582e4ccb8fae30494762b3a945aa9890",
+    "6f2147093aa85cd70bc43ab7d5613c8b914dbfa80b14c596fc308c65e064207a",
+]
+
+
+@pytest.mark.parametrize("fixture", [m_sr, m_cm, m_qbit, m_qutrit])
+def test_fixture_dumps_are_pinned(fixture):
+    text = dump_model(fixture())
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == _DUMP_SHA256[fixture.__name__]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_mo2_dumps_are_pinned(seed):
+    text = dump_model(mo2_qubit(seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == _MO2_DUMP_SHA256[seed]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -33,7 +33,6 @@ from qlprop.model import (
 )
 from qlprop.quantum import (
     QTruth,
-    _orthogonal_states,
     _witness_classes,
     check_tq_equalities,
     q_truth,
@@ -46,7 +45,7 @@ from qlprop.quantum import (
 from qlprop.semantics import enumerate_tq_formulas
 from qlprop.syntax import And, Atom, QNot, parse_lx, parse_tq
 
-from helpers import WitnessOracle, mo2_qubit
+from helpers import WitnessOracle, mo2_qubit, oracle_orthogonal
 
 # ---------------------------------------------------------------------------
 # witness recursion, frozen on the qubit fixture
@@ -458,10 +457,27 @@ def test_negation_law_catches_swapped_complements():
       for seed in range(40))])
 def test_orthogonal_states_are_the_certain_states_of_the_complement(
         name, build):
-    m = build()
+    # a loaded copy, whose table has decided nothing yet
+    m = load_model(dump_model(build()))
     table = m.hilbert.table
-    assert _orthogonal_states(m, m.properties) \
+    orthogonal = {e: table.orthogonal(e) for e in m.properties}
+    assert orthogonal \
         == {e: table.certain(table.ortho(e)) for e in m.properties}
+    assert orthogonal == oracle_orthogonal(m)
+
+
+def test_orthogonal_reads_no_complement_or_property_matching(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("orthogonal read a complement or matched one")
+
+    m = load_model(dump_model(m_qutrit()))
+    table = m.hilbert.table
+    monkeypatch.setattr(hilbert, "_ortho_rows", refuse)
+    monkeypatch.setattr(hilbert.PropertyTable, "_property_of", refuse)
+    out = {e: table.orthogonal(e) for e in m.properties}
+    assert table._names == {}
+    monkeypatch.undo()
+    assert out == {e: table.certain(table.ortho(e)) for e in m.properties}
 
 
 def test_tq_equalities_formula_count():
