@@ -443,12 +443,18 @@ def cmd_fixtures(args) -> int:
 # argument parsing
 
 
+# each subcommand's parser by name, kept by _build_parser for main
+_SUBPARSERS: dict[str, argparse.ArgumentParser] = {}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after.
 
     ``parse_args`` leaves no state in the parser and returns a fresh
-    namespace, so sharing it changes no call of :func:`main`.
+    namespace, so sharing it changes no call of :func:`main`.  The
+    parser of each subcommand is kept in ``_SUBPARSERS`` under its name,
+    so that :func:`main` can hand a command line to it directly.
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None,
@@ -463,13 +469,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Proposition calculus over finite semantic models.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("parse", parents=[common],
-                        help="parse a formula and print its canonical form")
+    def add(name: str, summary: str) -> argparse.ArgumentParser:
+        _SUBPARSERS[name] = sub.add_parser(name, parents=[common],
+                                           help=summary)
+        return _SUBPARSERS[name]
+
+    sp = add("parse", "parse a formula and print its canonical form")
     sp.add_argument("--lang", choices=("lx", "ltq", "prag"), default="lx")
     sp.add_argument("formula")
 
-    sp = sub.add_parser("eval", parents=[common],
-                        help="evaluate a formula at a state")
+    sp = add("eval", "evaluate a formula at a state")
     sp.add_argument("--model", required=True)
     sp.add_argument("--lang", choices=("lx", "ltq", "prag"), default="lx")
     sp.add_argument("--state", required=True)
@@ -479,8 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="three-valued truth instead of T/F")
     sp.add_argument("formula")
 
-    sp = sub.add_parser("props", parents=[common],
-                        help="print a formula's proposition")
+    sp = add("props", "print a formula's proposition")
     sp.add_argument("--model", required=True)
     sp.add_argument("--lang", choices=("lx", "ltq"), default="lx")
     group = sp.add_mutually_exclusive_group()
@@ -494,8 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="interpretation enumeration cap (--forall only)")
     sp.add_argument("formula")
 
-    sp = sub.add_parser("check", parents=[common],
-                        help="run an invariant suite against a model")
+    sp = add("check", "run an invariant suite against a model")
     sp.add_argument("--model", required=True)
     sp.add_argument("--suite", choices=("sec3", "cm", "qm", "prag"),
                     required=True)
@@ -503,8 +510,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--assume-cmt", action="store_true",
                     help="fail if any enumerated formula lacks a witness")
 
-    sp = sub.add_parser("lattice", parents=[common],
-                        help="build a proposition lattice")
+    sp = add("lattice", "build a proposition lattice")
     sp.add_argument("--model", required=True)
     sp.add_argument("--which", choices=("testable", "lindenbaum", "LS"),
                     required=True)
@@ -513,14 +519,32 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="close the quotient algebra under its operations")
     sp.add_argument("--dot", metavar="FILE", help="write a DOT Hasse diagram")
 
-    sp = sub.add_parser("fixtures", parents=[common],
-                        help="write the canonical model files")
+    sp = add("fixtures", "write the canonical model files")
     sp.add_argument("--out", default=".")
     return p
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run one command line, ``sys.argv[1:]`` when ``argv`` is None, and
+    return its exit code; a usage error or ``-h`` exits through argparse.
+
+    A command line that starts with a subcommand's name is parsed by
+    that subcommand's parser alone, once.  Everything else (no argument,
+    ``-h``, an unknown name, or words the subcommand's parser leaves over)
+    is parsed by the full parser, so that every usage text and exit code
+    2 is argparse's own.  Both routes give the same namespace.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
+    sub = _SUBPARSERS.get(argv[0]) if argv else None
+    args = None
+    if sub is not None:
+        args, extra = sub.parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if extra:  # the full parser reports them
+            args = None
+    if args is None:
+        args = parser.parse_args(argv)
     try:
         # looked up per call, so a wrapped or patched cmd_* is the one run
         code = globals()[f"cmd_{args.command}"](args)

@@ -545,14 +545,13 @@ class PropertyTable:
                         out[i] = names[row.index(True)]
         return out
 
-    def names(self, keys: Sequence[tuple]) -> list[str]:
-        """The property realising each of ``keys``, in order.
+    def _fill(self, keys: Sequence[tuple]) -> list[str | None]:
+        """The property realising each of ``keys``, in order, and None
+        where no property realises it.
 
         The keys not yet in the table are computed at once: their
         operations are stacked by kind and operand ranks, and the results
-        are matched to properties in one batch per rank.  Raises
-        :class:`NotOperationClosed` at the first key, in order, that no
-        property realises.
+        are matched to properties in one batch per rank.
         """
         known = self._names
         todo = list(dict.fromkeys(key for key in keys if key not in known))
@@ -561,7 +560,14 @@ class PropertyTable:
             known.update(zip(todo, self._property_of(_operate([
                 (key[-1], subs[key[0]], subs[key[1]] if len(key) == 3 else None)
                 for key in todo]))))
-        out = [known[key] for key in keys]
+        return [known[key] for key in keys]
+
+    def names(self, keys: Sequence[tuple]) -> list[str]:
+        """The property realising each of ``keys``, in order, filled as by
+        :meth:`_fill`.  Raises :class:`NotOperationClosed` at the first
+        key, in order, that no property realises.
+        """
+        out = self._fill(keys)
         if None in out:
             *operands, op = key = keys[out.index(None)]
             raise NotOperationClosed(

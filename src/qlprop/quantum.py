@@ -11,7 +11,8 @@ annotation's :class:`~qlprop.hilbert.PropertyTable`: the subspace
 operation behind an entry runs at most once per annotation, on the
 first formula that needs it, and its result is matched to a declared
 property by the ``Subspace.__eq__`` rule (mutual containment within
-tolerance).
+tolerance).  :func:`witness_property` reduces one formula by height, with
+one table call for all the nodes of a height.
 
 Q-truth is three-valued: a formula is Q-true at a state lying in its
 proposition, Q-false at a state lying in the proposition's
@@ -92,26 +93,99 @@ def _hilbert(m: Model):
     return m.hilbert
 
 
+def _post_order(f: TQFormula) -> list[tuple]:
+    """The nodes of ``f`` in post-order, each as ``(node, height,
+    operands)``.
+
+    A leaf, an atom or any node that is neither ``~q`` nor ``&``, has
+    height 0 and no operands; a connective's operands are the post-order
+    indices of its operand nodes.  The walk takes no Python recursion: a
+    pre-order that visits the right operand first is the post-order
+    reversed, and a stack of finished subtrees then gives the operands.
+    """
+    order: list = []
+    todo = [f]
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        if isinstance(node, QNot):
+            todo.append(node.inner)
+        elif isinstance(node, And):
+            todo += (node.left, node.right)
+    order.reverse()
+    out: list[tuple] = []
+    done: list[int] = []  # finished subtrees' indices, awaiting their parent
+    for i, node in enumerate(order):
+        if isinstance(node, QNot):
+            ops: tuple = (done.pop(),)
+        elif isinstance(node, And):
+            right = done.pop()
+            ops = (done.pop(), right)
+        else:
+            ops = ()
+        done.append(i)
+        out.append((node, 1 + max(out[j][1] for j in ops) if ops else 0, ops))
+    return out
+
+
 def witness_property(m: Model, f: TQFormula) -> str:
     """The declared property realising ``f`` through the subspace map.
 
-    Recursion: an atom is its own witness; quantum negation looks up the
-    property carrying the orthocomplement subspace; conjunction looks up
-    the meet, both in the annotation's property table.  Raises
-    :class:`NotOperationClosed` when the model's properties do not
-    contain the required subspace.
+    An atom is its own witness; quantum negation looks up the property
+    carrying the orthocomplement subspace of its operand's witness, and
+    conjunction the property carrying the meet of its operands'
+    witnesses, both in the annotation's property table.  The formula is
+    reduced by height: one pass lists its nodes in post-order with their
+    heights, then one table call per height looks up the ``(w, "ortho")``
+    and ``(wa, wb, "meet")`` keys of that height's nodes, whose operands
+    all have lower heights.
+
+    The error raised is the one of the first failing node in post-order,
+    which is where the node-by-node recursion stops: an atom the model
+    does not declare (:class:`UnknownProperty`), a node that is not a
+    quantum formula (``TypeError``), or an operation no property realises
+    (:class:`NotOperationClosed`, with the operation's key as its
+    ``witness``).  A missing annotation (:class:`NoHilbertAnnotation`) is
+    raised before any of these.  Once a failing node is known, no node
+    after it in post-order is looked up.
     """
-    ann = _hilbert(m)
-    if isinstance(f, Atom):
-        if f.prop not in m.properties:
-            raise UnknownProperty(f"model declares no property {f.prop!r}")
-        return f.prop
-    if isinstance(f, QNot):
-        return ann.table.ortho(witness_property(m, f.inner))
-    if isinstance(f, And):
-        return ann.table.meet(witness_property(m, f.left),
-                              witness_property(m, f.right))
-    raise TypeError(f"not a quantum formula node: {f!r}")
+    table = _hilbert(m).table
+    nodes = _post_order(f)
+    n = len(nodes)
+    names: list[str | None] = [None] * n
+    first = n  # the post-order index of the first failing node
+    levels: list[list[int]] = [[] for _ in range(nodes[-1][1] + 1)]
+    for i, (node, height, _) in enumerate(nodes):
+        if height:
+            levels[height].append(i)
+        elif isinstance(node, Atom) and node.prop in m.properties:
+            names[i] = node.prop
+        elif first == n:
+            first = i
+    for level in levels[1:]:
+        # a node before the first failing one has every operand named
+        ready = [i for i in level if i < first]
+        keys = [_key(names, nodes[i][2]) for i in ready]
+        for i, name in zip(ready, table._fill(keys)):
+            if name is None:  # this level's first failure, ahead of first
+                first = i
+                break
+            names[i] = name
+    if first == n:
+        return names[-1]  # type: ignore[return-value]
+    node, _, ops = nodes[first]
+    if ops:  # the table holds the miss; names raises its error
+        table.names([_key(names, ops)])
+    if isinstance(node, Atom):
+        raise UnknownProperty(f"model declares no property {node.prop!r}")
+    raise TypeError(f"not a quantum formula node: {node!r}")
+
+
+def _key(names: list, ops: tuple) -> tuple:
+    """The property-table key of a node with operand indices ``ops``."""
+    if len(ops) == 1:
+        return (names[ops[0]], "ortho")
+    return (names[ops[0]], names[ops[1]], "meet")
 
 
 def tq_is_true(m: Model, interp: Interpretation, state: str,

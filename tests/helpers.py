@@ -7,9 +7,10 @@ intersects over every interpretation instead of testing extensions for
 fullness; the closure oracle enumerates formulas itself and closes their
 quotient round by round with the same set algebra.  The subspace oracle
 works on projector matrices instead of basis rows, as does the
-orthogonality oracle, the witness oracle
-(which imports nothing from ``qlprop.hilbert`` or ``qlprop.quantum``)
-reduces quantum formulas with projectors and SVD null spaces, and the
+orthogonality oracle, the witness oracles
+(which import nothing from ``qlprop.hilbert`` or ``qlprop.quantum``)
+reduce quantum formulas with projectors and SVD null spaces or
+eigenvalues, node by node, and the
 lattice oracle (which imports nothing from ``qlprop.lattice``) finds
 bounds and law violations by explicit scans over nested lists.  The
 tokenizer oracle is the hand-written character loop that the syntax
@@ -41,8 +42,11 @@ import numpy as np
 
 from qlprop.errors import (
     ClassicalConnectiveInTQ,
+    NoHilbertAnnotation,
+    NotOperationClosed,
     ParseError,
     UnknownConnective,
+    UnknownProperty,
 )
 from qlprop.model import Model, build_qm_model, make_model
 from qlprop.syntax import A, And, Assert, Atom, K, N, Not, Or, QNot
@@ -444,6 +448,51 @@ class WitnessOracle:
         if isinstance(neg, tuple):
             return neg
         return "QFalse" if state in neg else "QIndeterminate"
+
+
+def oracle_witness(m: Model, f) -> str:
+    """The witness of a quantum formula, node by node with projectors.
+
+    An atom's projector is the :func:`span_projector` of its property's
+    basis, a complement is I - P and a meet :func:`projector_meet`.  Each
+    result is matched to the first declared property whose basis spans
+    the same range by :func:`projector_equal` at the property's
+    tolerance (a near tie counts as unequal).  The errors are raised
+    where the recursion first meets them, in post-order: a missing
+    annotation before anything, then an undeclared atom
+    (``UnknownProperty``), a node that is neither an atom, ``~q`` nor
+    ``&`` (``TypeError``), or an operation without a matching property
+    (``NotOperationClosed`` with the operation's key as its witness).
+    """
+    if m.hilbert is None:
+        raise NoHilbertAnnotation("model carries no Hilbert annotation")
+    return _projector_witness(m, f)[0]
+
+
+def _projector_witness(m: Model, f) -> tuple[str, np.ndarray]:
+    """:func:`oracle_witness` of ``f`` and its property's projector."""
+    ann = m.hilbert
+    subs = ann.property_subspaces
+    if isinstance(f, Atom):
+        if f.prop not in m.properties:
+            raise UnknownProperty(f"oracle: no property {f.prop!r}")
+        return f.prop, span_projector(subs[f.prop].basis, ann.dim)
+    if isinstance(f, QNot):
+        e, p = _projector_witness(m, f.inner)
+        key, p = (e, "ortho"), np.eye(ann.dim) - p
+    elif isinstance(f, And):
+        (e, pa), (g, pb) = (_projector_witness(m, f.left),
+                            _projector_witness(m, f.right))
+        key, p = (e, g, "meet"), projector_meet(pa, pb)
+    else:
+        raise TypeError(f"oracle: not a quantum formula node: {f!r}")
+    w, v = np.linalg.eigh(p)
+    rows = v[:, w > 0.5].T  # an orthonormal basis of the range
+    for name in m.properties:
+        if projector_equal(subs[name].basis, rows, subs[name].tol):
+            return name, span_projector(subs[name].basis, ann.dim)
+    raise NotOperationClosed(f"oracle: no property realises {key}",
+                             witness=key)
 
 
 # ---------------------------------------------------------------------------

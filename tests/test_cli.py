@@ -1,7 +1,10 @@
 """Command line behavior: output, exit codes, JSON mode, error display."""
 
+import contextlib
+import io
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -9,13 +12,14 @@ import time
 import warnings
 
 import pytest
+from hypothesis import given, settings
 
 import qlprop.cli as cli
 import qlprop.model
 import qlprop.lattice as lattice
 import qlprop.semantics as semantics
 from qlprop.cli import main
-from qlprop.errors import ThetaNotInjectiveWarning
+from qlprop.errors import QlpropError, ThetaNotInjectiveWarning
 from qlprop.hilbert import Subspace
 from qlprop.model import (
     HilbertAnnotation,
@@ -37,6 +41,7 @@ from helpers import (
     reference_sec3_lines,
     reference_testable_labels,
 )
+from test_fuzz import _argv, argv_workdir  # noqa: F401 (a fixture)
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +113,58 @@ def test_repeated_exit_prints_the_same_text(argv, code, capsys):
         seen.append(capsys.readouterr())
     assert seen[0] == seen[1]
     assert (seen[0].out if code == 0 else seen[0].err).startswith("usage: qlprop")
+
+
+def _reference_main(argv) -> int:
+    """``main`` as one full-parser parse, then the subcommand, with the
+    same exit codes and error lines."""
+    args = cli._build_parser().parse_args(argv)
+    try:
+        return getattr(cli, f"cmd_{args.command}")(args)
+    except QlpropError as exc:
+        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        name = ("FileNotFound" if isinstance(exc, FileNotFoundError)
+                else type(exc).__name__)
+        print(f"ERROR {name}: {exc}", file=sys.stderr)
+        return 1
+
+
+def _run_in(workdir, run, argv) -> tuple:
+    """Exit code, stdout and stderr of ``run(argv)`` in ``workdir``, with
+    its two classical model files written afresh."""
+    for name, make in (("m_sr.json", m_sr), ("m_cm.json", m_cm)):
+        (workdir / name).write_text(dump_model(make()), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = run(list(argv))
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["nosuch"], ["pars", "E(x)"], ["parse", "--bogus", "E(x)"],
+    ["parse", "--", "E(x)"], ["parse", "-h"],
+    ["--tol", "1e-9", "parse", "E(x)"], ["parse", "E(x)", "extra"],
+], ids=repr)
+def test_argv_dispatch_matches_the_full_parser(argv_workdir, argv):
+    got = _run_in(argv_workdir, main, argv)
+    assert got == _run_in(argv_workdir, _reference_main, argv)
+
+
+@given(words=_argv())
+@settings(max_examples=150, deadline=None)
+def test_generated_argv_matches_the_full_parser(argv_workdir, words):
+    assert _run_in(argv_workdir, main, words) \
+        == _run_in(argv_workdir, _reference_main, words)
 
 
 def test_subcommand_is_looked_up_at_call_time(monkeypatch, capsys):

@@ -6,6 +6,7 @@ lattice's order-derived meet/join/ortho tables.
 """
 
 import functools
+import random
 
 import numpy as np
 import pytest
@@ -43,9 +44,15 @@ from qlprop.quantum import (
     witness_property,
 )
 from qlprop.semantics import enumerate_tq_formulas
-from qlprop.syntax import And, Atom, QNot, parse_lx, parse_tq
+from qlprop.syntax import And, Atom, Not, QNot, format_tq, parse_lx, parse_tq
 
-from helpers import WitnessOracle, mo2_qubit, oracle_orthogonal
+from helpers import (
+    WitnessOracle,
+    mo2_qubit,
+    oracle_orthogonal,
+    oracle_witness,
+    random_tq_formula,
+)
 
 # ---------------------------------------------------------------------------
 # witness recursion, frozen on the qubit fixture
@@ -190,6 +197,115 @@ def test_non_closed_model_evaluates_what_it_can(monkeypatch):
             assert exc.value.witness == witness
             if attempt:  # the missing result was stored, not recomputed
                 assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# reduction by height: the error of the first failing node in post-order
+
+
+def _outcome(m, f, witness=witness_property):
+    """The witness of ``f``, or the type and ``.witness`` of its error."""
+    try:
+        return witness(m, f)
+    except Exception as exc:  # the type is what is compared
+        return type(exc), getattr(exc, "witness", None)
+
+
+@pytest.mark.parametrize("f,expected", [
+    # the left negation fails at height 1 and precedes the unknown atom
+    (parse_tq("~q P(x) & Zzz(x)"), (NotOperationClosed, ("P", "ortho"))),
+    (parse_tq("Zzz(x) & ~q P(x)"), (UnknownProperty, None)),
+    # the left chain's first negation and the right meet both fail at
+    # height 1; the negation comes first in post-order
+    (parse_tq("~q ~q ~q P(x) & (P(x) & Q(x))"),
+     (NotOperationClosed, ("P", "ortho"))),
+    # the left subtree fails at height 2, after the right one's height 1
+    (parse_tq("~q (P(x) & P(x)) & (P(x) & Q(x))"),
+     (NotOperationClosed, ("P", "ortho"))),
+    (parse_tq("(P(x) & P(x)) & (P(x) & Q(x))"),
+     (NotOperationClosed, ("P", "Q", "meet"))),
+    (And(QNot(Atom("P")), Not(Atom("P"))),
+     (NotOperationClosed, ("P", "ortho"))),
+    (And(Not(Atom("P")), QNot(Atom("P"))), (TypeError, None)),
+    (parse_tq("(P(x) & P(x)) & P(x)"), "P"),
+], ids=str)
+def test_witness_raises_at_the_first_failing_node_in_post_order(f, expected):
+    m = _oblique_pair_model()
+    assert _outcome(m, f, oracle_witness) == expected
+    assert _outcome(m, f) == expected
+    assert _outcome(m, f) == expected  # the same from the filled table
+
+
+def test_witness_error_text_is_the_recursions():
+    m = _oblique_pair_model()
+    with pytest.raises(NotOperationClosed,
+                       match=r"^no property realises the complement of 'P'$"):
+        witness_property(m, parse_tq("~q P(x) & Zzz(x)"))
+    with pytest.raises(UnknownProperty,
+                       match=r"^model declares no property 'Zzz'$"):
+        witness_property(m, parse_tq("Zzz(x) & ~q P(x)"))
+    with pytest.raises(TypeError, match=r"^not a quantum formula node: "):
+        witness_property(m, And(Not(Atom("P")), QNot(Atom("P"))))
+
+
+_DIFFERENTIAL_MODELS = {
+    "m_qbit": m_qbit,
+    "m_qutrit": m_qutrit,
+    "mo2": lambda: mo2_qubit(7),
+    "non-closed": _oblique_pair_model,
+}
+
+
+@pytest.mark.parametrize("name", list(_DIFFERENTIAL_MODELS))
+def test_witness_matches_the_projector_oracle(name):
+    build = _DIFFERENTIAL_MODELS[name]
+    shared = build()
+    # an undeclared atom now and then, so that UnknownProperty competes
+    # with the missing operations for the first failing node
+    props = list(shared.properties) + ["Zzz"]
+    for seed in range(120):
+        rng = random.Random(seed)
+        f = random_tq_formula(rng, props, rng.randint(1, 6))
+        # a shared model's table is warm; every third formula a fresh one
+        m = build() if seed % 3 == 0 else shared
+        assert _outcome(m, f) == _outcome(m, f, oracle_witness), format_tq(f)
+
+
+def test_witness_runs_one_batch_per_height_with_a_miss(monkeypatch):
+    f = parse_tq("~q ~q ~q (P1(x) & P5(x)) & (~q P2(x) & (P3(x) & ~q P7(x)))")
+    m = m_qutrit()
+    # each height's table keys, from the oracle's witnesses of the operands
+    keys: dict[int, set] = {}
+
+    def height(g) -> int:
+        if isinstance(g, Atom):
+            return 0
+        if isinstance(g, QNot):
+            h = height(g.inner) + 1
+            key = (oracle_witness(m, g.inner), "ortho")
+        else:
+            h = max(height(g.left), height(g.right)) + 1
+            key = (oracle_witness(m, g.left), oracle_witness(m, g.right),
+                   "meet")
+        keys.setdefault(h, set()).add(key)
+        return h
+
+    expected, seen = [], set()
+    for h in range(1, height(f) + 1):
+        if keys[h] - seen:
+            expected.append(len(keys[h] - seen))
+        seen |= keys[h]
+    # five heights, one of which needs no key that a lower one missed
+    assert len(keys) == 5 and expected == [3, 2, 2, 1]
+    calls = []
+    real = hilbert._operate
+    monkeypatch.setattr(hilbert, "_operate",
+                        lambda ops: calls.append(len(ops)) or real(ops))
+    assert witness_property(m, f) == oracle_witness(m, f)
+    assert calls == expected
+    del calls[:]
+    assert witness_property(m, f) == oracle_witness(m, f)
+    assert calls == []
 
 
 _R = 0.5 ** 0.5
