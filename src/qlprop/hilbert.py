@@ -52,10 +52,13 @@ A subspace result maps to the first declared property equal to it under
 operation keys in order: it computes the missing ones at once, stacking
 their operations by kind and operand ranks, then groups the results by
 rank and decides each group against the declared subspaces of that rank
-in one mutual containment matrix, both directions at once
-(:func:`_equal_matrix`, the batch that also finds a model's first equal
-pair of declared subspaces).  It raises at the first key, in order, that
-no property realises; ``ortho``, ``meet`` and ``join`` ask it for one
+in one mutual containment matrix of the result x declared pairs: one
+residual of the results' rows against the declared bases and one of the
+declared rows against the results' bases (:func:`_equal_matrix`, which
+also finds a model's first equal pair of declared subspaces, there in
+one residual of a rank group against itself, read both ways by
+transposition).  It raises at the first key, in order, that no property
+realises; ``ortho``, ``meet`` and ``join`` ask it for one
 key when their entry is not yet in the table.  ``certain`` tests all
 state rays in one residual, and ``orthogonal`` in one projection,
 neither reading the table's complements.
@@ -264,23 +267,28 @@ def _check_dims(a: Subspace, b: Subspace):
 
 
 # At most about this many complex entries of R are formed at once when
-# many subspaces are compared pairwise, so memory stays small.
-_BLOCK = 1 << 10
+# many subspaces are compared pairwise, so memory stays small.  Each rank
+# of a full property table (m_qutrit: 79 rank-2 results against 5
+# properties, 2,370 entries) fits in one block.
+_BLOCK = 1 << 12
 
 
 def _residual_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Norms of the rows of R = B - (B A^H) A: the residuals of the rows of
     ``b`` against the orthonormal rows of ``a``.
 
-    ``a`` is (..., r, dim) and ``b`` is (..., m, dim); leading axes
-    broadcast as in ``matmul``, and the result is (..., m).  A row lies
-    inside when its norm is not above the tolerance.
+    ``a`` is (r, dim) or a stack of n bases (n, r, dim), and ``b`` is (m,
+    dim); the result is (m,) or (n, m).  A row lies inside when its norm
+    is not above the tolerance.
     """
-    if a.ndim == b.ndim == 2:  # ndarray.dot: the same product, called faster
+    if a.ndim == 2:  # ndarray.dot: the same product, called faster
         r = b.dot(a.conj().T).dot(a)
     else:
-        r = (b @ a.conj().swapaxes(-1, -2)) @ a
-    # in place, so that one (..., m, dim) array is held at a time
+        # every row's coefficients on every basis row in one 2-D product
+        n, k, dim = a.shape
+        r = b.dot(a.reshape(n * k, dim).conj().T).reshape(
+            len(b), n, k).swapaxes(0, 1) @ a
+    # in place, so that one (m, dim) or (n, m, dim) array is held at a time
     x = np.subtract(b, r, out=r).view(float)
     x *= x
     return np.sqrt(x.sum(-1))
@@ -299,26 +307,48 @@ def _outside(norms: np.ndarray, tol: float) -> bool:
     return any(map(float(tol).__lt__, norms.tolist()))
 
 
-def _equal_matrix(bases: np.ndarray, tols: np.ndarray) -> np.ndarray:
-    """Which of the stacked same-rank bases ``bases`` (n, rank, dim), with
-    tolerances ``tols`` (n,), span equal subspaces: the (n, n) matrix of
-    mutual containment, each pair at the larger of its tolerances.
+def _outside_matrix(bases: np.ndarray, tols: np.ndarray, others: np.ndarray,
+                    other_tols: np.ndarray) -> np.ndarray:
+    """Whether some row of each of the stacked bases ``others`` (m, rank,
+    dim) lies outside each of ``bases`` (n, rank, dim): the (n, m) matrix,
+    each pair at the larger of its tolerances ``tols`` (n,) and
+    ``other_tols`` (m,).
 
-    It is decided in one batched residual (in blocks of ``_BLOCK``
-    entries): all rows against each basis, so that entry ``[i, j]`` first
-    holds the residuals of ``j``'s rows against ``i``'s basis.
+    It is decided in one batched residual, all of ``others``' rows against
+    each basis, in blocks of about ``_BLOCK`` entries.
     """
     n, rank, dim = bases.shape
-    rows = bases.reshape(n * rank, dim)
+    m = len(others)
+    rows = others.reshape(m * rank, dim)
     step = max(1, _BLOCK // max(1, rows.size))
     parts = []
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        norms = _residual_norms(bases[lo:hi], rows).reshape(hi - lo, n, rank)
-        tol = np.maximum(tols[lo:hi, None], tols)
+        norms = _residual_norms(bases[lo:hi], rows).reshape(hi - lo, m, rank)
+        tol = np.maximum(tols[lo:hi, None], other_tols)
         parts.append((norms > tol[..., None]).any(-1))
-    outside = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return ~(outside | outside.T)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _equal_matrix(bases: np.ndarray, tols: np.ndarray,
+                  others: np.ndarray | None = None,
+                  other_tols: np.ndarray | None = None) -> np.ndarray:
+    """Which of the stacked same-rank bases ``bases`` (n, rank, dim) span
+    the same subspace as which of ``others`` (m, rank, dim): the (n, m)
+    matrix of mutual containment, each pair at the larger of its
+    tolerances ``tols`` (n,) and ``other_tols`` (m,).
+
+    Without ``others``, ``bases`` are compared with themselves in one
+    :func:`_outside_matrix`, read both ways by transposition.  With them,
+    one residual tests ``others``' rows against ``bases`` and one the
+    rows of ``bases`` against ``others``, so that only the n x m pairs
+    are decided.
+    """
+    if others is None:
+        outside = _outside_matrix(bases, tols, bases, tols)
+        return ~(outside | outside.T)
+    return ~(_outside_matrix(bases, tols, others, other_tols)
+             | _outside_matrix(others, other_tols, bases, tols).T)
 
 
 def _first_equal_pair(subspaces: Sequence[Subspace]) -> tuple[int, int] | None:
@@ -516,12 +546,11 @@ class PropertyTable:
     def _property_of(self, targets: Sequence[Subspace]) -> list[str | None]:
         """The first declared property whose subspace equals each target.
 
-        The targets of one rank are decided with that rank's declared
-        subspaces in one :func:`_equal_matrix` of the group and the
-        targets together, which tests both directions of containment at
-        once.  Its target-target block goes unused, so the targets go in
-        blocks of at least 16 and at least the group's size: the unused
-        block then costs at most a small multiple of the rest.
+        The targets of one rank are decided against that rank's declared
+        subspaces in one :func:`_equal_matrix` of the two stacks: one
+        residual of the targets' rows against the declared bases and one
+        of the declared rows against the targets' bases.  Every target of
+        rank 0 equals the first declared property of rank 0.
         """
         by_rank: dict[int, list[int]] = {}
         for i, target in enumerate(targets):
@@ -529,20 +558,18 @@ class PropertyTable:
         out: list[str | None] = [None] * len(targets)
         for rank, idx in by_rank.items():
             names, group, group_tols = self._group(rank)
-            g = len(names)
-            if not g:
+            if not names:
                 continue
-            step = max(g, 16)
-            for lo in range(0, len(idx), step):
-                block = idx[lo:lo + step]
-                equal = _equal_matrix(
-                    np.concatenate([group, _stack([targets[i].basis
-                                                   for i in block])]),
-                    np.concatenate([group_tols, [targets[i].tol
-                                                 for i in block]]))
-                for i, row in zip(block, equal[g:, :g].tolist()):
-                    if True in row:
-                        out[i] = names[row.index(True)]
+            if not rank:
+                for i in idx:
+                    out[i] = names[0]
+                continue
+            equal = _equal_matrix(
+                _stack([targets[i].basis for i in idx]),
+                np.array([targets[i].tol for i in idx]), group, group_tols)
+            for i, row in zip(idx, equal.tolist()):
+                if True in row:
+                    out[i] = names[row.index(True)]
         return out
 
     def _fill(self, keys: Sequence[tuple]) -> list[str | None]:

@@ -475,37 +475,64 @@ class LTAlgebra:
         top = k.universe
         order = list(self.bits)
         reps = {v: c.representative for v, c in zip(order, self.classes)}
-        # members [0, negated) are complemented; pairs within [0, paired)
-        # were combined by the previous round
-        negated = paired = 0
-        while True:
-            size = len(order)
-            for p in order[negated:size]:
-                w = top ^ p
-                if w not in reps:
-                    reps[w] = Not(reps[p])
-                    order.append(w)
-            negated = size
-            snapshot = len(order)
-            for i in range(snapshot):
-                p = order[i]
-                rp = reps[p]
-                for q in order[paired if i < paired else 0:snapshot]:
-                    w = p & q
-                    if w not in reps:
-                        reps[w] = And(rp, reps[q])
-                        order.append(w)
-                    w = p | q
-                    if w not in reps:
-                        reps[w] = Or(rp, reps[q])
-                        order.append(w)
-            paired = snapshot
-            if len(order) == size:
-                break
+        _close(order, reps, top, [k.atom(e) for e in m.properties])
         n = len(self.classes)
         classes = self.classes + tuple(
             LTClass(reps[v], k.decode(v), 0) for v in order[n:])
         return LTAlgebra(m, self.depth, classes, tuple(order), True)
+
+
+def _close(order: list[int], reps: dict[int, Formula], top: int,
+           atoms: list[int]) -> None:
+    """Extend ``order`` and ``reps`` with every profile that complements
+    (against ``top``), intersections and unions reach from ``order``, in
+    rounds: each round complements the members it starts with, then
+    combines every pair of the members it then holds.
+
+    Every profile is a Boolean combination of the ``atoms``' profiles, so
+    the closure lies in the Boolean algebra they generate, which has 2**a
+    members for the a cells they cut ``top``'s slots into.  The closure
+    fills it whenever ``order`` holds the atoms (at depth 1 and up), and
+    the rounds stop as soon as ``order`` holds that many members: nothing
+    new can appear after that.
+    """
+    cells = [top]
+    for p in atoms:
+        cells = [c for x in cells for c in (x & p, x & ~p) if c]
+    full = 1 << len(cells)
+    # members [0, negated) are complemented; pairs within [0, paired)
+    # were combined by the previous round
+    negated = paired = 0
+    while len(order) < full:
+        size = len(order)
+        for p in order[negated:size]:
+            w = top ^ p
+            if w not in reps:
+                reps[w] = Not(reps[p])
+                order.append(w)
+                if len(order) == full:
+                    return
+        negated = size
+        snapshot = len(order)
+        for i in range(snapshot):
+            p = order[i]
+            rp = reps[p]
+            for q in order[paired if i < paired else 0:snapshot]:
+                w = p & q
+                if w not in reps:
+                    reps[w] = And(rp, reps[q])
+                    order.append(w)
+                    if len(order) == full:
+                        return
+                w = p | q
+                if w not in reps:
+                    reps[w] = Or(rp, reps[q])
+                    order.append(w)
+                    if len(order) == full:
+                        return
+        paired = snapshot
+        if len(order) == size:
+            return
 
 
 def lindenbaum_tarski(m: Model, depth: int) -> LTAlgebra:

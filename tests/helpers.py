@@ -251,20 +251,30 @@ def naive_closure(m: Model, depth: int) -> list[tuple]:
     """The closed quotient of the formulas up to ``depth``, as
     ``(representative, profile, size)`` triples in class order.
 
-    Classes are keyed by frozenset profiles in first-enumeration order.
+    Classes are keyed by frozenset profiles in first-enumeration order,
+    then closed by :func:`naive_close`.
+    """
+    classes: dict = {}
+    for f in oracle_formulas(m.properties, depth):
+        prof = tuple(_set_extension(m, s, f) for s in m.states)
+        rep, size = classes.get(prof, (f, 0))
+        classes[prof] = (rep, size + 1)
+    return naive_close(m, [(rep, prof, size)
+                           for prof, (rep, size) in classes.items()])
+
+
+def naive_close(m: Model, start) -> list[tuple]:
+    """``start``, a list of ``(representative, profile, size)`` triples
+    with distinct frozenset profiles, closed under the pointwise
+    operations and returned as such triples in class order; added
+    classes have size 0.
+
     Each round complements every member, then applies And and Or to
     every pair of the round's snapshot, until a round adds nothing.
     """
-    reps: dict = {}
-    sizes: dict = {}
-    order: list = []
-    for f in oracle_formulas(m.properties, depth):
-        prof = tuple(_set_extension(m, s, f) for s in m.states)
-        if prof not in reps:
-            reps[prof] = f
-            sizes[prof] = 0
-            order.append(prof)
-        sizes[prof] += 1
+    reps = {prof: rep for rep, prof, _ in start}
+    sizes = {prof: size for _, prof, size in start}
+    order = [prof for _, prof, _ in start]
     univ = [frozenset(m.universes[s]) for s in m.states]
 
     def note(prof, rep):

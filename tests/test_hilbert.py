@@ -583,7 +583,16 @@ def test_property_table_matches_the_pairwise_loops(fam, data):
                 row, dim, tol=data.draw(st.sampled_from([tol, 3 * tol])))
     rays["R"] = Subspace.ray(random_unit(rng, dim), dim, tol)
     targets = family + [ortho(x) for x in family]
-    _assume_clear(targets + list(rays.values()))
+    # a pool for one long call: the targets, 0 and the whole space, and
+    # each target of a proper rank with a row tilted by 0.5 to 2 tol
+    pool = targets + [Subspace.zero(dim, tol), Subspace.full(dim, tol)]
+    for x in targets:
+        if 0 < x.rank < dim:
+            angle = x.tol * data.draw(st.sampled_from([0.5, 0.75, 1.5, 2.0]))
+            rows = x.basis.copy()
+            rows[0] = np.cos(angle) * rows[0] + np.sin(angle) * ortho(x).basis[0]
+            pool.append(Subspace.span(rows, dim, x.tol))
+    _assume_clear(pool + list(rays.values()))
     table = hilbert.PropertyTable(HilbertAnnotation(dim, rays, subs))
     for e, x in subs.items():
         assert table.certain(e) == frozenset(
@@ -597,6 +606,11 @@ def test_property_table_matches_the_pairwise_loops(fam, data):
     assert table._property_of(targets) == [next(
         (e for e, x in subs.items() if x == target), None)
         for target in targets]
+    # and 40 to 60 targets of all ranks in one call
+    many = rng.choices(pool, k=data.draw(st.integers(40, 60)))
+    assert table._property_of(many) == [next(
+        (e for e, x in subs.items() if x == target), None)
+        for target in many]
 
 
 def test_containment_one_way_only_is_not_equality():
@@ -639,6 +653,30 @@ def test_loading_a_model_compares_only_subspaces_of_equal_rank(monkeypatch):
         for block in (*a.reshape(-1, rank, ann.dim),
                       *b.reshape(-1, rank, ann.dim)):
             assert any(np.array_equal(block, x) for x in bases)
+
+
+def test_state_lattice_matches_each_rank_in_two_residuals(monkeypatch):
+    m = m_qutrit()
+    calls, matches = [], []
+    real = hilbert._residual_norms
+    monkeypatch.setattr(hilbert, "_residual_norms",
+                        lambda a, b: calls.append(1) or real(a, b))
+    property_of = hilbert.PropertyTable._property_of
+
+    def counting(self, targets):
+        before = len(calls)
+        out = property_of(self, targets)
+        matches.append(({t.rank for t in targets}, len(targets),
+                        len(calls) - before))
+        return out
+
+    monkeypatch.setattr(hilbert.PropertyTable, "_property_of", counting)
+    state_lattice(m)
+    # one match of every complement, meet and join result: one residual
+    # each way per rank, none for rank 0
+    [(ranks, n, count)] = matches
+    assert ranks == {0, 1, 2, 3} and n == 300
+    assert count <= 2 * len(ranks - {0})
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ enumeration intersection in helpers; the per-state implementation must
 agree with it exactly.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -50,6 +51,7 @@ from qlprop.syntax import And, Atom, Not, Or, QNot, format_lx, parse_lx
 
 from helpers import (
     brute_force_physical,
+    naive_close,
     naive_closure,
     oracle_covers,
     oracle_individual,
@@ -542,13 +544,32 @@ def test_cms_means_every_profile_entry_full_or_empty():
 # the closure against the round-by-round frozenset oracle
 
 
-def _assert_closure_matches_oracle(m, depth):
-    alg = lindenbaum_tarski(m, depth).closed()
-    want = naive_closure(m, depth)
+def _slot_bits(m, profile) -> int:
+    """A profile's slots as an int: object i of the k-th state at bit
+    i plus the universe sizes of the states before it."""
+    v = offset = 0
+    for s, ext in zip(m.states, profile):
+        u = m.universes[s]
+        v |= sum(1 << (offset + i) for i, o in enumerate(u) if o in ext)
+        offset += len(u)
+    return v
+
+
+def _assert_closed_as(m, alg, want):
+    """``alg`` holds ``want``'s classes, as ``naive_close`` returns
+    them, in their order: profiles, slot bits, representatives, sizes."""
+    assert alg.is_closed
     assert [c.profile for c in alg.classes] == [p for _, p, _ in want]
+    assert list(alg.bits) == [_slot_bits(m, p) for _, p, _ in want]
     assert [format_lx(c.representative) for c in alg.classes] \
         == [format_lx(r) for r, _, _ in want]
     assert [c.size for c in alg.classes] == [n for _, _, n in want]
+
+
+def _assert_closure_matches_oracle(m, depth):
+    alg = lindenbaum_tarski(m, depth).closed()
+    want = naive_closure(m, depth)
+    _assert_closed_as(m, alg, want)
     assert alg.poset.covers() == oracle_covers([p for _, p, _ in want])
 
 
@@ -562,6 +583,88 @@ def test_closure_matches_naive_oracle_on_random_models():
     for i in range(30):
         m = random_model(rng, max_states=3, max_objects=3, max_props=3)
         _assert_closure_matches_oracle(m, 1 + i % 3)
+
+
+# depth 2 is test_closure_matches_naive_oracle_on_fixtures
+@pytest.mark.parametrize("depth", [1, 3, 4])
+@pytest.mark.parametrize("name", ["m_sr", "m_cm", "m_qbit", "m_qutrit"])
+def test_closure_matches_naive_rounds_on_fixtures(name, depth):
+    m = canonical_models()[name]
+    lt = lindenbaum_tarski(m, depth)
+    if sum(c.size for c in lt.classes) <= 20_000:
+        want = naive_closure(m, depth)
+    else:
+        # too many formulas to enumerate (182,712 to 76 billion): the
+        # naive rounds start from the quotient's classes, which
+        # test_lt_matches_the_oracle_on_fixtures checks at lower depths
+        want = naive_close(m, [(c.representative, c.profile, c.size)
+                               for c in lt.classes])
+    _assert_closed_as(m, lt.closed(), want)
+
+
+def _bench_seed5_models() -> dict:
+    """The three models of the classical benchmark at seed 5: seven
+    distinct property types over seven objects (a 128-class closure),
+    proper extensions in two-object states, and four full-or-empty
+    state types over eight objects per state."""
+    cm128 = make_model(
+        ["S1", "S2", "S3"],
+        {"S1": ["a1", "a2", "a3"], "S2": ["b1", "b2"], "S3": ["c1", "c2"]},
+        ["E1", "E2", "E3"],
+        {"S1": {"E1": ["a1", "a2", "a3"], "E2": ["a2", "a3"],
+                "E3": ["a1", "a3"]},
+         "S2": {"E1": ["b2"], "E2": [], "E3": ["b1"]},
+         "S3": {"E1": [], "E2": ["c1"], "E3": ["c1"]}})
+    sec3 = make_model(
+        ["S1", "S2", "S3"],
+        {"S1": ["u1", "u2"], "S2": ["v1", "v2"], "S3": ["w1"]},
+        ["E1", "E2"],
+        {"S1": {"E1": ["u2"], "E2": ["u1"]},
+         "S2": {"E1": ["v2"], "E2": ["v1"]},
+         "S3": {"E1": [], "E2": ["w1"]}})
+    states = ["S1", "S2", "S3", "S4"]
+    universes = {s: [f"{s.lower()}o{j}" for j in range(1, 9)] for s in states}
+    types = {"S1": "E2", "S2": "E1 E3", "S3": "", "S4": "E1 E2"}
+    collapse = make_model(
+        states, universes, ["E1", "E2", "E3"],
+        {s: {e: universes[s] if e in types[s].split() else []
+             for e in ("E1", "E2", "E3")} for s in states})
+    return {"cm128": cm128, "sec3": sec3, "collapse": collapse}
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("name", ["cm128", "sec3", "collapse"])
+def test_closure_matches_naive_oracle_on_bench_models(name, depth):
+    _assert_closure_matches_oracle(_bench_seed5_models()[name], depth)
+
+
+class _CountingInt(int):
+    """A profile that counts the complements (``top ^ self``) and
+    unions taken of it: every closure round takes both."""
+
+    ops = 0
+
+    def __rxor__(self, other):
+        _CountingInt.ops += 1
+        return int.__rxor__(self, other)
+
+    def __or__(self, other):
+        _CountingInt.ops += 1
+        return int.__or__(self, other)
+
+
+@pytest.mark.parametrize("m, depth, whole", [
+    (m_sr(), 2, True), (_bench_seed5_models()["sec3"], 3, True),
+    (m_sr(), 1, False), (m_qbit(), 2, False)])
+def test_closure_runs_no_round_when_it_starts_whole(m, depth, whole):
+    lt = lindenbaum_tarski(m, depth)
+    counted = dataclasses.replace(
+        lt, bits=tuple(map(_CountingInt, lt.bits)))
+    _CountingInt.ops = 0
+    closed = counted.closed()
+    assert closed.bits == lt.closed().bits
+    assert (len(closed.classes) == len(lt.classes)) == whole
+    assert (_CountingInt.ops == 0) == whole
 
 
 # ---------------------------------------------------------------------------
