@@ -10,7 +10,7 @@ Exit codes: 0 success, 1 domain error (reported as ``ERROR <name>``)
 or an output pipe closed by its reader (reported not at all), 2 usage
 error.  The containment tolerance can be set with ``--tol`` or the
 ``QLPROP_TOL`` environment variable; :func:`qlprop.hilbert.check_tol`
-validates either.
+validates either, once, before the subcommand runs.
 """
 
 from __future__ import annotations
@@ -64,8 +64,9 @@ __all__ = ["main"]
 
 
 def _tol(args) -> float:
-    """The containment tolerance, from ``--tol`` or ``QLPROP_TOL``; every
-    subcommand validates it first."""
+    """The containment tolerance, from ``--tol`` or ``QLPROP_TOL``;
+    :func:`main` validates it before any subcommand runs and stores it
+    as ``args.tol``."""
     if args.tol is not None:
         return check_tol(args.tol, "--tol")
     env = os.environ.get("QLPROP_TOL")
@@ -80,8 +81,8 @@ def _path(name: str, option: str) -> Path:
     return Path(name)
 
 
-def _load(args, tol: float) -> Model:
-    return load_model(_path(args.model, "--model").read_bytes(), tol=tol)
+def _load(args) -> Model:
+    return load_model(_path(args.model, "--model").read_bytes(), tol=args.tol)
 
 
 def _parse_interp(m: Model, text: str) -> dict[str, str]:
@@ -111,7 +112,6 @@ def _emit(args, lines: list[str], payload: dict):
 
 
 def cmd_parse(args) -> int:
-    _tol(args)  # a bad tolerance fails every subcommand
     parse = {"lx": parse_lx, "ltq": parse_tq, "prag": parse_prag}[args.lang]
     fmt = {"lx": format_lx, "ltq": format_tq, "prag": format_prag}[args.lang]
     try:
@@ -132,7 +132,6 @@ def cmd_parse(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    tol = _tol(args)
     # refused, not dropped: assertive formulas have no Q-truth, and
     # neither they nor Q-truth depend on the chosen objects
     if args.lang == "prag" and args.qtruth:
@@ -145,7 +144,7 @@ def cmd_eval(args) -> int:
                 raise QlpropError(f"{option} cannot be used with {mode}")
     if args.object is not None and args.interp is not None:
         raise QlpropError("--object cannot be used with --interp")
-    m = _load(args, tol)
+    m = _load(args)
     if args.state not in m.extensions:
         raise QlpropError(f"unknown state {args.state!r}")
 
@@ -180,12 +179,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_props(args) -> int:
-    tol = _tol(args)
     if args.enum_cap is not None and not args.forall:
         raise QlpropError("--enum-cap requires --forall")
     if args.lang == "ltq" and (args.individual is not None or args.forall):
         raise QlpropError("quantum formulas support --physical only")
-    m = _load(args, tol)
+    m = _load(args)
     lines: list[str] = []
     payload: dict = {"command": "props"}
     if args.lang == "ltq":
@@ -302,9 +300,8 @@ def _suite_cm(m: Model, depth: int, assume_cmt: bool, out: _Suite):
         for v, p in zip(low.bits, props):
             diff |= v ^ p
         out.passfail(not diff, "individual propositions collapse to physical")
-    # a formula is testable when its class's profile is some atom's
-    atoms = {k.atom(e) for e in m.properties}
-    untestable = [c for v, c in zip(low.bits, low.classes) if v not in atoms]
+    untestable = [c for v, c in zip(low.bits, low.classes)
+                  if k.witness(v) is None]
     count = sum(c.size for c in untestable)
     if assume_cmt:
         out.passfail(not untestable, "every formula testable",
@@ -364,10 +361,9 @@ _SUITE_DEPTH = {"sec3": 2, "cm": 3, "qm": 2, "prag": 3}
 
 
 def cmd_check(args) -> int:
-    tol = _tol(args)
     if args.assume_cmt and args.suite != "cm":
         raise QlpropError("--assume-cmt requires --suite cm")
-    m = _load(args, tol)
+    m = _load(args)
     depth = args.depth if args.depth is not None else _SUITE_DEPTH[args.suite]
     out = _Suite()
     if args.suite == "sec3":
@@ -389,10 +385,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    tol = _tol(args)
     if args.closed and args.which != "lindenbaum":
         raise QlpropError("--closed requires --which lindenbaum")
-    m = _load(args, tol)
+    m = _load(args)
     if args.depth is not None:  # refused for every --which, LS included
         check_depth(args.depth)
     if args.which == "testable":
@@ -425,7 +420,6 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    _tol(args)  # a bad tolerance fails every subcommand
     outdir = _path(args.out, "--out")
     outdir.mkdir(parents=True, exist_ok=True)
     lines = []
@@ -546,6 +540,7 @@ def main(argv=None) -> int:
     if args is None:
         args = parser.parse_args(argv)
     try:
+        args.tol = _tol(args)  # a bad tolerance fails every subcommand
         # looked up per call, so a wrapped or patched cmd_* is the one run
         code = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()  # a closed pipe shows up here, not at exit

@@ -58,10 +58,11 @@ declared rows against the results' bases (:func:`_equal_matrix`, which
 also finds a model's first equal pair of declared subspaces, there in
 one residual of a rank group against itself, read both ways by
 transposition).  It raises at the first key, in order, that no property
-realises; ``ortho``, ``meet`` and ``join`` ask it for one
-key when their entry is not yet in the table.  ``certain`` tests all
-state rays in one residual, and ``orthogonal`` in one projection,
-neither reading the table's complements.
+realises.  It is the table's one read path: ``ortho``, ``meet`` and
+``join`` are one-key calls of it, and only its private fill reads the
+stored entries.  ``certain`` tests all state rays in one residual, and
+``orthogonal`` in one projection, neither reading the table's
+complements.
 :func:`certain_states`, :func:`state_lattice` and the quantum-language
 semantics all read the same table.
 """
@@ -509,13 +510,13 @@ class PropertyTable:
     or ``(e, f, "join")``, whose operands are declared properties.
     :meth:`names` gives, for a list of keys, the declared property that
     realises each operation on the operands' subspaces; ``ortho(e)``,
-    ``meet(e, f)`` and ``join(e, f)`` answer one key each.  ``certain(e)``
-    is the set of states whose ray lies in ``e``'s subspace, and
+    ``meet(e, f)`` and ``join(e, f)`` are :meth:`names` calls of one key
+    each, which keep the key format inside the table.  ``certain(e)`` is
+    the set of states whose ray lies in ``e``'s subspace, and
     ``orthogonal(e)`` the set of those whose ray is orthogonal to it.
-    Every entry
-    is computed once and kept, including a missing operation result: every
-    request for it raises the same :class:`NotOperationClosed`, with the
-    key as its witness.
+    Every entry is computed once and kept, including a missing operation
+    result: every request for it raises the same
+    :class:`NotOperationClosed`, with the key as its witness.
     """
 
     def __init__(self, ann: HilbertAnnotation):
@@ -604,16 +605,13 @@ class PropertyTable:
         return out  # type: ignore[return-value]
 
     def ortho(self, e: str) -> str:
-        name = self._names.get((e, "ortho"))
-        return self.names([(e, "ortho")])[0] if name is None else name
+        return self.names([(e, "ortho")])[0]
 
     def meet(self, e: str, f: str) -> str:
-        name = self._names.get((e, f, "meet"))
-        return self.names([(e, f, "meet")])[0] if name is None else name
+        return self.names([(e, f, "meet")])[0]
 
     def join(self, e: str, f: str) -> str:
-        name = self._names.get((e, f, "join"))
-        return self.names([(e, f, "join")])[0] if name is None else name
+        return self.names([(e, f, "join")])[0]
 
     def certain(self, e: str) -> frozenset[str]:
         """The states whose ray lies in ``e``'s subspace."""
@@ -649,6 +647,14 @@ class PropertyTable:
         return frozenset(s for s, lo, hi in spans if not any(outside[lo:hi]))
 
 
+def _annotation(model: "Model") -> HilbertAnnotation:
+    """The model's Hilbert annotation; raises :class:`NoHilbertAnnotation`
+    when it has none."""
+    if model.hilbert is None:
+        raise NoHilbertAnnotation("model carries no Hilbert annotation")
+    return model.hilbert
+
+
 def certain_states(model: "Model", prop: str) -> frozenset[str]:
     """States whose ray lies inside the property's subspace.
 
@@ -657,9 +663,7 @@ def certain_states(model: "Model", prop: str) -> frozenset[str]:
     physical propositions of the quantum model.  Read from the
     annotation's :class:`PropertyTable`.
     """
-    ann = model.hilbert
-    if ann is None:
-        raise NoHilbertAnnotation("model carries no Hilbert annotation")
+    ann = _annotation(model)
     if prop not in ann.property_subspaces:
         raise UnknownProperty(f"no subspace for property {prop!r}")
     return ann.table.certain(prop)
@@ -677,11 +681,8 @@ def state_lattice(model: "Model") -> OrthoLattice:
     once, and the tables are read from that map.  Only the table is kept:
     the poset is rebuilt, and the warnings are issued, on every call.
     """
-    ann = model.hilbert
-    if ann is None:
-        raise NoHilbertAnnotation("model carries no Hilbert annotation")
     props = list(model.properties)
-    table = ann.table
+    table = _annotation(model).table
     n = len(props)
     # all complements first, then meet before join per pair: this order
     # decides which NotOperationClosed is raised first

@@ -75,8 +75,10 @@ class Justification(enum.Enum):
 def _assertive_step(f: TQFormula, sub) -> AssertiveFormula:
     """Translate the top node of ``f``; ``sub`` translates a subformula.
 
-    :func:`to_assertive` passes itself; :func:`check_preservation` reads
-    the translations it has already built.
+    :func:`to_assertive` passes itself.  A test can apply the step to
+    one node with any ``sub``, or replace the step to inject a fault
+    into every translation; :func:`check_preservation` translates no
+    formula.
     """
     if isinstance(f, Atom):
         return Assert(f)

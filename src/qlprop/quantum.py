@@ -33,6 +33,10 @@ witness class with :func:`~qlprop.semantics._levels`, one
 each class's formula count and first formula.
 :func:`check_tq_equalities` decides each law once per class, or per
 pair of classes, and reports a violation by the class's first formula.
+It reads every certain set through
+:meth:`~qlprop.hilbert.PropertyTable.certain`, and the witnesses of all
+the pairs' meets and De Morgan joins, ``~q (~q a & ~q b)``, in four
+:meth:`~qlprop.hilbert.PropertyTable.names` calls.
 The negation law compares the lattice orthocomplement with the states
 whose ray is orthogonal to the witness's subspace
 (:meth:`~qlprop.hilbert.PropertyTable.orthogonal`), decided from the
@@ -44,13 +48,8 @@ from __future__ import annotations
 import enum
 import warnings
 
-from .errors import (
-    NoHilbertAnnotation,
-    SchemaError,
-    UnknownProperty,
-    WitnessMismatchWarning,
-)
-from .hilbert import certain_states, state_lattice
+from .errors import SchemaError, UnknownProperty, WitnessMismatchWarning
+from .hilbert import _annotation, certain_states, state_lattice
 from .lattice import OrthoLattice
 from .model import Interpretation, Model
 from .semantics import (
@@ -85,12 +84,6 @@ class QTruth(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-def _hilbert(m: Model):
-    if m.hilbert is None:
-        raise NoHilbertAnnotation("model carries no Hilbert annotation")
-    return m.hilbert
 
 
 def _post_order(f: TQFormula) -> list[tuple]:
@@ -149,7 +142,7 @@ def witness_property(m: Model, f: TQFormula) -> str:
     raised before any of these.  Once a failing node is known, no node
     after it in post-order is looked up.
     """
-    table = _hilbert(m).table
+    table = _annotation(m).table
     nodes = _post_order(f)
     n = len(nodes)
     names: list[str | None] = [None] * n
@@ -228,7 +221,7 @@ class QProposition:
     __slots__ = ("_table", "witness", "states", "_neg")
 
     def __init__(self, m: Model, f: TQFormula):
-        self._table = table = _hilbert(m).table
+        self._table = table = _annotation(m).table
         self.witness = witness_property(m, f)
         self.states = table.certain(self.witness)
         self._neg: frozenset[str] | None = None
@@ -297,7 +290,7 @@ def _witness_classes(m: Model, depth: int) -> dict[str, list]:
     formula.
     """
     _check_cap(depth)  # a bad depth is refused before a missing annotation
-    table = _hilbert(m).table
+    table = _annotation(m).table
 
     def witnesses(ops) -> list[str]:
         return table.names([(a, "ortho") if b is None else (a, b, "meet")
@@ -325,12 +318,13 @@ def check_tq_equalities(m: Model, depth: int,
     number of formulas checked, and a witness pair for strictness of the
     join inclusion (the join proposition strictly containing the union)
     when one exists.  ``lat`` is ``state_lattice(m)``, built here when not
-    given.
+    given.  Building it looks up every operation on the declared
+    properties, so the batched table reads of the pairs raise nothing.
     """
     if lat is None:
         lat = state_lattice(m)
     classes = _witness_classes(m, depth)
-    table = _hilbert(m).table
+    table = _annotation(m).table
     index = {e: i for i, e in enumerate(lat.poset.elements)}
 
     neg_bad, conj_bad, join_bad = [], [], []
@@ -340,18 +334,23 @@ def check_tq_equalities(m: Model, depth: int,
         i = index[states]
         if index.get(table.orthogonal(w)) != lat.ortho[i]:
             neg_bad.append(format_tq(f))
-        reps.append((format_tq(f), w, states, i))
+        reps.append((format_tq(f), states, i))
     # a pair's conjunction and join reduce through the operands'
-    # witnesses, so their witnesses are read from the table: the meet, and
-    # the join as ~q (~q a & ~q b), in the order the recursion reads them
+    # witnesses, so their witnesses are read from the table, every pair at
+    # once in row-major order: the meets, then the joins as ~q (~q a & ~q b)
+    ws = list(classes)
+    meets = table.names([(a, b, "meet") for a in ws for b in ws])
+    comp = dict(zip(ws, table.names([(w, "ortho") for w in ws])))
+    joins = table.names([(j, "ortho") for j in table.names(
+        [(comp[a], comp[b], "meet") for a in ws for b in ws])])
+    results = iter(zip(meets, joins))
     strict = None
-    for a, wa, pa, ia in reps:
-        for b, wb, pb, ib in reps:
-            if index[certain_states(m, table.meet(wa, wb))] \
-                    != lat.meet[ia, ib]:
+    for a, pa, ia in reps:
+        for b, pb, ib in reps:
+            met, joined = next(results)
+            if index[table.certain(met)] != lat.meet[ia, ib]:
                 conj_bad.append((a, b))
-            joined = certain_states(
-                m, table.ortho(table.meet(table.ortho(wa), table.ortho(wb))))
+            joined = table.certain(joined)
             if index[joined] != lat.join[ia, ib]:
                 join_bad.append((a, b))
             union = pa | pb

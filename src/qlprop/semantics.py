@@ -105,6 +105,11 @@ class ProfileKernel:
     it.  A profile is the ``int`` of the slots a formula's extensions
     cover; ``universe`` has every slot set.  Atom profiles, full-block
     masks and physical propositions are computed on first use and kept.
+
+    :meth:`witness` decides testability: it maps each atom profile to the
+    first declared property that has it, a map built from every atom on
+    its first use.  A formula is testable exactly when its profile is in
+    the map, and that property is its testable witness.
     """
 
     def __init__(self, m: Model):
@@ -124,6 +129,7 @@ class ProfileKernel:
         self._slots = slots
         self._blocks = blocks
         self._atoms: dict[str, int] = {}
+        self._witnesses: dict[int, str] | None = None
         self._full: dict[int, int] = {}
         self._states: dict[int, frozenset[str]] = {}
 
@@ -153,6 +159,14 @@ class ProfileKernel:
                     v |= slots[o]
             self._atoms[prop] = v
         return v
+
+    def witness(self, v: int) -> str | None:
+        """The first declared property whose profile is ``v``, or None."""
+        if self._witnesses is None:
+            self._witnesses = {}
+            for e in self._properties:
+                self._witnesses.setdefault(self.atom(e), e)
+        return self._witnesses.get(v)
 
     def profile(self, f: Formula) -> int:
         """The slots of the objects satisfying ``f``, over all states."""
@@ -287,14 +301,11 @@ def testable_witness(m: Model, f) -> str | None:
 
     A formula is testable exactly when some property has the same
     extension profile; the witness makes the formula's truth an
-    empirical matter of that single property.
+    empirical matter of that single property.  It is read from the
+    kernel's map (:meth:`ProfileKernel.witness`).
     """
     k = m.kernel
-    v = k.profile(f)
-    for e in m.properties:
-        if k.atom(e) == v:
-            return e
-    return None
+    return k.witness(k.profile(f))
 
 
 # ---------------------------------------------------------------------------
@@ -395,16 +406,17 @@ def testable_proposition_poset(m: Model, depth: int) -> FinitePoset:
     """Distinct physical propositions of testable formulas up to depth,
     ordered by inclusion.
 
-    A formula is testable when its class's profile is some atom's, and
-    the classes come in order of their first formula, so the
-    propositions come in order of their first testable formula.
+    A formula is testable when the kernel's witness map holds its
+    class's profile, and the classes come in order of their first
+    formula, so the propositions come in order of their first testable
+    formula.
     """
     k = m.kernel
-    atoms = {k.atom(e) for e in m.properties}
     bits = lindenbaum_tarski(m, depth).bits
     # a proposition's full-block mask includes another's exactly when
     # its states do
-    full = list(dict.fromkeys(k.full(v) for v in bits if v in atoms))
+    full = list(dict.fromkeys(
+        k.full(v) for v in bits if k.witness(v) is not None))
     props = [k.proposition(v) for v in full]
     return build_poset(props, _inclusion(full, k.universe.bit_length()),
                        [set_label(p, m.states) for p in props])

@@ -48,7 +48,7 @@ from qlprop.errors import (
     UnknownConnective,
     UnknownProperty,
 )
-from qlprop.model import Model, build_qm_model, make_model
+from qlprop.model import Model, build_qm_model, m_qbit, make_model
 from qlprop.syntax import A, And, Assert, Atom, K, N, Not, Or, QNot
 
 # ---------------------------------------------------------------------------
@@ -893,3 +893,12 @@ def mo2_qubit(seed: int) -> Model:
     subspaces = {"E0": [], "Ea+": [a], "Ea-": [a_perp], "Eb+": [b],
                  "Eb-": [b_perp], "EI": [[1, 0], [0, 1]]}
     return build_qm_model(2, rays, subspaces, universe_size=2, seed=seed)
+
+
+def non_injective_qubit() -> Model:
+    """m_qbit's six subspaces with only the two z rays as states: E0, Ex+
+    and Ex- then share the empty certain-state set, and the qm suite's
+    negation and join laws fail."""
+    subspaces = {e: sub.basis
+                 for e, sub in m_qbit().hilbert.property_subspaces.items()}
+    return build_qm_model(2, {"Sz+": [1, 0], "Sz-": [0, 1]}, subspaces)

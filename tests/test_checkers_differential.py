@@ -17,7 +17,12 @@ from qlprop.model import build_qm_model, m_qbit, m_qutrit
 from qlprop.pragmatic import check_preservation
 from qlprop.quantum import check_tq_equalities
 
-from helpers import mo2_qubit, reference_preservation, reference_tq_equalities
+from helpers import (
+    mo2_qubit,
+    non_injective_qubit,
+    reference_preservation,
+    reference_tq_equalities,
+)
 
 
 def _ortho_open() -> object:
@@ -60,6 +65,8 @@ CASES = [
     ("meet-open-d2", _meet_open, 2),
     ("no-zero-d1", _no_zero, 1),
     ("no-zero-d2", _no_zero, 2),
+    ("non-injective-d1", non_injective_qubit, 1),
+    ("non-injective-d2", non_injective_qubit, 2),
 ]
 
 
@@ -102,3 +109,16 @@ def test_open_models_raise_only_where_a_query_needs_the_missing_operation():
     assert (kind, cls.__name__, witness) == ("raised", "NotOperationClosed",
                                              ("P12", "P23", "meet"))
     assert _outcome(_preservation, _no_zero(), 1) == ("returned", (3, 3, []))
+
+
+def test_non_injective_model_reports_violations():
+    # the one case whose violation lists are not empty: Ex+ and Ex- share
+    # E0's empty certain-state set, so neither their orthogonal states nor
+    # the joins through them are the lattice's answers for that set
+    kind, out = _outcome(check_tq_equalities, non_injective_qubit(), 2)
+    assert kind == "returned"
+    assert out["negation"] == ["Ex+(x)", "Ex-(x)"]
+    assert out["conjunction"] == []
+    assert len(out["join"]) == 10
+    assert out["join"][0] == ("Ez+(x)", "Ex+(x)")
+    assert out["join_strict_witness"] == ("Ez+(x)", "Ex+(x)")

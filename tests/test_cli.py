@@ -33,6 +33,7 @@ from qlprop.model import (
 
 from helpers import (
     brute_force_physical,
+    non_injective_qubit,
     oracle_formulas,
     oracle_individual,
     random_check_case,
@@ -116,10 +117,11 @@ def test_repeated_exit_prints_the_same_text(argv, code, capsys):
 
 
 def _reference_main(argv) -> int:
-    """``main`` as one full-parser parse, then the subcommand, with the
-    same exit codes and error lines."""
+    """``main`` as one full-parser parse, then the tolerance check and
+    the subcommand, with the same exit codes and error lines."""
     args = cli._build_parser().parse_args(argv)
     try:
+        args.tol = cli._tol(args)
         return getattr(cli, f"cmd_{args.command}")(args)
     except QlpropError as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -547,6 +549,45 @@ def test_check_qm(models_dir, capsys):
     assert "distributive_meet_over_join: fails at" in out
     assert "PASS negation proposition is the lattice orthocomplement" in out
     assert "REPORT join strictly above union" in out
+
+
+_NON_INJECTIVE_QM = [
+    "PASS state lattice law ortho_involution",
+    "PASS state lattice law ortho_order_reversal",
+    "PASS state lattice law ortho_complement",
+    "PASS state lattice law orthomodular",
+    "PASS state lattice law atomic",
+    "PASS state lattice law atomistic",
+    "PASS state lattice law covering",
+    "REPORT modularity: holds",
+    "REPORT distributive_meet_over_join: holds",
+    "REPORT distributive_join_over_meet: holds",
+    "FAIL negation proposition is the lattice orthocomplement: "
+    "first 'Ex+(x)'",
+    "PASS conjunction proposition is the lattice meet",
+    "FAIL disjunction proposition is the lattice join: "
+    "first ('Ez+(x)', 'Ex+(x)')",
+    "REPORT join strictly above union at ('Ez+(x)', 'Ex+(x)')",
+    "REPORT certain-state map injective: no",
+]
+
+
+def test_check_qm_fails_on_a_non_injective_model(tmp_path):
+    path = tmp_path / "non_injective.json"
+    path.write_text(dump_model(non_injective_qubit()))
+    argv = [sys.executable, "-m", "qlprop", "check", "--model", str(path),
+            "--suite", "qm"]
+    out = subprocess.run(argv, capture_output=True, text=True)
+    assert out.returncode == 1
+    assert out.stdout == "".join(f"{line}\n" for line in _NON_INJECTIVE_QM)
+    # the warning's text starts with a file path and a line number
+    assert "ThetaNotInjectiveWarning: properties 'E0' and 'Ex+'" in out.stderr
+    out = subprocess.run(argv + ["--json"], capture_output=True, text=True)
+    assert out.returncode == 1
+    assert out.stdout == json.dumps(
+        {"command": "check", "suite": "qm", "ok": False,
+         "lines": _NON_INJECTIVE_QM}, indent=2) + "\n"
+    assert "ThetaNotInjectiveWarning" in out.stderr
 
 
 def test_check_prag(models_dir, capsys):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qlprop.hilbert as hilbert
+import qlprop.quantum as quantum
 
 from qlprop.errors import (
     NoHilbertAnnotation,
@@ -599,6 +600,32 @@ def test_orthogonal_reads_no_complement_or_property_matching(monkeypatch):
 def test_tq_equalities_formula_count():
     out = check_tq_equalities(m_qbit(), 2)
     assert out["formulas"] == len(enumerate_tq_formulas(m_qbit().properties, 2))
+
+
+def test_tq_equalities_read_the_table_in_one_call_per_batch(monkeypatch):
+    # one names call per witness level and four for the pairs: the meets,
+    # the witnesses' complements, their meets and those meets' complements
+    m = m_qutrit()
+    lat = hilbert.state_lattice(m)
+    want = check_tq_equalities(m_qutrit(), 2)
+    calls = {}
+
+    def spy(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("names", "ortho", "meet", "join"):
+        spy(hilbert.PropertyTable, name)
+    spy(hilbert, "certain_states")
+    spy(quantum, "certain_states")
+    out = check_tq_equalities(m, 2, lat=lat)
+    monkeypatch.undo()
+    assert calls == {"names": 5}
+    assert out == want
 
 
 # ---------------------------------------------------------------------------

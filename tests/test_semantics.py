@@ -285,6 +285,15 @@ def test_testable_witness_frozen():
     assert testable_witness(c, parse_lx("!E(x)")) is None
 
 
+def test_testable_witness_is_the_first_property_with_the_profile():
+    # E and G have one profile, and the complement of F has it too
+    m = make_model(["S"], {"S": ["a", "b"]}, ["E", "F", "G"],
+                   {"S": {"E": ["a"], "F": ["b"], "G": ["a"]}})
+    assert testable_witness(m, parse_lx("G(x)")) == "E"
+    assert testable_witness(m, parse_lx("!F(x)")) == "E"
+    assert testable_witness(m, parse_lx("!E(x)")) == "F"
+
+
 def test_testable_poset_m_sr_depth1_is_chain():
     p = testable_proposition_poset(m_sr(), 1)
     assert p.n == 2
