@@ -28,8 +28,9 @@ Both count the principal angles of the pair, so ``join(a, b)`` and
 trailing rows of one full SVD of ``a``'s basis, so its rank is ``dim -
 rank(a)`` exactly.  Each of the three is written once, as a kernel over
 stacked bases (k, r, dim); :func:`ortho`, :func:`meet` and :func:`join`
-call it with a stack of one, and :func:`closure_generate` and the
-property table with all the operations they need at once.
+call it with a stack of one, :func:`closure_generate` with all the
+operations of a round at once, and the property table with the
+complements and meets it needs at once (it computes no join).
 
 ``Subspace.span`` is modified Gram-Schmidt, which keeps a vector ``v``
 when its residual against the rows kept so far exceeds ``tol * max(1,
@@ -60,9 +61,17 @@ one residual of a rank group against itself, read both ways by
 transposition).  It raises at the first key, in order, that no property
 realises.  It is the table's one read path: ``ortho``, ``meet`` and
 ``join`` are one-key calls of it, and only its private fill reads the
-stored entries.  ``certain`` tests all state rays in one residual, and
-``orthogonal`` in one projection, neither reading the table's
-complements.
+stored entries.  The table runs two kernels, complement and meet: it
+reads a join E v F as ~(~E & ~F), the complement of the meet of the
+operands' complements, from its own entries.  The operands' complements
+join the first batch of missing keys; the meet and its complement
+follow, each in one batch, only where the table does not hold them.  A
+join is missing when an operand has no declared complement, or when the
+meet of the complements, or that meet's complement, matches no
+property.  In finite dimension the identity holds exactly, so where
+the complements are declared this is the direct join's property.
+``certain`` tests all state rays in one residual, and ``orthogonal`` in
+one projection, neither reading the table's complements.
 :func:`certain_states`, :func:`state_lattice` and the quantum-language
 semantics all read the same table.
 """
@@ -511,12 +520,16 @@ class PropertyTable:
     :meth:`names` gives, for a list of keys, the declared property that
     realises each operation on the operands' subspaces; ``ortho(e)``,
     ``meet(e, f)`` and ``join(e, f)`` are :meth:`names` calls of one key
-    each, which keep the key format inside the table.  ``certain(e)`` is
+    each, which keep the key format inside the table.  A join key is
+    read as ``ortho`` of the ``meet`` of the operands' ``ortho`` entries,
+    and is missing when one of those three lookups is.  ``certain(e)`` is
     the set of states whose ray lies in ``e``'s subspace, and
     ``orthogonal(e)`` the set of those whose ray is orthogonal to it.
     Every entry is computed once and kept, including a missing operation
     result: every request for it raises the same
-    :class:`NotOperationClosed`, with the key as its witness.
+    :class:`NotOperationClosed`, with the key as its witness.  An operand
+    the annotation does not declare raises :class:`UnknownProperty` where
+    the table would compute with it.
     """
 
     def __init__(self, ann: HilbertAnnotation):
@@ -573,22 +586,38 @@ class PropertyTable:
                     out[i] = names[row.index(True)]
         return out
 
+    def _subspace(self, e: str) -> Subspace:
+        try:
+            return self._subspaces[e]
+        except KeyError:
+            raise UnknownProperty(f"no subspace for property {e!r}") from None
+
     def _fill(self, keys: Sequence[tuple]) -> list[str | None]:
         """The property realising each of ``keys``, in order, and None
-        where no property realises it.
+        where no property realises it or an operand is None.
 
-        The keys not yet in the table are computed at once: their
-        operations are stacked by kind and operand ranks, and the results
-        are matched to properties in one batch per rank.
+        The complement and meet keys not yet in the table, and the
+        complements of the join keys' operands, are computed at once:
+        their operations are stacked by kind and operand ranks, and the
+        results are matched to properties in one batch per rank.  A join
+        E v F is then read as ~(~E & ~F), by two more fills: the meets of
+        the complements, and the complements of those meets.
         """
-        known = self._names
-        todo = list(dict.fromkeys(key for key in keys if key not in known))
+        known, sub = self._names, self._subspace
+        todo = [key for key in keys if key not in known and None not in key]
         if todo:
-            subs = self._subspaces
+            joins = [key for key in todo if key[-1] == "join"]
+            todo = [key for key in dict.fromkeys(
+                todo + [(e, "ortho") for key in joins for e in key[:2]])
+                if key[-1] != "join" and key not in known]
             known.update(zip(todo, self._property_of(_operate([
-                (key[-1], subs[key[0]], subs[key[1]] if len(key) == 3 else None)
+                (key[-1], sub(key[0]), sub(key[1]) if len(key) == 3 else None)
                 for key in todo]))))
-        return [known[key] for key in keys]
+            if joins:
+                meets = self._fill([(known[e, "ortho"], known[f, "ortho"], "meet")
+                                    for e, f, _ in joins])
+                known.update(zip(joins, self._fill([(m, "ortho") for m in meets])))
+        return [known.get(key) for key in keys]
 
     def names(self, keys: Sequence[tuple]) -> list[str]:
         """The property realising each of ``keys``, in order, filled as by
@@ -631,7 +660,7 @@ class PropertyTable:
         """The states all of whose ray rows have ``norms(basis, rows)``,
         against ``e``'s basis, at most the larger of the ray's and
         ``e``'s tolerance; one call decides every ray."""
-        sub = self._subspaces[e]
+        sub = self._subspace(e)
         if self._ray_rows is None:
             # every ray's rows, their tolerances, and each ray's slice
             spans, rows, tols = [], [], []
@@ -661,12 +690,10 @@ def certain_states(model: "Model", prop: str) -> frozenset[str]:
     This is the map sending each property to the set of states where it
     is certain; its image, ordered by inclusion, is the lattice of
     physical propositions of the quantum model.  Read from the
-    annotation's :class:`PropertyTable`.
+    annotation's :class:`PropertyTable`, which raises
+    :class:`UnknownProperty` for a property it does not declare.
     """
-    ann = _annotation(model)
-    if prop not in ann.property_subspaces:
-        raise UnknownProperty(f"no subspace for property {prop!r}")
-    return ann.table.certain(prop)
+    return _annotation(model).table.certain(prop)
 
 
 def state_lattice(model: "Model") -> OrthoLattice:
@@ -674,12 +701,14 @@ def state_lattice(model: "Model") -> OrthoLattice:
 
     Requires the declared property subspaces to be closed under
     complement, meet and join; the lattice operations are induced through
-    the annotation's property table and then validated against the
-    order.  If two properties share a certain-state set the lattice is
-    still built, with a warning, using the first property per set in
-    declaration order.  Each property is mapped to its element's index
-    once, and the tables are read from that map.  Only the table is kept:
-    the poset is rebuilt, and the warnings are issued, on every call.
+    the annotation's property table, which computes the complements and
+    meets in one batch and reads each join from them, and then validated
+    against the order.  If two properties share a certain-state set the
+    lattice is still built, with a warning, using the first property per
+    set in declaration order.  Each property is mapped to its element's
+    index once, and the tables are read from that map.  Only the table is
+    kept: the poset is rebuilt, and the warnings are issued, on every
+    call.
     """
     props = list(model.properties)
     table = _annotation(model).table

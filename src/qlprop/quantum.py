@@ -35,8 +35,9 @@ each class's formula count and first formula.
 pair of classes, and reports a violation by the class's first formula.
 It reads every certain set through
 :meth:`~qlprop.hilbert.PropertyTable.certain`, and the witnesses of all
-the pairs' meets and De Morgan joins, ``~q (~q a & ~q b)``, in four
-:meth:`~qlprop.hilbert.PropertyTable.names` calls.
+the pairs' meets and joins in one
+:meth:`~qlprop.hilbert.PropertyTable.names` call.  The table reads a join
+as ``~q (~q a & ~q b)``, the witness of the derived disjunction.
 The negation law compares the lattice orthocomplement with the states
 whose ray is orthogonal to the witness's subspace
 (:meth:`~qlprop.hilbert.PropertyTable.orthogonal`), decided from the
@@ -319,7 +320,10 @@ def check_tq_equalities(m: Model, depth: int,
     join inclusion (the join proposition strictly containing the union)
     when one exists.  ``lat`` is ``state_lattice(m)``, built here when not
     given.  Building it looks up every operation on the declared
-    properties, so the batched table reads of the pairs raise nothing.
+    properties, so the one batched table read of the pairs' meets and
+    joins raises nothing.  The table reads each join as the witness of
+    ``~q (~q a & ~q b)``, the De Morgan form the disjunction is defined
+    by.
     """
     if lat is None:
         lat = state_lattice(m)
@@ -336,14 +340,12 @@ def check_tq_equalities(m: Model, depth: int,
             neg_bad.append(format_tq(f))
         reps.append((format_tq(f), states, i))
     # a pair's conjunction and join reduce through the operands'
-    # witnesses, so their witnesses are read from the table, every pair at
-    # once in row-major order: the meets, then the joins as ~q (~q a & ~q b)
+    # witnesses, so their witnesses are read from the table, every pair's
+    # meet and join in one call in row-major order
     ws = list(classes)
-    meets = table.names([(a, b, "meet") for a in ws for b in ws])
-    comp = dict(zip(ws, table.names([(w, "ortho") for w in ws])))
-    joins = table.names([(j, "ortho") for j in table.names(
-        [(comp[a], comp[b], "meet") for a in ws for b in ws])])
-    results = iter(zip(meets, joins))
+    pairs = table.names(
+        [(a, b, op) for a in ws for b in ws for op in ("meet", "join")])
+    results = iter(zip(pairs[::2], pairs[1::2]))
     strict = None
     for a, pa, ia in reps:
         for b, pb, ib in reps:

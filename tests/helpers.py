@@ -902,3 +902,17 @@ def non_injective_qubit() -> Model:
     subspaces = {e: sub.basis
                  for e, sub in m_qbit().hilbert.property_subspaces.items()}
     return build_qm_model(2, {"Sz+": [1, 0], "Sz-": [0, 1]}, subspaces)
+
+
+def join_open() -> Model:
+    """A qutrit model closed under complement: the line P1, the line V in
+    the plane of the first two axes, and their complements.  In
+    ``state_lattice``'s order (complements, then meet before join per
+    pair) its first missing operation is the join of P1 and V, a plane no
+    property holds; in the witness fill's it is the meet of P23 and Vp."""
+    r = 0.5 ** 0.5
+    return build_qm_model(
+        3, {"S1": [1, 0, 0], "S4": [r, r, 0]},
+        {"E0": [], "P1": [[1, 0, 0]], "P23": [[0, 1, 0], [0, 0, 1]],
+         "V": [[r, r, 0]], "Vp": [[r, -r, 0], [0, 0, 1]],
+         "EI": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})

@@ -18,6 +18,7 @@ from qlprop.pragmatic import check_preservation
 from qlprop.quantum import check_tq_equalities
 
 from helpers import (
+    join_open,
     mo2_qubit,
     non_injective_qubit,
     reference_preservation,
@@ -63,6 +64,8 @@ CASES = [
     ("ortho-open-d2", _ortho_open, 2),
     ("meet-open-d1", _meet_open, 1),
     ("meet-open-d2", _meet_open, 2),
+    ("join-open-d1", join_open, 1),
+    ("join-open-d2", join_open, 2),
     ("no-zero-d1", _no_zero, 1),
     ("no-zero-d2", _no_zero, 2),
     ("non-injective-d1", non_injective_qubit, 1),

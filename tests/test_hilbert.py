@@ -7,6 +7,7 @@ test works on orthonormal basis rows instead, so agreement is
 meaningful.
 """
 
+import functools
 import gc
 import itertools
 import random
@@ -45,6 +46,7 @@ from qlprop.hilbert import (
 )
 from qlprop.model import (
     HilbertAnnotation,
+    build_qm_model,
     dump_model,
     load_model,
     m_qbit,
@@ -52,8 +54,11 @@ from qlprop.model import (
     m_sr,
     make_model,
 )
+from qlprop.quantum import check_tq_equalities
 
 from helpers import (
+    join_open,
+    mo2_qubit,
     null_space_meet,
     projector_equal,
     projector_join,
@@ -170,6 +175,44 @@ def test_meet_join_match_projector_oracle_randomized():
         ma = meet(a, b).projector()
         mo = projector_meet(a.projector(), b.projector())
         assert np.max(np.abs(ma - mo)) < 1e-8, trial
+
+
+def _closure_model(seed: int, axes: bool):
+    """A model on a closure of random rays of C^3, with those rays as its
+    states: two random rays, or the three axes and a random ray in the
+    plane of the first two.  Either closure has 12 elements."""
+    rng = random.Random(seed)
+    if axes:
+        v = random_unit(rng, 2)
+        rays = [*np.eye(3), [v[0], v[1], 0]]
+    else:
+        rays = [random_unit(rng, 3) for _ in range(2)]
+    closure = closure_generate(3, [Subspace.ray(v) for v in rays], cap=64)
+    return build_qm_model(
+        3, {f"S{i}": v for i, v in enumerate(rays)},
+        {f"P{i}": sub.basis for i, sub in enumerate(closure)})
+
+
+@pytest.mark.parametrize("name, build", [
+    ("m_qutrit", m_qutrit),
+    *((f"mo2-{seed}", functools.partial(mo2_qubit, seed))
+      for seed in range(40)),
+    *((f"closure-{kind}-{seed}", functools.partial(_closure_model, seed, axes))
+      for kind, axes in (("rays", False), ("axes", True))
+      for seed in range(5))])
+def test_de_morgan_joins_match_the_projector_oracle(name, build):
+    # the table reads E v F as ~(~E & ~F); the oracle takes the range of
+    # P_E + P_F, with the projectors formed here from the basis rows
+    m = build()
+    subs, table = m.hilbert.property_subspaces, m.hilbert.table
+    proj = {e: s.basis.T @ s.basis.conj() for e, s in subs.items()}
+    for e, f in itertools.product(subs, repeat=2):
+        got = table.join(e, f)
+        assert np.max(np.abs(
+            proj[got] - projector_join(proj[e], proj[f]))) < 1e-8, (e, f)
+        # and the property the direct join's subspace matches
+        direct = join(subs[e], subs[f])
+        assert got == next(p for p, s in subs.items() if s == direct), (e, f)
 
 
 def test_meet_of_overlapping_planes():
@@ -672,10 +715,10 @@ def test_state_lattice_matches_each_rank_in_two_residuals(monkeypatch):
 
     monkeypatch.setattr(hilbert.PropertyTable, "_property_of", counting)
     state_lattice(m)
-    # one match of every complement, meet and join result: one residual
-    # each way per rank, none for rank 0
+    # one match of every complement and meet result, the joins being read
+    # from those: one residual each way per rank, none for rank 0
     [(ranks, n, count)] = matches
-    assert ranks == {0, 1, 2, 3} and n == 300
+    assert ranks == {0, 1, 2, 3} and n == 12 + 12 * 12
     assert count <= 2 * len(ranks - {0})
 
 
@@ -698,6 +741,21 @@ def test_certain_states_errors():
         certain_states(m_sr(), "E")
     with pytest.raises(UnknownProperty):
         certain_states(m_qbit(), "nope")
+
+
+@pytest.mark.parametrize("method, args", [
+    ("ortho", ("Nope",)), ("meet", ("Ez+", "Nope")), ("meet", ("Nope", "Ez+")),
+    ("join", ("Ez+", "Nope")), ("join", ("Nope", "Ez+")),
+    ("certain", ("Nope",)), ("orthogonal", ("Nope",))])
+def test_property_table_refuses_an_undeclared_property(method, args):
+    table = m_qbit().hilbert.table
+    with pytest.raises(UnknownProperty) as exc:
+        getattr(table, method)(*args)
+    assert str(exc.value) == "no subspace for property 'Nope'"
+    # also once the declared operand's entries are in the table
+    table.names([("Ez+", "ortho"), ("Ez+", "Ez+", "join")])
+    with pytest.raises(UnknownProperty):
+        getattr(table, method)(*args)
 
 
 def test_state_lattice_qbit_shape():
@@ -784,11 +842,27 @@ def test_state_lattice_realises_its_table_in_one_batch(monkeypatch):
     monkeypatch.setattr(hilbert, "_operate",
                         lambda ops: calls.append(len(ops)) or real(ops))
     state_lattice(m)
-    # every complement, meet and join, in one stacked call
-    assert calls == [n + 2 * n * n]
+    # every complement and meet, in one stacked call; each join is read
+    # from them as ~(~E & ~F), so it needs no operation of its own
+    assert calls == [n + n * n]
     # a second lattice of the same model computes nothing
     state_lattice(m)
-    assert calls == [n + 2 * n * n]
+    assert calls == [n + n * n]
+
+
+def test_property_table_runs_no_join_kernel(monkeypatch):
+    # the table computes complements and meets only, and reads each join
+    # from them; the join kernel serves join and closure_generate
+    def refuse(*args):
+        raise AssertionError("the property table ran the join kernel")
+
+    m = load_model(dump_model(m_qutrit()))
+    monkeypatch.setattr(hilbert, "_join_rows", refuse)
+    check_tq_equalities(m, 2, lat=state_lattice(m))
+    with pytest.raises(NotOperationClosed):
+        join_open().hilbert.table.join("P1", "V")
+    with pytest.raises(AssertionError):
+        join(Subspace.ray([1, 0]), Subspace.ray([0, 1]))
 
 
 def test_batched_and_single_lookups_name_the_same_properties():
@@ -818,11 +892,13 @@ def test_names_answers_in_key_order_and_raises_at_the_first_missing_key(
     monkeypatch.setattr(hilbert, "_operate",
                         lambda ops: calls.append(len(ops)) or real(ops))
 
-    # duplicates come back in order; the distinct keys take one call
+    # duplicates come back in order; the distinct keys and the join's
+    # operand complements take one call, then the join reads ~(~P12 &
+    # ~P3) in one call for the meet P3 & P12 and one for its complement
     keys = [("P12", "ortho"), ("P12", "P3", "join"), ("P12", "ortho"),
             ("P1", "P12", "meet"), ("P12", "P3", "join")]
     assert table.names(keys) == ["P3", "EI", "P3", "P1", "EI"]
-    assert calls == [3]
+    assert calls == [3, 1, 1]
 
     def first_missing(call):
         with pytest.raises(NotOperationClosed) as exc:
@@ -839,7 +915,10 @@ def test_names_answers_in_key_order_and_raises_at_the_first_missing_key(
             ("P1", "P3", "join"), ("P12", "ortho")]
     del calls[:]
     assert first_missing(lambda: table.names(keys)) == meet_missing
-    assert calls == [4]
+    # the meet, P23's complement and P1's; then the meet of the
+    # complements P23 & P12, a line no property holds, so the join is
+    # missing without a complement call
+    assert calls == [3, 1]
     assert first_missing(lambda: table.names(keys[::-1])) == join_missing
     # which is the key that one lookup at a time reaches first
     fresh = hilbert.PropertyTable(ann)

@@ -18,6 +18,7 @@ import qlprop.quantum as quantum
 from qlprop.errors import (
     NoHilbertAnnotation,
     NotOperationClosed,
+    QlpropError,
     UnknownProperty,
     WitnessMismatchWarning,
 )
@@ -49,6 +50,7 @@ from qlprop.syntax import And, Atom, Not, QNot, format_tq, parse_lx, parse_tq
 
 from helpers import (
     WitnessOracle,
+    join_open,
     mo2_qubit,
     oracle_orthogonal,
     oracle_witness,
@@ -332,13 +334,7 @@ OPEN_MODELS = {
              "EI": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
         ("P12", "P23", "meet"), ("P12", "P23", "meet")),
     # closed under complement; the first pair that misses misses its join
-    "join-open": (
-        lambda: build_qm_model(
-            3, {"S1": [1, 0, 0], "S4": [_R, _R, 0]},
-            {"E0": [], "P1": [[1, 0, 0]], "P23": [[0, 1, 0], [0, 0, 1]],
-             "V": [[_R, _R, 0]], "Vp": [[_R, -_R, 0], [0, 0, 1]],
-             "EI": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
-        ("P1", "V", "join"), ("P23", "Vp", "meet")),
+    "join-open": (join_open, ("P1", "V", "join"), ("P23", "Vp", "meet")),
     # two planes of C^4 sharing a line: their meet and join both missing
     "meet-and-join-open": (
         lambda: build_qm_model(
@@ -548,24 +544,46 @@ def test_tq_join_strictly_above_union_on_qbit():
 
 def _swap_complements(m, e, f):
     """Make the property table answer the complements of ``e`` and ``f``
-    with each other's complement, before anything reads them."""
+    with each other's complement."""
     table = m.hilbert.table
     ce, cf = table.ortho(e), table.ortho(f)
     table._names[e, "ortho"], table._names[f, "ortho"] = cf, ce
 
 
+def _joins(m):
+    props = m.properties
+    return m.hilbert.table.names([(e, f, "join") for e in props for f in props])
+
+
 def test_negation_law_catches_swapped_complements():
-    # Ez+ and Ex+ are rank-1; the lattice is built from the swapped
-    # answers, so only a negation read from the subspaces sees the swap
+    # swapping the answers of a complementary pair makes each of the two
+    # its own complement; every join ~(~a & ~b) read through the swapped
+    # answers is still the join, so the lattice is built and only a
+    # negation read from the subspaces sees the swap
     m = m_qbit()
+    _swap_complements(m, "Ez+", "Ez-")
+    assert _joins(m) == _joins(m_qbit())
+    assert check_tq_equalities(m, 2)["negation"] == ["Ez+(x)", "Ez-(x)"]
+    # Ez+ and Ex+ are rank-1; with the joins read before the swap, the
+    # lattice is built from the swapped complements and the intact joins
+    m = m_qbit()
+    _joins(m)
     _swap_complements(m, "Ez+", "Ex+")
     out = check_tq_equalities(m, 2)
     assert out["negation"] == ["Ez+(x)", "Ex+(x)"]
-    # swapping the answers of a complementary pair makes each of the two
-    # its own complement
+
+
+def test_swapped_complements_fail_the_lattice_validation():
+    # read after the swap, the joins go wrong with the complements: Ez+ v
+    # E0 is read as ~(Ex- & EI) = Ex+, not Ez+, and the glb/lub
+    # validation refuses the tables
     m = m_qbit()
-    _swap_complements(m, "Ez+", "Ez-")
-    assert check_tq_equalities(m, 2)["negation"] == ["Ez+(x)", "Ez-(x)"]
+    _swap_complements(m, "Ez+", "Ex+")
+    with pytest.raises(QlpropError) as exc:
+        hilbert.state_lattice(m)
+    assert type(exc.value) is QlpropError
+    assert str(exc.value) == ("meet/join tables disagree with the poset's "
+                              "glb/lub")
 
 
 @pytest.mark.parametrize("name, build", [
@@ -603,8 +621,8 @@ def test_tq_equalities_formula_count():
 
 
 def test_tq_equalities_read_the_table_in_one_call_per_batch(monkeypatch):
-    # one names call per witness level and four for the pairs: the meets,
-    # the witnesses' complements, their meets and those meets' complements
+    # one names call per witness level and one for the pairs' meets and
+    # joins
     m = m_qutrit()
     lat = hilbert.state_lattice(m)
     want = check_tq_equalities(m_qutrit(), 2)
@@ -624,7 +642,7 @@ def test_tq_equalities_read_the_table_in_one_call_per_batch(monkeypatch):
     spy(quantum, "certain_states")
     out = check_tq_equalities(m, 2, lat=lat)
     monkeypatch.undo()
-    assert calls == {"names": 5}
+    assert calls == {"names": 2}
     assert out == want
 
 
