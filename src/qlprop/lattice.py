@@ -11,16 +11,20 @@ payloads), so callers can compare them with operations computed
 elsewhere.  Tables and covers are derived once per poset: a
 :class:`FinitePoset` computes its meet and join tables and its cover
 matrix on first use and caches them, and every checker reads that copy.
-A table costs O(n^2) lookups: each element's down-set is one integer
-bitmask, and a pair has a glb exactly when some element's down-set is
-the AND of theirs (computing lattice operations from an encoding of the
-order follows Ait-Kaci, Boyer, Lincoln & Nasr, "Efficient implementation
-of lattice operations", ACM TOPLAS 11(1), 1989).  Law checks are numpy
-row slabs of at most n x n entries, so memory stays O(n^2); laws over
-pairs cost O(n^2) work.  Only the laws over triples (the modular law,
-and the distributive laws' witness scan) cost O(n^3): each is evaluated
-for one value of its first variable at a time over all n x n values of
-the others, in n slabs.  Distributivity is decided before that, by the
+A table is built from the down-sets packed into 64-bit words, the
+bit-vector encoding of the order of Ait-Kaci, Boyer, Lincoln & Nasr
+("Efficient implementation of lattice operations", ACM TOPLAS 11(1),
+1989).  With the elements ordered by down-set size, largest first, a
+pair's only candidate glb is the first set bit of the AND of their
+words, and it is the glb exactly when its down-set is as large as the
+pair's count of common lower bounds, which one float32 product of the
+order gives for all pairs: O(n^2 * ceil(n/64)) word operations, done by
+numpy in bands of rows.  Law checks are numpy row slabs of at most
+n x n entries, so memory stays O(n^2); laws over pairs cost O(n^2)
+work.  Only the laws over triples (the modular law, and the distributive
+laws' witness scan) cost O(n^3): each is evaluated for one value of its
+first variable at a time over all n x n values of the others, in n
+slabs.  Distributivity is decided before that, by the
 fact that a finite lattice is distributive exactly when every
 join-irreducible element is join-prime (Birkhoff, "Rings of sets", Duke
 Math. J. 1937; Davey & Priestley, *Introduction to Lattices and Order*,
@@ -271,30 +275,64 @@ def _join_prime(p: FinitePoset, join: np.ndarray) -> bool:
     return True
 
 
+# Rows of the glb table computed at once: each word pass forms a few
+# (_BAND, n) temporaries, so they stay O(n) however large the order.
+_BAND = 32
+
+
 def _glb_table(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Greatest-lower-bound table of a partial order and the mask of the
     pairs that have one.
 
-    (i, j) has a glb exactly when its common lower bounds are the
-    down-set of one element m, and then m is the glb.  Each down-set is
-    one int bitmask, and distinct elements have distinct down-sets, so
-    the glb is one AND of n-bit ints and one dict lookup per pair:
-    O(n^2) lookups and O(n^2) memory.  The glb is symmetric, so only
-    the pairs i <= j are looked up.  Pairs without a glb hold 0.  Run on
+    Order: the elements are sorted by down-set size, largest first (a
+    stable argsort), so m < m' puts m after m'.  Candidate: each
+    down-set is packed into uint64 words in that order, and the
+    candidate glb of (i, j) is their first common lower bound, the
+    lowest set bit of the first nonzero word of down(i) & down(j).  The
+    words are read last to first; the lowest set bit of a word x is the
+    power of two x & -x, whose exponent ``np.frexp`` reads exactly.
+    Check: the candidate c is the glb exactly when |down(c)| equals
+    |L(i, j)|, the number of common lower bounds, which the float32
+    product ``leq.T @ leq`` counts exactly (each count is at most n,
+    below 2**24); its diagonal holds the down-set sizes.  Proof: c is in
+    L(i, j), so down(c) is a subset of L(i, j), and equal sizes make them
+    equal.  Conversely the glb m has down(m) = L(i, j), so every other
+    member of L(i, j) has a smaller down-set and comes after m.  A pair
+    without common lower bounds has a count of 0, below every down-set
+    size, so it fails the check whatever its candidate.
+
+    Cost: O(n^2 * ceil(n/64)) word operations plus one float32 product,
+    in bands of ``_BAND`` rows over the pairs i <= j (the glb is
+    symmetric); memory is O(n^2) for the result and the count, plus
+    band-sized temporaries.  Pairs without a glb hold 0.  Run on
     ``leq.T`` the same kernel gives least upper bounds.
     """
     n = leq.shape[0]
-    down = [int.from_bytes(row.tobytes(), "little") for row in
-            np.packbits(leq.T, axis=1, bitorder="little")]
-    element = {d: k for k, d in enumerate(down)}.get
-    found = np.array([element(d & e, -1)
-                      for i, d in enumerate(down) for e in down[i:]],
-                     dtype=int)
-    upper = np.triu_indices(n)
+    f = leq.astype(np.float32)
+    count = f.T @ f
+    order = np.argsort(-count.diagonal(), kind="stable")
+    size = count.diagonal()[order]
+    words = -(-n // 64)
+    bits = np.zeros((n, 64 * words), dtype=bool)
+    bits[:, :n] = leq[order].T
+    # down[w, j]: word w of the down-set of element j, bit p for position p
+    down = np.packbits(bits, axis=1, bitorder="little").view("<u8").T.copy()
     table = np.empty((n, n), dtype=int)
-    table[upper] = table.T[upper] = found
-    has = table >= 0
-    table[~has] = 0
+    has = np.empty((n, n), dtype=bool)
+    for r in range(0, n, _BAND):
+        band = slice(r, r + _BAND)
+        pos = None
+        for w in reversed(range(words)):
+            x = down[w, band, None] & down[w, r:]
+            e = np.frexp(x & -x)[1]
+            at = e + (64 * w - 1)
+            # e is 0 on a zero word: a pair whose words are all zero keeps
+            # the last word's placeholder and fails the check (count 0)
+            pos = at if pos is None else np.where(e, at, pos)
+        ok = size.take(pos) == count[band, r:]
+        found = np.where(ok, order.take(pos), 0)
+        has[band, r:], has[r:, band] = ok, ok.T
+        table[band, r:], table[r:, band] = found, found.T
     return table, has
 
 
@@ -318,16 +356,18 @@ def check_boolean(p: FinitePoset) -> LawReport:
     :class:`MeetJoinMissing` otherwise).  Laws checked: boundedness, both
     distributivity directions, existence and uniqueness of complements.
 
-    Cost: the meet and join tables, built once per poset, take O(n^2)
-    down-set lookups and O(n^2) memory, and the complement count O(n^2)
-    numpy work.  Both distributive laws hold exactly when every
-    join-irreducible element is join-prime (Birkhoff 1937; Davey &
-    Priestley 2002, ch. 5), which costs one matrix product for the lower
-    covers (also built once per poset) and O(n^2 * |J|) for the |J|
-    join-irreducibles.  Only when that fails are the laws evaluated cell
-    by cell, O(n^3) work in n row slabs of n x n entries (one per first
-    variable), to find the witnesses.  A failed law's witness is the
-    lexicographically first violating tuple of element labels.
+    Cost: the meet and join tables, built once per poset, take
+    O(n^2 * ceil(n/64)) word operations on packed down-sets plus one
+    float32 product of the order each, and O(n^2) memory; the complement
+    count takes O(n^2) numpy work.  Both distributive laws hold exactly
+    when every join-irreducible element is join-prime (Birkhoff 1937;
+    Davey & Priestley 2002, ch. 5), which costs one matrix product for
+    the lower covers (also built once per poset) and O(n^2 * |J|) for
+    the |J| join-irreducibles.  Only when that fails are the laws
+    evaluated cell by cell, O(n^3) work in n row slabs of n x n entries
+    (one per first variable), to find the witnesses.  A failed law's
+    witness is the lexicographically first violating tuple of element
+    labels.
     """
     meet, join = p.meet_join_tables()
     checks: list[LawCheck] = []

@@ -12,7 +12,9 @@ orthogonality oracle, the witness oracles
 reduce quantum formulas with projectors and SVD null spaces or
 eigenvalues, node by node, and the
 lattice oracle (which imports nothing from ``qlprop.lattice``) finds
-bounds and law violations by explicit scans over nested lists.  The
+bounds and law violations by explicit scans over nested lists, and the
+glb-table oracle is the one dict lookup per pair of down-set bitmasks
+that the packed-word table kernel replaced.  The
 tokenizer oracle is the hand-written character loop that the syntax
 module's compiled token tables replaced.
 
@@ -628,6 +630,31 @@ def oracle_tables(leq):
                 return None, None, (kind, i, j)
             table[i][j] = k
     return meet, join, None
+
+
+def oracle_glb_table(leq) -> tuple[np.ndarray, np.ndarray]:
+    """``(table, has)`` as ``lattice._glb_table`` returns them, from one
+    dict lookup per pair.
+
+    (i, j) has a glb exactly when its common lower bounds are the
+    down-set of one element m, and then m is the glb.  Each down-set is
+    one int bitmask, and distinct elements have distinct down-sets, so
+    the glb of (i, j) is the element whose down-set is the AND of
+    theirs.  Pairs without a glb hold 0.  Run on ``leq.T`` it gives
+    least upper bounds.
+    """
+    leq = np.asarray(leq, dtype=bool)
+    n = leq.shape[0]
+    down = [int.from_bytes(row.tobytes(), "little") for row in
+            np.packbits(leq.T, axis=1, bitorder="little")]
+    element = {d: k for k, d in enumerate(down)}
+    table = np.zeros((n, n), dtype=int)
+    has = np.zeros((n, n), dtype=bool)
+    for i, j in itertools.product(range(n), repeat=2):
+        k = element.get(down[i] & down[j])
+        if k is not None:
+            table[i, j], has[i, j] = k, True
+    return table, has
 
 
 def first_violation(n: int, arity: int, holds) -> tuple | None:

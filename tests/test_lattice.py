@@ -42,6 +42,7 @@ from qlprop.semantics import lindenbaum_tarski
 from helpers import (
     oracle_boolean_witnesses,
     oracle_complement_witness,
+    oracle_glb_table,
     oracle_ortho_witnesses,
     oracle_tables,
 )
@@ -454,6 +455,138 @@ def test_closed_qutrit_algebra_tables_are_and_and_or_of_profiles():
     meet, join = alg.poset.meet_join_tables()
     assert meet.tolist() == [[index[a & b] for b in bits] for a in bits]
     assert join.tolist() == [[index[a | b] for b in bits] for a in bits]
+
+
+# ---------------------------------------------------------------------------
+# the packed-word glb kernel across 64-bit word boundaries, against the
+# dict-lookup oracle
+
+WORD_SIZES = [0, 1, 2, 63, 64, 65, 127, 128, 129, 200]
+
+
+def _chain(rng, n):
+    return np.triu(np.ones((n, n), dtype=bool))
+
+
+def _antichain(rng, n):
+    return np.eye(n, dtype=bool)
+
+
+def _dag_closure(rng, n):
+    """Transitive closure of a random DAG whose edges go up the index
+    order, with a random edge density; most are not lattices."""
+    leq = np.triu(rng.random((n, n)) < rng.uniform(0.02, 0.3))
+    leq |= np.eye(n, dtype=bool)
+    for k in range(n):  # Warshall, one pivot at a time
+        leq |= leq[:, k, None] & leq[k]
+    return leq
+
+
+def _intersection_closed(rng, n):
+    """Inclusion order of a family of exactly n subsets of a 12-point set
+    that holds the full set and is closed under intersection.  Random
+    sets are added with their intersections with the family until it has
+    at least n members; then maximal members below the full set, which
+    are never the intersection of two others, are dropped."""
+    full = (1 << 12) - 1
+    family = {full} if n else set()
+    while len(family) < n:
+        s = int(rng.integers(0, full + 1))
+        family |= {s & a for a in family}
+    while len(family) > n:
+        below = sorted(family - {full})
+        tops = [a for a in below if not any(a & b == a != b for b in below)]
+        family.remove(tops[int(rng.integers(len(tops)))])
+    sets = sorted(family)
+    return np.array([[a & b == a for b in sets] for a in sets],
+                    dtype=bool).reshape(n, n)
+
+
+def _assert_glb_tables_match_oracle(rng, leq):
+    perm = rng.permutation(len(leq))
+    leq = leq[np.ix_(perm, perm)]
+    for order in (leq, leq.T):
+        table, has = lattice._glb_table(order)
+        want_table, want_has = oracle_glb_table(order)
+        assert np.array_equal(has, want_has)
+        assert np.array_equal(table, want_table)
+
+
+@pytest.mark.parametrize("n", WORD_SIZES)
+@pytest.mark.parametrize("family", [_chain, _antichain, _dag_closure,
+                                    _intersection_closed])
+def test_glb_table_matches_oracle_across_words(family, n):
+    rng = np.random.default_rng(n)
+    leq = family(rng, n)
+    assert leq.shape == (n, n)
+    _assert_glb_tables_match_oracle(rng, leq)
+
+
+@pytest.mark.parametrize("k", [6, 7, 8])
+def test_glb_table_matches_oracle_on_powersets(k):
+    _assert_glb_tables_match_oracle(np.random.default_rng(k),
+                                    powerset_lattice(range(k)).leq)
+
+
+def test_atoms_of_m70_meet_at_the_bottom_in_the_last_word():
+    # bottom, 70 atoms, top: every atom has a down-set of 2, and the
+    # bottom, with the smallest down-set, is the last of the 72 elements
+    # in the kernel's order, in the second 64-bit word
+    bot, top, atoms = 0, 71, range(1, 71)
+    leq = np.eye(72, dtype=bool)
+    leq[bot] = leq[:, top] = True
+    p = _poset(leq)
+    meet, join = p.meet_join_tables()
+    want_meet = np.full((72, 72), bot)
+    want_join = np.full((72, 72), top)
+    for a in atoms:
+        want_meet[a, a] = want_meet[a, top] = want_meet[top, a] = a
+        want_join[a, a] = want_join[a, bot] = want_join[bot, a] = a
+    want_meet[top, top] = want_join[top, top] = top
+    want_join[bot, bot] = bot
+    assert np.array_equal(meet, want_meet)
+    assert np.array_equal(join, want_join)
+
+
+def _padded_bowtie():
+    """c, d above a, b, between a chain of 40 elements below (z0 < ...)
+    and a chain of 40 above (t0 < ...): 84 elements."""
+    labels = ["c", "d", *(f"z{k}" for k in range(40)), "a", "b",
+              *(f"t{k}" for k in range(40))]
+    rank = {"a": 40, "b": 40, "c": 41, "d": 41}
+    rank.update({f"z{k}": k for k in range(40)})
+    rank.update({f"t{k}": 42 + k for k in range(40)})
+    leq = np.array([[x == y or rank[x] < rank[y] for y in labels]
+                    for x in labels])
+    return labels, leq
+
+
+def test_padded_bowtie_candidate_is_a_lower_bound_but_not_the_glb():
+    # the first common lower bound of c and d in the kernel's order is a
+    # or b (equal down-sets of 41), but they have 42 common lower bounds;
+    # dually for the upper bounds of a and b
+    labels, leq = _padded_bowtie()
+    at = {x: labels.index(x) for x in labels}
+    for kind, order, (x, y) in (("meet", leq, "cd"), ("join", leq.T, "ab")):
+        table, has = lattice._glb_table(order)
+        want = np.zeros_like(leq)
+        want[at[x], at[y]] = want[at[y], at[x]] = True
+        assert np.array_equal(~has, want), kind
+        assert not table[~has].any()
+    meet, _ = lattice._glb_table(leq)
+    assert meet[at["a"], at["b"]] == at["z39"]
+    with pytest.raises(MeetJoinMissing) as exc:
+        build_poset(labels, leq).meet_join_tables()
+    assert exc.value.witness == (0, 1)
+    assert str(exc.value) == "no meet for 'c' and 'd'"
+
+
+def test_chain_of_130_meets_at_the_min():
+    p = _poset(np.triu(np.ones((130, 130), dtype=bool)))
+    meet, join = p.meet_join_tables()
+    index = np.arange(130)
+    assert np.array_equal(meet, np.minimum.outer(index, index))
+    assert np.array_equal(join, np.maximum.outer(index, index))
 
 
 # ---------------------------------------------------------------------------
