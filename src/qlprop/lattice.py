@@ -39,9 +39,9 @@ Lattices* (AMS 1995) for the finite lattice algorithms.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -68,10 +68,12 @@ class FinitePoset:
     The order fixes the meet and join tables and the cover matrix; each
     is derived on first use, cached on the instance and returned
     read-only.  ``leq`` must not be mutated after construction.
+    ``elements`` and ``labels`` are tuples, or :class:`_Lazy` sequences
+    that make each item on its first read.
     """
 
-    elements: tuple
-    labels: tuple[str, ...]
+    elements: Sequence
+    labels: Sequence[str]
     leq: np.ndarray  # boolean (n, n); leq[i, j] means elements[i] <= elements[j]
 
     @property
@@ -140,6 +142,35 @@ class FinitePoset:
         return [int(j) for j in np.flatnonzero(self._covers[b, :])]
 
 
+_UNREAD = object()
+
+
+class _Lazy(Sequence):
+    """A read-only sequence of ``n`` items whose item i is ``make(i)``,
+    made on its first read and kept.
+
+    :func:`build_poset` keeps such a sequence as it is, so a poset's
+    elements and labels cost nothing until something reads them.
+    """
+
+    def __init__(self, n: int, make: Callable[[int], object]):
+        self._make = make
+        self._items = [_UNREAD] * n
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, i):
+        # a range indexes as a tuple does: negatives, slices, IndexError
+        i = range(len(self._items))[i]
+        if isinstance(i, range):
+            return tuple(self[j] for j in i)
+        v = self._items[i]
+        if v is _UNREAD:
+            v = self._items[i] = self._make(i)
+        return v
+
+
 def set_label(members, order: Sequence) -> str:
     """``{a, b}``: the members of a set, listed in ``order``."""
     return "{" + ", ".join(str(x) for x in order if x in members) + "}"
@@ -148,8 +179,14 @@ def set_label(members, order: Sequence) -> str:
 def build_poset(elements: Sequence, leq: Callable | np.ndarray,
                 labels: Sequence[str] | None = None) -> FinitePoset:
     """Build and validate a poset from payloads and an order predicate
-    (or a precomputed boolean matrix)."""
-    els = tuple(elements)
+    (or a precomputed boolean matrix).
+
+    The payloads and labels are copied into tuples, except a
+    :class:`_Lazy` sequence, which is kept uncopied.  Every order is
+    checked for reflexivity, antisymmetry and transitivity; a label is
+    read only to name a failure.
+    """
+    els = elements if isinstance(elements, _Lazy) else tuple(elements)
     n = len(els)
     if callable(leq):
         mat = np.zeros((n, n), dtype=bool)
@@ -162,10 +199,10 @@ def build_poset(elements: Sequence, leq: Callable | np.ndarray,
             raise NotAPartialOrder(f"matrix shape {mat.shape} for {n} elements")
     if labels is None:
         labels = tuple(str(e) for e in els)
-    else:
+    elif not isinstance(labels, _Lazy):
         labels = tuple(labels)
-        if len(labels) != n:
-            raise NotAPartialOrder(f"{len(labels)} labels for {n} elements")
+    if len(labels) != n:
+        raise NotAPartialOrder(f"{len(labels)} labels for {n} elements")
 
     hit = _first(~mat.diagonal())
     if hit is not None:

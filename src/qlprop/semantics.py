@@ -46,9 +46,11 @@ every formula is its own class, and return the formulas as a list.
 :func:`lindenbaum_tarski` returns an :class:`LTAlgebra`, which keeps
 each class's kernel profile (``bits``), in order of the class's first
 formula, and builds the poset over the classes on the first read of
-``poset``.  Every classical verdict depends on a formula's profile only,
-so the testable-proposition poset and the classical suites of the
-command line read the classes, not the formulas.
+``poset``.  A class's per-state profile and its label are made from its
+int and its representative on their first read, so a check that reads
+only the order pays for neither.  Every classical verdict depends on a
+formula's profile only, so the testable-proposition poset and the
+classical suites of the command line read the classes, not the formulas.
 
 :meth:`LTAlgebra.closed` runs the closure semi-naively (Bancilhon 1986;
 Abiteboul, Hull & Vianu, *Foundations of Databases*, ch. 13).  A round
@@ -63,7 +65,7 @@ the same order, with the same representatives.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import (
@@ -73,7 +75,7 @@ from .errors import (
     SchemaError,
     UnknownProperty,
 )
-from .lattice import FinitePoset, _inclusion, build_poset, set_label
+from .lattice import FinitePoset, _Lazy, _inclusion, build_poset, set_label
 from .model import Interpretation, Model, enumerate_interpretations
 from .syntax import And, Atom, Formula, Not, Or, QNot, format_lx
 
@@ -448,9 +450,23 @@ def forall_proposition(m: Model, f: Formula, cap: int | None = None) -> frozense
 
 @dataclass(frozen=True)
 class LTClass:
+    """One class of the quotient: its first formula, its kernel profile
+    ``bits`` and its number of formulas.
+
+    ``profile``, the per-state extensions in state order, is decoded from
+    ``bits`` on its first read and kept.  Equality, hashing and the repr
+    read the fields alone (the kernel is neither compared nor shown), so
+    none of them depends on whether ``profile`` has been read.
+    """
+
     representative: Formula
-    profile: tuple[frozenset[str], ...]
+    bits: int
     size: int  # formulas up to the depth; 0 for classes added by closure
+    _kernel: ProfileKernel = field(compare=False, repr=False)
+
+    @cached_property
+    def profile(self) -> tuple[frozenset[str], ...]:
+        return self._kernel.decode(self.bits)
 
 
 @dataclass
@@ -460,7 +476,10 @@ class LTAlgebra:
 
     ``bits`` holds each class's kernel profile, in class order; the
     poset over the classes is built from them on the first read of
-    ``poset`` and kept.  ``closed()`` extends the carrier with every
+    ``poset`` and kept.  Its elements are the classes' profiles and its
+    labels their representatives' ``format_lx`` text, each decoded or
+    formatted on its first read, so a law check that passes reads
+    neither.  ``closed()`` extends the carrier with every
     profile reachable by the pointwise operations (complement,
     intersection, union per state).  The closure is the full quotient
     algebra of the model: it no longer depends on the depth bound, and
@@ -477,9 +496,11 @@ class LTAlgebra:
     @cached_property
     def poset(self) -> FinitePoset:
         """The classes ordered by slot inclusion of their profiles."""
+        classes = self.classes
         leq = _inclusion(self.bits, self.model.kernel.universe.bit_length())
-        return build_poset([c.profile for c in self.classes], leq,
-                           [format_lx(c.representative) for c in self.classes])
+        return build_poset(
+            _Lazy(len(classes), lambda i: classes[i].profile), leq,
+            _Lazy(len(classes), lambda i: format_lx(classes[i].representative)))
 
     def closed(self) -> "LTAlgebra":
         m = self.model
@@ -490,7 +511,7 @@ class LTAlgebra:
         _close(order, reps, top, [k.atom(e) for e in m.properties])
         n = len(self.classes)
         classes = self.classes + tuple(
-            LTClass(reps[v], k.decode(v), 0) for v in order[n:])
+            LTClass(reps[v], v, 0, k) for v in order[n:])
         return LTAlgebra(m, self.depth, classes, tuple(order), True)
 
 
@@ -566,5 +587,5 @@ def lindenbaum_tarski(m: Model, depth: int) -> LTAlgebra:
 
     total = _levels(((k.atom(p), Atom(p)) for p in m.properties), depth,
                     [Not], [And, Or], profiles)
-    classes = tuple(LTClass(f, k.decode(v), n) for v, (n, f) in total.items())
+    classes = tuple(LTClass(f, v, n, k) for v, (n, f) in total.items())
     return LTAlgebra(m, depth, classes, tuple(total), False)

@@ -499,6 +499,58 @@ def test_check_cm_builds_one_quotient_poset(models_dir, monkeypatch, capsys):
     assert sizes == [8]
 
 
+def _cm128():
+    # seven objects of seven distinct property types: the atoms cut the
+    # seven slots into seven cells, so the closed quotient has 2^7 classes
+    universes = {"S1": ["a1", "a2", "a3"], "S2": ["b1", "b2"],
+                 "S3": ["c1", "c2"]}
+    props = ["E1", "E2", "E3"]
+    slots = [(s, o) for s, objs in universes.items() for o in objs]
+    types = list(itertools.product((0, 1), repeat=3))[1:]
+    ext = {s: {e: [] for e in props} for s in universes}
+    for (s, o), ty in zip(slots, types):
+        for e, bit in zip(props, ty):
+            if bit:
+                ext[s][e].append(o)
+    return make_model(list(universes), universes, props, ext)
+
+
+@pytest.mark.parametrize("name, classes", [("cm128", 128), ("m_qutrit", 512)])
+def test_check_cm_formats_no_label_and_decodes_no_profile(
+        name, classes, models_dir, tmp_path, monkeypatch, capsys):
+    # the law checks of the closed quotient pass or fail on its order
+    # alone, so no class label is formatted and no profile decoded
+    if name == "cm128":
+        path = tmp_path / "cm128.json"
+        path.write_text(dump_model(_cm128()), encoding="utf-8")
+    else:
+        path = models_dir / f"{name}.json"
+    m = qlprop.model.load_model(path.read_text(encoding="utf-8"))
+    assert len(semantics.lindenbaum_tarski(m, 3).closed().classes) == classes
+    calls = []
+    fmt = semantics.format_lx
+    decode = semantics.ProfileKernel.decode
+
+    def counting_format(f):
+        calls.append("format_lx")
+        return fmt(f)
+
+    def counting_decode(kernel, v):
+        calls.append("decode")
+        return decode(kernel, v)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("qlprop")
+                and getattr(mod, "format_lx", None) is fmt):
+            monkeypatch.setattr(mod, "format_lx", counting_format)
+    monkeypatch.setattr(semantics.ProfileKernel, "decode", counting_decode)
+    # both models have proper extensions, so the first cm line fails
+    assert main(["check", "--model", str(path), "--suite", "cm"]) == 1
+    out = capsys.readouterr().out
+    assert "PASS quotient algebra law unique_complement" in out
+    assert calls == []
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "--model", "m_cm", "--suite", "cm"],
     ["check", "--model", "m_sr", "--suite", "sec3"],

@@ -99,6 +99,55 @@ def test_build_poset_rejects_intransitivity():
     assert exc.value.witness == ("x", "y", "z")
 
 
+def _lazy(items, made):
+    return lattice._Lazy(len(items), lambda i: made.append(i) or items[i])
+
+
+def test_lazy_sequence_indexes_as_a_tuple_and_makes_each_item_once():
+    items = ("a", "b", "c", "d")
+    made = []
+    seq = _lazy(items, made)
+    assert len(seq) == 4 and made == []
+    assert seq[2] == "c" and seq[-1] == "d" and seq[2] == "c"
+    assert made == [2, 3]
+    assert seq[1:3] == ("b", "c") and seq[::-2] == ("d", "b")
+    assert list(seq) == list(items) and "b" in seq and seq.index("d") == 3
+    assert sorted(made) == [0, 1, 2, 3]
+    with pytest.raises(IndexError):
+        seq[4]
+    with pytest.raises(IndexError):
+        seq[-5]
+
+
+def test_build_poset_keeps_lazy_sequences_and_reads_labels_only_to_fail():
+    leq = np.array([[1, 1, 1], [0, 1, 1], [0, 0, 1]], dtype=bool)
+    made_els, made_labels = [], []
+    els = _lazy(("x", "y", "z"), made_els)
+    labels = _lazy(("X", "Y", "Z"), made_labels)
+    p = build_poset(els, leq, labels)
+    assert p.elements is els and p.labels is labels
+    assert made_els == made_labels == []
+    # an intransitive order is refused, naming the three labels of the
+    # first gap and making no other
+    leq[0, 2] = False
+    made_els.clear()
+    made_labels.clear()
+    with pytest.raises(NotAPartialOrder) as exc:
+        build_poset(_lazy(("x", "y", "z"), made_els), leq,
+                    _lazy(("X", "Y", "Z"), made_labels))
+    assert str(exc.value) == "transitivity fails from 'X' via 'Y' to 'Z'"
+    assert exc.value.witness == ("x", "y", "z")
+    assert sorted(made_labels) == [0, 1, 2]
+    with pytest.raises(NotAPartialOrder, match="2 labels for 3 elements"):
+        build_poset(("x", "y", "z"), np.eye(3, dtype=bool),
+                    _lazy(("X", "Y"), made_labels))
+
+
+def test_build_poset_copies_other_sequences_into_tuples():
+    p = build_poset(["x", "y"], np.eye(2, dtype=bool), ["X", "Y"])
+    assert p.elements == ("x", "y") and p.labels == ("X", "Y")
+
+
 def test_antichain_has_no_bounds():
     p = build_poset([frozenset({1}), frozenset({2})], lambda a, b: a <= b)
     assert p.bottom_index() is None

@@ -17,13 +17,22 @@ from qlprop.errors import (
     EnumerationCapExceeded,
     ForallMismatch,
     InvalidDepth,
+    MeetJoinMissing,
     SchemaError,
     UnknownProperty,
 )
-from qlprop.lattice import check_boolean, order_isomorphic, powerset_lattice
+from qlprop.lattice import (
+    LawReport,
+    build_poset,
+    check_boolean,
+    order_isomorphic,
+    powerset_lattice,
+)
 from qlprop.model import (
     canonical_models,
+    dump_model,
     enumerate_interpretations,
+    load_model,
     m_cm,
     m_qbit,
     m_sr,
@@ -513,6 +522,51 @@ def test_lt_poset_is_built_once_when_read(monkeypatch):
     assert closed.poset is poset
     assert len(calls) == 1
     assert alg.poset.n == 8 and len(calls) == 2
+
+
+def _boolean_outcome(p):
+    try:
+        return check_boolean(p)
+    except MeetJoinMissing as e:
+        return str(e), e.witness
+
+
+def test_lt_poset_failures_name_the_eager_labels():
+    # the poset's labels are formatted on first read; a failed law or a
+    # missing meet or join must name the same labels as a poset built
+    # from eager tuples
+    seen = set()
+    for seed in range(60):
+        m, _ = random_check_case(seed)
+        for depth in (1, 2):
+            alg = lindenbaum_tarski(m, depth)
+            eager = build_poset(
+                tuple(c.profile for c in alg.classes), alg.poset.leq,
+                tuple(format_lx(c.representative) for c in alg.classes))
+            got = _boolean_outcome(alg.poset)
+            assert got == _boolean_outcome(eager), (seed, depth)
+            seen.add("missing" if not isinstance(got, LawReport)
+                     else "passed" if got.all_passed() else "failed")
+    assert seen == {"passed", "failed", "missing"}
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_lt_class_profile_is_decoded_on_first_read(seed):
+    m, depth = random_check_case(seed)
+    # the same classes over a second copy of the model, with its own kernel
+    twin = load_model(dump_model(m))
+    lt, twin_lt = lindenbaum_tarski(m, depth), lindenbaum_tarski(twin, depth)
+    for alg, again in ((lt, twin_lt), (lt.closed(), twin_lt.closed())):
+        before = [(repr(c), hash(c)) for c in alg.classes]
+        assert before == [(repr(c), hash(c)) for c in again.classes]
+        assert alg.classes == again.classes
+        for c in alg.classes:
+            assert c.profile == m.kernel.decode(c.bits)
+            assert "profile" not in repr(c) and "kernel" not in repr(c)
+        # equality, hashing and the repr ignore whether profile was read
+        assert [(repr(c), hash(c)) for c in alg.classes] == before
+        assert alg.classes == again.classes
+        assert alg.poset.elements[:] == tuple(c.profile for c in alg.classes)
 
 
 @pytest.mark.parametrize("seed", range(60))
