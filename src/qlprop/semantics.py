@@ -49,8 +49,13 @@ formula, and builds the poset over the classes on the first read of
 ``poset``.  A class's per-state profile and its label are made from its
 int and its representative on their first read, so a check that reads
 only the order pays for neither.  Every classical verdict depends on a
-formula's profile only, so the testable-proposition poset and the
-classical suites of the command line read the classes, not the formulas.
+formula's profile only, so the classical suites of the command line read
+the classes, not the formulas.  A testable formula's profile is an
+atom's, so the testable-proposition poset reads the atoms alone, at
+every depth.  The closure of the quotient at any depth from 1 up is the
+Boolean algebra that the atoms' cells generate, the same set of
+profiles with other representatives, so the cm suite closes the depth-2
+classes it already holds.
 
 :meth:`LTAlgebra.closed` runs the closure semi-naively (Bancilhon 1986;
 Abiteboul, Hull & Vianu, *Foundations of Databases*, ch. 13).  A round
@@ -408,17 +413,17 @@ def testable_proposition_poset(m: Model, depth: int) -> FinitePoset:
     """Distinct physical propositions of testable formulas up to depth,
     ordered by inclusion.
 
-    A formula is testable when the kernel's witness map holds its
-    class's profile, and the classes come in order of their first
-    formula, so the propositions come in order of their first testable
-    formula.
+    A formula is testable when its profile is some declared property's,
+    so the testable formulas' propositions are the atoms' at every depth.
+    The atoms come first in canonical order, and a deeper testable
+    formula shares an atom's profile, so the propositions come in order
+    of their first testable formula.  ``depth`` is only validated.
     """
+    _check_cap(depth)
     k = m.kernel
-    bits = lindenbaum_tarski(m, depth).bits
     # a proposition's full-block mask includes another's exactly when
     # its states do
-    full = list(dict.fromkeys(
-        k.full(v) for v in bits if k.witness(v) is not None))
+    full = list(dict.fromkeys(k.full(k.atom(e)) for e in m.properties))
     props = [k.proposition(v) for v in full]
     return build_poset(props, _inclusion(full, k.universe.bit_length()),
                        [set_label(p, m.states) for p in props])

@@ -25,10 +25,12 @@ over the public single-query functions (``q_truth``, ``justified``,
 :func:`oracle_tq_formulas` by ``witness_property``.  They pin the
 checkers, which count the formulas per witness class without building
 them.  The sec3 reference loops over every pair of
-formulas with the set-algebra evaluator; the cm reference (the lines
-before the quotient-algebra laws) and the testable-poset reference loop
-over every formula with it.  They pin the suites and the testable poset,
-which loop over the Lindenbaum-Tarski classes instead.  The quotient
+formulas with the set-algebra evaluator; the cm reference loops over
+every formula with it, and reads its quotient-algebra law lines from the
+lattice oracle over the closure oracle's profiles.  They pin the suites,
+which loop over the Lindenbaum-Tarski classes instead.  The
+testable-poset reference also loops over every formula; it pins the
+testable poset, which reads the declared properties alone.  The quotient
 oracle groups every formula by its set-algebra profile; it pins
 ``lindenbaum_tarski``, which counts the classes per depth without
 building the formulas.
@@ -182,10 +184,13 @@ def _atom_profiles(m: Model) -> set:
 
 
 def reference_cm_lines(m: Model, depth: int, assume_cmt: bool) -> list[str]:
-    """The lines of ``check --suite cm`` before the quotient-algebra laws,
-    by loops over every formula up to depth 2 from
-    :func:`oracle_formulas` and over every interpretation, with
-    extensions from the set algebra of :func:`_set_extension`."""
+    """The lines of ``check --suite cm``.  Those before the
+    quotient-algebra laws come from loops over every formula up to depth
+    2 from :func:`oracle_formulas` and over every interpretation, with
+    extensions from the set algebra of :func:`_set_extension`; the law
+    lines from the lattice oracles, run on the profiles of
+    :func:`naive_closure` at ``depth`` ordered by pointwise inclusion and
+    labelled by their representatives."""
     from qlprop.syntax import format_lx
 
     def passfail(ok: bool, what: str, extra: str = "") -> str:
@@ -220,6 +225,25 @@ def reference_cm_lines(m: Model, depth: int, assume_cmt: bool) -> list[str]:
     elif untestable:
         lines.append(f"REPORT {len(untestable)} of {len(formulas)} formulas "
                      "lack a testable witness")
+    closure = naive_closure(m, depth)
+    labels = [format_lx(rep) for rep, _, _ in closure]
+    leq = [[all(x <= y for x, y in zip(p, q)) for _, q, _ in closure]
+           for _, p, _ in closure]
+    meet, join, missing = oracle_tables(leq)
+    assert missing is None, missing
+    n = len(leq)
+    laws = {"bounded": (any(all(row) for row in leq)
+                        and any(all(row[k] for row in leq)
+                                for k in range(n)), None)}
+    for law, hit in oracle_boolean_witnesses(meet, join).items():
+        laws[law] = (hit is None,
+                     None if hit is None else tuple(labels[i] for i in hit))
+    bad = oracle_complement_witness(leq, meet, join)
+    laws["unique_complement"] = (bad is None, None if bad is None
+                                 else (labels[bad[0]], bad[1]))
+    for law, (ok, witness) in laws.items():
+        lines.append(passfail(ok, f"quotient algebra law {law}",
+                              "" if ok else f"witness {witness}"))
     return lines
 
 

@@ -326,6 +326,20 @@ def test_props_individual(models_dir, capsys):
     assert capsys.readouterr().out.strip() == "{S1, S2}"
 
 
+@pytest.mark.parametrize("command", [
+    ["eval", "--state", "S1", "--interp"], ["props", "--individual"]])
+def test_interpretation_refuses_a_state_named_twice(models_dir, capsys,
+                                                     command):
+    # the entries disagree on S1; neither may silently win
+    argv = [command[0], "--model", str(models_dir / "m_sr.json"),
+            *command[1:], "S1=u1, S1 =u2", "E(x)"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("ERROR QlpropError: state 'S1' named twice in "
+                            "the interpretation\n")
+
+
 def test_props_forall(models_dir, capsys):
     assert main(["props", "--model", str(models_dir / "m_sr.json"),
                  "--forall", "E(x) | F(x)"]) == 0
@@ -442,15 +456,13 @@ def test_sec3_suite_matches_the_formula_pair_loop(seed):
 
 @pytest.mark.parametrize("seed", range(60))
 def test_cm_suite_matches_the_per_formula_loop(seed):
-    # the suite's lines up to its quotient-algebra laws, with and
-    # without --assume-cmt
+    # every line of the suite, its quotient-algebra laws included, with
+    # and without --assume-cmt
     m, depth = random_check_case(seed)
     for assume_cmt in (False, True):
         out = cli._Suite()
         cli._suite_cm(m, depth, assume_cmt, out)
-        laws = next(i for i, line in enumerate(out.lines)
-                    if "quotient algebra law" in line)
-        assert out.lines[:laws] == reference_cm_lines(m, depth, assume_cmt)
+        assert out.lines == reference_cm_lines(m, depth, assume_cmt)
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -484,8 +496,8 @@ def test_check_cm_fails_on_sr_fixture(models_dir, capsys):
 
 
 def test_check_cm_builds_one_quotient_poset(models_dir, monkeypatch, capsys):
-    # only the closed algebra's poset is read; the depth-2 and depth-3
-    # quotients it is derived from are never ordered
+    # only the closed algebra's poset is read; the depth-2 quotient it
+    # is derived from is never ordered
     sizes = []
 
     def counting(elements, *a, **k):
@@ -497,6 +509,27 @@ def test_check_cm_builds_one_quotient_poset(models_dir, monkeypatch, capsys):
     assert main(["check", "--model", str(models_dir / "m_cm.json"),
                  "--suite", "cm"]) == 0
     assert sizes == [8]
+
+
+@pytest.mark.parametrize("argv, model, depths", [
+    (["check", "--suite", "cm"], "m_cm", [2]),
+    (["lattice", "--which", "testable"], "m_qutrit", []),
+])
+def test_classical_questions_walk_the_formulas_once_at_most(
+        argv, model, depths, models_dir, monkeypatch, capsys):
+    # the cm suite's law checks close its depth-2 classes, and the
+    # testable poset reads the atoms, so neither walks depth 3
+    seen = []
+
+    def recording(atoms, depth, *a, **k):
+        seen.append(depth)
+        return levels(atoms, depth, *a, **k)
+
+    levels = semantics._levels
+    monkeypatch.setattr(semantics, "_levels", recording)
+    assert main([argv[0], "--model", str(models_dir / f"{model}.json"),
+                 *argv[1:], "--depth", "3"]) == 0
+    assert seen == depths
 
 
 def _cm128():

@@ -730,6 +730,25 @@ def test_closure_runs_no_round_when_it_starts_whole(m, depth, whole):
     assert (_CountingInt.ops == 0) == whole
 
 
+def _cell_count(m) -> int:
+    """The cells the atoms cut the (state, object) slots into: one per
+    distinct set of properties an object has."""
+    return len({frozenset(e for e in m.properties if o in m.extensions[s][e])
+                for s in m.states for o in m.universes[s]})
+
+
+@pytest.mark.parametrize("case", [*range(60), *canonical_models()])
+def test_closure_is_the_same_at_every_depth(case):
+    # the closure is the Boolean algebra the atoms' cells generate, which
+    # every depth from 1 up reaches; only the representatives differ
+    m = (canonical_models()[case] if isinstance(case, str)
+         else random_check_case(case)[0])
+    want = set(lindenbaum_tarski(m, 1).closed().bits)
+    assert len(want) == 2 ** _cell_count(m)
+    for depth in range(2, semantics.DEPTH_CAP + 1):
+        assert set(lindenbaum_tarski(m, depth).closed().bits) == want
+
+
 # ---------------------------------------------------------------------------
 # kernel propositions against the helpers' own evaluator
 
