@@ -96,20 +96,20 @@ class InvalidDepth(QlpropError):
     """A requested formula depth is below 1, so no formula has it."""
 
 
-class NotAPartialOrder(QlpropError):
+class _WithWitness(QlpropError):
+    """An error that names the offending item as its ``witness``."""
+
+    def __init__(self, message: str, witness: tuple | None = None):
+        super().__init__(message)
+        self.witness = witness
+
+
+class NotAPartialOrder(_WithWitness):
     """A relation fails reflexivity, antisymmetry or transitivity."""
 
-    def __init__(self, message: str, witness: tuple | None = None):
-        super().__init__(message)
-        self.witness = witness
 
-
-class MeetJoinMissing(QlpropError):
+class MeetJoinMissing(_WithWitness):
     """A poset lacks a greatest lower / least upper bound for some pair."""
-
-    def __init__(self, message: str, witness: tuple | None = None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class SearchCapExceeded(QlpropError):
@@ -124,12 +124,8 @@ class NoHilbertAnnotation(QlpropError):
     """A quantum operation was requested on a model without Hilbert data."""
 
 
-class NotOperationClosed(QlpropError):
+class NotOperationClosed(_WithWitness):
     """The declared properties are not closed under a subspace operation."""
-
-    def __init__(self, message: str, witness: tuple | None = None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class ClosureCapExceeded(QlpropError):

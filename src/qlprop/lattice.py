@@ -473,9 +473,6 @@ class OrthoLattice:
     def n(self) -> int:
         return self.poset.n
 
-    def label(self, i: int) -> str:
-        return self.poset.labels[i]
-
 
 def ortho_lattice_from_poset(p: FinitePoset, ortho: Sequence[int]) -> OrthoLattice:
     """Complete a poset to an ortholattice with its glb/lub tables."""

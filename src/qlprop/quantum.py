@@ -140,34 +140,26 @@ def witness_property(m: Model, f: TQFormula) -> str:
     quantum formula (``TypeError``), or an operation no property realises
     (:class:`NotOperationClosed`, with the operation's key as its
     ``witness``).  A missing annotation (:class:`NoHilbertAnnotation`) is
-    raised before any of these.  Once a failing node is known, no node
-    after it in post-order is looked up.
+    raised before any of these.  A failing node is named None, and the
+    table answers None for a key with a None operand, so every node above
+    a failure is None too: the first None in post-order is the first
+    failing node.
     """
     table = _annotation(m).table
     nodes = _post_order(f)
-    n = len(nodes)
-    names: list[str | None] = [None] * n
-    first = n  # the post-order index of the first failing node
+    names: list[str | None] = [None] * len(nodes)
     levels: list[list[int]] = [[] for _ in range(nodes[-1][1] + 1)]
     for i, (node, height, _) in enumerate(nodes):
-        if height:
-            levels[height].append(i)
-        elif isinstance(node, Atom) and node.prop in m.properties:
+        levels[height].append(i)
+        if isinstance(node, Atom) and node.prop in m.properties:
             names[i] = node.prop
-        elif first == n:
-            first = i
     for level in levels[1:]:
-        # a node before the first failing one has every operand named
-        ready = [i for i in level if i < first]
-        keys = [_key(names, nodes[i][2]) for i in ready]
-        for i, name in zip(ready, table._fill(keys)):
-            if name is None:  # this level's first failure, ahead of first
-                first = i
-                break
+        keys = [_key(names, nodes[i][2]) for i in level]
+        for i, name in zip(level, table._fill(keys)):
             names[i] = name
-    if first == n:
+    if None not in names:
         return names[-1]  # type: ignore[return-value]
-    node, _, ops = nodes[first]
+    node, _, ops = nodes[names.index(None)]
     if ops:  # the table holds the miss; names raises its error
         table.names([_key(names, ops)])
     if isinstance(node, Atom):
