@@ -73,7 +73,10 @@ the complements are declared this is the direct join's property.
 ``certain`` tests all state rays in one residual, and ``orthogonal`` in
 one projection, neither reading the table's complements.
 :func:`certain_states`, :func:`state_lattice` and the quantum-language
-semantics all read the same table.
+semantics all read the same table.  :func:`state_lattice` takes from it
+only the certain-state sets and each element's complement: its meet and
+join are the glb and lub of the certain-state sets' inclusion order, so
+the quantum suite can compare the table's meets and joins with them.
 """
 
 from __future__ import annotations
@@ -93,7 +96,6 @@ from .errors import (
     NoHilbertAnnotation,
     NonOrthonormalBasis,
     NotOperationClosed,
-    QlpropError,
     RankError,
     ThetaNotInjectiveWarning,
     UnknownProperty,
@@ -699,33 +701,32 @@ def certain_states(model: "Model", prop: str) -> frozenset[str]:
 def state_lattice(model: "Model") -> OrthoLattice:
     """Ortholattice of certain-state sets of a quantum model.
 
-    Requires the declared property subspaces to be closed under
-    complement, meet and join; the lattice operations are induced through
-    the annotation's property table, which computes the complements and
-    meets in one batch and reads each join from them, and then validated
-    against the order.  If two properties share a certain-state set the
+    The lattice is built from the order: the certain-state sets ordered
+    by inclusion, whose glb/lub tables are the lattice meet and join
+    (:class:`~qlprop.lattice.OrthoLattice`), and each element's
+    complement read from the annotation's property table.  Requires the
+    declared property subspaces to be closed under complement, meet and
+    join: the table is asked for every complement, meet and join in one
+    batch, and raises :class:`NotOperationClosed` at the first that no
+    property realises.  If two properties share a certain-state set the
     lattice is still built, with a warning, using the first property per
-    set in declaration order.  Each property is mapped to its element's
-    index once, and the tables are read from that map.  Only the table is
-    kept: the poset is rebuilt, and the warnings are issued, on every
-    call.
+    set in declaration order.  Only the table is kept: the poset is
+    rebuilt, and the warnings are issued, on every call.
     """
     props = list(model.properties)
     table = _annotation(model).table
-    n = len(props)
     # all complements first, then meet before join per pair: this order
     # decides which NotOperationClosed is raised first
     names = table.names([(e, "ortho") for e in props]
                         + [(e, f, op) for e in props for f in props
                            for op in ("meet", "join")])
 
-    # each certain-state set's element index, each property's element,
-    # and the first property of each element
+    # each certain-state set's element index, and the first property of
+    # each element
     index: dict[frozenset, int] = {}
-    element_of: dict[str, int] = {}
     reps: list[int] = []
     for i, e in enumerate(props):
-        k = element_of[e] = index.setdefault(table.certain(e), len(index))
+        k = index.setdefault(table.certain(e), len(index))
         if k < len(reps):
             warnings.warn(
                 f"properties {props[reps[k]]!r} and {e!r} share "
@@ -739,20 +740,7 @@ def state_lattice(model: "Model") -> OrthoLattice:
     poset: FinitePoset = build_poset(
         elements, _inclusion(bits, len(bit)),
         [set_label(x, model.states) for x in elements])
-
-    # the element of each key's result, read at the representatives
-    at = np.array([element_of[e] for e in names])
-    ortho_t = at[reps]
-    pair = at[n:].reshape(n, n, 2)[np.ix_(reps, reps)]
-    meet_t, join_t = pair[..., 0], pair[..., 1]
-    # the meet of certain-state sets is plain intersection
-    for i, row in enumerate(meet_t.tolist()):
-        for j, k in enumerate(row):
-            if bits[k] != bits[i] & bits[j]:
-                raise QlpropError(
-                    f"meet of {props[reps[i]]!r} and {props[reps[j]]!r} is "
-                    f"not the set intersection")
-    return OrthoLattice(poset, meet_t, join_t, ortho_t)
+    return OrthoLattice(poset, [index[table.certain(names[i])] for i in reps])
 
 
 def closure_generate(dim: int, generators: Sequence[Subspace],

@@ -55,7 +55,7 @@ from .errors import (
 __all__ = [
     "FinitePoset", "build_poset",
     "LawCheck", "LawReport", "check_boolean",
-    "OrthoLattice", "ortho_lattice_from_poset", "check_ortho_modular",
+    "OrthoLattice", "check_ortho_modular",
     "order_isomorphic", "export_dot", "set_label", "powerset_lattice",
     "hexagon",
 ]
@@ -439,45 +439,39 @@ def check_boolean(p: FinitePoset) -> LawReport:
 
 @dataclass
 class OrthoLattice:
-    """A bounded lattice with an orthocomplementation, given by tables.
+    """A bounded lattice with an orthocomplementation.
 
-    ``meet``/``join`` are index tables over the poset; ``ortho`` maps each
-    element index to its orthocomplement's index.  Construction validates
-    that the tables agree with the order (the tables are the glb/lub of
-    the poset) and that top and bottom exist; the orthocomplementation
-    laws themselves are examined by :func:`check_ortho_modular`.
+    ``ortho`` maps each element index to its orthocomplement's index.
+    ``meet`` and ``join`` are the poset's glb/lub index tables, read from
+    :meth:`FinitePoset.meet_join_tables`, so they have one source, the
+    order.  Construction raises :class:`MeetJoinMissing` at the first
+    pair without a meet or a join, then when top or bottom is missing,
+    and :class:`QlpropError` when ``ortho`` is not a permutation; the
+    orthocomplementation laws themselves are examined by
+    :func:`check_ortho_modular`.
     """
 
     poset: FinitePoset
-    meet: np.ndarray
-    join: np.ndarray
     ortho: np.ndarray
+    meet: np.ndarray = field(init=False)
+    join: np.ndarray = field(init=False)
     bottom: int = field(init=False)
     top: int = field(init=False)
 
     def __post_init__(self):
         p = self.poset
+        self.meet, self.join = p.meet_join_tables()
         bot, top = p.bottom_index(), p.top_index()
         if bot is None or top is None:
             raise MeetJoinMissing("ortholattice must be bounded")
         self.bottom, self.top = bot, top
-        want_meet, want_join = p.meet_join_tables()
-        if not (np.array_equal(self.meet, want_meet)
-                and np.array_equal(self.join, want_join)):
-            raise QlpropError(
-                "meet/join tables disagree with the poset's glb/lub")
-        if sorted(int(x) for x in self.ortho) != list(range(p.n)):
+        self.ortho = np.asarray(self.ortho, dtype=int)
+        if sorted(self.ortho.tolist()) != list(range(p.n)):
             raise QlpropError("ortho table is not a permutation")
 
     @property
     def n(self) -> int:
         return self.poset.n
-
-
-def ortho_lattice_from_poset(p: FinitePoset, ortho: Sequence[int]) -> OrthoLattice:
-    """Complete a poset to an ortholattice with its glb/lub tables."""
-    meet, join = p.meet_join_tables()
-    return OrthoLattice(p, meet, join, np.asarray(ortho, dtype=int))
 
 
 def check_ortho_modular(l: OrthoLattice) -> LawReport:
@@ -640,4 +634,4 @@ def hexagon() -> OrthoLattice:
     for i, j in order:
         leq[i, j] = True
     p = build_poset(labels, leq, labels)
-    return ortho_lattice_from_poset(p, [5, 4, 3, 2, 1, 0])
+    return OrthoLattice(p, [5, 4, 3, 2, 1, 0])

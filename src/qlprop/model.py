@@ -236,6 +236,17 @@ def _hilbert_vectors(h: dict, dim: int) -> np.ndarray | None:
     return arr.view(complex).reshape(len(vecs), dim)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict; refuses a key the object repeats, which
+    ``json.loads`` would otherwise let the last occurrence win."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen: set[str] = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise SchemaError(f"key {key!r} repeated in one JSON object")
+    return doc
+
+
 def load_model(data: bytes | str, tol: float = DEFAULT_TOL) -> Model:
     """Parse and validate a model from JSON text or bytes."""
     tol = check_tol(tol)
@@ -245,7 +256,7 @@ def load_model(data: bytes | str, tol: float = DEFAULT_TOL) -> Model:
         except UnicodeDecodeError as exc:
             raise SchemaError(f"model file is not UTF-8: {exc}") from None
     try:
-        doc = json.loads(data)
+        doc = json.loads(data, object_pairs_hook=_unique_keys)
     except RecursionError:
         raise SchemaError("invalid JSON: arrays or objects nested too "
                           "deeply") from None

@@ -38,8 +38,12 @@ It reads every certain set through
 the pairs' meets and joins in one
 :meth:`~qlprop.hilbert.PropertyTable.names` call.  The table reads a join
 as ``~q (~q a & ~q b)``, the witness of the derived disjunction.
-The negation law compares the lattice orthocomplement with the states
-whose ray is orthogonal to the witness's subspace
+The conjunction and join laws compare those witnesses' certain sets
+with the state lattice's meet and join, which
+:func:`~qlprop.hilbert.state_lattice` takes from the inclusion order of
+the certain sets, not from the table.  The negation law compares the
+lattice orthocomplement with the states whose ray is orthogonal to the
+witness's subspace
 (:meth:`~qlprop.hilbert.PropertyTable.orthogonal`), decided from the
 rays and the witness's subspace, not from the table's complements.
 """
@@ -300,11 +304,15 @@ def check_tq_equalities(m: Model, depth: int,
     For all quantum formulas to ``depth``, grouped by witness property:
     the proposition of a negation must be the lattice orthocomplement, of
     a conjunction the lattice meet, and of a derived disjunction the
-    lattice join of the operand propositions.  The lattice meet and join
-    are computed order-theoretically (validated glb/lub tables).  The
-    negation's proposition is taken as the table's orthogonal states of
-    the witness, so none of the three laws reads the same table entries
-    on both sides.
+    lattice join of the operand propositions.  Each law compares the
+    formula route, the certain set of the witness the table reduces the
+    formula to, with the order route: the lattice meet and join are the
+    glb/lub of the certain sets' inclusion order, which reads no meet or
+    join entry of the table.  A conjunction's proposition must also be
+    the intersection of its operands', and a disjunction's must contain
+    their union.  The negation's proposition is taken as the table's
+    orthogonal states of the witness, so none of the three laws reads the
+    same table entries on both sides.
 
     Returns a dict with violation lists per law (a violation is named by
     the first formula of its class, or of each class of a pair), the
@@ -342,10 +350,13 @@ def check_tq_equalities(m: Model, depth: int,
     for a, pa, ia in reps:
         for b, pb, ib in reps:
             met, joined = next(results)
-            if index[table.certain(met)] != lat.meet[ia, ib]:
+            # the formula route against the order route; a set the
+            # lattice lacks is a violation, not a KeyError
+            met = table.certain(met)
+            if met != pa & pb or index.get(met) != lat.meet[ia, ib]:
                 conj_bad.append((a, b))
             joined = table.certain(joined)
-            if index[joined] != lat.join[ia, ib]:
+            if index.get(joined) != lat.join[ia, ib]:
                 join_bad.append((a, b))
             union = pa | pb
             if not union <= joined:

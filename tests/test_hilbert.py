@@ -25,7 +25,6 @@ from qlprop.errors import (
     NoHilbertAnnotation,
     NonOrthonormalBasis,
     NotOperationClosed,
-    QlpropError,
     RankError,
     SchemaError,
     ThetaNotInjectiveWarning,
@@ -799,19 +798,22 @@ def test_state_lattice_requires_closure():
         state_lattice(m)
 
 
-def test_state_lattice_refuses_a_join_that_is_not_the_lub(monkeypatch):
+def test_state_lattice_refuses_a_join_that_is_not_the_lub(monkeypatch,
+                                                          run_check):
     # a property table whose join names the left operand: bottom v x is
-    # then bottom, which the order's lub contradicts
+    # then bottom, where the order's lub is x; the lattice takes its join
+    # from the order, so the qm suite's join law reports the fault
+    m = m_qbit()
     real = hilbert.PropertyTable.names
     monkeypatch.setattr(
         hilbert.PropertyTable, "names",
         lambda self, keys: [key[0] if key[-1] == "join" else name
                             for key, name in zip(keys, real(self, keys))])
-    with pytest.raises(QlpropError) as exc:
-        state_lattice(m_qbit())
-    assert type(exc.value) is QlpropError
-    assert str(exc.value) == ("meet/join tables disagree with the poset's "
-                              "glb/lub")
+    code, lines = run_check(m, "--suite", "qm")
+    assert code == 1
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL disjunction proposition is the lattice join: "
+        "first ('E0(x)', 'Ez+(x)')"]
 
 
 def test_property_table_is_per_annotation_and_lazy(monkeypatch):

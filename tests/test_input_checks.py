@@ -105,10 +105,7 @@ def test_the_base_document_loads():
     assert m.hilbert.table.certain("E") == frozenset({"S"})
 
 
-@pytest.mark.parametrize("name, edit, cls, message", FILES,
-                         ids=[c[0] for c in FILES])
-def test_model_file_is_refused(name, edit, cls, message, tmp_path, capsys):
-    text = _document(edit)
+def _assert_refused(text, cls, message, tmp_path, capsys):
     with pytest.raises(cls) as exc:
         load_model(text)
     assert type(exc.value) is cls and str(exc.value) == message
@@ -117,6 +114,42 @@ def test_model_file_is_refused(name, edit, cls, message, tmp_path, capsys):
     assert main(["check", "--model", str(path), "--suite", "sec3"]) == 1
     out = capsys.readouterr()
     assert (out.out, out.err) == ("", f"ERROR {cls.__name__}: {message}\n")
+
+
+@pytest.mark.parametrize("name, edit, cls, message", FILES,
+                         ids=[c[0] for c in FILES])
+def test_model_file_is_refused(name, edit, cls, message, tmp_path, capsys):
+    _assert_refused(_document(edit), cls, message, tmp_path, capsys)
+
+
+def _repeated(path) -> str:
+    """The base document's text with the entry at ``path`` written twice
+    in its object."""
+    obj = _DOC
+    for key in path[:-1]:
+        obj = obj[key]
+    entry = f"{json.dumps(path[-1])}: {json.dumps(obj[path[-1]])}"
+    text = json.dumps(_DOC)
+    assert text.count(entry) == 1
+    return text.replace(entry, f"{entry}, {entry}")
+
+
+# json.loads alone would keep the last of a repeated key without a word
+REPEATED = [
+    ("top level", ["states"]),
+    ("universes", ["universes", "S"]),
+    ("extensions row", ["extensions", "S"]),
+    ("state_rays", ["hilbert", "state_rays", "S"]),
+    ("property_subspaces", ["hilbert", "property_subspaces", "E"]),
+]
+
+
+@pytest.mark.parametrize("name, path", REPEATED, ids=[c[0] for c in REPEATED])
+def test_model_file_with_a_repeated_key_is_refused(name, path, tmp_path,
+                                                   capsys):
+    _assert_refused(_repeated(path), SchemaError,
+                    f"key {path[-1]!r} repeated in one JSON object",
+                    tmp_path, capsys)
 
 
 def _qubit_annotation(**change) -> HilbertAnnotation:
@@ -130,12 +163,6 @@ def _qubit_annotation(**change) -> HilbertAnnotation:
 def _hand_built(ann: HilbertAnnotation):
     return make_model(["S", "T"], {"S": ["a"], "T": ["a"]}, ["E"],
                       {"S": {"E": ["a"]}, "T": {"E": []}}, hilbert=ann)
-
-
-def _bounded_chain():
-    """The two-element chain with its true meet and join tables."""
-    poset = build_poset([0, 1], np.array([[True, True], [False, True]]))
-    return (poset, *poset.meet_join_tables())
 
 
 CALLS = [
@@ -182,13 +209,14 @@ CALLS = [
     ("too few labels",
      lambda: build_poset([0, 1], np.eye(2, dtype=bool), ["a"]),
      NotAPartialOrder, "1 labels for 2 elements"),
+    # a finite poset with every meet and join is bounded unless empty
     ("unbounded ortholattice",
-     lambda: OrthoLattice(build_poset([0, 1], np.eye(2, dtype=bool)),
-                          np.zeros((2, 2), int), np.zeros((2, 2), int),
-                          np.array([1, 0])),
+     lambda: OrthoLattice(build_poset([], np.zeros((0, 0), dtype=bool)), []),
      MeetJoinMissing, "ortholattice must be bounded"),
     ("ortho table not a permutation",
-     lambda: OrthoLattice(*_bounded_chain(), np.array([0, 0])),
+     lambda: OrthoLattice(
+         build_poset([0, 1], np.array([[True, True], [False, True]])),
+         np.array([0, 0])),
      QlpropError, "ortho table is not a permutation"),
 ]
 

@@ -19,7 +19,6 @@ from hypothesis import example, given, settings, strategies as st
 from qlprop.errors import (
     MeetJoinMissing,
     NotAPartialOrder,
-    QlpropError,
     SearchCapExceeded,
 )
 from qlprop.lattice import (
@@ -31,7 +30,6 @@ from qlprop.lattice import (
     export_dot,
     hexagon,
     order_isomorphic,
-    ortho_lattice_from_poset,
     powerset_lattice,
 )
 import qlprop.lattice as lattice
@@ -242,7 +240,7 @@ def test_powerset_ortholattice_laws():
     p = powerset_lattice(["a", "b"])
     full = frozenset({"a", "b"})
     ortho = [p.index_of(full - p.elements[i]) for i in range(p.n)]
-    lat = ortho_lattice_from_poset(p, ortho)
+    lat = OrthoLattice(p, ortho)
     rep = check_ortho_modular(lat)
     assert rep.all_passed()
 
@@ -293,8 +291,7 @@ def test_tables_and_covers_are_derived_once(monkeypatch):
     cov = _count_calls(monkeypatch, "_cover_matrix")
     p = powerset_lattice(["a", "b", "c"])
     full = frozenset("abc")
-    lat = ortho_lattice_from_poset(
-        p, [p.index_of(full - e) for e in p.elements])
+    lat = OrthoLattice(p, [p.index_of(full - e) for e in p.elements])
     check_ortho_modular(lat)
     check_boolean(p)
     check_boolean(p)
@@ -319,24 +316,12 @@ def test_hexagon_builds_its_tables_once(monkeypatch):
     assert len(glb) == 2
 
 
-def test_ortho_lattice_from_poset_raises_missing_meet_before_bounds():
+def test_ortho_lattice_raises_missing_meet_before_bounds():
     # an antichain is unbounded as well, but its tables fail first
     p = build_poset(["a", "b"], np.eye(2, dtype=bool))
     with pytest.raises(MeetJoinMissing) as exc:
-        ortho_lattice_from_poset(p, [1, 0])
+        OrthoLattice(p, [1, 0])
     assert str(exc.value) == "no meet for 'a' and 'b'"
-
-
-def test_ortho_lattice_refuses_tables_that_disagree_with_the_order():
-    p = powerset_lattice(["a", "b"])
-    meet, join = p.meet_join_tables()
-    wrong = join.copy()
-    wrong[1, 2] = wrong[2, 1] = 1  # {a} v {b} is {a, b}, not {a}
-    with pytest.raises(QlpropError) as exc:
-        OrthoLattice(p, meet, wrong, np.array([3, 2, 1, 0]))
-    assert type(exc.value) is QlpropError
-    assert str(exc.value) == ("meet/join tables disagree with the poset's "
-                              "glb/lub")
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +709,7 @@ def closure_systems_with_ortho(draw):
 @settings(max_examples=150, deadline=None)
 def test_check_ortho_modular_matches_oracle(case):
     leq, ortho = case
-    _assert_ortho_matches_oracle(ortho_lattice_from_poset(_poset(leq), ortho))
+    _assert_ortho_matches_oracle(OrthoLattice(_poset(leq), ortho))
 
 
 def _mo2():
@@ -733,14 +718,13 @@ def _mo2():
     leq[0, :] = True
     leq[:, 5] = True
     p = build_poset(labels, leq, labels)
-    return ortho_lattice_from_poset(p, [5, 2, 1, 4, 3, 0])
+    return OrthoLattice(p, [5, 2, 1, 4, 3, 0])
 
 
 def _complemented_powerset(k):
     p = powerset_lattice(list("abcd"[:k]))
     full = frozenset("abcd"[:k])
-    return ortho_lattice_from_poset(
-        p, [p.index_of(full - e) for e in p.elements])
+    return OrthoLattice(p, [p.index_of(full - e) for e in p.elements])
 
 
 FIXED_ORTHOLATTICES = {
