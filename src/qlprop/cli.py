@@ -8,7 +8,8 @@ export) and ``fixtures`` (write the canonical model files).
 
 Exit codes: 0 success, 1 domain error (reported as ``ERROR <name>``)
 or an output pipe closed by its reader (reported not at all), 2 usage
-error.  The containment tolerance can be set with ``--tol`` or the
+error.  A warning is printed as one stderr line, ``WARNING <Category>:
+<message>``.  The containment tolerance can be set with ``--tol`` or the
 ``QLPROP_TOL`` environment variable; :func:`qlprop.hilbert.check_tol`
 validates either, once, before the subcommand runs.
 """
@@ -20,6 +21,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from .errors import ParseError, QlpropError
@@ -525,6 +527,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    """A warning as one line, ``WARNING <Category>: <message>``, in the
+    form of the ``ERROR`` lines: without the source path and source line
+    of Python's default format."""
+    return f"WARNING {category.__name__}: {message}\n"
+
+
 def main(argv=None) -> int:
     """Run one command line, ``sys.argv[1:]`` when ``argv`` is None, and
     return its exit code; a usage error or ``-h`` exits through argparse.
@@ -548,8 +557,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     try:
         args.tol = _tol(args)  # a bad tolerance fails every subcommand
-        # looked up per call, so a wrapped or patched cmd_* is the one run
-        code = globals()[f"cmd_{args.command}"](args)
+        # only the text changes: a caller's filters and recording still apply
+        shown, warnings.formatwarning = warnings.formatwarning, _format_warning
+        try:
+            # looked up per call, so a wrapped or patched cmd_* is the one run
+            code = globals()[f"cmd_{args.command}"](args)
+        finally:
+            warnings.formatwarning = shown
         sys.stdout.flush()  # a closed pipe shows up here, not at exit
         return code
     except BrokenPipeError:

@@ -61,15 +61,21 @@ one residual of a rank group against itself, read both ways by
 transposition).  It raises at the first key, in order, that no property
 realises.  It is the table's one read path: ``ortho``, ``meet`` and
 ``join`` are one-key calls of it, and only its private fill reads the
-stored entries.  The table runs two kernels, complement and meet: it
-reads a join E v F as ~(~E & ~F), the complement of the meet of the
-operands' complements, from its own entries.  The operands' complements
-join the first batch of missing keys; the meet and its complement
-follow, each in one batch, only where the table does not hold them.  A
-join is missing when an operand has no declared complement, or when the
-meet of the complements, or that meet's complement, matches no
-property.  In finite dimension the identity holds exactly, so where
-the complements are declared this is the direct join's property.
+stored entries.  The table runs two kernels, complement and meet, and
+only for keys that the operands' ranks leave open: before it stacks
+anything it names the complement of the zero or of the whole space,
+every meet with the zero and, on an annotation whose subspaces are
+pairwise unequal at one tolerance (every model's, as ``make_model``
+checks), every meet with the whole space and of a property with
+itself, from ranks alone (see :class:`PropertyTable`).  It reads a join
+E v F as ~(~E & ~F), the complement of the meet of the operands'
+complements, from its own entries.  The operands' complements join the
+first batch of missing keys; the meet and its complement follow, each
+in one batch, only where the table does not hold them.  A join is
+missing when an operand has no declared complement, or when the meet
+of the complements, or that meet's complement, matches no property.  In
+finite dimension the identity holds exactly, so where the complements
+are declared this is the direct join's property.
 ``certain`` tests all state rays in one residual, and ``orthogonal`` in
 one projection, neither reading the table's complements.
 :func:`certain_states`, :func:`state_lattice` and the quantum-language
@@ -83,7 +89,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
@@ -502,16 +508,25 @@ class HilbertAnnotation:
 
     ``make_model`` stores both dicts in the model's declaration order,
     which is the order :class:`PropertyTable` searches properties in.
+    ``distinct`` says that the property subspaces are pairwise unequal
+    and all at one tolerance.  ``make_model`` sets it from the check that
+    refuses equal pairs, so every model's annotation states it truly; an
+    annotation built by hand should leave it False unless it holds.
     """
 
     dim: int
     state_rays: dict[str, Subspace]
     property_subspaces: dict[str, Subspace]
+    distinct: bool = field(default=False, compare=False)
 
     @cached_property
     def table(self) -> "PropertyTable":
         """This annotation's property table, created on first access."""
         return PropertyTable(self)
+
+
+# what PropertyTable._by_ranks returns for a key that ranks do not decide
+_OPEN = object()
 
 
 class PropertyTable:
@@ -532,12 +547,38 @@ class PropertyTable:
     :class:`NotOperationClosed`, with the key as its witness.  An operand
     the annotation does not declare raises :class:`UnknownProperty` where
     the table would compute with it.
+
+    Keys that the ortholattice identities ~0 = 1, ~1 = 0, a & 0 = 0,
+    a & 1 = a and a & a = a decide are named from the operands' ranks,
+    without a kernel or a residual:
+
+    - ``(e, "ortho")`` with ``e`` of rank 0 is the first declared
+      property of rank ``dim``, and with ``e`` of rank ``dim`` the first
+      of rank 0 (None where there is none);
+    - ``(e, f, "meet")`` with an operand of rank 0 is the first declared
+      property of rank 0;
+    - where the annotation is ``distinct``, ``(e, f, "meet")`` with an
+      operand of rank ``dim`` is the other operand, and ``(e, e,
+      "meet")`` is ``e``.
+
+    The first two give the kernel's name on every annotation whose bases
+    are orthonormal to rounding, as :meth:`Subspace.span` makes them: the
+    kernels return exactly rank ``dim`` or 0 there, and every such basis
+    of rank ``dim`` spans the whole space.  The last two give it
+    where the declared subspaces are pairwise unequal under one
+    tolerance: the kernel's result then equals its operand and no other
+    declared property.  With equal pairs or mixed tolerances the first
+    equal property, at the result's tolerance, may be another, so there
+    the kernel decides those keys.  Joins inherit all of this through
+    their complement-meet-complement fill.
     """
 
     def __init__(self, ann: HilbertAnnotation):
-        # the annotation's dicts, not the annotation: the annotation holds
-        # this table, and a reference back would make a cycle that only
-        # the cyclic garbage collector frees
+        # the annotation's fields, not the annotation: the annotation
+        # holds this table, and a reference back would make a cycle that
+        # only the cyclic garbage collector frees
+        self._dim = ann.dim
+        self._distinct = ann.distinct
         self._subspaces = ann.property_subspaces
         self._rays = ann.state_rays
         # key -> name; None where no property realises it
@@ -594,16 +635,40 @@ class PropertyTable:
         except KeyError:
             raise UnknownProperty(f"no subspace for property {e!r}") from None
 
+    def _first_of_rank(self, rank: int) -> str | None:
+        """The first declared property of ``rank``, or None."""
+        names = self._group(rank)[0]
+        return names[0] if names else None
+
+    def _by_ranks(self, key: tuple, a: Subspace, b: Subspace | None):
+        """The name that the class's rank rules give the complement or
+        meet ``key``, whose operands' subspaces are ``a`` and ``b`` (None
+        for a complement), or ``_OPEN`` where the ranks leave it open."""
+        dim = self._dim
+        if b is None:
+            return (self._first_of_rank(dim - a.rank) if a.rank in (0, dim)
+                    else _OPEN)
+        if not (a.rank and b.rank):
+            return self._first_of_rank(0)
+        if self._distinct:
+            if b.rank == dim or key[0] == key[1]:
+                return key[0]
+            if a.rank == dim:
+                return key[1]
+        return _OPEN
+
     def _fill(self, keys: Sequence[tuple]) -> list[str | None]:
         """The property realising each of ``keys``, in order, and None
         where no property realises it or an operand is None.
 
         The complement and meet keys not yet in the table, and the
-        complements of the join keys' operands, are computed at once:
-        their operations are stacked by kind and operand ranks, and the
-        results are matched to properties in one batch per rank.  A join
-        E v F is then read as ~(~E & ~F), by two more fills: the meets of
-        the complements, and the complements of those meets.
+        complements of the join keys' operands, are filled at once.
+        Those that the operands' ranks decide are named by the class's
+        rank rules; the operations of the others are stacked by kind and
+        operand ranks, and their results matched to properties in one
+        batch per rank.  A join E v F is then read as ~(~E & ~F), by two
+        more fills: the meets of the complements, and the complements of
+        those meets.
         """
         known, sub = self._names, self._subspace
         todo = [key for key in keys if key not in known and None not in key]
@@ -612,9 +677,17 @@ class PropertyTable:
             todo = [key for key in dict.fromkeys(
                 todo + [(e, "ortho") for key in joins for e in key[:2]])
                 if key[-1] != "join" and key not in known]
-            known.update(zip(todo, self._property_of(_operate([
-                (key[-1], sub(key[0]), sub(key[1]) if len(key) == 3 else None)
-                for key in todo]))))
+            ops: dict[tuple, tuple] = {}
+            for key in todo:
+                a, b = sub(key[0]), sub(key[1]) if len(key) == 3 else None
+                name = self._by_ranks(key, a, b)
+                if name is _OPEN:
+                    ops[key] = (key[-1], a, b)
+                else:
+                    known[key] = name
+            if ops:
+                known.update(zip(ops, self._property_of(
+                    _operate(list(ops.values())))))
             if joins:
                 meets = self._fill([(known[e, "ortho"], known[f, "ortho"], "meet")
                                     for e, f, _ in joins])

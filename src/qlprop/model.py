@@ -169,12 +169,17 @@ def make_model(states: Sequence[str], universes: Mapping[str, Sequence[str]],
             a, b = (props[i] for i in pair)
             raise SchemaError(
                 f"properties {a!r} and {b!r} map to the same subspace")
+        # no equal pair: the table's rank rules need one tolerance besides
+        distinct = len({sub.tol for sub in
+                        hilbert.property_subspaces.values()}) == 1
         if (list(hilbert.state_rays) != list(sts)
-                or list(hilbert.property_subspaces) != list(props)):
-            # the property table searches in declaration order
+                or list(hilbert.property_subspaces) != list(props)
+                or hilbert.distinct != distinct):
+            # the property table searches in declaration order, and
+            # reads distinct
             hilbert = HilbertAnnotation(
                 dim, {s: hilbert.state_rays[s] for s in sts},
-                {e: hilbert.property_subspaces[e] for e in props})
+                {e: hilbert.property_subspaces[e] for e in props}, distinct)
     return Model(sts, unis, props, exts, hilbert)
 
 
@@ -461,7 +466,9 @@ def build_qm_model(dim: int, rays: Mapping[str, Sequence],
                 for s, v in rays.items()}
     prop_subs = {e: Subspace.span(list(vs), dim, tol)
                  for e, vs in subspaces.items()}
-    ann = HilbertAnnotation(dim, ray_subs, prop_subs)
+    # distinct at one tolerance, or make_model refuses the equal pair: so
+    # make_model keeps this annotation, and the table filled below
+    ann = HilbertAnnotation(dim, ray_subs, prop_subs, distinct=True)
     table = ann.table
     universe = tuple(f"o{i + 1}" for i in range(universe_size))
     rng = random.Random(seed)

@@ -486,6 +486,18 @@ class WitnessOracle:
         return "QFalse" if state in neg else "QIndeterminate"
 
 
+def decided_by_ranks(ann, key) -> bool:
+    """Whether the property table names the complement or meet ``key``
+    from its operands' ranks alone: a complement of 0 or of the whole
+    space, a meet with 0 and, on a ``distinct`` annotation, a meet with
+    the whole space or of a property with itself."""
+    ranks = [ann.property_subspaces[e].rank for e in key[:-1]]
+    if key[-1] == "ortho":
+        return ranks[0] in (0, ann.dim)
+    return 0 in ranks or ann.distinct and (ann.dim in ranks
+                                           or key[0] == key[1])
+
+
 def oracle_witness(m: Model, f) -> str:
     """The witness of a quantum formula, node by node with projectors.
 

@@ -665,14 +665,17 @@ def test_check_qm_fails_on_a_non_injective_model(tmp_path):
     out = subprocess.run(argv, capture_output=True, text=True)
     assert out.returncode == 1
     assert out.stdout == "".join(f"{line}\n" for line in _NON_INJECTIVE_QM)
-    # the warning's text starts with a file path and a line number
-    assert "ThetaNotInjectiveWarning: properties 'E0' and 'Ex+'" in out.stderr
+    # each warning is one line, without a source path or source line
+    warned = "".join(
+        f"WARNING ThetaNotInjectiveWarning: properties 'E0' and {e!r} share "
+        f"the certain-state set; using the first\n" for e in ("Ex+", "Ex-"))
+    assert out.stderr == warned
     out = subprocess.run(argv + ["--json"], capture_output=True, text=True)
     assert out.returncode == 1
     assert out.stdout == json.dumps(
         {"command": "check", "suite": "qm", "ok": False,
          "lines": _NON_INJECTIVE_QM}, indent=2) + "\n"
-    assert "ThetaNotInjectiveWarning" in out.stderr
+    assert out.stderr == warned
 
 
 def test_check_prag(models_dir, capsys):

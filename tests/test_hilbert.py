@@ -655,6 +655,105 @@ def test_property_table_matches_the_pairwise_loops(fam, data):
         for target in many]
 
 
+@st.composite
+def _rank_annotations(draw):
+    """An annotation whose properties include the zero and the whole
+    space, in one of three kinds: ``distinct`` (pairwise unequal, one
+    tolerance, through ``make_model``), ``mixed`` (pairwise unequal at
+    tolerances drawn from three, through ``make_model``) and
+    ``duplicates`` (a distinct family with one to three members
+    repeated on other basis rows, built by hand).  Members are spans of
+    rows of one random frame, so that their meets and complements are
+    often members too, random generic spans, or members with a row tilted
+    by 1.25 or 2 tol, just unequal to them."""
+    dim = draw(st.sampled_from([3, 4, 2, 1]))
+    kind = draw(st.sampled_from(["distinct", "mixed", "duplicates"]))
+    tols = [DEFAULT_TOL] if kind != "mixed" else [MIN_TOL, DEFAULT_TOL, 1e-6]
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    frame = Subspace.span(random_subspace_vectors(rng, dim, dim), dim).basis
+    family = [Subspace.zero(dim, draw(st.sampled_from(tols))),
+              Subspace.full(dim, draw(st.sampled_from(tols)))]
+    for _ in range(draw(st.integers(1, 5))):
+        tol = draw(st.sampled_from(tols))
+        how = draw(st.sampled_from(["frame", "generic", "tilted"]))
+        tiltable = [x for x in family if 0 < x.rank < dim]
+        if how == "tilted" and tiltable:
+            x = draw(st.sampled_from(tiltable))
+            angle = x.tol * draw(st.sampled_from([1.25, 2.0]))
+            rows = x.basis.copy()
+            rows[0] = np.cos(angle) * rows[0] + np.sin(angle) * ortho(x).basis[0]
+            family.append(Subspace.span(rows, dim, x.tol))
+            continue
+        rank = draw(st.integers(0, dim))
+        rows = (frame[sorted(rng.sample(range(dim), rank))] if how == "frame"
+                else random_subspace_vectors(rng, dim, rank))
+        family.append(Subspace.span(rows, dim, tol))
+    members: list[Subspace] = []
+    for x in family:
+        if all(x != y for y in members):
+            members.append(x)
+    if kind == "duplicates":
+        for x in draw(st.lists(st.sampled_from(members), min_size=1,
+                               max_size=3)):
+            # the same subspace on its rows mixed by a random unitary
+            mix = Subspace.span(random_subspace_vectors(rng, x.rank, x.rank),
+                                x.rank).basis if x.rank else np.zeros((0, 0))
+            members.append(Subspace.span(mix @ x.basis, dim, x.tol))
+    members = draw(st.permutations(members))
+    _assume_clear(members)
+    subs = {f"P{i}": x for i, x in enumerate(members)}
+    ann = HilbertAnnotation(dim, {"S": Subspace.ray(frame[0], dim)}, subs)
+    if kind == "duplicates":
+        return ann
+    m = make_model(["S"], {"S": ["a"]}, list(subs), {"S": {e: [] for e in subs}},
+                   hilbert=ann)
+    assert m.hilbert.distinct == (len({x.tol for x in members}) == 1)
+    return m.hilbert
+
+
+def _kernel_names(ann: HilbertAnnotation, keys) -> list:
+    """The name the kernel route gives each key: the result of its
+    operation, computed by ``_operate`` alone, matched by
+    ``_property_of``; a join E v F read as ~(~E & ~F) from those, as the
+    table reads it, so None where a complement or the meet is."""
+    table, subs, memo = hilbert.PropertyTable(ann), ann.property_subspaces, {}
+
+    def name(key):
+        if key not in memo:
+            if key[-1] == "join":
+                e, f, _ = key
+                ce, cf = name((e, "ortho")), name((f, "ortho"))
+                m = None if None in (ce, cf) else name((ce, cf, "meet"))
+                memo[key] = None if m is None else name((m, "ortho"))
+            else:
+                b = subs[key[1]] if key[-1] == "meet" else None
+                memo[key] = table._property_of(hilbert._operate(
+                    [(key[-1], subs[key[0]], b)]))[0]
+        return memo[key]
+
+    return [name(key) for key in keys]
+
+
+@given(_rank_annotations())
+@settings(max_examples=200, deadline=None)
+def test_rank_decided_keys_get_the_kernel_route_names(ann):
+    names = list(ann.property_subspaces)
+    keys = [(e, "ortho") for e in names] + [
+        (e, f, op) for e in names for f in names for op in ("meet", "join")]
+    expected = _kernel_names(ann, keys)
+    # all keys in one fill
+    assert hilbert.PropertyTable(ann)._fill(keys) == expected
+    # and one key at a time through names, which raises for a None
+    table = hilbert.PropertyTable(ann)
+    for key, name in zip(keys, expected):
+        if name is None:
+            with pytest.raises(NotOperationClosed) as exc:
+                table.names([key])
+            assert exc.value.witness == key
+        else:
+            assert table.names([key]) == [name]
+
+
 def test_containment_one_way_only_is_not_equality():
     # b is a with one row tilted by 1.25 tol and mixed with the other: each
     # row of b leaves 1.25/sqrt(2) tol against a, a's first row 1.25 tol
@@ -714,10 +813,12 @@ def test_state_lattice_matches_each_rank_in_two_residuals(monkeypatch):
 
     monkeypatch.setattr(hilbert.PropertyTable, "_property_of", counting)
     state_lattice(m)
-    # one match of every complement and meet result, the joins being read
-    # from those: one residual each way per rank, none for rank 0
+    # one match of every complement and meet result that ranks leave open
+    # (those of the ten properties of rank 1 or 2, and the meets of two
+    # different ones), the joins being read from those: one residual each
+    # way per rank, none for rank 0
     [(ranks, n, count)] = matches
-    assert ranks == {0, 1, 2, 3} and n == 12 + 12 * 12
+    assert ranks == {0, 1, 2} and n == 10 + 10 * 9
     assert count <= 2 * len(ranks - {0})
 
 
@@ -844,12 +945,16 @@ def test_state_lattice_realises_its_table_in_one_batch(monkeypatch):
     monkeypatch.setattr(hilbert, "_operate",
                         lambda ops: calls.append(len(ops)) or real(ops))
     state_lattice(m)
-    # every complement and meet, in one stacked call; each join is read
-    # from them as ~(~E & ~F), so it needs no operation of its own
-    assert calls == [n + n * n]
+    # every complement and meet that ranks leave open, in one stacked
+    # call: ranks name the complements of the zero P8 and the whole space
+    # P10, every meet with either, and each property's meet with itself;
+    # each join is read from them as ~(~E & ~F), so it needs no operation
+    # of its own
+    decided = 2 + (2 * n - 1) + (2 * (n - 1) - 1) + (n - 2)
+    assert calls == [n + n * n - decided] == [100]
     # a second lattice of the same model computes nothing
     state_lattice(m)
-    assert calls == [n + n * n]
+    assert calls == [100]
 
 
 def test_property_table_runs_no_join_kernel(monkeypatch):
@@ -896,11 +1001,12 @@ def test_names_answers_in_key_order_and_raises_at_the_first_missing_key(
 
     # duplicates come back in order; the distinct keys and the join's
     # operand complements take one call, then the join reads ~(~P12 &
-    # ~P3) in one call for the meet P3 & P12 and one for its complement
+    # ~P3) in one call for the meet P3 & P12, which is the zero E0, so
+    # that ranks name its complement EI without a call
     keys = [("P12", "ortho"), ("P12", "P3", "join"), ("P12", "ortho"),
             ("P1", "P12", "meet"), ("P12", "P3", "join")]
     assert table.names(keys) == ["P3", "EI", "P3", "P1", "EI"]
-    assert calls == [3, 1, 1]
+    assert calls == [3, 1]
 
     def first_missing(call):
         with pytest.raises(NotOperationClosed) as exc:

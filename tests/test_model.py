@@ -471,6 +471,23 @@ def test_annotation_follows_declaration_order():
     assert tuple(m.hilbert.state_rays) == m.states
 
 
+def test_make_model_marks_an_annotation_distinct_at_one_tolerance():
+    # build_qm_model's annotation is kept, with the table it filled
+    m = m_qbit()
+    assert m.hilbert.distinct and "table" in vars(m.hilbert)
+    assert m.hilbert.table.certain("Ez+") == frozenset({"Sz+"})
+    assert load_model(dump_model(m)).hilbert.distinct
+    # no equal pair, but two tolerances: make_model clears a wrong flag
+    subs = {"E0": Subspace.zero(2), "P": Subspace.ray([1, 0], tol=1e-6),
+            "EI": Subspace.full(2)}
+    ann = HilbertAnnotation(2, {"S": Subspace.ray([1, 0])}, subs,
+                            distinct=True)
+    m = make_model(["S"], {"S": ["a"]}, list(subs),
+                   {"S": {e: [] for e in subs}}, hilbert=ann)
+    assert not m.hilbert.distinct
+    assert list(m.hilbert.property_subspaces) == list(subs)
+
+
 def test_hilbert_annotation_coverage_enforced():
     ann = HilbertAnnotation(2, {"S1": Subspace.ray([1, 0])},
                             {"E": Subspace.ray([1, 0])})

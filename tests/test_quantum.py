@@ -50,6 +50,7 @@ from qlprop.syntax import And, Atom, Not, Or, QNot, parse_lx, parse_tq
 
 from helpers import (
     WitnessOracle,
+    decided_by_ranks,
     join_open,
     mo2_qubit,
     non_injective_qubit,
@@ -362,13 +363,19 @@ def test_witness_runs_one_batch_per_height_with_a_miss(monkeypatch):
         keys.setdefault(h, set()).add(key)
         return h
 
+    # each height runs one batch of the keys that no lower height missed
+    # and that the operands' ranks leave open
     expected, seen = [], set()
     for h in range(1, height(f) + 1):
-        if keys[h] - seen:
-            expected.append(len(keys[h] - seen))
+        missed = {key for key in keys[h] - seen
+                  if not decided_by_ranks(m.hilbert, key)}
+        if missed:
+            expected.append(len(missed))
         seen |= keys[h]
-    # five heights, one of which needs no key that a lower one missed
-    assert len(keys) == 5 and expected == [3, 2, 2, 1]
+    # five heights: ranks decide all of height 2 (P3 & P3, and ~P8 of
+    # the zero P8), ~P10 of the whole space P10 at height 3, and all of
+    # height 5 (P10 & P3); height 4 repeats ~P8
+    assert len(keys) == 5 and expected == [3, 1]
     calls = []
     real = hilbert._operate
     monkeypatch.setattr(hilbert, "_operate",
@@ -461,9 +468,15 @@ def test_witness_fill_realises_one_batch_per_level(monkeypatch):
                         lambda ops: calls.append(len(ops)) or real(ops))
     classes = _witness_classes(m, 3)
     # the atoms need no lookup; depth 2 misses every complement and
-    # meet of the closed property set in one call, depth 3 none
-    n = len(m.properties)
-    assert calls == [n + n * n]
+    # meet of the closed property set in one call, depth 3 none; the
+    # call holds those that ranks leave open: the complements of the ten
+    # properties of rank 1 or 2, and the meets of two different ones
+    props = m.properties
+    open_keys = [key for key in [(e, "ortho") for e in props]
+                 + [(e, f, "meet") for e in props for f in props]
+                 if not decided_by_ranks(m.hilbert, key)]
+    assert len(open_keys) == 10 + 10 * 9
+    assert calls == [len(open_keys)]
     assert all(witness_property(fresh, f) == w
                for w, (_, f) in classes.items())
 
