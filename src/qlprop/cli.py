@@ -354,7 +354,7 @@ def _suite_qm(m: Model, depth: int, out: _Suite):
                  "" if not eq["join"] else f"first {eq['join'][0]!r}")
     if eq["join_strict_witness"]:
         out.report(f"join strictly above union at {eq['join_strict_witness']!r}")
-    # the state lattice holds one element per distinct certain-state set
+    # the state lattice holds one element per certain-state set that occurs
     out.report(f"certain-state map injective: "
                f"{'yes' if lat.poset.n == len(m.properties) else 'no'}")
 

@@ -60,7 +60,7 @@ class HilbertDimensionMismatch(SchemaError):
 
 
 class NonOrthonormalBasis(SchemaError):
-    """A stored basis is not orthonormal within tolerance."""
+    """A stored basis is not orthonormal to rounding (within ``MIN_TOL``)."""
 
 
 class InvalidTolerance(QlpropError):
@@ -137,7 +137,7 @@ class NotPDecidable(QlpropError):
 
 
 class ThetaNotInjectiveWarning(UserWarning):
-    """Two distinct properties induce the same certain-state set."""
+    """Two different properties induce the same certain-state set."""
 
 
 class WitnessMismatchWarning(UserWarning):

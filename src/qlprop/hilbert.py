@@ -64,18 +64,19 @@ realises.  It is the table's one read path: ``ortho``, ``meet`` and
 stored entries.  The table runs two kernels, complement and meet, and
 only for keys that the operands' ranks leave open: before it stacks
 anything it names the complement of the zero or of the whole space,
-every meet with the zero and, on an annotation whose subspaces are
-pairwise unequal at one tolerance (every model's, as ``make_model``
-checks), every meet with the whole space and of a property with
-itself, from ranks alone (see :class:`PropertyTable`).  It reads a join
-E v F as ~(~E & ~F), the complement of the meet of the operands'
-complements, from its own entries.  The operands' complements join the
-first batch of missing keys; the meet and its complement follow, each
-in one batch, only where the table does not hold them.  A join is
-missing when an operand has no declared complement, or when the meet
-of the complements, or that meet's complement, matches no property.  In
-finite dimension the identity holds exactly, so where the complements
-are declared this is the direct join's property.
+every meet with the zero or the whole space and every meet of a
+property with itself, from ranks alone (see :class:`PropertyTable`).
+Every model's annotation has one tolerance for all its rays and
+subspaces, as ``make_model`` requires, and the table decides all its
+residuals at it.  It reads a join E v F as ~(~E & ~F), the complement
+of the meet of the operands' complements, from its own entries.  The
+operands' complements join the first batch of missing keys; the meet
+and its complement follow, each in one batch, only where the table does
+not hold them.  A join is missing when an operand has no declared
+complement, or when the meet of the complements, or that meet's
+complement, matches no property.  In finite dimension the identity holds
+exactly, so where the complements are declared this is the direct join's
+property.
 ``certain`` tests all state rays in one residual, and ``orthogonal`` in
 one projection, neither reading the table's complements.
 :func:`certain_states`, :func:`state_lattice` and the quantum-language
@@ -89,7 +90,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
@@ -161,9 +162,11 @@ class Subspace:
                 raise DimensionMismatch(
                     f"basis shape {mat.shape} does not fit dimension {dim}")
         gram = mat @ mat.conj().T
-        if gram.shape[0] and np.max(np.abs(gram - np.eye(mat.shape[0]))) > max(tol, 1e-12):
+        # a fixed rounding bound, not tol: rows off orthonormal by more
+        # than rounding break the kernels' rank decisions
+        if gram.shape[0] and np.max(np.abs(gram - np.eye(mat.shape[0]))) > MIN_TOL:
             raise NonOrthonormalBasis(
-                "basis rows are not orthonormal within tolerance")
+                f"basis rows are not orthonormal within {MIN_TOL:g}")
         self.dim = dim
         self.basis = mat
         self.tol = tol
@@ -325,12 +328,11 @@ def _outside(norms: np.ndarray, tol: float) -> bool:
     return any(map(float(tol).__lt__, norms.tolist()))
 
 
-def _outside_matrix(bases: np.ndarray, tols: np.ndarray, others: np.ndarray,
-                    other_tols: np.ndarray) -> np.ndarray:
+def _outside_matrix(bases: np.ndarray, others: np.ndarray,
+                    tol: float) -> np.ndarray:
     """Whether some row of each of the stacked bases ``others`` (m, rank,
-    dim) lies outside each of ``bases`` (n, rank, dim): the (n, m) matrix,
-    each pair at the larger of its tolerances ``tols`` (n,) and
-    ``other_tols`` (m,).
+    dim) lies outside each of ``bases`` (n, rank, dim) at ``tol``: the
+    (n, m) matrix.
 
     It is decided in one batched residual, all of ``others``' rows against
     each basis, in blocks of about ``_BLOCK`` entries.
@@ -343,18 +345,15 @@ def _outside_matrix(bases: np.ndarray, tols: np.ndarray, others: np.ndarray,
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         norms = _residual_norms(bases[lo:hi], rows).reshape(hi - lo, m, rank)
-        tol = np.maximum(tols[lo:hi, None], other_tols)
-        parts.append((norms > tol[..., None]).any(-1))
+        parts.append((norms > tol).any(-1))
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _equal_matrix(bases: np.ndarray, tols: np.ndarray,
-                  others: np.ndarray | None = None,
-                  other_tols: np.ndarray | None = None) -> np.ndarray:
+def _equal_matrix(bases: np.ndarray, tol: float,
+                  others: np.ndarray | None = None) -> np.ndarray:
     """Which of the stacked same-rank bases ``bases`` (n, rank, dim) span
     the same subspace as which of ``others`` (m, rank, dim): the (n, m)
-    matrix of mutual containment, each pair at the larger of its
-    tolerances ``tols`` (n,) and ``other_tols`` (m,).
+    matrix of mutual containment at ``tol``.
 
     Without ``others``, ``bases`` are compared with themselves in one
     :func:`_outside_matrix`, read both ways by transposition.  With them,
@@ -363,15 +362,16 @@ def _equal_matrix(bases: np.ndarray, tols: np.ndarray,
     are decided.
     """
     if others is None:
-        outside = _outside_matrix(bases, tols, bases, tols)
+        outside = _outside_matrix(bases, bases, tol)
         return ~(outside | outside.T)
-    return ~(_outside_matrix(bases, tols, others, other_tols)
-             | _outside_matrix(others, other_tols, bases, tols).T)
+    return ~(_outside_matrix(bases, others, tol)
+             | _outside_matrix(others, bases, tol).T)
 
 
-def _first_equal_pair(subspaces: Sequence[Subspace]) -> tuple[int, int] | None:
-    """The first pair ``(i, j)`` in ``itertools.combinations`` order with
-    ``subspaces[i] == subspaces[j]``, or None.  All live in one dimension.
+def _first_equal_pair(subspaces: Sequence[Subspace],
+                      tol: float) -> tuple[int, int] | None:
+    """The first pair ``(i, j)`` in ``itertools.combinations`` order whose
+    subspaces are equal at ``tol``, or None.  All live in one dimension.
     Each group of equal rank is decided in one :func:`_equal_matrix`.
     """
     groups: dict[int, list[int]] = {}
@@ -381,8 +381,7 @@ def _first_equal_pair(subspaces: Sequence[Subspace]) -> tuple[int, int] | None:
     for idx in groups.values():
         if len(idx) < 2:
             continue
-        equal = _equal_matrix(np.array([subspaces[i].basis for i in idx]),
-                              np.array([subspaces[i].tol for i in idx]))
+        equal = _equal_matrix(np.array([subspaces[i].basis for i in idx]), tol)
         # nonzero lists the equal pairs row by row, so the first with
         # i < j is the group's first; idx keeps declaration order
         ii, jj = np.nonzero(equal)
@@ -507,17 +506,14 @@ class HilbertAnnotation:
     """A ray per state and a closed subspace per property.
 
     ``make_model`` stores both dicts in the model's declaration order,
-    which is the order :class:`PropertyTable` searches properties in.
-    ``distinct`` says that the property subspaces are pairwise unequal
-    and all at one tolerance.  ``make_model`` sets it from the check that
-    refuses equal pairs, so every model's annotation states it truly; an
-    annotation built by hand should leave it False unless it holds.
+    which is the order :class:`PropertyTable` searches properties in, and
+    refuses an annotation whose rays and subspaces do not share one
+    tolerance, or in which two rays or two subspaces are equal at it.
     """
 
     dim: int
     state_rays: dict[str, Subspace]
     property_subspaces: dict[str, Subspace]
-    distinct: bool = field(default=False, compare=False)
 
     @cached_property
     def table(self) -> "PropertyTable":
@@ -557,20 +553,19 @@ class PropertyTable:
       of rank 0 (None where there is none);
     - ``(e, f, "meet")`` with an operand of rank 0 is the first declared
       property of rank 0;
-    - where the annotation is ``distinct``, ``(e, f, "meet")`` with an
-      operand of rank ``dim`` is the other operand, and ``(e, e,
-      "meet")`` is ``e``.
+    - ``(e, f, "meet")`` with an operand of rank ``dim`` is the other
+      operand, and ``(e, e, "meet")`` is ``e``.
 
-    The first two give the kernel's name on every annotation whose bases
-    are orthonormal to rounding, as :meth:`Subspace.span` makes them: the
-    kernels return exactly rank ``dim`` or 0 there, and every such basis
-    of rank ``dim`` spans the whole space.  The last two give it
-    where the declared subspaces are pairwise unequal under one
-    tolerance: the kernel's result then equals its operand and no other
-    declared property.  With equal pairs or mixed tolerances the first
-    equal property, at the result's tolerance, may be another, so there
-    the kernel decides those keys.  Joins inherit all of this through
-    their complement-meet-complement fill.
+    These are the kernel's names on bases orthonormal to rounding, as
+    :class:`Subspace` requires and :meth:`Subspace.span` makes them: the
+    kernels return exactly rank ``dim`` or 0 there, every such basis of
+    rank ``dim`` spans the whole space, and a meet with the whole space
+    or with itself gives back its operand.  That operand is the first
+    declared property equal to it because ``make_model`` gives every
+    model one tolerance and no equal pair.  Joins inherit all of this
+    through their complement-meet-complement fill.  Every residual the
+    table computes is decided at that one tolerance, read from the
+    annotation once.
     """
 
     def __init__(self, ann: HilbertAnnotation):
@@ -578,14 +573,15 @@ class PropertyTable:
         # holds this table, and a reference back would make a cycle that
         # only the cyclic garbage collector frees
         self._dim = ann.dim
-        self._distinct = ann.distinct
         self._subspaces = ann.property_subspaces
         self._rays = ann.state_rays
+        self._tol = next((sub.tol for sub in self._subspaces.values()),
+                         DEFAULT_TOL)
         # key -> name; None where no property realises it
         self._names: dict[tuple, str | None] = {}
         self._certain: dict[str, frozenset[str]] = {}
         self._orthogonal: dict[str, frozenset[str]] = {}
-        # rank -> declared names, stacked bases, tolerances
+        # rank -> declared names, stacked bases
         self._groups: dict[int, tuple] = {}
         self._ray_rows: tuple | None = None
 
@@ -594,9 +590,7 @@ class PropertyTable:
             return self._groups[rank]
         except KeyError:
             names = [e for e, sub in self._subspaces.items() if sub.rank == rank]
-            subs = [self._subspaces[e] for e in names]
-            group = (names, np.array([sub.basis for sub in subs]),
-                     np.array([sub.tol for sub in subs]))
+            group = (names, np.array([self._subspaces[e].basis for e in names]))
             self._groups[rank] = group
             return group
 
@@ -604,26 +598,26 @@ class PropertyTable:
         """The first declared property whose subspace equals each target.
 
         The targets of one rank are decided against that rank's declared
-        subspaces in one :func:`_equal_matrix` of the two stacks: one
-        residual of the targets' rows against the declared bases and one
-        of the declared rows against the targets' bases.  Every target of
-        rank 0 equals the first declared property of rank 0.
+        subspaces in one :func:`_equal_matrix` of the two stacks, at the
+        table's tolerance: one residual of the targets' rows against the
+        declared bases and one of the declared rows against the targets'
+        bases.  Every target of rank 0 equals the first declared property
+        of rank 0.
         """
         by_rank: dict[int, list[int]] = {}
         for i, target in enumerate(targets):
             by_rank.setdefault(target.rank, []).append(i)
         out: list[str | None] = [None] * len(targets)
         for rank, idx in by_rank.items():
-            names, group, group_tols = self._group(rank)
+            names, group = self._group(rank)
             if not names:
                 continue
             if not rank:
                 for i in idx:
                     out[i] = names[0]
                 continue
-            equal = _equal_matrix(
-                _stack([targets[i].basis for i in idx]),
-                np.array([targets[i].tol for i in idx]), group, group_tols)
+            equal = _equal_matrix(_stack([targets[i].basis for i in idx]),
+                                  self._tol, group)
             for i, row in zip(idx, equal.tolist()):
                 if True in row:
                     out[i] = names[row.index(True)]
@@ -650,12 +644,9 @@ class PropertyTable:
                     else _OPEN)
         if not (a.rank and b.rank):
             return self._first_of_rank(0)
-        if self._distinct:
-            if b.rank == dim or key[0] == key[1]:
-                return key[0]
-            if a.rank == dim:
-                return key[1]
-        return _OPEN
+        if b.rank == dim or key[0] == key[1]:
+            return key[0]
+        return key[1] if a.rank == dim else _OPEN
 
     def _fill(self, keys: Sequence[tuple]) -> list[str | None]:
         """The property realising each of ``keys``, in order, and None
@@ -733,21 +724,19 @@ class PropertyTable:
 
     def _within(self, e: str, norms) -> frozenset[str]:
         """The states all of whose ray rows have ``norms(basis, rows)``,
-        against ``e``'s basis, at most the larger of the ray's and
-        ``e``'s tolerance; one call decides every ray."""
+        against ``e``'s basis, at most the table's tolerance; one call
+        decides every ray."""
         sub = self._subspace(e)
         if self._ray_rows is None:
-            # every ray's rows, their tolerances, and each ray's slice
-            spans, rows, tols = [], [], []
+            # every ray's rows, and each ray's slice
+            spans, rows = [], []
             for s, ray in self._rays.items():
                 spans.append((s, len(rows), len(rows) + ray.rank))
                 rows.extend(ray.basis)
-                tols.extend([ray.tol] * ray.rank)
             self._ray_rows = (
-                spans, np.array(rows, dtype=complex).reshape(len(rows), sub.dim),
-                np.array(tols))
-        spans, rows, tols = self._ray_rows
-        outside = (norms(sub.basis, rows) > np.maximum(tols, sub.tol)).tolist()
+                spans, np.array(rows, dtype=complex).reshape(len(rows), sub.dim))
+        spans, rows = self._ray_rows
+        outside = (norms(sub.basis, rows) > self._tol).tolist()
         return frozenset(s for s, lo, hi in spans if not any(outside[lo:hi]))
 
 

@@ -95,7 +95,20 @@ def make_model(states: Sequence[str], universes: Mapping[str, Sequence[str]],
                properties: Sequence[str],
                extensions: Mapping[str, Mapping[str, Sequence[str]]],
                hilbert: HilbertAnnotation | None = None) -> Model:
-    """Validate and freeze a model description."""
+    """Validate and freeze a model description.
+
+    A Hilbert annotation must keep these rules, checked in this order:
+
+    - its rays and subspaces cover exactly the states and properties;
+    - every ray has dimension ``hilbert.dim`` and rank 1, and every
+      subspace dimension ``hilbert.dim``;
+    - all rays and subspaces share one tolerance;
+    - no two rays, and then no two subspaces, are equal at it; the first
+      equal pair in declaration order is named.
+
+    The model keeps the annotation, rebuilt in declaration order where
+    its order differs: the property table searches in that order.
+    """
     sts = _unique(states, "state id")
     if not sts:
         raise SchemaError("a model needs at least one state")
@@ -159,27 +172,27 @@ def make_model(states: Sequence[str], universes: Mapping[str, Sequence[str]],
             if sub.dim != dim:
                 raise HilbertDimensionMismatch(
                     f"subspace of {e!r} has dimension {sub.dim}, expected {dim}")
+        rays = [hilbert.state_rays[s] for s in sts]
+        subs = [hilbert.property_subspaces[e] for e in props]
+        tol = rays[0].tol
+        other = next((x.tol for x in rays + subs if x.tol != tol), None)
+        if other is not None:
+            raise SchemaError(f"rays and subspaces must share one tolerance, "
+                              f"got {float(tol)!r} and {float(other)!r}")
         # the first equal pair in combinations order, as Subspace.__eq__ decides
-        pair = _first_equal_pair([hilbert.state_rays[s] for s in sts])
+        pair = _first_equal_pair(rays, tol)
         if pair:
             a, b = (sts[i] for i in pair)
             raise SchemaError(f"states {a!r} and {b!r} map to the same ray")
-        pair = _first_equal_pair([hilbert.property_subspaces[e] for e in props])
+        pair = _first_equal_pair(subs, tol)
         if pair:
             a, b = (props[i] for i in pair)
             raise SchemaError(
                 f"properties {a!r} and {b!r} map to the same subspace")
-        # no equal pair: the table's rank rules need one tolerance besides
-        distinct = len({sub.tol for sub in
-                        hilbert.property_subspaces.values()}) == 1
         if (list(hilbert.state_rays) != list(sts)
-                or list(hilbert.property_subspaces) != list(props)
-                or hilbert.distinct != distinct):
-            # the property table searches in declaration order, and
-            # reads distinct
-            hilbert = HilbertAnnotation(
-                dim, {s: hilbert.state_rays[s] for s in sts},
-                {e: hilbert.property_subspaces[e] for e in props}, distinct)
+                or list(hilbert.property_subspaces) != list(props)):
+            hilbert = HilbertAnnotation(dim, dict(zip(sts, rays)),
+                                        dict(zip(props, subs)))
     return Model(sts, unis, props, exts, hilbert)
 
 
@@ -466,9 +479,9 @@ def build_qm_model(dim: int, rays: Mapping[str, Sequence],
                 for s, v in rays.items()}
     prop_subs = {e: Subspace.span(list(vs), dim, tol)
                  for e, vs in subspaces.items()}
-    # distinct at one tolerance, or make_model refuses the equal pair: so
-    # make_model keeps this annotation, and the table filled below
-    ann = HilbertAnnotation(dim, ray_subs, prop_subs, distinct=True)
+    # in declaration order at one tolerance, so make_model keeps this
+    # annotation, and the table filled below
+    ann = HilbertAnnotation(dim, ray_subs, prop_subs)
     table = ann.table
     universe = tuple(f"o{i + 1}" for i in range(universe_size))
     rng = random.Random(seed)

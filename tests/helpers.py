@@ -291,7 +291,7 @@ def naive_closure(m: Model, depth: int) -> list[tuple]:
 
 def naive_close(m: Model, start) -> list[tuple]:
     """``start``, a list of ``(representative, profile, size)`` triples
-    with distinct frozenset profiles, closed under the pointwise
+    with pairwise different frozenset profiles, closed under the pointwise
     operations and returned as such triples in class order; added
     classes have size 0.
 
@@ -489,13 +489,12 @@ class WitnessOracle:
 def decided_by_ranks(ann, key) -> bool:
     """Whether the property table names the complement or meet ``key``
     from its operands' ranks alone: a complement of 0 or of the whole
-    space, a meet with 0 and, on a ``distinct`` annotation, a meet with
-    the whole space or of a property with itself."""
+    space, a meet with 0 or with the whole space, and a meet of a
+    property with itself."""
     ranks = [ann.property_subspaces[e].rank for e in key[:-1]]
     if key[-1] == "ortho":
         return ranks[0] in (0, ann.dim)
-    return 0 in ranks or ann.distinct and (ann.dim in ranks
-                                           or key[0] == key[1])
+    return 0 in ranks or ann.dim in ranks or key[0] == key[1]
 
 
 def oracle_witness(m: Model, f) -> str:
@@ -674,7 +673,7 @@ def oracle_glb_table(leq) -> tuple[np.ndarray, np.ndarray]:
 
     (i, j) has a glb exactly when its common lower bounds are the
     down-set of one element m, and then m is the glb.  Each down-set is
-    one int bitmask, and distinct elements have distinct down-sets, so
+    one int bitmask, and different elements have different down-sets, so
     the glb of (i, j) is the element whose down-set is the AND of
     theirs.  Pairs without a glb hold 0.  Run on ``leq.T`` it gives
     least upper bounds.

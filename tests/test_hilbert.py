@@ -113,6 +113,54 @@ def test_direct_constructor_validates_orthonormality():
         Subspace(2, np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex))
 
 
+def test_constructor_refuses_rows_off_orthonormal_beyond_rounding():
+    # a basis of C^3 whose Gram matrix has off-diagonal entries 0.9e-3:
+    # within tol 1e-3 of the identity, but on it the meet kernel gives
+    # meet(F, F) rank 2, so it is refused at every tolerance
+    gram = np.full((3, 3), 0.9e-3) + (1 - 0.9e-3) * np.eye(3)
+    w, v = np.linalg.eigh(gram)
+    rows = (v * np.sqrt(w)) @ v.T  # the symmetric square root of gram
+    assert np.allclose(rows @ rows.T, gram)
+    for tol in (MIN_TOL, DEFAULT_TOL, MAX_TOL):
+        with pytest.raises(NonOrthonormalBasis) as exc:
+            Subspace(3, rows, tol)
+        assert str(exc.value) == "basis rows are not orthonormal within 1e-12"
+
+
+@st.composite
+def _span_inputs(draw):
+    """Vectors for ``Subspace.span`` in C^dim (dim 1..4): random ones,
+    zeros, and combinations of earlier ones moved off their span by 0.5
+    to 10 times tol, at a tolerance from ``MIN_TOL`` to ``MAX_TOL``."""
+    dim = draw(st.integers(1, 4))
+    tol = 10.0 ** draw(st.floats(-12, -3))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    vectors: list[np.ndarray] = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["random", "zero", "near"]))
+        if kind == "zero":
+            vectors.append(np.zeros(dim, dtype=complex))
+        elif kind == "near" and vectors:
+            v = sum(complex(rng.gauss(0, 1), rng.gauss(0, 1)) * u
+                    for u in vectors)
+            scale = tol * draw(st.sampled_from([0.5, 0.99, 1.01, 1.5, 10.0]))
+            vectors.append(v + scale * max(1.0, np.linalg.norm(v))
+                           * random_unit(rng, dim))
+        else:
+            vectors.append(random_unit(rng, dim)
+                           * draw(st.sampled_from([1e-3, 1.0, 1e3])))
+    return dim, vectors, tol
+
+
+@given(_span_inputs())
+@settings(max_examples=300, deadline=None)
+def test_span_rows_pass_the_constructor_check(inputs):
+    # the constructor's fixed rounding bound refuses no basis span makes
+    dim, vectors, tol = inputs
+    rows = Subspace.span(vectors, dim, tol).basis
+    assert Subspace(dim, rows, tol).rank == len(rows)
+
+
 def test_dim_mismatch():
     a = Subspace.ray([1, 0])
     b = Subspace.ray([1, 0, 0])
@@ -524,9 +572,7 @@ def _families(draw):
     of 1/sqrt(2) of it on each mixed row against the member, while the
     member's row keeps the whole tilt against the result, so at 1.25 tol
     the tilted member lies inside the member but not the other way round.
-    Fresh members and duplicates get tol or 3 tol, tilted ones the tol of
-    the member they tilt or 3 tol, so a pair decides with
-    max(tol_a, tol_b).
+    Every member has the family's one tol, as every model's subspaces do.
     Tilts of tilted members compose, so a residual can land on its
     threshold; :func:`_assume_clear` skips those examples.  Dimensions 3
     and 4 come first: only there can a tilted member of rank 2 or more
@@ -537,13 +583,12 @@ def _families(draw):
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     family: list[Subspace] = []
     for _ in range(draw(st.integers(1, 8))):
-        member_tol = draw(st.sampled_from([tol, 3 * tol]))
         kind = draw(st.sampled_from(["fresh", "duplicate", "tilted"]))
         tiltable = [x for x in family if 0 < x.rank < dim]
         if kind == "duplicate" and family:
             x = draw(st.sampled_from(family))
             family.append(draw(st.sampled_from(
-                [x, Subspace.span(x.basis[::-1], dim, member_tol)])))
+                [x, Subspace.span(x.basis[::-1], dim, tol)])))
         elif kind == "tilted" and tiltable:
             x = draw(st.sampled_from(tiltable))
             angle = x.tol * draw(st.sampled_from([0.5, 1.25, 2.0]))
@@ -554,12 +599,11 @@ def _families(draw):
                 k = (i + 1) % x.rank
                 rows[i], rows[k] = ((rows[i] + rows[k]) / np.sqrt(2),
                                     (rows[i] - rows[k]) / np.sqrt(2))
-            family.append(Subspace.span(
-                rows, dim, draw(st.sampled_from([x.tol, 3 * tol]))))
+            family.append(Subspace.span(rows, dim, tol))
         else:
             rank = draw(st.integers(0, dim))
             family.append(Subspace.span(
-                random_subspace_vectors(rng, dim, rank), dim, member_tol))
+                random_subspace_vectors(rng, dim, rank), dim, tol))
     return family, tol
 
 
@@ -584,14 +628,14 @@ def _first_equal_pair_by_loop(family):
 @given(_families())
 @settings(max_examples=300, deadline=None)
 def test_batched_distinctness_matches_the_pairwise_loop(fam):
-    family, _ = fam
+    family, tol = fam
     _assume_clear(family)
     pair = _first_equal_pair_by_loop(family)
-    assert hilbert._first_equal_pair(family) == pair
+    assert hilbert._first_equal_pair(family, tol) == pair
     # make_model names the same first pair
     dim = family[0].dim
     names = [f"P{i}" for i in range(len(family))]
-    ann = HilbertAnnotation(dim, {"S": Subspace.ray(np.eye(dim)[0])},
+    ann = HilbertAnnotation(dim, {"S": Subspace.ray(np.eye(dim)[0], dim, tol)},
                             dict(zip(names, family)))
 
     def build():
@@ -621,8 +665,7 @@ def test_property_table_matches_the_pairwise_loops(fam, data):
             if x.rank < dim and data.draw(st.booleans()):
                 angle = tol * data.draw(st.sampled_from([0.5, 0.75, 1.5, 2.0]))
                 row = np.cos(angle) * row + np.sin(angle) * ortho(x).basis[0]
-            rays[f"S{i}.{j}"] = Subspace.ray(
-                row, dim, tol=data.draw(st.sampled_from([tol, 3 * tol])))
+            rays[f"S{i}.{j}"] = Subspace.ray(row, dim, tol)
     rays["R"] = Subspace.ray(random_unit(rng, dim), dim, tol)
     targets = family + [ortho(x) for x in family]
     # a pool for one long call: the targets, 0 and the whole space, and
@@ -657,32 +700,29 @@ def test_property_table_matches_the_pairwise_loops(fam, data):
 
 @st.composite
 def _rank_annotations(draw):
-    """An annotation whose properties include the zero and the whole
-    space, in one of three kinds: ``distinct`` (pairwise unequal, one
-    tolerance, through ``make_model``), ``mixed`` (pairwise unequal at
-    tolerances drawn from three, through ``make_model``) and
-    ``duplicates`` (a distinct family with one to three members
-    repeated on other basis rows, built by hand).  Members are spans of
-    rows of one random frame, so that their meets and complements are
-    often members too, random generic spans, or members with a row tilted
-    by 1.25 or 2 tol, just unequal to them."""
+    """A model's annotation, through ``make_model``, whose properties
+    include the zero and the whole space, pairwise unequal at one
+    tolerance drawn from three.  Members are spans of rows of one random
+    frame, so that their meets and complements are often members too,
+    random generic spans, or members with a row tilted by 1.25 or 2 tol,
+    just unequal to them.  Two variants that ``make_model`` refuses are
+    checked on the way: one member at another tolerance, and one to three
+    members repeated on other basis rows."""
     dim = draw(st.sampled_from([3, 4, 2, 1]))
-    kind = draw(st.sampled_from(["distinct", "mixed", "duplicates"]))
-    tols = [DEFAULT_TOL] if kind != "mixed" else [MIN_TOL, DEFAULT_TOL, 1e-6]
+    tols = [MIN_TOL, DEFAULT_TOL, 1e-6]
+    tol = draw(st.sampled_from(tols))
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     frame = Subspace.span(random_subspace_vectors(rng, dim, dim), dim).basis
-    family = [Subspace.zero(dim, draw(st.sampled_from(tols))),
-              Subspace.full(dim, draw(st.sampled_from(tols)))]
+    family = [Subspace.zero(dim, tol), Subspace.full(dim, tol)]
     for _ in range(draw(st.integers(1, 5))):
-        tol = draw(st.sampled_from(tols))
         how = draw(st.sampled_from(["frame", "generic", "tilted"]))
         tiltable = [x for x in family if 0 < x.rank < dim]
         if how == "tilted" and tiltable:
             x = draw(st.sampled_from(tiltable))
-            angle = x.tol * draw(st.sampled_from([1.25, 2.0]))
+            angle = tol * draw(st.sampled_from([1.25, 2.0]))
             rows = x.basis.copy()
             rows[0] = np.cos(angle) * rows[0] + np.sin(angle) * ortho(x).basis[0]
-            family.append(Subspace.span(rows, dim, x.tol))
+            family.append(Subspace.span(rows, dim, tol))
             continue
         rank = draw(st.integers(0, dim))
         rows = (frame[sorted(rng.sample(range(dim), rank))] if how == "frame"
@@ -692,23 +732,38 @@ def _rank_annotations(draw):
     for x in family:
         if all(x != y for y in members):
             members.append(x)
-    if kind == "duplicates":
-        for x in draw(st.lists(st.sampled_from(members), min_size=1,
-                               max_size=3)):
-            # the same subspace on its rows mixed by a random unitary
-            mix = Subspace.span(random_subspace_vectors(rng, x.rank, x.rank),
-                                x.rank).basis if x.rank else np.zeros((0, 0))
-            members.append(Subspace.span(mix @ x.basis, dim, x.tol))
     members = draw(st.permutations(members))
     _assume_clear(members)
-    subs = {f"P{i}": x for i, x in enumerate(members)}
-    ann = HilbertAnnotation(dim, {"S": Subspace.ray(frame[0], dim)}, subs)
-    if kind == "duplicates":
-        return ann
-    m = make_model(["S"], {"S": ["a"]}, list(subs), {"S": {e: [] for e in subs}},
-                   hilbert=ann)
-    assert m.hilbert.distinct == (len({x.tol for x in members}) == 1)
-    return m.hilbert
+    ray = Subspace.ray(frame[0], dim, tol)
+
+    def build(members):
+        subs = {f"P{i}": x for i, x in enumerate(members)}
+        return make_model(["S"], {"S": ["a"]}, list(subs),
+                          {"S": {e: [] for e in subs}},
+                          hilbert=HilbertAnnotation(dim, {"S": ray}, subs))
+
+    # one member at another tolerance
+    i = draw(st.integers(0, len(members) - 1))
+    other = draw(st.sampled_from([t for t in tols if t != tol]))
+    with pytest.raises(SchemaError) as exc:
+        build(members[:i] + [Subspace._of_rows(members[i].basis, other)]
+              + members[i + 1:])
+    assert str(exc.value) == (f"rays and subspaces must share one tolerance, "
+                              f"got {tol!r} and {other!r}")
+    # the same subspaces on their rows mixed by a random unitary
+    duplicates = list(members)
+    for x in draw(st.lists(st.sampled_from(members), min_size=1, max_size=3)):
+        mix = Subspace.span(random_subspace_vectors(rng, x.rank, x.rank),
+                            x.rank).basis if x.rank else np.zeros((0, 0))
+        duplicates.append(Subspace.span(mix @ x.basis, dim, tol))
+    duplicates = draw(st.permutations(duplicates))
+    _assume_clear(duplicates)
+    with pytest.raises(SchemaError) as exc:
+        build(duplicates)
+    a, b = _first_equal_pair_by_loop(duplicates)
+    assert str(exc.value) == (f"properties 'P{a}' and 'P{b}' map to the "
+                              f"same subspace")
+    return build(members).hilbert
 
 
 def _kernel_names(ann: HilbertAnnotation, keys) -> list:
@@ -764,14 +819,15 @@ def test_containment_one_way_only_is_not_equality():
     b = Subspace.span([np.add(tilted, [0, 1, 0]) / np.sqrt(2),
                        np.subtract(tilted, [0, 1, 0]) / np.sqrt(2)], 3, tol)
     assert contains(a, b) and not contains(b, a) and a != b
-    assert hilbert._first_equal_pair([a, b]) is None
+    assert hilbert._first_equal_pair([a, b], tol) is None
     for subs in ({"A": a, "B": b}, {"B": b, "A": a}):
         table = hilbert.PropertyTable(HilbertAnnotation(
             3, {"S": Subspace.ray([0, 0, 1], 3)}, subs))
         assert table._property_of([a, b]) == ["A", "B"]
-    # a pair decides with the larger tolerance: at 3 tol both directions hold
+    # a free pair decides with the larger tolerance: at 3 tol both
+    # directions hold
     b3 = Subspace._of_rows(b.basis, 3 * tol)
-    assert a == b3 and hilbert._first_equal_pair([a, b, b3]) == (0, 2)
+    assert a == b3 and hilbert._first_equal_pair([a, b], 3 * tol) == (0, 1)
 
 
 def test_loading_a_model_compares_only_subspaces_of_equal_rank(monkeypatch):

@@ -176,6 +176,10 @@ CALLS = [
      lambda: _hand_built(_qubit_annotation(E=Subspace.full(3))),
      HilbertDimensionMismatch,
      "subspace of 'E' has dimension 3, expected 2"),
+    ("rays and subspaces at two tolerances",
+     lambda: _hand_built(_qubit_annotation(E=Subspace.ray([1, 0], tol=1e-6))),
+     SchemaError,
+     "rays and subspaces must share one tolerance, got 1e-09 and 1e-06"),
     ("unknown extension policy",
      lambda: build_qm_model(2, {"S": [1, 0]}, {"E": [[1, 0]]},
                             policy="uniform"),

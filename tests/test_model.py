@@ -471,21 +471,32 @@ def test_annotation_follows_declaration_order():
     assert tuple(m.hilbert.state_rays) == m.states
 
 
-def test_make_model_marks_an_annotation_distinct_at_one_tolerance():
+def test_make_model_refuses_an_annotation_at_two_tolerances():
     # build_qm_model's annotation is kept, with the table it filled
     m = m_qbit()
-    assert m.hilbert.distinct and "table" in vars(m.hilbert)
+    assert "table" in vars(m.hilbert)
     assert m.hilbert.table.certain("Ez+") == frozenset({"Sz+"})
-    assert load_model(dump_model(m)).hilbert.distinct
-    # no equal pair, but two tolerances: make_model clears a wrong flag
+    # no equal pair, but two tolerances: among the subspaces, or between
+    # the rays and the subspaces
     subs = {"E0": Subspace.zero(2), "P": Subspace.ray([1, 0], tol=1e-6),
             "EI": Subspace.full(2)}
-    ann = HilbertAnnotation(2, {"S": Subspace.ray([1, 0])}, subs,
-                            distinct=True)
-    m = make_model(["S"], {"S": ["a"]}, list(subs),
-                   {"S": {e: [] for e in subs}}, hilbert=ann)
-    assert not m.hilbert.distinct
-    assert list(m.hilbert.property_subspaces) == list(subs)
+    for ray_tol, got in ((1e-9, "1e-09 and 1e-06"), (1e-6, "1e-06 and 1e-09")):
+        ann = HilbertAnnotation(2, {"S": Subspace.ray([1, 0], tol=ray_tol)},
+                                subs)
+        with pytest.raises(SchemaError) as exc:
+            make_model(["S"], {"S": ["a"]}, list(subs),
+                       {"S": {e: [] for e in subs}}, hilbert=ann)
+        assert str(exc.value) == (
+            f"rays and subspaces must share one tolerance, got {got}")
+    # at one tolerance the annotation is kept when it is in declaration
+    # order, and rebuilt in that order when it is not
+    subs["P"] = Subspace.ray([1, 0])
+    ann = HilbertAnnotation(2, {"S": Subspace.ray([1, 0])}, subs)
+    for props in (list(subs), list(reversed(subs))):
+        m = make_model(["S"], {"S": ["a"]}, props,
+                       {"S": {e: [] for e in subs}}, hilbert=ann)
+        assert list(m.hilbert.property_subspaces) == props
+        assert (m.hilbert is ann) == (props == list(subs))
 
 
 def test_hilbert_annotation_coverage_enforced():
