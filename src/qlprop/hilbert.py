@@ -107,8 +107,7 @@ from .errors import (
     ThetaNotInjectiveWarning,
     UnknownProperty,
 )
-from .lattice import (FinitePoset, OrthoLattice, _inclusion, build_poset,
-                      set_label)
+from .lattice import OrthoLattice, _set_poset
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import Model
@@ -796,13 +795,8 @@ def state_lattice(model: "Model") -> OrthoLattice:
                 ThetaNotInjectiveWarning)
         else:
             reps.append(i)
-    elements = list(index)
-    bit = {s: 1 << i for i, s in enumerate(model.states)}
-    bits = [sum(map(bit.get, x)) for x in elements]
-    poset: FinitePoset = build_poset(
-        elements, _inclusion(bits, len(bit)),
-        [set_label(x, model.states) for x in elements])
-    return OrthoLattice(poset, [index[table.certain(names[i])] for i in reps])
+    return OrthoLattice(_set_poset(index, model.states),
+                        [index[table.certain(names[i])] for i in reps])
 
 
 def closure_generate(dim: int, generators: Sequence[Subspace],

@@ -6,6 +6,15 @@ are stored index-based as boolean numpy matrices.  Law checkers return a
 raising, so that expected failures (distributivity in quantum lattices,
 orthomodularity in the hexagon fixture) can be inspected.
 
+Two constructors make posets.  The posets the library builds itself
+(state lattices, testable propositions, Lindenbaum-Tarski quotients,
+powersets) are families of different sets ordered by inclusion, which is
+reflexive and transitive by construction: :func:`_inclusion` orders them
+from bitmasks and checks only that the masks differ, and it is the one
+place that keeps a :class:`_Lazy` element or label sequence uncopied.
+:func:`build_poset` validates an order that a caller supplies as a
+matrix or a predicate (reflexivity, antisymmetry, transitivity).
+
 Meet and join tables are computed from the order alone (never from the
 payloads), so callers can compare them with operations computed
 elsewhere.  Tables and covers are derived once per poset: a
@@ -39,7 +48,7 @@ Lattices* (AMS 1995) for the finite lattice algorithms.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -149,7 +158,7 @@ class _Lazy(Sequence):
     """A read-only sequence of ``n`` items whose item i is ``make(i)``,
     made on its first read and kept.
 
-    :func:`build_poset` keeps such a sequence as it is, so a poset's
+    :func:`_inclusion` keeps such a sequence as it is, so a poset's
     elements and labels cost nothing until something reads them.
     """
 
@@ -181,12 +190,13 @@ def build_poset(elements: Sequence, leq: Callable | np.ndarray,
     """Build and validate a poset from payloads and an order predicate
     (or a precomputed boolean matrix).
 
-    The payloads and labels are copied into tuples, except a
-    :class:`_Lazy` sequence, which is kept uncopied.  Every order is
-    checked for reflexivity, antisymmetry and transitivity; a label is
-    read only to name a failure.
+    This is the constructor for orders a caller supplies.  Every order
+    is checked for reflexivity, antisymmetry and transitivity; a label is
+    read only to name a failure.  The payloads and labels are copied into
+    tuples.  Posets of sets ordered by inclusion are built by
+    :func:`_inclusion`, which needs only the antisymmetry check.
     """
-    els = elements if isinstance(elements, _Lazy) else tuple(elements)
+    els = tuple(elements)
     n = len(els)
     if callable(leq):
         mat = np.zeros((n, n), dtype=bool)
@@ -197,10 +207,7 @@ def build_poset(elements: Sequence, leq: Callable | np.ndarray,
         mat = np.asarray(leq, dtype=bool)
         if mat.shape != (n, n):
             raise NotAPartialOrder(f"matrix shape {mat.shape} for {n} elements")
-    if labels is None:
-        labels = tuple(str(e) for e in els)
-    elif not isinstance(labels, _Lazy):
-        labels = tuple(labels)
+    labels = tuple(str(e) for e in els) if labels is None else tuple(labels)
     if len(labels) != n:
         raise NotAPartialOrder(f"{len(labels)} labels for {n} elements")
 
@@ -209,12 +216,9 @@ def build_poset(elements: Sequence, leq: Callable | np.ndarray,
         i, = hit
         raise NotAPartialOrder(f"not reflexive at {labels[i]!r}",
                                witness=(els[i],))
-    both = mat & mat.T & ~np.eye(n, dtype=bool)
-    if both.any():
-        i, j = map(int, next(zip(*np.nonzero(both))))
-        raise NotAPartialOrder(
-            f"antisymmetry fails between {labels[i]!r} and {labels[j]!r}",
-            witness=(els[i], els[j]))
+    hit = _first(mat & mat.T & ~np.eye(n, dtype=bool))
+    if hit is not None:
+        raise _not_antisymmetric(els, labels, *hit)
     # counts paths of length two with a BLAS product; each count is at
     # most n, so exact in float32
     f = mat.astype(np.float32)
@@ -228,21 +232,52 @@ def build_poset(elements: Sequence, leq: Callable | np.ndarray,
     return FinitePoset(els, labels, mat)
 
 
-def _inclusion(bits: Sequence[int], width: int) -> np.ndarray:
-    """The inclusion order of sets given as bitmasks of at most ``width``
-    bits: ``leq[i, j]`` when every bit of ``bits[i]`` is set in
-    ``bits[j]``.
+def _not_antisymmetric(elements: Sequence, labels: Sequence[str],
+                       i: int, j: int) -> NotAPartialOrder:
+    return NotAPartialOrder(
+        f"antisymmetry fails between {labels[i]!r} and {labels[j]!r}",
+        witness=(elements[i], elements[j]))
+
+
+def _inclusion(elements: Sequence, bits: Sequence[int], width: int,
+               labels: Sequence[str]) -> FinitePoset:
+    """The sets ``elements``, given as bitmasks ``bits`` of at most
+    ``width`` bits, ordered by inclusion: ``leq[i, j]`` when every bit of
+    ``bits[i]`` is set in ``bits[j]``.
+
+    Inclusion is reflexive and transitive, and antisymmetric exactly when
+    the masks differ, so only that is checked: a repeated mask raises the
+    :class:`NotAPartialOrder` that :func:`build_poset` raises for the
+    first pair (i, j) in row-major order whose masks are equal.
+    ``elements`` and ``labels`` are kept as given, tuples or
+    :class:`_Lazy` sequences, and read only to name that failure.
 
     Row i of ``b`` holds the bits of set i, so ``(b @ (1 - b).T)[i, j]``
     counts the bits of i missing from j; a count is at most ``width``,
     below 2**24, so the float32 product is exact.
     """
+    # each mask's first index: read backwards, the last write is the first
+    first = {v: j for j, v in reversed([*enumerate(bits)])}
+    if len(first) < len(bits):
+        # the first row with an equal partner is the first member of its
+        # mask's group, and its first partner is the group's second member
+        i, j = min((first[v], j) for j, v in enumerate(bits) if first[v] != j)
+        raise _not_antisymmetric(elements, labels, i, j)
     nbytes = (width + 7) // 8
     raw = b"".join(v.to_bytes(nbytes, "little") for v in bits)
     rows = np.frombuffer(raw, np.uint8).reshape(len(bits), nbytes)
     b = np.unpackbits(rows, axis=1, count=width,
                       bitorder="little").astype(np.float32)
-    return (b @ (1 - b).T) == 0
+    return FinitePoset(elements, labels, (b @ (1 - b).T) == 0)
+
+
+def _set_poset(sets: Iterable[frozenset], order: Sequence) -> FinitePoset:
+    """The sets ordered by inclusion, labelled by :func:`set_label`; every
+    member is an item of ``order``, which numbers the bits."""
+    bit = {x: 1 << i for i, x in enumerate(order)}
+    sets = tuple(sets)
+    return _inclusion(sets, [sum(map(bit.get, s)) for s in sets], len(order),
+                      tuple(set_label(s, order) for s in sets))
 
 
 # ---------------------------------------------------------------------------
@@ -612,10 +647,7 @@ def powerset_lattice(items: Sequence) -> FinitePoset:
     base = list(items)
     subsets = [frozenset(c) for r in range(len(base) + 1)
                for c in itertools.combinations(base, r)]
-    bit = {x: 1 << i for i, x in enumerate(base)}
-    return build_poset(
-        subsets, _inclusion([sum(map(bit.get, s)) for s in subsets], len(base)),
-        [set_label(s, base) for s in subsets])
+    return _set_poset(subsets, base)
 
 
 def hexagon() -> OrthoLattice:

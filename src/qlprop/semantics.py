@@ -80,7 +80,7 @@ from .errors import (
     SchemaError,
     UnknownProperty,
 )
-from .lattice import FinitePoset, _Lazy, _inclusion, build_poset, set_label
+from .lattice import FinitePoset, _Lazy, _inclusion, _set_poset
 from .model import Interpretation, Model, enumerate_interpretations
 from .syntax import And, Atom, Formula, Not, Or, QNot, format_lx
 
@@ -421,12 +421,8 @@ def testable_proposition_poset(m: Model, depth: int) -> FinitePoset:
     """
     _check_cap(depth)
     k = m.kernel
-    # a proposition's full-block mask includes another's exactly when
-    # its states do
-    full = list(dict.fromkeys(k.full(k.atom(e)) for e in m.properties))
-    props = [k.proposition(v) for v in full]
-    return build_poset(props, _inclusion(full, k.universe.bit_length()),
-                       [set_label(p, m.states) for p in props])
+    return _set_poset(dict.fromkeys(k.proposition(k.atom(e))
+                                    for e in m.properties), m.states)
 
 
 def forall_proposition(m: Model, f: Formula, cap: int | None = None) -> frozenset[str]:
@@ -501,11 +497,11 @@ class LTAlgebra:
     @cached_property
     def poset(self) -> FinitePoset:
         """The classes ordered by slot inclusion of their profiles."""
-        classes = self.classes
-        leq = _inclusion(self.bits, self.model.kernel.universe.bit_length())
-        return build_poset(
-            _Lazy(len(classes), lambda i: classes[i].profile), leq,
-            _Lazy(len(classes), lambda i: format_lx(classes[i].representative)))
+        classes, n = self.classes, len(self.classes)
+        return _inclusion(
+            _Lazy(n, lambda i: classes[i].profile), self.bits,
+            self.model.kernel.universe.bit_length(),
+            _Lazy(n, lambda i: format_lx(classes[i].representative)))
 
     def closed(self) -> "LTAlgebra":
         m = self.model

@@ -502,10 +502,10 @@ def test_check_cm_builds_one_quotient_poset(models_dir, monkeypatch, capsys):
 
     def counting(elements, *a, **k):
         sizes.append(len(elements))
-        return build_poset(elements, *a, **k)
+        return inclusion(elements, *a, **k)
 
-    build_poset = semantics.build_poset
-    monkeypatch.setattr(semantics, "build_poset", counting)
+    inclusion = semantics._inclusion
+    monkeypatch.setattr(semantics, "_inclusion", counting)
     assert main(["check", "--model", str(models_dir / "m_cm.json"),
                  "--suite", "cm"]) == 0
     assert sizes == [8]

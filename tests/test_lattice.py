@@ -11,6 +11,7 @@ closure systems, random posets and the fixed fixtures.
 import functools
 import itertools
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -19,8 +20,11 @@ from hypothesis import example, given, settings, strategies as st
 from qlprop.errors import (
     MeetJoinMissing,
     NotAPartialOrder,
+    NotOperationClosed,
     SearchCapExceeded,
+    ThetaNotInjectiveWarning,
 )
+from qlprop.hilbert import certain_states, state_lattice
 from qlprop.lattice import (
     LawCheck,
     OrthoLattice,
@@ -34,15 +38,24 @@ from qlprop.lattice import (
 )
 import qlprop.lattice as lattice
 from qlprop.lattice import _inclusion, _join_prime
-from qlprop.model import m_qutrit
-from qlprop.semantics import lindenbaum_tarski
+from qlprop.model import m_cm, m_qbit, m_qutrit, m_sr
+from qlprop.semantics import (
+    lindenbaum_tarski,
+    physical_proposition,
+    testable_proposition_poset,
+)
+from qlprop.syntax import Atom, format_lx
 
 from helpers import (
+    join_open,
+    mo2_qubit,
+    non_injective_qubit,
     oracle_boolean_witnesses,
     oracle_complement_witness,
     oracle_glb_table,
     oracle_ortho_witnesses,
     oracle_tables,
+    random_check_case,
 )
 
 # ---------------------------------------------------------------------------
@@ -70,10 +83,14 @@ def test_inclusion_is_the_subset_order(seed):
         while len(bits) < n:
             p = rng.random()
             bits[sum(1 << i for i in range(width) if rng.random() < p)] = None
-        sets = [frozenset(i for i in range(width) if v >> i & 1) for v in bits]
+        sets = tuple(frozenset(i for i in range(width) if v >> i & 1)
+                     for v in bits)
+        labels = tuple(map(str, range(n)))
         want = build_poset(sets, lambda x, y: x <= y).leq
-        got = _inclusion(list(bits), width)
-        assert got.dtype == bool and np.array_equal(got, want), (width, n)
+        got = _inclusion(sets, list(bits), width, labels)
+        assert got.leq.dtype == bool and np.array_equal(got.leq, want), \
+            (width, n)
+        assert got.elements is sets and got.labels is labels
 
 
 def test_build_poset_rejects_missing_reflexivity():
@@ -117,28 +134,60 @@ def test_lazy_sequence_indexes_as_a_tuple_and_makes_each_item_once():
         seq[-5]
 
 
-def test_build_poset_keeps_lazy_sequences_and_reads_labels_only_to_fail():
-    leq = np.array([[1, 1, 1], [0, 1, 1], [0, 0, 1]], dtype=bool)
+def test_inclusion_keeps_lazy_sequences_and_reads_labels_only_to_fail():
     made_els, made_labels = [], []
     els = _lazy(("x", "y", "z"), made_els)
     labels = _lazy(("X", "Y", "Z"), made_labels)
-    p = build_poset(els, leq, labels)
+    p = _inclusion(els, [0b00, 0b01, 0b11], 2, labels)
     assert p.elements is els and p.labels is labels
+    assert p.leq.tolist() == [[True, True, True], [False, True, True],
+                              [False, False, True]]
     assert made_els == made_labels == []
-    # an intransitive order is refused, naming the three labels of the
-    # first gap and making no other
-    leq[0, 2] = False
-    made_els.clear()
-    made_labels.clear()
+    # a repeated mask is refused, naming the first equal pair and making
+    # no other element or label
     with pytest.raises(NotAPartialOrder) as exc:
-        build_poset(_lazy(("x", "y", "z"), made_els), leq,
-                    _lazy(("X", "Y", "Z"), made_labels))
-    assert str(exc.value) == "transitivity fails from 'X' via 'Y' to 'Z'"
-    assert exc.value.witness == ("x", "y", "z")
-    assert sorted(made_labels) == [0, 1, 2]
-    with pytest.raises(NotAPartialOrder, match="2 labels for 3 elements"):
-        build_poset(("x", "y", "z"), np.eye(3, dtype=bool),
-                    _lazy(("X", "Y"), made_labels))
+        _inclusion(_lazy(("x", "y", "z"), made_els), [0b01, 0b10, 0b01], 2,
+                   _lazy(("X", "Y", "Z"), made_labels))
+    assert str(exc.value) == "antisymmetry fails between 'X' and 'Z'"
+    assert exc.value.witness == ("x", "z")
+    assert sorted(made_els) == sorted(made_labels) == [0, 2]
+
+
+def _refusal(build):
+    with pytest.raises(NotAPartialOrder) as exc:
+        build()
+    return str(exc.value), exc.value.witness
+
+
+def test_repeated_sets_are_refused_as_build_poset_refuses_them():
+    # powerset_lattice(["a", "a"]) makes the subset {a} three times
+    a = frozenset("a")
+    want = _refusal(lambda: build_poset(
+        [frozenset(), a, a, a], lambda x, y: x <= y,
+        ["{}", "{a, a}", "{a, a}", "{a, a}"]))
+    assert want == ("antisymmetry fails between '{a, a}' and '{a, a}'",
+                    (a, a))
+    assert _refusal(lambda: powerset_lattice(["a", "a"])) == want
+    # [A, B, B, A]: scanning left to right, the first repeat is (1, 2),
+    # but the first equal pair in row-major order is (0, 3)
+    sets, labels = ("A", "B", "B", "A"), ("A0", "B1", "B2", "A3")
+    masks = {"A": 0b01, "B": 0b10}
+    want = _refusal(lambda: build_poset(
+        sets, lambda x, y: masks[x] | masks[y] == masks[y], labels))
+    assert want == ("antisymmetry fails between 'A0' and 'A3'", ("A", "A"))
+    assert _refusal(lambda: _inclusion(
+        sets, [masks[x] for x in sets], 2, labels)) == want
+    # random families with repeats
+    rng = random.Random(34)
+    for _ in range(200):
+        width = rng.randint(1, 4)
+        bits = [rng.randrange(2 ** width) for _ in range(rng.randint(2, 9))]
+        if len(set(bits)) == len(bits):
+            continue
+        labels = tuple(f"s{i}" for i in range(len(bits)))
+        assert _refusal(lambda: _inclusion(bits, bits, width, labels)) \
+            == _refusal(lambda: build_poset(
+                bits, lambda x, y: x | y == y, labels)), bits
 
 
 def test_build_poset_copies_other_sequences_into_tuples():
@@ -162,6 +211,72 @@ def test_antichain_has_no_bounds():
         p.meet_join_tables()
     assert exc.value.witness == (1, 2)
     assert str(exc.value) == "no join for '{1}' and '{2}'"
+
+
+# ---------------------------------------------------------------------------
+# the library's own posets skip validation: each one's order, elements and
+# labels against build_poset with the subset predicate
+
+
+def _set_label(members, order):
+    return "{" + ", ".join(str(x) for x in order if x in members) + "}"
+
+
+def _assert_validated(p, elements, subset, labels):
+    want = build_poset(elements, subset, labels)
+    assert p.elements[:] == want.elements and p.labels[:] == want.labels
+    assert np.array_equal(p.leq, want.leq)
+
+
+def _by_inclusion(p, elements, order):
+    _assert_validated(p, tuple(elements), lambda x, y: x <= y,
+                      tuple(_set_label(x, order) for x in elements))
+
+
+def _slotwise(x, y):
+    return all(a <= b for a, b in zip(x, y))
+
+
+TRUSTED_MODELS = {
+    "m_sr": m_sr, "m_cm": m_cm, "m_qbit": m_qbit, "m_qutrit": m_qutrit,
+    "join_open": join_open,
+    "non_injective_qubit": non_injective_qubit,
+    **{f"random{seed}": functools.partial(
+        lambda s: random_check_case(s)[0], seed) for seed in range(16)},
+    **{f"mo2_qubit{seed}": functools.partial(mo2_qubit, seed)
+       for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("name", TRUSTED_MODELS)
+def test_trusted_posets_equal_the_validated_subset_order(name):
+    m = TRUSTED_MODELS[name]()
+    if m.hilbert is not None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ThetaNotInjectiveWarning)
+            try:
+                lat = state_lattice(m)
+            except NotOperationClosed:
+                assert name == "join_open"
+            else:
+                _by_inclusion(lat.poset, dict.fromkeys(
+                    certain_states(m, e) for e in m.properties), m.states)
+    _by_inclusion(testable_proposition_poset(m, 1), dict.fromkeys(
+        physical_proposition(m, Atom(e)) for e in m.properties), m.states)
+    for depth in (1, 2, 3):
+        lt = lindenbaum_tarski(m, depth)
+        for alg in (lt, lt.closed()):
+            _assert_validated(
+                alg.poset, tuple(c.profile for c in alg.classes), _slotwise,
+                tuple(format_lx(c.representative) for c in alg.classes))
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_powerset_lattice_equals_the_validated_subset_order(k):
+    items = list("abcdef"[:k])
+    _by_inclusion(powerset_lattice(items), [
+        frozenset(c) for r in range(k + 1)
+        for c in itertools.combinations(items, r)], items)
 
 
 # ---------------------------------------------------------------------------

@@ -508,13 +508,13 @@ def test_lt_closed_is_idempotent_and_boolean():
 
 def test_lt_poset_is_built_once_when_read(monkeypatch):
     calls = []
-    build_poset = semantics.build_poset
+    inclusion = semantics._inclusion
 
     def counting(*a, **k):
         calls.append(1)
-        return build_poset(*a, **k)
+        return inclusion(*a, **k)
 
-    monkeypatch.setattr(semantics, "build_poset", counting)
+    monkeypatch.setattr(semantics, "_inclusion", counting)
     alg = lindenbaum_tarski(m_cm(), 3)
     closed = alg.closed()
     assert calls == []
