@@ -3,14 +3,17 @@
 The corpus below runs ``qlprop parse`` on formulas of all three
 languages (every precedence and parenthesis case, and at least one error
 of each parse exception type), ``qlprop check`` on the suite/fixture
-pairs that finish in about a second, as text and as ``--json``, and
-``qlprop lattice`` on the four fixtures.  The expected transcripts live
-in ``tests/golden/*.json``; the fixture directory is written there as
-``{models}``.
+pairs that finish in about a second, as text and as ``--json``,
+``qlprop lattice`` on the four fixtures, and ``qlprop props`` in every
+mode on the four fixtures, with its refusals.  The expected transcripts
+live in ``tests/golden/*.json``; the fixture directory is written there
+as ``{models}``.
 
 Regenerate them (only when an output change is intended) with::
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [GROUP ...]
+
+which rewrites the named groups' files, or every group's without a name.
 """
 
 from __future__ import annotations
@@ -205,8 +208,52 @@ def _lattice_cases():
     return cases
 
 
+# per fixture: a formula and an interpretation that names an object
+# other than the default one; on every fixture but m_cm, whose extensions
+# are all full or empty, that object changes the individual proposition
+_PROPS = {
+    "m_sr": ("E(x) | !F(x)", "S1=u2"),
+    "m_cm": ("E(x) & !F(x)", "S1=a2"),
+    "m_qbit": ("Ez+(x) | Ex+(x)", "Sz-=o2"),
+    "m_qutrit": ("P3(x) | P7(x)", "T1=o2"),
+}
+_PROPS_LTQ = {"m_qbit": "~q Ez+(x) & (Ez+(x) |q Ex+(x))",
+              "m_qutrit": "~q P3(x) & P10(x)"}
+
+
+def _props_cases():
+    runs = {}
+    for m, (formula, pick) in _PROPS.items():
+        model = f"{{models}}/{m}.json"
+        for mode, extra in (("default", []), ("physical", ["--physical"]),
+                            ("individual", ["--individual", ""]),
+                            ("individual-pick", ["--individual", pick]),
+                            ("forall", ["--forall"]),
+                            ("forall-cap", ["--forall", "--enum-cap", "64"])):
+            runs[f"{mode}-{m}"] = ["props", "--model", model, *extra, formula]
+    for m, formula in _PROPS_LTQ.items():
+        runs[f"ltq-{m}"] = ["props", "--model", f"{{models}}/{m}.json",
+                            "--lang", "ltq", formula]
+    cases = {}
+    for cid, argv in runs.items():
+        cases[cid] = argv
+        cases[f"{cid}-json"] = argv[:1] + ["--json"] + argv[1:]
+    qbit = "{models}/m_qbit.json"
+    cases["forall-over-cap-m_qbit"] = ["props", "--model", qbit, "--forall",
+                                       "--enum-cap", "1", "Ez+(x)"]
+    cases["enum-cap-without-forall"] = ["props", "--model", qbit,
+                                        "--enum-cap", "64", "Ez+(x)"]
+    cases["ltq-forall"] = ["props", "--model", qbit, "--lang", "ltq",
+                           "--forall", "Ez+(x)"]
+    cases["parse-error"] = ["props", "--model", qbit, "Ez+(x) &"]
+    # the formula is parsed before the interpretation is read
+    cases["parse-error-bad-interp"] = ["props", "--model", qbit,
+                                       "--individual", "Sz+", "Ez+(x) &"]
+    return cases
+
+
 GROUPS = {"parse": _parse_cases(), "check": _check_cases(),
-          "lattice": _lattice_cases()}
+          "lattice": _lattice_cases(), "props": _props_cases()}
 
 
 def _run(argv: list[str], models: str) -> dict:
@@ -255,7 +302,7 @@ if __name__ == "__main__":
         with contextlib.redirect_stdout(io.StringIO()):
             main(["fixtures", "--out", tmp])
         GOLDEN.mkdir(exist_ok=True)
-        for name in GROUPS:
+        for name in sys.argv[1:] or GROUPS:
             doc = _record(name, tmp)
             (GOLDEN / f"{name}.json").write_text(
                 json.dumps(doc, indent=1) + "\n", encoding="utf-8")
