@@ -189,30 +189,24 @@ def cmd_props(args) -> int:
     if args.lang == "ltq" and (args.individual is not None or args.forall):
         raise QlpropError("quantum formulas support --physical only")
     m = _load(args)
-    lines: list[str] = []
-    payload: dict = {"command": "props"}
     if args.lang == "ltq":
         f = parse_tq(args.formula)
-        prop = tq_physical_proposition(m, f)
-        lines.append(set_label(prop, m.states))
-        payload.update(kind="physical", states=sorted(prop))
-    elif args.individual is not None:
-        f = parse_lx(args.formula)
-        interp = _parse_interp(m, args.individual)
-        prop = individual_proposition(m, interp, f)
-        lines.append(set_label(prop, m.states))
-        payload.update(kind="individual", states=sorted(prop))
-    elif args.forall:
-        f = parse_lx(args.formula)
-        prop = forall_proposition(m, f, cap=args.enum_cap)
-        lines.append(set_label(prop, m.states))
-        lines.append("matches per-state form: yes")
-        payload.update(kind="forall", states=sorted(prop), matches_physical=True)
+        kind, prop = "physical", tq_physical_proposition(m, f)
     else:
+        # the formula is parsed before the interpretation is read
         f = parse_lx(args.formula)
-        prop = physical_proposition(m, f)
-        lines.append(set_label(prop, m.states))
-        payload.update(kind="physical", states=sorted(prop))
+        if args.individual is not None:
+            interp = _parse_interp(m, args.individual)
+            kind, prop = "individual", individual_proposition(m, interp, f)
+        elif args.forall:
+            kind, prop = "forall", forall_proposition(m, f, cap=args.enum_cap)
+        else:
+            kind, prop = "physical", physical_proposition(m, f)
+    lines = [set_label(prop, m.states)]
+    payload: dict = {"command": "props", "kind": kind, "states": sorted(prop)}
+    if kind == "forall":
+        lines.append("matches per-state form: yes")
+        payload["matches_physical"] = True
     _emit(args, lines, payload)
     return 0
 
@@ -287,7 +281,6 @@ def _suite_cm(m: Model, depth: int, assume_cmt: bool, out: _Suite):
                  "" if ok else f"witness {witness}")
     _check_cap(depth)
     k = m.kernel
-    top = k.universe
     # each check below reads a formula's profile only, so it runs over
     # the classes of the formulas up to depth 2.  The law checks read
     # their closure: at every depth from 1 up, the closure is the Boolean
@@ -295,20 +288,19 @@ def _suite_cm(m: Model, depth: int, assume_cmt: bool, out: _Suite):
     # into the same profiles with other representatives, which only a
     # failed law would print, and no law fails on a field of sets
     low = lindenbaum_tarski(m, min(depth, 2))
-    props = [k.full(v) for v in low.bits]
-    # every state block full in the profile or in its complement
-    rho_ok = all(p | k.full(top ^ v) == top for v, p in zip(low.bits, props))
-    out.passfail(rho_ok, "truth independent of the interpretation")
+    # the slots of each profile v outside its full blocks.  None is left
+    # exactly when every state block is full or empty in every profile,
+    # which is when truth is independent of the interpretation.  It is
+    # also when the individual propositions collapse: the picked slots
+    # that hold are those in full blocks, v & pick == full(v) & pick, and
+    # every universe is non-empty, so every slot is picked by some
+    # interpretation.  The count gate is kept so that the second line
+    # appears on the same models.
+    diff = 0
+    for v in low.bits:
+        diff |= v ^ k.full(v)
+    out.passfail(not diff, "truth independent of the interpretation")
     if interpretation_count(m) <= 10 ** 4:
-        # the picked slots that hold are exactly those in full blocks:
-        # v & pick == p & pick for every formula, so no picked slot lies
-        # in any formula's difference v ^ p.  Every universe is non-empty,
-        # so every slot is picked by some interpretation, and the
-        # propositions collapse exactly when no difference is left.  The
-        # count gate is kept so that the line appears on the same models.
-        diff = 0
-        for v, p in zip(low.bits, props):
-            diff |= v ^ p
         out.passfail(not diff, "individual propositions collapse to physical")
     untestable = [c for v, c in zip(low.bits, low.classes)
                   if k.witness(v) is None]

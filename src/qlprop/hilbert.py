@@ -536,7 +536,8 @@ class PropertyTable:
     read as ``ortho`` of the ``meet`` of the operands' ``ortho`` entries,
     and is missing when one of those three lookups is.  ``certain(e)`` is
     the set of states whose ray lies in ``e``'s subspace, and
-    ``orthogonal(e)`` the set of those whose ray is orthogonal to it.
+    ``orthogonal(e)`` the set of those whose ray is orthogonal to it;
+    both read one row per state, each ray's basis vector, stacked once.
     Every entry is computed once and kept, including a missing operation
     result: every request for it raises the same
     :class:`NotOperationClosed`, with the key as its witness.  An operand
@@ -582,7 +583,8 @@ class PropertyTable:
         self._orthogonal: dict[str, frozenset[str]] = {}
         # rank -> declared names, stacked bases
         self._groups: dict[int, tuple] = {}
-        self._ray_rows: tuple | None = None
+        # each state's ray row, in state order
+        self._ray_rows: np.ndarray | None = None
 
     def _group(self, rank: int) -> tuple:
         try:
@@ -722,21 +724,19 @@ class PropertyTable:
         return out
 
     def _within(self, e: str, norms) -> frozenset[str]:
-        """The states all of whose ray rows have ``norms(basis, rows)``,
-        against ``e``'s basis, at most the table's tolerance; one call
-        decides every ray."""
+        """The states whose ray's row has ``norms(basis, rows)``, against
+        ``e``'s basis, not above the table's tolerance; one call decides
+        every ray.  Each ray is its basis's one row: ``make_model``
+        refuses a ray of any other rank, and :meth:`Subspace.ray`, which
+        builds the rays of ``load_model`` and ``build_qm_model``, returns
+        rank 1 or raises."""
         sub = self._subspace(e)
         if self._ray_rows is None:
-            # every ray's rows, and each ray's slice
-            spans, rows = [], []
-            for s, ray in self._rays.items():
-                spans.append((s, len(rows), len(rows) + ray.rank))
-                rows.extend(ray.basis)
-            self._ray_rows = (
-                spans, np.array(rows, dtype=complex).reshape(len(rows), sub.dim))
-        spans, rows = self._ray_rows
-        outside = (norms(sub.basis, rows) > self._tol).tolist()
-        return frozenset(s for s, lo, hi in spans if not any(outside[lo:hi]))
+            self._ray_rows = np.array(
+                [ray.basis[0] for ray in self._rays.values()],
+                dtype=complex).reshape(len(self._rays), sub.dim)
+        outside = (norms(sub.basis, self._ray_rows) > self._tol).tolist()
+        return frozenset(s for s, out in zip(self._rays, outside) if not out)
 
 
 def _annotation(model: "Model") -> HilbertAnnotation:

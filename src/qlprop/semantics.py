@@ -110,8 +110,10 @@ class ProfileKernel:
     Object ``i`` of the ``k``-th state sits at bit ``offset_k + i``,
     where ``offset_k`` is the total universe size of the states before
     it.  A profile is the ``int`` of the slots a formula's extensions
-    cover; ``universe`` has every slot set.  Atom profiles, full-block
-    masks and physical propositions are computed on first use and kept.
+    cover; ``universe`` has every slot set.  Atom profiles and full-block
+    masks are computed on first use and kept; a physical proposition is
+    read from its full-block mask on every call, since no caller asks one
+    kernel for the same proposition twice.
 
     :meth:`witness` decides testability: it maps each atom profile to the
     first declared property that has it, a map built from every atom on
@@ -138,7 +140,6 @@ class ProfileKernel:
         self._atoms: dict[str, int] = {}
         self._witnesses: dict[int, str] | None = None
         self._full: dict[int, int] = {}
-        self._states: dict[int, frozenset[str]] = {}
 
     def slots(self, state: str) -> dict[str, int]:
         """The bit of each object of ``state``, in universe order."""
@@ -201,11 +202,7 @@ class ProfileKernel:
     def proposition(self, v: int) -> frozenset[str]:
         """States whose block ``v`` covers: the physical proposition."""
         fb = self.full(v)
-        out = self._states.get(fb)
-        if out is None:
-            out = frozenset(s for s, mask in self._blocks.items() if fb & mask)
-            self._states[fb] = out
-        return out
+        return frozenset(s for s, mask in self._blocks.items() if fb & mask)
 
     def holds(self, v: int, interp: Interpretation) -> frozenset[str]:
         """States whose chosen object ``v`` covers: the individual

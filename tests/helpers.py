@@ -403,6 +403,23 @@ def projector_equal(rows_a, rows_b, tol: float) -> bool | None:
     return all(r <= tol for r in res)
 
 
+def oracle_certain(m: Model) -> dict[str, frozenset]:
+    """For each property, the states whose ray ``psi`` has a residual
+    ``psi - P psi`` of norm at most the larger of the two tolerances,
+    with ``P`` the property's :func:`span_projector`."""
+    ann = m.hilbert
+    out = {}
+    for e in m.properties:
+        sub = ann.property_subspaces[e]
+        p = span_projector(sub.basis, ann.dim)
+        out[e] = frozenset(
+            s for s in m.states
+            if np.linalg.norm((np.eye(ann.dim) - p)
+                              @ ann.state_rays[s].basis[0])
+            <= max(sub.tol, ann.state_rays[s].tol))
+    return out
+
+
 def oracle_orthogonal(m: Model) -> dict[str, frozenset]:
     """For each property, the states whose ray ``psi`` has ``P psi`` of
     norm at most the larger of the two tolerances, with ``P`` the

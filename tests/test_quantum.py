@@ -54,6 +54,7 @@ from helpers import (
     join_open,
     mo2_qubit,
     non_injective_qubit,
+    oracle_certain,
     oracle_orthogonal,
     oracle_witness,
     random_tq_formula,
@@ -692,6 +693,7 @@ def test_orthogonal_states_are_the_certain_states_of_the_complement(
     assert orthogonal \
         == {e: table.certain(table.ortho(e)) for e in m.properties}
     assert orthogonal == oracle_orthogonal(m)
+    assert {e: table.certain(e) for e in m.properties} == oracle_certain(m)
 
 
 def test_orthogonal_reads_no_complement_or_property_matching(monkeypatch):
