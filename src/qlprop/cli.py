@@ -186,6 +186,8 @@ def cmd_eval(args) -> int:
 def cmd_props(args) -> int:
     if args.enum_cap is not None and not args.forall:
         raise QlpropError("--enum-cap requires --forall")
+    if args.enum_cap is not None and args.enum_cap < 0:
+        raise QlpropError(f"--enum-cap {args.enum_cap} is negative")
     if args.lang == "ltq" and (args.individual is not None or args.forall):
         raise QlpropError("quantum formulas support --physical only")
     m = _load(args)

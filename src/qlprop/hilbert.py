@@ -12,9 +12,15 @@ computing the complement.  The rule is applied to many
 rows at once: with a basis as the rows of A and the unit vectors as the
 rows of B, the residuals are the rows of R = B - (B A^H) A, and stacking
 bases and row sets along leading axes decides many pairs in one
-product.  ``contains(a, b)`` applies it to the basis rows of ``b``, and
-``a == b`` holds when both directions do at equal rank.
-``meet(a, b)`` applies it to all unit vectors of ``a`` at once: with
+product.  One function, :func:`_outside_matrix`, decides it for stacks
+of bases against stacks of bases, and every containment and equality
+test between subspaces goes through it: ``contains(a, b)`` applies it
+to the basis rows of ``b``, ``a == b`` holds when both directions do at
+equal rank, and the property table, ``make_model``'s distinctness check
+and the closure decide many pairs of one rank in one
+:func:`_equal_matrix` (the property table's ray tests read the norms
+themselves).
+``meet(a, b)`` applies the rule to all unit vectors of ``a`` at once: with
 the bases as the rows of A and B, their residuals against ``b`` are the
 singular values of R = A - (A B^H) B, and the left singular vectors with
 singular value at most ``tol``, mapped back through A, span the meet
@@ -29,8 +35,9 @@ trailing rows of one full SVD of ``a``'s basis, so its rank is ``dim -
 rank(a)`` exactly.  Each of the three is written once, as a kernel over
 stacked bases (k, r, dim); :func:`ortho`, :func:`meet` and :func:`join`
 call it with a stack of one, :func:`closure_generate` with all the
-operations of a round at once, and the property table with the
-complements and meets it needs at once (it computes no join).
+operations of a round at once (only those with an element the previous
+round kept), and the property table with the complements and meets it
+needs at once (it computes no join).
 
 ``Subspace.span`` is modified Gram-Schmidt, which keeps a vector ``v``
 when its residual against the rows kept so far exceeds ``tol * max(1,
@@ -48,9 +55,10 @@ first use and filled lazily, so every fact is computed at most once per
 annotation and only when something asks for it; loading a model computes
 none, and ``build_qm_model`` computes the certain and orthogonal states
 it derives the extensions from.
-A subspace result maps to the first declared property equal to it under
-``Subspace.__eq__``.  :meth:`PropertyTable.names` answers a list of
-operation keys in order: it computes the missing ones at once, stacking
+A subspace result maps to the first declared property equal to it, by
+mutual containment at the table's tolerance.  :meth:`PropertyTable.names`
+answers a list of operation keys in order: it computes the missing ones
+at once, stacking
 their operations by kind and operand ranks, then groups the results by
 rank and decides each group against the declared subspaces of that rank
 in one mutual containment matrix of the result x declared pairs: one
@@ -255,7 +263,8 @@ class Subspace:
         return self.basis.T @ self.basis.conj()
 
     def __eq__(self, other) -> bool:
-        """Mutual containment within tolerance, tested only at equal rank.
+        """Mutual containment within the larger tolerance, tested only at
+        equal rank, by :func:`_equal_matrix` on a stack of one each.
 
         Unequal ranks compare unequal without a containment test, and
         this is what mutual containment would decide anyway.  Let the
@@ -270,9 +279,8 @@ class Subspace:
             return NotImplemented
         if self.dim != other.dim or self.rank != other.rank:
             return False
-        tol = max(self.tol, other.tol)
-        return not (_outside(_residual_norms(self.basis, other.basis), tol)
-                    or _outside(_residual_norms(other.basis, self.basis), tol))
+        return bool(_equal_matrix(self.basis[None], max(self.tol, other.tol),
+                                  other.basis[None])[0, 0])
 
     __hash__ = None  # tolerance-based equality cannot hash consistently
 
@@ -322,22 +330,17 @@ def _projection_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.norm(b.dot(a.conj().T), axis=1)
 
 
-def _outside(norms: np.ndarray, tol: float) -> bool:
-    """Whether some residual norm is above ``tol``; a NaN norm is not."""
-    return any(map(float(tol).__lt__, norms.tolist()))
-
-
 def _outside_matrix(bases: np.ndarray, others: np.ndarray,
                     tol: float) -> np.ndarray:
     """Whether some row of each of the stacked bases ``others`` (m, rank,
-    dim) lies outside each of ``bases`` (n, rank, dim) at ``tol``: the
-    (n, m) matrix.
+    dim) lies outside each of ``bases`` (n, r, dim) at ``tol``: the (n, m)
+    matrix.  A NaN residual is not outside.
 
     It is decided in one batched residual, all of ``others``' rows against
     each basis, in blocks of about ``_BLOCK`` entries.
     """
-    n, rank, dim = bases.shape
-    m = len(others)
+    n = len(bases)
+    m, rank, dim = others.shape
     rows = others.reshape(m * rank, dim)
     step = max(1, _BLOCK // max(1, rows.size))
     parts = []
@@ -367,34 +370,35 @@ def _equal_matrix(bases: np.ndarray, tol: float,
              | _outside_matrix(others, bases, tol).T)
 
 
-def _first_equal_pair(subspaces: Sequence[Subspace],
-                      tol: float) -> tuple[int, int] | None:
-    """The first pair ``(i, j)`` in ``itertools.combinations`` order whose
-    subspaces are equal at ``tol``, or None.  All live in one dimension.
-    Each group of equal rank is decided in one :func:`_equal_matrix`.
-    """
+def _rank_groups(subspaces: Sequence[Subspace],
+                 tol: float) -> list[tuple[list[int], np.ndarray]]:
+    """The indices of each rank's subspaces, in order, with the group's
+    :func:`_equal_matrix` at ``tol``.  All live in one dimension; a group
+    of one is equal to itself without a residual."""
     groups: dict[int, list[int]] = {}
     for i, s in enumerate(subspaces):
         groups.setdefault(s.rank, []).append(i)
-    first = None
-    for idx in groups.values():
-        if len(idx) < 2:
-            continue
-        equal = _equal_matrix(np.array([subspaces[i].basis for i in idx]), tol)
-        # nonzero lists the equal pairs row by row, so the first with
-        # i < j is the group's first; idx keeps declaration order
-        ii, jj = np.nonzero(equal)
-        pair = next(((idx[i], idx[j]) for i, j in zip(ii.tolist(), jj.tolist())
-                     if i < j), None)
-        if pair and (first is None or pair < first):
-            first = pair
-    return first
+    return [(idx, _equal_matrix(np.array([subspaces[i].basis for i in idx]), tol)
+             if len(idx) > 1 else np.ones((1, 1), bool))
+            for idx in groups.values()]
+
+
+def _first_equal_pair(subspaces: Sequence[Subspace],
+                      tol: float) -> tuple[int, int] | None:
+    """The first pair ``(i, j)`` in ``itertools.combinations`` order whose
+    subspaces are equal at ``tol``, or None: the least over the rank
+    groups of :func:`_rank_groups`, whose indices keep the given order.
+    """
+    return min(((idx[i], idx[j]) for idx, equal in _rank_groups(subspaces, tol)
+                for i, row in enumerate(equal.tolist())
+                for j in range(i + 1, len(row)) if row[j]), default=None)
 
 
 def contains(a: Subspace, b: Subspace) -> bool:
     """True iff every basis vector of ``b`` projects into ``a`` within tol."""
     _check_dims(a, b)
-    return not _outside(_residual_norms(a.basis, b.basis), max(a.tol, b.tol))
+    return not _outside_matrix(a.basis[None], b.basis[None],
+                               max(a.tol, b.tol))[0, 0]
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
@@ -804,39 +808,48 @@ def closure_generate(dim: int, generators: Sequence[Subspace],
     """Smallest set of subspaces containing the generators and closed
     under complement, meet and join.
 
-    Elements are deduplicated by mutual containment and returned in a
-    deterministic generation order.  Raises :class:`ClosureCapExceeded`
-    if the closure would grow past ``cap`` (some generator configurations
-    have infinite closures).
+    The generators are the first round's results.  Each later round is
+    semi-naive: it complements the elements the previous round kept, then
+    takes meet before join for each pair (i, j), i < j, in row-major
+    order, where j is one of those elements; a pair of older elements was
+    combined in an earlier round.  A result is kept, in this order, when
+    it equals no element kept before it, those kept earlier in its round
+    included; its round decides that by mutual containment in one
+    :func:`_equal_matrix` per rank (:func:`_rank_groups`) over the kept
+    elements and the round's results.  The generators must share one
+    tolerance, which decides every residual, or :class:`InvalidTolerance`
+    is raised.  Raises :class:`ClosureCapExceeded` if the closure would
+    grow past ``cap`` (some generator configurations have infinite
+    closures).
     """
     if cap < len(generators):
         raise ClosureCapExceeded(
             f"cap {cap} is smaller than the {len(generators)} generators")
-    elems: list[Subspace] = []
-
-    def add(s: Subspace):
-        for e in elems:
-            if e == s:
-                return
-        if len(elems) + 1 > cap:
-            raise ClosureCapExceeded(f"closure exceeds cap {cap}")
-        elems.append(s)
-
     for g in generators:
         if g.dim != dim:
             raise DimensionMismatch(
                 f"generator of dimension {g.dim} in closure of dimension {dim}")
-        add(g)
-    changed = True
-    while changed:
-        # each round's operations act on the elements it starts with and
-        # are added in this order: complements, then meet before join per
-        # pair
+        if g.tol != generators[0].tol:
+            raise InvalidTolerance(f"generators must share one tolerance, got "
+                                   f"{float(generators[0].tol)!r} and {float(g.tol)!r}")
+    elems, found = [], list(generators)
+    while found:
+        start, pool = len(elems), elems + found
+        new = []
+        for idx, equal in _rank_groups(pool, found[0].tol):
+            rows = equal.tolist()
+            # the group's kept elements come first, as pool lists them
+            kept = [k for k, i in enumerate(idx) if i < start]
+            for k in range(len(kept), len(idx)):
+                if not any(rows[k][j] for j in kept):
+                    kept.append(k)
+                    new.append(idx[k])
+        elems += [pool[i] for i in sorted(new)]
+        if len(elems) > cap:
+            raise ClosureCapExceeded(f"closure exceeds cap {cap}")
         size = len(elems)
-        ops = [("ortho", x, None) for x in elems]
-        ops += [(op, elems[i], elems[j]) for i in range(size)
-                for j in range(i + 1, size) for op in ("meet", "join")]
-        for s in _operate(ops):
-            add(s)
-        changed = len(elems) != size
+        found = _operate([("ortho", x, None) for x in elems[start:]]
+                         + [(op, elems[i], elems[j]) for i in range(size)
+                            for j in range(max(i + 1, start), size)
+                            for op in ("meet", "join")])
     return elems

@@ -179,7 +179,7 @@ def make_model(states: Sequence[str], universes: Mapping[str, Sequence[str]],
         if other is not None:
             raise SchemaError(f"rays and subspaces must share one tolerance, "
                               f"got {float(tol)!r} and {float(other)!r}")
-        # the first equal pair in combinations order, as Subspace.__eq__ decides
+        # the first equal pair in combinations order, by mutual containment
         pair = _first_equal_pair(rays, tol)
         if pair:
             a, b = (sts[i] for i in pair)

@@ -10,9 +10,9 @@ Each reduction step and each certain-state set is a lookup in the
 annotation's :class:`~qlprop.hilbert.PropertyTable`: the subspace
 operation behind an entry runs at most once per annotation, on the
 first formula that needs it, and its result is matched to a declared
-property by the ``Subspace.__eq__`` rule (mutual containment within
-tolerance).  :func:`witness_property` reduces one formula by height, with
-one table call for all the nodes of a height.
+property by mutual containment at the annotation's one tolerance.
+:func:`witness_property` reduces one formula by height, with one table
+call for all the nodes of a height.
 
 Q-truth is three-valued: a formula is Q-true at a state lying in its
 proposition, Q-false at a state lying in the proposition's

@@ -7,7 +7,9 @@ intersects over every interpretation instead of testing extensions for
 fullness; the closure oracle enumerates formulas itself and closes their
 quotient round by round with the same set algebra.  The subspace oracle
 works on projector matrices instead of basis rows, as does the
-orthogonality oracle, the witness oracles
+orthogonality oracle, the subspace-closure reference adds its results
+one at a time after a pairwise containment scan of its own (only the
+subspace kernels are shared), the witness oracles
 (which import nothing from ``qlprop.hilbert`` or ``qlprop.quantum``)
 reduce quantum formulas with projectors and SVD null spaces or
 eigenvalues, node by node, and the
@@ -46,6 +48,7 @@ import numpy as np
 
 from qlprop.errors import (
     ClassicalConnectiveInTQ,
+    ClosureCapExceeded,
     NoHilbertAnnotation,
     NotOperationClosed,
     ParseError,
@@ -401,6 +404,54 @@ def projector_equal(rows_a, rows_b, tol: float) -> bool | None:
     if any(abs(r - tol) < 1e-14 + 1e-9 * tol for r in res):
         return None
     return all(r <= tol for r in res)
+
+
+def reference_closure(dim: int, generators, cap: int) -> list:
+    """The subspace closure in full rounds with a pairwise scan: the
+    closure as it was before its rounds became semi-naive.
+
+    Every round complements every element it starts with, then takes
+    meet before join for every pair i < j in row-major order, and adds
+    each result in that order unless it equals an element already held.
+    Equality is mutual containment at equal rank, at the larger of the
+    two tolerances, with the residual norms computed here in the
+    arithmetic of one 2-D residual; ``Subspace.__eq__`` is not called.
+    Only the kernels come from ``qlprop.hilbert`` (``_operate``).
+    """
+    from qlprop.hilbert import _operate
+
+    def inside(a, b):  # every row of b lies in a
+        r = b.basis.dot(a.basis.conj().T).dot(a.basis)
+        x = (b.basis - r).view(float)
+        return not any(n > max(a.tol, b.tol)
+                       for n in np.sqrt((x * x).sum(-1)).tolist())
+
+    if cap < len(generators):
+        raise ClosureCapExceeded(
+            f"cap {cap} is smaller than the {len(generators)} generators")
+    elems: list = []
+
+    def add(s):
+        if any(e.rank == s.rank and inside(e, s) and inside(s, e)
+               for e in elems):
+            return
+        if len(elems) + 1 > cap:
+            raise ClosureCapExceeded(f"closure exceeds cap {cap}")
+        elems.append(s)
+
+    for g in generators:
+        assert g.dim == dim
+        add(g)
+    changed = True
+    while changed:
+        size = len(elems)
+        ops = [("ortho", x, None) for x in elems]
+        ops += [(op, elems[i], elems[j]) for i in range(size)
+                for j in range(i + 1, size) for op in ("meet", "join")]
+        for s in _operate(ops):
+            add(s)
+        changed = len(elems) != size
+    return elems
 
 
 def oracle_certain(m: Model) -> dict[str, frozenset]:

@@ -367,6 +367,15 @@ def test_props_refuses_enum_cap_without_forall(tmp_path, capsys):
                     "--enum-cap requires --forall")
 
 
+@pytest.mark.parametrize("cap", ["-1", "-7"])
+def test_props_refuses_a_negative_enum_cap(tmp_path, capsys, cap):
+    # was read as a cap: "2 interpretations exceed the cap -1"
+    _refuses_unread(tmp_path, capsys,
+                    ["props", "--model", "{model}", "--forall", "--enum-cap",
+                     cap, "E(x)"],
+                    f"--enum-cap {cap} is negative")
+
+
 @pytest.mark.parametrize("command", [
     ["parse", "E(x)"], ["eval", "--model", "m.json", "--state", "S1", "E(x)"],
     ["check", "--model", "m.json", "--suite", "sec3"],

@@ -64,6 +64,7 @@ from helpers import (
     projector_meet,
     random_subspace_vectors,
     random_unit,
+    reference_closure,
     span_projector,
 )
 
@@ -830,6 +831,26 @@ def test_containment_one_way_only_is_not_equality():
     assert a == b3 and hilbert._first_equal_pair([a, b], 3 * tol) == (0, 1)
 
 
+def test_first_equal_pair_is_the_least_over_the_rank_groups():
+    # the rank-1 group (indices 0, 3, 4) is met first and its pair (3, 4)
+    # is found first by rank order too, but the rank-2 pair (1, 2) comes
+    # first in combinations order
+    r = 0.5 ** 0.5
+    family = [Subspace.ray([1, 0, 0]),
+              Subspace.span([[1, 0, 0], [0, 1, 0]], 3),
+              Subspace.span([[r, r, 0], [r, -r, 0]], 3),
+              Subspace.ray([0, 1, 0]), Subspace.ray([0, 1j, 0])]
+    assert hilbert._first_equal_pair(family, DEFAULT_TOL) == (1, 2)
+    assert hilbert._first_equal_pair(family[:2] + family[3:], DEFAULT_TOL) == (2, 3)
+    names = [f"P{i}" for i in range(len(family))]
+    with pytest.raises(SchemaError) as exc:
+        make_model(["S"], {"S": ["a"]}, names, {"S": {e: [] for e in names}},
+                   hilbert=HilbertAnnotation(
+                       3, {"S": Subspace.ray([0, 0, 1])},
+                       dict(zip(names, family))))
+    assert str(exc.value) == "properties 'P1' and 'P2' map to the same subspace"
+
+
 def test_loading_a_model_compares_only_subspaces_of_equal_rank(monkeypatch):
     text = dump_model(m_qutrit())
     ann = load_model(text).hilbert
@@ -1159,6 +1180,88 @@ def test_closure_cap():
             Subspace.ray([1, 1, 0])]
     with pytest.raises(ClosureCapExceeded):
         closure_generate(3, gens, cap=5)
+
+
+def _closure_bytes(build, dim, gens, cap):
+    """Each element's rank and basis bytes, in order, or the text of the
+    cap's refusal."""
+    try:
+        return [(s.rank, s.basis.tobytes()) for s in build(dim, gens, cap)]
+    except ClosureCapExceeded as exc:
+        return str(exc)
+
+
+def _closure_case(kind, n):
+    """Dimension, generators and cap: demo 03's four rays with cap ``n``,
+    or, drawn from seed ``n``, the two random rays of ``mo2_qubit(n)`` or
+    one to four Gaussian-integer rays in C^2 to C^4."""
+    rng = random.Random(n)
+    if kind == "demo":
+        r = 0.5 ** 0.5
+        return 3, [Subspace.ray(v, 3) for v in np.eye(3)] + [
+            Subspace.ray([r, r, 0], 3)], n
+    if kind == "mo2":
+        return 2, [Subspace.ray(random_unit(rng, 2)) for _ in range(2)], 8
+    dim, count, rays = rng.randint(2, 4), rng.randint(1, 4), []
+    while len(rays) < count:
+        v = [complex(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(dim)]
+        if any(v):
+            rays.append(Subspace.ray(v))
+    return dim, rays, 24
+
+
+_CLOSURE_CASES = [("demo", 32), ("demo", 11),
+                  *(("mo2", seed) for seed in range(40)),
+                  *(("gaussian-integer", seed) for seed in range(150))]
+
+
+@pytest.mark.parametrize("kind, seed", _CLOSURE_CASES,
+                         ids=[f"{k}-{s}" for k, s in _CLOSURE_CASES])
+def test_closure_matches_the_full_round_pairwise_reference(kind, seed):
+    # the reference recomputes every pair each round and adds results one
+    # at a time after its own pairwise containment scan
+    case = _closure_case(kind, seed)
+    assert (_closure_bytes(closure_generate, *case)
+            == _closure_bytes(reference_closure, *case))
+
+
+def test_closure_reference_cases_include_refusals_and_closures():
+    out = [_closure_bytes(closure_generate, *_closure_case(k, s))
+           for k, s in _CLOSURE_CASES]
+    refused = [o for o in out if isinstance(o, str)]
+    assert refused[0] == "closure exceeds cap 11"
+    assert len(refused) >= 20 and len(out) - len(refused) >= 100
+
+
+def test_closure_compares_results_with_kept_elements_only():
+    # r1 lies within tol of k and of r2, and r2 lies 1.5 tol from k: r1
+    # is dropped as equal to k, and r2 is kept, though it equals the
+    # dropped r1
+    k, r1, r2 = (Subspace.ray([np.cos(t * DEFAULT_TOL), np.sin(t * DEFAULT_TOL)])
+                 for t in (0, 0.75, 1.5))
+    case = 2, [k, r1, r2], 8
+    out = _closure_bytes(closure_generate, *case)
+    assert out[:2] == [(1, k.basis.tobytes()), (1, r2.basis.tobytes())]
+    assert len(out) == 6 and out == _closure_bytes(reference_closure, *case)
+
+
+def test_closure_decides_without_pairwise_equality(monkeypatch):
+    # every equality the closure and make_model decide is batched; only
+    # library callers read Subspace.__eq__
+    expected = dump_model(m_qutrit())
+
+    def refuse(self, other):
+        raise AssertionError("Subspace.__eq__ called")
+
+    monkeypatch.setattr(Subspace, "__eq__", refuse)
+    assert len(closure_generate(*_closure_case("demo", 32))) == 12
+    assert dump_model(m_qutrit()) == expected
+
+
+def test_closure_keeps_its_generators_one_tolerance():
+    # generators at two tolerances are refused (tests/test_input_checks.py)
+    gens = [Subspace.ray(v, tol=1e-6) for v in ([1, 0], [1, 1])]
+    assert [s.tol for s in closure_generate(2, gens, cap=8)] == [1e-6] * 6
 
 
 def test_qutrit_model_states_cover_rays():

@@ -16,6 +16,7 @@ from qlprop.errors import (
     ClosureCapExceeded,
     DimensionMismatch,
     HilbertDimensionMismatch,
+    InvalidTolerance,
     MeetJoinMissing,
     NotAPartialOrder,
     QlpropError,
@@ -207,6 +208,11 @@ CALLS = [
     ("generator of another dimension",
      lambda: closure_generate(2, [Subspace.full(3)], 4),
      DimensionMismatch, "generator of dimension 3 in closure of dimension 2"),
+    ("closure generators at two tolerances",
+     lambda: closure_generate(
+         2, [Subspace.ray([1, 0]), Subspace.ray([0, 1], tol=1e-6)], 4),
+     InvalidTolerance,
+     "generators must share one tolerance, got 1e-09 and 1e-06"),
     ("order matrix of the wrong shape",
      lambda: build_poset([0, 1], np.eye(3, dtype=bool)),
      NotAPartialOrder, "matrix shape (3, 3) for 2 elements"),
