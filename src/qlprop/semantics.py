@@ -207,8 +207,11 @@ class ProfileKernel:
     def holds(self, v: int, interp: Interpretation) -> frozenset[str]:
         """States whose chosen object ``v`` covers: the individual
         proposition."""
-        return frozenset(s for s, slots in self._slots.items()
-                         if v & slots.get(interp[s], 0))
+        try:
+            return frozenset(s for s, slots in self._slots.items()
+                             if v & slots.get(interp[s], 0))
+        except KeyError as exc:  # interp[s], the one lookup that can miss
+            raise SchemaError(f"interpretation omits state {exc}") from None
 
     def decode(self, v: int) -> tuple[frozenset[str], ...]:
         """Per-state extensions, in state order."""
@@ -233,10 +236,11 @@ def is_true(m: Model, interp: Interpretation, state: str, f: Formula) -> bool:
 
     An object outside the state's universe satisfies nothing.
     """
-    obj = interp[state]
     k = m.kernel
     slots = k.slots(state)
-    return bool(k.profile(f) & slots.get(obj, 0))
+    if state not in interp:
+        raise SchemaError(f"interpretation omits state {state!r}")
+    return bool(k.profile(f) & slots.get(interp[state], 0))
 
 
 def individual_proposition(m: Model, interp: Interpretation,

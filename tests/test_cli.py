@@ -27,6 +27,7 @@ from qlprop.model import (
     interpretation_count,
     m_cm,
     m_qbit,
+    m_qutrit,
     m_sr,
     make_model,
 )
@@ -451,16 +452,10 @@ def test_check_sec3(models_dir, capsys):
     assert "REPORT strict disjunction inclusion" in out
 
 
-def _sec3_lines(m, depth):
-    out = cli._Suite()
-    cli._suite_sec3(m, depth, out)
-    return out.lines
-
-
 @pytest.mark.parametrize("seed", range(60))
 def test_sec3_suite_matches_the_formula_pair_loop(seed):
     m, depth = random_check_case(seed)
-    assert _sec3_lines(m, depth) == reference_sec3_lines(m, depth)
+    assert cli._suite_sec3(m, depth) == reference_sec3_lines(m, depth)
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -469,9 +464,8 @@ def test_cm_suite_matches_the_per_formula_loop(seed):
     # and without --assume-cmt
     m, depth = random_check_case(seed)
     for assume_cmt in (False, True):
-        out = cli._Suite()
-        cli._suite_cm(m, depth, assume_cmt, out)
-        assert out.lines == reference_cm_lines(m, depth, assume_cmt)
+        assert cli._suite_cm(m, depth, assume_cmt) \
+            == reference_cm_lines(m, depth, assume_cmt)
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -484,7 +478,7 @@ def test_testable_poset_matches_the_per_formula_loop(seed):
 @pytest.mark.parametrize("fixture", [m_sr, m_cm])
 def test_sec3_suite_matches_the_formula_pair_loop_at_depth_3(fixture):
     m = fixture()
-    lines = _sec3_lines(m, 3)
+    lines = cli._suite_sec3(m, 3)
     assert lines == reference_sec3_lines(m, 3)
     if fixture is m_sr:
         assert lines[-1].startswith("REPORT strict disjunction inclusion at")
@@ -699,6 +693,36 @@ def test_check_json_reports_ok(models_dir, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is True
     assert any(line.startswith("PASS") for line in doc["lines"])
+
+
+_SUITE_CASES = [
+    (build, suite, assume_cmt)
+    for build in (m_sr, m_cm, m_qbit, m_qutrit, non_injective_qubit)
+    for suite in (("sec3", "cm", "qm", "prag")
+                  if build in (m_qbit, m_qutrit, non_injective_qubit)
+                  else ("sec3", "cm"))
+    for assume_cmt in ((False, True) if suite == "cm" else (False,))]
+
+
+@pytest.mark.filterwarnings("ignore::qlprop.errors.ThetaNotInjectiveWarning")
+@pytest.mark.parametrize(
+    "build, suite, assume_cmt", _SUITE_CASES,
+    ids=[f"{b.__name__}-{s}" + ("-assume-cmt" if a else "")
+         for b, s, a in _SUITE_CASES])
+def test_check_prints_the_suite_lines_and_fails_on_a_fail_line(
+        build, suite, assume_cmt, run_check):
+    # the exit code and the --json "ok" are read from the lines: 1 exactly
+    # when one starts with "FAIL ", whatever the REPORT lines say
+    m = build()
+    extra = (assume_cmt,) if suite == "cm" else ()
+    lines = getattr(cli, f"_suite_{suite}")(m, cli._SUITE_DEPTH[suite], *extra)
+    argv = ["--suite", suite] + (["--assume-cmt"] if assume_cmt else [])
+    failed = any(line.startswith("FAIL ") for line in lines)
+    assert run_check(m, *argv) == (1 if failed else 0, lines)
+    code, printed = run_check(m, *argv, "--json")
+    assert code == (1 if failed else 0)
+    doc = json.loads("\n".join(printed))
+    assert (doc["ok"], doc["lines"]) == (not failed, lines)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,9 @@ from qlprop.errors import (
 )
 from qlprop.hilbert import HilbertAnnotation, Subspace, closure_generate
 from qlprop.lattice import OrthoLattice, build_poset
-from qlprop.model import build_qm_model, load_model, m_qbit, make_model
-from qlprop.quantum import q_truth, q_truth_classical
+from qlprop.model import build_qm_model, load_model, m_qbit, m_sr, make_model
+from qlprop.quantum import q_truth, q_truth_classical, tq_is_true
+from qlprop.semantics import individual_proposition, is_true
 from qlprop.syntax import parse_lx, parse_tq
 
 # two states on the coordinate rays of C^2 and one property, the first ray
@@ -191,6 +192,18 @@ CALLS = [
     ("q_truth_classical at an unknown state",
      lambda: q_truth_classical(m_qbit(), "Sy+", parse_lx("Ez+(x)")),
      SchemaError, "unknown state 'Sy+'"),
+    ("truth at an unknown state",
+     lambda: is_true(m_sr(), {"S1": "u1", "S2": "v1"}, "S9", parse_lx("E(x)")),
+     SchemaError, "unknown state 'S9'"),
+    ("truth at a state the interpretation omits",
+     lambda: is_true(m_sr(), {"S1": "u1"}, "S2", parse_lx("E(x)")),
+     SchemaError, "interpretation omits state 'S2'"),
+    ("individual proposition of a partial interpretation",
+     lambda: individual_proposition(m_sr(), {"S1": "u1"}, parse_lx("E(x)")),
+     SchemaError, "interpretation omits state 'S2'"),
+    ("quantum truth at an unknown state",
+     lambda: tq_is_true(m_qbit(), {}, "Nope", parse_tq("Ez+(x)")),
+     SchemaError, "unknown state 'Nope'"),
     ("subspace of dimension 0", lambda: Subspace(0),
      DimensionMismatch, "dimension must be positive, got 0"),
     ("basis of the wrong width", lambda: Subspace(2, [[1, 0, 0]]),

@@ -4,11 +4,18 @@ One row per line: the suite, the model, a fault injected into the code
 that decides the line (or none, where the line depends on the model),
 and the exact FAIL line.  Each row runs through ``cli.main`` as a user
 would and must exit 1.  The rows cover the qm suite's negation,
-conjunction and join laws, and the cm suite's three collapse lines:
-every extension full or empty, truth independent of the interpretation
-and individual propositions collapse to physical.  The last two are
-decided by one mask, each class profile's slots outside its full
-blocks, so one fault in ``ProfileKernel.full`` turns both to FAIL.
+conjunction and join laws, the cm suite's three collapse lines: every
+extension full or empty, truth independent of the interpretation and
+individual propositions collapse to physical, and the sec3 suite's three
+connective lines.  The last two cm lines are decided by one mask, each
+class profile's slots outside its full blocks, so one fault in
+``ProfileKernel.full`` turns both to FAIL.
+
+The sec3 lines read ``ProfileKernel.full`` alone.  A ``full`` that
+returns every block its profile touches fails the negation and the
+conjunction lines on m_sr.  The disjunction line needs a fault that is
+not monotone: while ``full`` preserves meets it is monotone, and then
+the union of two full-block masks lies below the mask of the union.
 """
 
 import pytest
@@ -58,6 +65,25 @@ def _full_drops_block(state):
     return fault
 
 
+def _full_touches():
+    """The kernel's full-block masks hold every block a profile touches."""
+    def fault(monkeypatch):
+        def touched(self, v):
+            return sum(mask for mask in self._blocks.values() if v & mask)
+        monkeypatch.setattr(semantics.ProfileKernel, "full", touched)
+    return fault
+
+
+def _full_of_universe_empty():
+    """The kernel finds no full block in the all-slots profile."""
+    def fault(monkeypatch):
+        real = semantics.ProfileKernel.full
+        monkeypatch.setattr(
+            semantics.ProfileKernel, "full",
+            lambda self, v: 0 if v == self.universe else real(self, v))
+    return fault
+
+
 _CM_CLASS_LINES = ["FAIL truth independent of the interpretation",
                    "FAIL individual propositions collapse to physical"]
 
@@ -89,6 +115,12 @@ ROWS = [
      _CM_CLASS_LINES[0]),
     ("cm collapse, full drops a block", "cm", m_cm, _full_drops_block("S1"),
      _CM_CLASS_LINES[1]),
+    ("sec3 negation, full takes touched blocks", "sec3", m_sr,
+     _full_touches(), "FAIL negation proposition below set complement"),
+    ("sec3 conjunction, full takes touched blocks", "sec3", m_sr,
+     _full_touches(), "FAIL conjunction proposition equals intersection"),
+    ("sec3 disjunction, universe has no full block", "sec3", m_sr,
+     _full_of_universe_empty(), "FAIL disjunction proposition above union"),
 ]
 
 
