@@ -4,8 +4,11 @@ The corpus below runs ``qlprop parse`` on formulas of all three
 languages (every precedence and parenthesis case, and at least one error
 of each parse exception type), ``qlprop check`` on the suite/fixture
 pairs that finish in about a second, as text and as ``--json``,
-``qlprop lattice`` on the four fixtures, and ``qlprop props`` in every
-mode on the four fixtures, with its refusals.  The expected transcripts
+``qlprop lattice`` on the four fixtures, ``qlprop props`` in every
+mode on the four fixtures, with its refusals, and ``qlprop eval`` in
+every mode (T/F, ``--object``, ``--interp``, ``--qtruth`` on testable,
+untestable and quantum formulas, ``--lang prag``) on the four fixtures,
+with its refusals.  The expected transcripts
 live in ``tests/golden/*.json``; the fixture directory is written there
 as ``{models}``.
 
@@ -252,8 +255,66 @@ def _props_cases():
     return cases
 
 
+# per fixture: a state, a classical formula with an object and a full
+# interpretation for it, a testable and an untestable classical formula
+# for --qtruth, a quantum formula and an assertive one; m_sr and m_cm
+# carry no Hilbert annotation, so their quantum runs are refusals
+_EVAL = {
+    "m_sr": ("S1", "E(x) | !F(x)", "u2", "S1=u1,S2=v1", "E(x)",
+             "E(x) | F(x)", "~q E(x) & F(x)", "N |- F(x) A |- E(x)"),
+    "m_cm": ("S2", "E(x) & !F(x)", "b1", "S1=a2,S2=b1,S3=c1", "F(x)",
+             "E(x) | F(x)", "~q F(x)", "|- E(x) K |- F(x)"),
+    "m_qbit": ("Sx+", "Ez+(x) | Ex-(x)", "o2", "Sz+=o1,Sz-=o2,Sx+=o2,Sx-=o1",
+               "Ex-(x)", "Ez+(x) | Ez-(x)", "Ez+(x) |q Ez-(x)",
+               "|- Ez+(x) A |- Ez-(x)"),
+    "m_qutrit": ("T1", "P3(x) | P7(x)", "o2", "T1=o2,T2=o1,T3=o1,T4=o2,T5=o1",
+                 "P3(x)", "P3(x) | P7(x)", "~q P3(x) & P10(x)",
+                 "N |- P3(x) K |- P10(x)"),
+}
+
+
+def _eval_cases():
+    runs = {}
+    for m, (state, lx, obj, interp, testable, untestable, ltq,
+            prag) in _EVAL.items():
+        for mode, extra in (
+                ("lx", [lx]), ("object", ["--object", obj, lx]),
+                ("interp", ["--interp", interp, lx]),
+                ("ltq", ["--lang", "ltq", ltq]),
+                ("qtruth-testable", ["--qtruth", testable]),
+                ("qtruth-untestable", ["--qtruth", untestable]),
+                ("qtruth-ltq", ["--qtruth", "--lang", "ltq", ltq]),
+                ("prag", ["--lang", "prag", prag])):
+            runs[f"{mode}-{m}"] = ["eval", "--model", f"{{models}}/{m}.json",
+                                   "--state", state, *extra]
+    cases = {}
+    for cid, argv in runs.items():
+        cases[cid] = argv
+        cases[f"{cid}-json"] = argv[:1] + ["--json"] + argv[1:]
+    qbit = ["eval", "--model", "{models}/m_qbit.json", "--state", "Sz+"]
+    for cid, extra in (
+            ("prag-qtruth", ["--lang", "prag", "--qtruth", "|- Ez+(x)"]),
+            ("prag-object", ["--lang", "prag", "--object", "o1", "|- Ez+(x)"]),
+            ("prag-interp", ["--lang", "prag", "--interp", "Sz+=o1",
+                             "|- Ez+(x)"]),
+            ("qtruth-object", ["--qtruth", "--object", "o1", "Ez+(x)"]),
+            ("qtruth-interp", ["--qtruth", "--interp", "Sz+=o1", "Ez+(x)"]),
+            ("object-interp", ["--object", "o1", "--interp", "Sz+=o1",
+                               "Ez+(x)"]),
+            ("object-outside-universe", ["--object", "u1", "Ez+(x)"]),
+            ("interp-without-equals", ["--interp", "Sz+", "Ez+(x)"]),
+            ("interp-state-twice", ["--interp", "Sz+=o1,Sz+=o2", "Ez+(x)"]),
+            ("parse-error", ["Ez+(x) &"]),
+            ("parse-error-json", ["--json", "Ez+(x) &"])):
+        cases[cid] = qbit + extra
+    cases["unknown-state"] = ["eval", "--model", "{models}/m_qbit.json",
+                              "--state", "S9", "Ez+(x)"]
+    return cases
+
+
 GROUPS = {"parse": _parse_cases(), "check": _check_cases(),
-          "lattice": _lattice_cases(), "props": _props_cases()}
+          "lattice": _lattice_cases(), "props": _props_cases(),
+          "eval": _eval_cases()}
 
 
 def _run(argv: list[str], models: str) -> dict:
