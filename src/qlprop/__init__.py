@@ -4,135 +4,24 @@ The package evaluates three small languages against finite models: a
 classical language with per-state extensions, a quantum language whose
 connectives act on a subspace lattice, and an assertive language whose
 formulas are justified or unjustified rather than true or false.
+
+Each library layer lists its public names in its own ``__all__``; the
+package gives them all, and its ``__all__`` is their concatenation.
 """
 
-from .errors import (
-    ClassicalConnectiveInTQ,
-    ClosureCapExceeded,
-    DepthCapExceeded,
-    DimensionMismatch,
-    DuplicateId,
-    EnumerationCapExceeded,
-    ExtensionOutOfUniverse,
-    ForallMismatch,
-    HilbertDimensionMismatch,
-    InvalidDepth,
-    InvalidTolerance,
-    MeetJoinMissing,
-    NoHilbertAnnotation,
-    NonOrthonormalBasis,
-    NotAPartialOrder,
-    NotOperationClosed,
-    NotPDecidable,
-    ParseError,
-    QlpropError,
-    RankError,
-    SchemaError,
-    SearchCapExceeded,
-    ThetaNotInjectiveWarning,
-    UniverseTooSmall,
-    UnknownConnective,
-    UnknownProperty,
-    WitnessMismatchWarning,
-)
-from .hilbert import (
-    Subspace,
-    certain_states,
-    check_tol,
-    closure_generate,
-    contains,
-    join,
-    meet,
-    ortho,
-    state_lattice,
-)
-from .lattice import (
-    FinitePoset,
-    LawCheck,
-    LawReport,
-    OrthoLattice,
-    build_poset,
-    check_boolean,
-    check_ortho_modular,
-    export_dot,
-    hexagon,
-    order_isomorphic,
-    powerset_lattice,
-)
-from .model import (
-    HilbertAnnotation,
-    Model,
-    build_qm_model,
-    canonical_models,
-    check_cms,
-    default_interpretation,
-    dump_model,
-    enumerate_interpretations,
-    interpretation_count,
-    load_model,
-    m_cm,
-    m_qbit,
-    m_qutrit,
-    m_sr,
-    make_model,
-)
-from .pragmatic import (
-    Justification,
-    PreservationReport,
-    assertive_preimage,
-    check_preservation,
-    justified,
-    to_assertive,
-)
-from .quantum import (
-    QProposition,
-    QTruth,
-    check_tq_equalities,
-    q_truth,
-    q_truth_classical,
-    sasaki_hook,
-    tq_is_true,
-    tq_physical_proposition,
-    witness_property,
-)
-from .semantics import (
-    LTAlgebra,
-    LTClass,
-    enumerate_formulas,
-    enumerate_tq_formulas,
-    extension_of,
-    extension_profile,
-    forall_proposition,
-    individual_proposition,
-    is_true,
-    lindenbaum_tarski,
-    logical_equiv,
-    logical_leq,
-    physical_equiv,
-    physical_leq,
-    physical_proposition,
-    testable_proposition_poset,
-    testable_witness,
-)
-from .syntax import (
-    A,
-    And,
-    Assert,
-    Atom,
-    K,
-    N,
-    Not,
-    Or,
-    QNot,
-    atoms_of,
-    format_lx,
-    format_prag,
-    format_tq,
-    parse_lx,
-    parse_prag,
-    parse_tq,
-    quantum_join,
-    sasaki_formula,
-)
+from . import (errors, hilbert, lattice, model, pragmatic, quantum,
+               semantics, syntax)
+from .errors import *  # noqa: F403
+from .hilbert import *  # noqa: F403
+from .lattice import *  # noqa: F403
+from .model import *  # noqa: F403
+from .pragmatic import *  # noqa: F403
+from .quantum import *  # noqa: F403
+from .semantics import *  # noqa: F403
+from .syntax import *  # noqa: F403
+
+__all__ = [name for layer in (errors, syntax, model, semantics, lattice,
+                              hilbert, quantum, pragmatic)
+           for name in layer.__all__]
 
 __version__ = "0.1.0"

@@ -9,6 +9,18 @@ expected there.
 
 from __future__ import annotations
 
+__all__ = [
+    "QlpropError", "ParseError", "UnknownConnective",
+    "ClassicalConnectiveInTQ", "SchemaError", "DuplicateId",
+    "ExtensionOutOfUniverse", "HilbertDimensionMismatch",
+    "NonOrthonormalBasis", "InvalidTolerance", "EnumerationCapExceeded",
+    "UniverseTooSmall", "RankError", "UnknownProperty", "ForallMismatch",
+    "DepthCapExceeded", "InvalidDepth", "NotAPartialOrder", "MeetJoinMissing",
+    "SearchCapExceeded", "DimensionMismatch", "NoHilbertAnnotation",
+    "NotOperationClosed", "ClosureCapExceeded", "NotPDecidable",
+    "ThetaNotInjectiveWarning", "WitnessMismatchWarning",
+]
+
 
 class QlpropError(Exception):
     """Base class for all library errors."""

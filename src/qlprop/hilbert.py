@@ -37,7 +37,10 @@ stacked bases (k, r, dim); :func:`ortho`, :func:`meet` and :func:`join`
 call it with a stack of one, :func:`closure_generate` with all the
 operations of a round at once (only those with an element the previous
 round kept), and the property table with the complements and meets it
-needs at once (it computes no join).
+needs at once (it computes no join).  A stacked call decides all its
+operations at one tolerance, which each result carries: ``ortho(a)`` at
+``a``'s, ``meet`` and ``join`` at the larger of their operands', and the
+closure and the table at the one tolerance their subspaces share.
 
 ``Subspace.span`` is modified Gram-Schmidt, which keeps a vector ``v``
 when its residual against the rows kept so far exceeds ``tol * max(1,
@@ -112,6 +115,7 @@ from .errors import (
     NonOrthonormalBasis,
     NotOperationClosed,
     RankError,
+    SchemaError,
     ThetaNotInjectiveWarning,
     UnknownProperty,
 )
@@ -157,6 +161,7 @@ class Subspace:
     __slots__ = ("dim", "basis", "tol")
 
     def __init__(self, dim: int, basis=None, tol: float = DEFAULT_TOL):
+        tol = check_tol(tol)
         if dim < 1:
             raise DimensionMismatch(f"dimension must be positive, got {dim}")
         if basis is None:
@@ -168,10 +173,14 @@ class Subspace:
             if mat.ndim != 2 or mat.shape[1] != dim:
                 raise DimensionMismatch(
                     f"basis shape {mat.shape} does not fit dimension {dim}")
-        gram = mat @ mat.conj().T
+        # a NaN, infinite or huge entry makes the Gram matrix NaN or
+        # infinite, which fails the test below without a warning
+        with np.errstate(invalid="ignore", over="ignore"):
+            gram = mat @ mat.conj().T
         # a fixed rounding bound, not tol: rows off orthonormal by more
         # than rounding break the kernels' rank decisions
-        if gram.shape[0] and np.max(np.abs(gram - np.eye(mat.shape[0]))) > MIN_TOL:
+        if gram.shape[0] and not np.max(
+                np.abs(gram - np.eye(mat.shape[0]))) <= MIN_TOL:
             raise NonOrthonormalBasis(
                 f"basis rows are not orthonormal within {MIN_TOL:g}")
         self.dim = dim
@@ -197,10 +206,12 @@ class Subspace:
         A vector whose squared norm overflows is first scaled by the power
         of two that brings its largest real or imaginary part below 1.
         That scaling is exact, so rows and decisions are those the vector
-        would give if its norms were finite.
+        would give if its norms were finite.  A vector with a NaN or
+        infinite entry raises :class:`SchemaError`.
         """
+        tol = check_tol(tol)
         rows: list[np.ndarray] = []
-        for v in vectors:
+        for i, v in enumerate(vectors):
             w = np.asarray(v, dtype=complex).reshape(-1)
             if w.shape != (dim,):
                 raise DimensionMismatch(
@@ -208,6 +219,9 @@ class Subspace:
             unit = 1.0
             square = np.vdot(w, w).real  # inf or nan on overflow, no warning
             if not square < math.inf:
+                if not np.isfinite(w).all():
+                    raise SchemaError(
+                        f"vector {i} has a NaN or infinite entry")
                 largest = max(np.max(np.abs(w.real)), np.max(np.abs(w.imag)))
                 unit = 2.0 ** -math.frexp(largest)[1]
                 w = w * unit
@@ -422,23 +436,22 @@ def _ortho_rows(a: np.ndarray) -> tuple[np.ndarray, list, list]:
 
 
 def _meet_rows(a: np.ndarray, b: np.ndarray,
-               tol: list[float]) -> tuple[np.ndarray, list, list]:
-    """Meets of the pairs ``a`` (k, ra, dim) and ``b`` (k, rb, dim) at the
-    tolerances ``tol`` (k of them): the rows U^H A whose singular value of R =
-    A - (A B^H) B = U S V^H is at most tol."""
+               tol: float) -> tuple[np.ndarray, list, list]:
+    """Meets of the pairs ``a`` (k, ra, dim) and ``b`` (k, rb, dim) at
+    ``tol``: the rows U^H A whose singular value of R = A - (A B^H) B = U
+    S V^H is at most tol."""
     resid = a - (a @ b.conj().swapaxes(-1, -2)) @ b
     u, sv, _ = np.linalg.svd(resid, full_matrices=False)
     ra = a.shape[1]
-    lo = [ra - sum(map(t.__ge__, row)) for row, t in zip(sv.tolist(), tol)]
+    lo = [ra - sum(map(tol.__ge__, row)) for row in sv.tolist()]
     return u.conj().swapaxes(-1, -2) @ a, lo, [ra] * len(a)
 
 
 def _join_rows(a: np.ndarray, b: np.ndarray,
-               tol: list[float]) -> tuple[np.ndarray, list, list]:
-    """Joins of the pairs ``a`` (k, ra, dim) and ``b`` (k, rb, dim) at the
-    tolerances ``tol`` (k of them): ``a``'s rows, then the right singular
-    vectors V^H of R = B - (B A^H) A = U S V^H whose singular value
-    exceeds tol.
+               tol: float) -> tuple[np.ndarray, list, list]:
+    """Joins of the pairs ``a`` (k, ra, dim) and ``b`` (k, rb, dim) at
+    ``tol``: ``a``'s rows, then the right singular vectors V^H of R = B -
+    (B A^H) A = U S V^H whose singular value exceeds tol.
 
     A vector of V^H with singular value s keeps a part of about eps/s
     along ``a``, so the kept ones are re-orthogonalised against ``a``, W
@@ -448,7 +461,7 @@ def _join_rows(a: np.ndarray, b: np.ndarray,
     """
     ah = a.conj().swapaxes(-1, -2)
     _, sv, vh = np.linalg.svd(b - (b @ ah) @ a, full_matrices=False)
-    keep = sv > np.array(tol)[:, None]
+    keep = sv > tol
     w = (vh - (vh @ ah) @ a) * keep[..., None]
     w = 1.5 * w - 0.5 * (w @ w.conj().swapaxes(-1, -2)) @ w
     ra = a.shape[1]
@@ -456,11 +469,11 @@ def _join_rows(a: np.ndarray, b: np.ndarray,
             [ra + sum(row) for row in keep.tolist()])
 
 
-def _operate(ops: Sequence[tuple]) -> list[Subspace]:
-    """The results of ``ops``, in order: each op is ``("ortho", a,
-    None)``, ``("meet", a, b)`` or ``("join", a, b)``, and the ops of one
-    kind on operands of the same shapes share one stacked kernel call.  A
-    result's tolerance is its operands' largest."""
+def _operate(ops: Sequence[tuple], tol: float) -> list[Subspace]:
+    """The results of ``ops`` at ``tol``, in order: each op is
+    ``("ortho", a, None)``, ``("meet", a, b)`` or ``("join", a, b)``, and
+    the ops of one kind on operands of the same shapes share one stacked
+    kernel call.  Every result carries ``tol``."""
     groups: dict[tuple, list[int]] = {}
     for i, (op, a, b) in enumerate(ops):
         shapes = (op, a.basis.shape, b is not None and b.basis.shape)
@@ -469,35 +482,33 @@ def _operate(ops: Sequence[tuple]) -> list[Subspace]:
     for (op, _, _), idx in groups.items():
         a = _stack([ops[i][1].basis for i in idx])
         if op == "ortho":
-            tols = [ops[i][1].tol for i in idx]
             rows, lo, hi = _ortho_rows(a)
         else:
             b = _stack([ops[i][2].basis for i in idx])
-            tols = [max(ops[i][1].tol, ops[i][2].tol) for i in idx]
             kernel = _meet_rows if op == "meet" else _join_rows
-            rows, lo, hi = kernel(a, b, tols)
-        for i, r, start, stop, tol in zip(idx, rows, lo, hi, tols):
+            rows, lo, hi = kernel(a, b, tol)
+        for i, r, start, stop in zip(idx, rows, lo, hi):
             out[i] = Subspace._of_rows(r[start:stop], tol)
     return out
 
 
 def ortho(a: Subspace) -> Subspace:
     """Orthogonal complement, of rank exactly ``dim - rank(a)``."""
-    return _operate([("ortho", a, None)])[0]
+    return _operate([("ortho", a, None)], a.tol)[0]
 
 
 def join(a: Subspace, b: Subspace) -> Subspace:
     """Closed span of the union: ``a``'s rows, then the directions of
     ``b`` whose residuals against ``a`` exceed tol."""
     _check_dims(a, b)
-    return _operate([("join", a, b)])[0]
+    return _operate([("join", a, b)], max(a.tol, b.tol))[0]
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:
     """Intersection: the directions of ``a`` whose residuals against
     ``b`` are at most tol."""
     _check_dims(a, b)
-    return _operate([("meet", a, b)])[0]
+    return _operate([("meet", a, b)], max(a.tol, b.tol))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +694,7 @@ class PropertyTable:
                     known[key] = name
             if ops:
                 known.update(zip(ops, self._property_of(
-                    _operate(list(ops.values())))))
+                    _operate(list(ops.values()), self._tol))))
             if joins:
                 meets = self._fill([(known[e, "ortho"], known[f, "ortho"], "meet")
                                     for e, f, _ in joins])
@@ -825,18 +836,19 @@ def closure_generate(dim: int, generators: Sequence[Subspace],
     if cap < len(generators):
         raise ClosureCapExceeded(
             f"cap {cap} is smaller than the {len(generators)} generators")
+    tol = generators[0].tol if generators else DEFAULT_TOL
     for g in generators:
         if g.dim != dim:
             raise DimensionMismatch(
                 f"generator of dimension {g.dim} in closure of dimension {dim}")
-        if g.tol != generators[0].tol:
+        if g.tol != tol:
             raise InvalidTolerance(f"generators must share one tolerance, got "
-                                   f"{float(generators[0].tol)!r} and {float(g.tol)!r}")
+                                   f"{tol!r} and {g.tol!r}")
     elems, found = [], list(generators)
     while found:
         start, pool = len(elems), elems + found
         new = []
-        for idx, equal in _rank_groups(pool, found[0].tol):
+        for idx, equal in _rank_groups(pool, tol):
             rows = equal.tolist()
             # the group's kept elements come first, as pool lists them
             kept = [k for k, i in enumerate(idx) if i < start]
@@ -851,5 +863,5 @@ def closure_generate(dim: int, generators: Sequence[Subspace],
         found = _operate([("ortho", x, None) for x in elems[start:]]
                          + [(op, elems[i], elems[j]) for i in range(size)
                             for j in range(max(i + 1, start), size)
-                            for op in ("meet", "join")])
+                            for op in ("meet", "join")], tol)
     return elems

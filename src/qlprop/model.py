@@ -46,7 +46,7 @@ if TYPE_CHECKING:
     from .semantics import ProfileKernel
 
 __all__ = [
-    "Model", "HilbertAnnotation", "make_model", "load_model", "dump_model",
+    "Model", "make_model", "load_model", "dump_model",
     "enumerate_interpretations", "interpretation_count", "check_cms",
     "default_interpretation", "build_qm_model",
     "canonical_models", "m_sr", "m_cm", "m_qbit", "m_qutrit",
@@ -80,6 +80,14 @@ class Model:
         return ProfileKernel(self)
 
 
+def _string_ids(what: str, ids: str) -> SchemaError:
+    """The error for a ``str`` given where a sequence of ids is expected:
+    its characters would otherwise be read as ids.  The callers test
+    ``isinstance(ids, str)`` inline, and build the message only here."""
+    return SchemaError(
+        f"{what} must be a sequence of ids, got the string {ids!r}")
+
+
 def _unique(ids: Sequence[str], what: str) -> tuple[str, ...]:
     seen = set()
     for x in ids:
@@ -109,9 +117,13 @@ def make_model(states: Sequence[str], universes: Mapping[str, Sequence[str]],
     The model keeps the annotation, rebuilt in declaration order where
     its order differs: the property table searches in that order.
     """
+    if isinstance(states, str):
+        raise _string_ids("states", states)
     sts = _unique(states, "state id")
     if not sts:
         raise SchemaError("a model needs at least one state")
+    if isinstance(properties, str):
+        raise _string_ids("properties", properties)
     props = _unique(properties, "property id")
     if not props:
         raise SchemaError("a model needs at least one property")
@@ -120,6 +132,8 @@ def make_model(states: Sequence[str], universes: Mapping[str, Sequence[str]],
     for s in sts:
         if s not in universes:
             raise SchemaError(f"no universe for state {s!r}")
+        if isinstance(universes[s], str):
+            raise _string_ids(f"universe of {s!r}", universes[s])
         u = _unique(universes[s], f"object id in {s!r}")
         if not u:
             raise SchemaError(f"empty universe for state {s!r}")
@@ -137,11 +151,14 @@ def make_model(states: Sequence[str], universes: Mapping[str, Sequence[str]],
         for e in props:
             if e not in extensions[s]:
                 raise SchemaError(f"no extension for ({s!r}, {e!r})")
-            for x in extensions[s][e]:
+            ids = extensions[s][e]
+            if isinstance(ids, str):
+                raise _string_ids(f"extension of ({s!r}, {e!r})", ids)
+            for x in ids:
                 if not isinstance(x, str):
                     raise SchemaError(f"extension of ({s!r}, {e!r}) must "
                                       f"list object ids, got {x!r}")
-            ext = frozenset(extensions[s][e])
+            ext = frozenset(ids)
             stray = ext - uset
             if stray:
                 raise ExtensionOutOfUniverse(

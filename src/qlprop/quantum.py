@@ -60,7 +60,6 @@ from .model import Interpretation, Model
 from .semantics import (
     _check_cap,
     _levels,
-    enumerate_tq_formulas,
     is_true,
     physical_proposition,
     testable_witness,
@@ -78,7 +77,7 @@ from .syntax import (
 __all__ = [
     "QTruth", "QProposition", "witness_property", "tq_is_true",
     "tq_physical_proposition", "sasaki_hook", "q_truth", "q_truth_classical",
-    "check_tq_equalities", "enumerate_tq_formulas",
+    "check_tq_equalities",
 ]
 
 

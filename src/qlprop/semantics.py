@@ -91,7 +91,7 @@ __all__ = [
     "extension_profile",
     "logical_leq", "logical_equiv", "physical_leq", "physical_equiv",
     "testable_witness", "testable_proposition_poset", "forall_proposition",
-    "enumerate_formulas", "LTClass", "LTAlgebra",
+    "enumerate_formulas", "enumerate_tq_formulas", "LTClass", "LTAlgebra",
     "lindenbaum_tarski",
 ]
 

@@ -416,7 +416,8 @@ def reference_closure(dim: int, generators, cap: int) -> list:
     Equality is mutual containment at equal rank, at the larger of the
     two tolerances, with the residual norms computed here in the
     arithmetic of one 2-D residual; ``Subspace.__eq__`` is not called.
-    Only the kernels come from ``qlprop.hilbert`` (``_operate``).
+    Only the kernels come from ``qlprop.hilbert`` (``_operate``), called
+    at the generators' largest tolerance, which every result carries.
     """
     from qlprop.hilbert import _operate
 
@@ -442,13 +443,14 @@ def reference_closure(dim: int, generators, cap: int) -> list:
     for g in generators:
         assert g.dim == dim
         add(g)
+    tol = max((g.tol for g in generators), default=None)
     changed = True
     while changed:
         size = len(elems)
         ops = [("ortho", x, None) for x in elems]
         ops += [(op, elems[i], elems[j]) for i in range(size)
                 for j in range(i + 1, size) for op in ("meet", "join")]
-        for s in _operate(ops):
+        for s in _operate(ops, tol):
             add(s)
         changed = len(elems) != size
     return elems

@@ -353,10 +353,11 @@ def test_equality_matches_projector_mutual_containment(pair):
 
 
 @st.composite
-def _tilted_pairs(draw, dims=st.integers(1, 4)):
+def _tilted_pairs(draw, dims=st.integers(1, 4),
+                  tols=st.sampled_from([MIN_TOL, DEFAULT_TOL, MAX_TOL])):
     """Subspaces ``a`` and ``b`` of C^dim (dim drawn from ``dims``, ranks
-    0..dim), one of the three tolerance ends, and the smallest tilt above
-    tol (1.0 if none).
+    0..dim), a tolerance drawn from ``tols`` (by default one of the three
+    tolerance ends), and the smallest tilt above tol (1.0 if none).
 
     With q_1..q_dim the rows of a random unitary, ``a`` spans its first
     rank(a) rows.  Each vector of ``b`` is an unused row of ``a``, an
@@ -366,7 +367,7 @@ def _tilted_pairs(draw, dims=st.integers(1, 4)):
     of a unit vector of one against the other lies clearly on one side
     of tol."""
     dim = draw(dims)
-    tol = draw(st.sampled_from([MIN_TOL, DEFAULT_TOL, MAX_TOL]))
+    tol = draw(tols)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     q, _ = np.linalg.qr(rng.normal(size=(dim, dim))
                         + 1j * rng.normal(size=(dim, dim)))
@@ -500,10 +501,13 @@ def _oracle_projector(op, a, b=None):
 
 @st.composite
 def _stacks(draw):
-    """Two to eight pairs from :func:`_tilted_pairs` in one dimension, so
-    that operations on equal operand ranks share a stack."""
+    """Two to eight pairs from :func:`_tilted_pairs` in one dimension and
+    at one tolerance end, so that operations on equal operand ranks share
+    a stack, which decides them all at that tolerance."""
     dim = draw(st.integers(1, 4))
-    return draw(st.lists(_tilted_pairs(st.just(dim)), min_size=2, max_size=8))
+    tol = draw(st.sampled_from([MIN_TOL, DEFAULT_TOL, MAX_TOL]))
+    return draw(st.lists(_tilted_pairs(st.just(dim), st.just(tol)),
+                         min_size=2, max_size=8))
 
 
 def _ops(pairs):
@@ -519,7 +523,7 @@ def _ops(pairs):
 def test_stacked_kernels_match_the_projector_oracle(pairs):
     slack = max(10 * tol + 1e-13 / gap for _, _, tol, gap in pairs)
     ops = _ops(pairs)
-    for (op, a, b), got in zip(ops, hilbert._operate(ops)):
+    for (op, a, b), got in zip(ops, hilbert._operate(ops, pairs[0][2])):
         want = _oracle_projector(op, a, b)
         assert got.rank == round(np.trace(want).real)
         assert np.max(np.abs(got.projector() - want)) < slack
@@ -532,7 +536,7 @@ def test_stacked_kernels_match_the_projector_oracle(pairs):
 def test_a_stack_of_operations_gives_the_single_calls_results(pairs):
     ops = _ops(pairs)
     single = {"ortho": lambda a, _: ortho(a), "meet": meet, "join": join}
-    for (op, a, b), got in zip(ops, hilbert._operate(ops)):
+    for (op, a, b), got in zip(ops, hilbert._operate(ops, pairs[0][2])):
         want = single[op](a, b)
         assert np.array_equal(got.basis, want.basis) and got.tol == want.tol
 
@@ -784,7 +788,7 @@ def _kernel_names(ann: HilbertAnnotation, keys) -> list:
             else:
                 b = subs[key[1]] if key[-1] == "meet" else None
                 memo[key] = table._property_of(hilbert._operate(
-                    [(key[-1], subs[key[0]], b)]))[0]
+                    [(key[-1], subs[key[0]], b)], subs[key[0]].tol))[0]
         return memo[key]
 
     return [name(key) for key in keys]
@@ -1019,8 +1023,8 @@ def test_state_lattice_realises_its_table_in_one_batch(monkeypatch):
     n = len(m.properties)
     calls = []
     real = hilbert._operate
-    monkeypatch.setattr(hilbert, "_operate",
-                        lambda ops: calls.append(len(ops)) or real(ops))
+    monkeypatch.setattr(hilbert, "_operate", lambda ops, tol: (
+        calls.append(len(ops)) or real(ops, tol)))
     state_lattice(m)
     # every complement and meet that ranks leave open, in one stacked
     # call: ranks name the complements of the zero P8 and the whole space
@@ -1073,8 +1077,8 @@ def test_names_answers_in_key_order_and_raises_at_the_first_missing_key(
     table = hilbert.PropertyTable(ann)
     calls = []
     real = hilbert._operate
-    monkeypatch.setattr(hilbert, "_operate",
-                        lambda ops: calls.append(len(ops)) or real(ops))
+    monkeypatch.setattr(hilbert, "_operate", lambda ops, tol: (
+        calls.append(len(ops)) or real(ops, tol)))
 
     # duplicates come back in order; the distinct keys and the join's
     # operand complements take one call, then the join reads ~(~P12 &

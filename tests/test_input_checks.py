@@ -18,6 +18,7 @@ from qlprop.errors import (
     HilbertDimensionMismatch,
     InvalidTolerance,
     MeetJoinMissing,
+    NonOrthonormalBasis,
     NotAPartialOrder,
     QlpropError,
     RankError,
@@ -211,6 +212,60 @@ CALLS = [
     ("spanned vector of the wrong length",
      lambda: Subspace.span([[1, 0, 0]], 2),
      DimensionMismatch, "vector of length 3 in dimension 2"),
+    # the Gram test fails on a NaN or infinite entry, and no warning is
+    # issued on the way
+    ("basis with a NaN entry", lambda: Subspace(2, [[np.nan, 0]]),
+     NonOrthonormalBasis, "basis rows are not orthonormal within 1e-12"),
+    ("basis with an infinite entry", lambda: Subspace(2, [[np.inf, 0]]),
+     NonOrthonormalBasis, "basis rows are not orthonormal within 1e-12"),
+    ("basis with a NaN imaginary part", lambda: Subspace(2, [[1, 1j * np.nan]]),
+     NonOrthonormalBasis, "basis rows are not orthonormal within 1e-12"),
+    ("spanned vector with a NaN entry",
+     lambda: Subspace.span([[1, 0], [np.nan, 0]], 2),
+     SchemaError, "vector 1 has a NaN or infinite entry"),
+    ("spanned vector with an infinite entry",
+     lambda: Subspace.span([[0, -np.inf]], 2),
+     SchemaError, "vector 0 has a NaN or infinite entry"),
+    ("spanned vector with a huge entry and a NaN",
+     lambda: Subspace.span([[1e308, 1j * np.nan]], 2),
+     SchemaError, "vector 0 has a NaN or infinite entry"),
+    ("ray with an infinite entry", lambda: Subspace.ray([np.inf, 0]),
+     SchemaError, "vector 0 has a NaN or infinite entry"),
+    # the NaN vector was dropped: E became the zero subspace
+    ("property subspace with a NaN entry",
+     lambda: build_qm_model(2, {"a": [1, 0], "b": [0, 1]},
+                            {"E": [[np.nan, 0]], "I": [[1, 0], [0, 1]]}),
+     SchemaError, "vector 0 has a NaN or infinite entry"),
+    ("subspace at a NaN tolerance", lambda: Subspace(2, tol=np.nan),
+     InvalidTolerance, "tolerance nan is outside [1e-12, 0.001]"),
+    ("zero subspace at tolerance 1", lambda: Subspace.zero(2, tol=1.0),
+     InvalidTolerance, "tolerance 1.0 is outside [1e-12, 0.001]"),
+    ("whole space at an infinite tolerance",
+     lambda: Subspace.full(2, tol=np.inf),
+     InvalidTolerance, "tolerance inf is outside [1e-12, 0.001]"),
+    ("ray at a negative tolerance", lambda: Subspace.ray([1, 0], tol=-1),
+     InvalidTolerance, "tolerance -1 is outside [1e-12, 0.001]"),
+    ("span at a tolerance that is not a number",
+     lambda: Subspace.span([[1, 0]], 2, tol="x"),
+     InvalidTolerance, "tolerance 'x' is not a number"),
+    # a str is a sequence of one-character ids; it is refused instead
+    ("states given as a string",
+     lambda: make_model("S1", {"S": ["a"], "1": ["b"]}, ["E"],
+                        {"S": {"E": []}, "1": {"E": []}}),
+     SchemaError, "states must be a sequence of ids, got the string 'S1'"),
+    ("properties given as a string",
+     lambda: make_model(["S"], {"S": ["a"]}, "EF",
+                        {"S": {"E": [], "F": []}}),
+     SchemaError,
+     "properties must be a sequence of ids, got the string 'EF'"),
+    ("universe given as a string",
+     lambda: make_model(["S"], {"S": "ab"}, ["E"], {"S": {"E": []}}),
+     SchemaError,
+     "universe of 'S' must be a sequence of ids, got the string 'ab'"),
+    ("extension given as a string",
+     lambda: make_model(["S"], {"S": ["a", "b"]}, ["E"], {"S": {"E": "ab"}}),
+     SchemaError, "extension of ('S', 'E') must be a sequence of ids, "
+     "got the string 'ab'"),
     ("projected vector of the wrong length",
      lambda: Subspace.full(2).project([1, 0, 0]),
      DimensionMismatch, "vector of length 3 in dimension 2"),

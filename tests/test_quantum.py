@@ -379,8 +379,8 @@ def test_witness_runs_one_batch_per_height_with_a_miss(monkeypatch):
     assert len(keys) == 5 and expected == [3, 1]
     calls = []
     real = hilbert._operate
-    monkeypatch.setattr(hilbert, "_operate",
-                        lambda ops: calls.append(len(ops)) or real(ops))
+    monkeypatch.setattr(hilbert, "_operate", lambda ops, tol: (
+        calls.append(len(ops)) or real(ops, tol)))
     assert witness_property(m, f) == oracle_witness(m, f)
     assert calls == expected
     del calls[:]
@@ -465,8 +465,8 @@ def test_witness_fill_realises_one_batch_per_level(monkeypatch):
     m, fresh = m_qutrit(), m_qutrit()
     calls = []
     real = hilbert._operate
-    monkeypatch.setattr(hilbert, "_operate",
-                        lambda ops: calls.append(len(ops)) or real(ops))
+    monkeypatch.setattr(hilbert, "_operate", lambda ops, tol: (
+        calls.append(len(ops)) or real(ops, tol)))
     classes = _witness_classes(m, 3)
     # the atoms need no lookup; depth 2 misses every complement and
     # meet of the closed property set in one call, depth 3 none; the
