@@ -77,8 +77,12 @@ def _tol(args) -> float:
 
 
 def _path(name: str, option: str) -> Path:
-    """``name`` as a file path; no file name can hold a NUL character,
-    which Python's file functions reject with a ``ValueError``."""
+    """``name`` as a file path.  An empty name is refused, since ``Path``
+    reads it as the working directory, and so is a NUL character, which
+    no file name can hold and Python's file functions reject with a
+    ``ValueError``."""
+    if not name:
+        raise QlpropError(f"{option} is an empty path")
     if "\0" in name:
         raise QlpropError(f"{option} {name!r} contains a NUL character")
     return Path(name)
@@ -286,7 +290,6 @@ def _suite_cm(m: Model, depth: int, assume_cmt: bool) -> list[str]:
     ok, witness = check_cms(m)
     lines = [_verdict(ok, "every extension full or empty",
                       lambda: f"witness {witness}")]
-    _check_cap(depth)
     k = m.kernel
     # each check below reads a formula's profile only, so it runs over
     # the classes of the formulas up to depth 2.  The law checks read
@@ -370,6 +373,7 @@ def cmd_check(args) -> int:
         raise QlpropError("--assume-cmt requires --suite cm")
     m = _load(args)
     depth = args.depth if args.depth is not None else _SUITE_DEPTH[args.suite]
+    _check_cap(depth)  # before a suite reads the model's annotation
     extra = (args.assume_cmt,) if args.suite == "cm" else ()
     # looked up per call, as in main, so a wrapped or patched suite is run
     lines = globals()[f"_suite_{args.suite}"](m, depth, *extra)
@@ -406,7 +410,7 @@ def cmd_lattice(args) -> int:
     covers = poset.covers()
     lines.append(f"covers ({len(covers)}):")
     lines += [f"  {poset.labels[i]} < {poset.labels[j]}" for i, j in covers]
-    if args.dot:
+    if args.dot is not None:
         _path(args.dot, "--dot").write_text(export_dot(poset), encoding="utf-8")
         lines.append(f"wrote {args.dot}")
     _emit(args, lines,

@@ -18,9 +18,10 @@ import itertools
 import json
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -80,15 +81,29 @@ class Model:
         return ProfileKernel(self)
 
 
-def _string_ids(what: str, ids: str) -> SchemaError:
-    """The error for a ``str`` given where a sequence of ids is expected:
-    its characters would otherwise be read as ids.  The callers test
-    ``isinstance(ids, str)`` inline, and build the message only here."""
-    return SchemaError(
-        f"{what} must be a sequence of ids, got the string {ids!r}")
+def _ids(ids, what: str, *names) -> tuple:
+    """``ids`` as a tuple.  A ``str`` is refused, since its characters
+    would be read as ids, and so is anything that cannot be iterated.
+    The message names ``what.format(*names)``, formatted on failure
+    only."""
+    if not isinstance(ids, str):
+        try:
+            return tuple(ids)
+        except TypeError:
+            pass
+    got = f"the string {ids!r}" if isinstance(ids, str) else repr(ids)
+    raise SchemaError(
+        f"{what.format(*names)} must be a sequence of ids, got {got}")
 
 
-def _unique(ids: Sequence[str], what: str) -> tuple[str, ...]:
+def _mapping(x, what: str, *names) -> Mapping:
+    """``x``, refused unless it is a mapping; named as :func:`_ids` does."""
+    if not isinstance(x, Mapping):
+        raise SchemaError(f"{what.format(*names)} must be a mapping, got {x!r}")
+    return x
+
+
+def _unique(ids: tuple, what: str) -> tuple[str, ...]:
     seen = set()
     for x in ids:
         if not isinstance(x, str) or not x:
@@ -96,7 +111,7 @@ def _unique(ids: Sequence[str], what: str) -> tuple[str, ...]:
         if x in seen:
             raise DuplicateId(f"duplicate {what}: {x!r}")
         seen.add(x)
-    return tuple(ids)
+    return ids
 
 
 def make_model(states: Sequence[str], universes: Mapping[str, Sequence[str]],
@@ -104,6 +119,10 @@ def make_model(states: Sequence[str], universes: Mapping[str, Sequence[str]],
                extensions: Mapping[str, Mapping[str, Sequence[str]]],
                hilbert: HilbertAnnotation | None = None) -> Model:
     """Validate and freeze a model description.
+
+    Ids may come in any iterable but a ``str``, read once, and the
+    universes and extensions in mappings; any other kind of argument is
+    refused with :class:`SchemaError`.
 
     A Hilbert annotation must keep these rules, checked in this order:
 
@@ -117,24 +136,20 @@ def make_model(states: Sequence[str], universes: Mapping[str, Sequence[str]],
     The model keeps the annotation, rebuilt in declaration order where
     its order differs: the property table searches in that order.
     """
-    if isinstance(states, str):
-        raise _string_ids("states", states)
-    sts = _unique(states, "state id")
+    sts = _unique(_ids(states, "states"), "state id")
     if not sts:
         raise SchemaError("a model needs at least one state")
-    if isinstance(properties, str):
-        raise _string_ids("properties", properties)
-    props = _unique(properties, "property id")
+    props = _unique(_ids(properties, "properties"), "property id")
     if not props:
         raise SchemaError("a model needs at least one property")
 
+    _mapping(universes, "universes")
     unis: dict[str, tuple[str, ...]] = {}
     for s in sts:
         if s not in universes:
             raise SchemaError(f"no universe for state {s!r}")
-        if isinstance(universes[s], str):
-            raise _string_ids(f"universe of {s!r}", universes[s])
-        u = _unique(universes[s], f"object id in {s!r}")
+        u = _unique(_ids(universes[s], "universe of {!r}", s),
+                    f"object id in {s!r}")
         if not u:
             raise SchemaError(f"empty universe for state {s!r}")
         unis[s] = u
@@ -142,18 +157,22 @@ def make_model(states: Sequence[str], universes: Mapping[str, Sequence[str]],
         if s not in unis:
             raise SchemaError(f"universe for unknown state {s!r}")
 
+    _mapping(extensions, "extensions")
     exts: dict[str, dict[str, frozenset[str]]] = {}
     for s in sts:
         if s not in extensions:
             raise SchemaError(f"no extensions for state {s!r}")
+        given = _mapping(extensions[s], "extensions of {!r}", s)
         row: dict[str, frozenset[str]] = {}
         uset = set(unis[s])
         for e in props:
-            if e not in extensions[s]:
+            if e not in given:
                 raise SchemaError(f"no extension for ({s!r}, {e!r})")
-            ids = extensions[s][e]
-            if isinstance(ids, str):
-                raise _string_ids(f"extension of ({s!r}, {e!r})", ids)
+            ids = given[e]
+            # the kinds that JSON and a Model give skip the call, which
+            # runs once per pair on every load
+            if not isinstance(ids, (list, tuple, frozenset)):
+                ids = _ids(ids, "extension of ({!r}, {!r})", s, e)
             for x in ids:
                 if not isinstance(x, str):
                     raise SchemaError(f"extension of ({s!r}, {e!r}) must "
@@ -164,7 +183,7 @@ def make_model(states: Sequence[str], universes: Mapping[str, Sequence[str]],
                 raise ExtensionOutOfUniverse(
                     f"extension of {e!r} in {s!r} mentions {sorted(stray)}")
             row[e] = ext
-        for e in extensions[s]:
+        for e in given:
             if e not in props:
                 raise SchemaError(f"extension for unknown property {e!r}")
         exts[s] = row
@@ -490,6 +509,8 @@ def build_qm_model(dim: int, rays: Mapping[str, Sequence],
     if policy not in POLICIES:
         raise SchemaError(f"unknown extension policy {policy!r}")
     tol = check_tol(tol)
+    _mapping(rays, "rays")
+    _mapping(subspaces, "subspaces")
     states = list(rays)
     props = list(subspaces)
     ray_subs = {s: Subspace.ray(np.asarray(v, dtype=complex), dim, tol)

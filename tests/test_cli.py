@@ -794,9 +794,11 @@ def test_check_cm_refuses_depth_below_one(model, depth, models_dir, capsys):
 
 @pytest.mark.parametrize("depth", ["0", "-1"])
 def test_check_qm_refuses_depth_below_one(depth, models_dir, capsys):
-    # passed the three lattice equalities over no formulas
-    _refuses_depth(["check", "--model", str(models_dir / "m_qbit.json"),
-                    "--suite", "qm", "--depth", depth], capsys)
+    # passed the three lattice equalities over no formulas; on m_sr the
+    # missing annotation was reported instead
+    for model in ("m_qbit", "m_sr"):
+        _refuses_depth(["check", "--model", str(models_dir / f"{model}.json"),
+                        "--suite", "qm", "--depth", depth], capsys)
 
 
 @pytest.mark.parametrize("model", ["m_sr", "m_qbit"])
@@ -835,6 +837,7 @@ _ENUMERATING = [
     ("check", "m_sr", "--suite", "sec3"),
     ("check", "m_sr", "--suite", "cm"),
     ("check", "m_qbit", "--suite", "qm"),
+    ("check", "m_sr", "--suite", "qm"),  # refused before its annotation
     ("check", "m_qbit", "--suite", "prag"),
     ("lattice", "m_sr", "--which", "testable"),
     ("lattice", "m_sr", "--which", "lindenbaum"),
@@ -1171,3 +1174,22 @@ def test_nul_in_a_path_is_exit_1_without_traceback(argv, models_dir,
     err = capsys.readouterr().err
     assert err.startswith("ERROR QlpropError: ")
     assert "NUL character" in err and "Traceback" not in err
+
+
+# an empty name is no path: Path("") is the working directory, which
+# --model read as a directory, --out wrote the fixtures into, and --dot
+# skipped without a word while exiting 0
+@pytest.mark.parametrize("argv, option", [
+    (["check", "--model", "", "--suite", "sec3"], "--model"),
+    (["fixtures", "--out", ""], "--out"),
+    (["lattice", "--model", "@", "--which", "LS", "--dot", ""], "--dot"),
+], ids=["model", "out", "dot"])
+def test_an_empty_path_is_refused(argv, option, models_dir, tmp_path,
+                                  monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = [str(models_dir / "m_qbit.json") if w == "@" else w for w in argv]
+    for extra in ([], ["--json"]):
+        assert main(argv + extra) == 1
+        assert capsys.readouterr() == (
+            "", f"ERROR QlpropError: {option} is an empty path\n")
+    assert list(tmp_path.iterdir()) == []

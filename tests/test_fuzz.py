@@ -19,8 +19,6 @@ from qlprop.errors import ParseError, QlpropError
 from qlprop.model import Model, dump_model, load_model, m_cm, m_qbit, m_sr
 from qlprop.syntax import parse_lx, parse_prag, parse_tq
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
     | st.text(max_size=6),

