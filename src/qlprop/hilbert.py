@@ -12,9 +12,10 @@ computing the complement.  The rule is applied to many
 rows at once: with a basis as the rows of A and the unit vectors as the
 rows of B, the residuals are the rows of R = B - (B A^H) A, and stacking
 bases and row sets along leading axes decides many pairs in one
-product.  One function, :func:`_outside_matrix`, decides it for stacks
-of bases against stacks of bases, and every containment and equality
-test between subspaces goes through it: ``contains(a, b)`` applies it
+product.  One function, :func:`_residual_norms`, computes the norms,
+and :func:`_outside_matrix` decides with them for stacks of bases
+against stacks of bases; every containment and equality test between
+subspaces goes through them: ``contains(a, b)`` applies the latter
 to the basis rows of ``b``, ``a == b`` holds when both directions do at
 equal rank, and the property table, ``make_model``'s distinctness check
 and the closure decide many pairs of one rank in one
@@ -62,11 +63,12 @@ A subspace result maps to the first declared property equal to it, by
 mutual containment at the table's tolerance.  :meth:`PropertyTable.names`
 answers a list of operation keys in order: it computes the missing ones
 at once, stacking
-their operations by kind and operand ranks, then groups the results by
+their operations by kind and operand ranks, each unordered meet pair
+once since meet commutes, then groups the results by
 rank and decides each group against the declared subspaces of that rank
-in one mutual containment matrix of the result x declared pairs: one
-residual of the results' rows against the declared bases and one of the
-declared rows against the results' bases (:func:`_equal_matrix`, which
+in one mutual containment matrix of the result x declared pairs: the
+results' rows against the declared bases and the declared rows against
+the results' bases, in one residual call (:func:`_equal_matrix`, which
 also finds a model's first equal pair of declared subspaces, there in
 one residual of a rank group against itself, read both ways by
 transposition).  It raises at the first key, in order, that no property
@@ -310,19 +312,15 @@ def _check_dims(a: Subspace, b: Subspace):
 
 # At most about this many complex entries of R are formed at once when
 # many subspaces are compared pairwise, so memory stays small.  Each rank
-# of a full property table (m_qutrit: 79 rank-2 results against 5
-# properties, 2,370 entries) fits in one block.
+# of a full property table (m_qutrit: 27 rank-1 results against 5
+# properties, 810 entries both ways) fits in one block.
 _BLOCK = 1 << 12
 
 
-def _residual_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Norms of the rows of R = B - (B A^H) A: the residuals of the rows of
-    ``b`` against the orthonormal rows of ``a``.
-
-    ``a`` is (r, dim) or a stack of n bases (n, r, dim), and ``b`` is (m,
-    dim); the result is (m,) or (n, m).  A row lies inside when its norm
-    is not above the tolerance.
-    """
+def _residuals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The rows of R = B - (B A^H) A, (n * m, dim): the residuals of the
+    rows of ``b`` (m, dim) against the orthonormal rows of ``a``, (r, dim)
+    or each of a stack of n bases (n, r, dim), in that order."""
     if a.ndim == 2:  # ndarray.dot: the same product, called faster
         r = b.dot(a.conj().T).dot(a)
     else:
@@ -331,7 +329,21 @@ def _residual_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         r = b.dot(a.reshape(n * k, dim).conj().T).reshape(
             len(b), n, k).swapaxes(0, 1) @ a
     # in place, so that one (m, dim) or (n, m, dim) array is held at a time
-    x = np.subtract(b, r, out=r).view(float)
+    return np.subtract(b, r, out=r).reshape(-1, b.shape[-1])
+
+
+def _residual_norms(a: np.ndarray, b: np.ndarray,
+                    *pair: np.ndarray) -> np.ndarray:
+    """The norms of the rows of :func:`_residuals` of ``a`` and ``b``,
+    (n * m,).  A row lies inside when its norm is not above the
+    tolerance.  ``pair`` may hold a second ``a`` and ``b``, whose norms
+    follow the first's: the two R are joined and share one tail (square
+    the float view in place, sum, root).
+    """
+    r = _residuals(a, b)
+    if pair:
+        r = np.concatenate([r, _residuals(*pair)])
+    x = r.view(float)
     x *= x
     return np.sqrt(x.sum(-1))
 
@@ -373,15 +385,25 @@ def _equal_matrix(bases: np.ndarray, tol: float,
 
     Without ``others``, ``bases`` are compared with themselves in one
     :func:`_outside_matrix`, read both ways by transposition.  With them,
-    one residual tests ``others``' rows against ``bases`` and one the
-    rows of ``bases`` against ``others``, so that only the n x m pairs
-    are decided.
+    ``others``' rows are tested against ``bases`` and the rows of
+    ``bases`` against ``others``, so that only the n x m pairs are
+    decided.  Where both directions fit in one block they are one
+    :func:`_residual_norms` call, whose two products share its tail;
+    otherwise each is an :func:`_outside_matrix` of its own.  Either way
+    every row's product is the one the blocks would form.
     """
     if others is None:
         outside = _outside_matrix(bases, bases, tol)
         return ~(outside | outside.T)
-    return ~(_outside_matrix(bases, others, tol)
-             | _outside_matrix(others, bases, tol).T)
+    (n, rank, dim), m = bases.shape, len(others)
+    if 2 * n * m * rank * dim > _BLOCK:
+        return ~(_outside_matrix(bases, others, tol)
+                 | _outside_matrix(others, bases, tol).T)
+    norms = _residual_norms(bases, others.reshape(-1, dim),
+                            others, bases.reshape(-1, dim))
+    out = (norms > tol).reshape(2, n * m, rank).any(-1)
+    # the second pair's rows come others-first
+    return ~(out[0].reshape(n, m) | out[1].reshape(m, n).T)
 
 
 def _rank_groups(subspaces: Sequence[Subspace],
@@ -539,6 +561,14 @@ class HilbertAnnotation:
 _OPEN = object()
 
 
+class _Declared(dict):
+    """A dict keyed by the declared properties, in which a missing key
+    raises :class:`UnknownProperty`."""
+
+    def __missing__(self, e):
+        raise UnknownProperty(f"no subspace for property {e!r}")
+
+
 class PropertyTable:
     """Lazily filled subspace facts of one annotation's properties.
 
@@ -549,7 +579,13 @@ class PropertyTable:
     ``meet(e, f)`` and ``join(e, f)`` are :meth:`names` calls of one key
     each, which keep the key format inside the table.  A join key is
     read as ``ortho`` of the ``meet`` of the operands' ``ortho`` entries,
-    and is missing when one of those three lookups is.  ``certain(e)`` is
+    and is missing when one of those three lookups is.  Meet commutes,
+    so ``(f, e, "meet")`` is named by ``(e, f, "meet")``: a fill stacks
+    each open pair once, the lower-rank operand first (on equal ranks in
+    the order of the pair's first key in the fill), and gives both keys
+    the result's name.  Where a residual lies within rounding of the
+    tolerance the kernel's two orders can name different properties;
+    the table names both keys by the order it computed.  ``certain(e)`` is
     the set of states whose ray lies in ``e``'s subspace, and
     ``orthogonal(e)`` the set of those whose ray is orthogonal to it;
     both read one row per state, each ray's basis vector, stacked once.
@@ -561,7 +597,8 @@ class PropertyTable:
 
     Keys that the ortholattice identities ~0 = 1, ~1 = 0, a & 0 = 0,
     a & 1 = a and a & a = a decide are named from the operands' ranks,
-    without a kernel or a residual:
+    without a kernel or a residual.  The table reads each property's rank
+    once, into a map, with the first declared property of each rank:
 
     - ``(e, "ortho")`` with ``e`` of rank 0 is the first declared
       property of rank ``dim``, and with ``e`` of rank ``dim`` the first
@@ -588,7 +625,7 @@ class PropertyTable:
         # holds this table, and a reference back would make a cycle that
         # only the cyclic garbage collector frees
         self._dim = ann.dim
-        self._subspaces = ann.property_subspaces
+        self._subspaces = _Declared(ann.property_subspaces)
         self._rays = ann.state_rays
         self._tol = next((sub.tol for sub in self._subspaces.values()),
                          DEFAULT_TOL)
@@ -596,28 +633,30 @@ class PropertyTable:
         self._names: dict[tuple, str | None] = {}
         self._certain: dict[str, frozenset[str]] = {}
         self._orthogonal: dict[str, frozenset[str]] = {}
+        # each property's rank, read once, and the first declared
+        # property of each rank
+        self._ranks = _Declared((e, s.rank) for e, s in self._subspaces.items())
+        self._first = {rank: e for e, rank in reversed(self._ranks.items())}
         # rank -> declared names, stacked bases
         self._groups: dict[int, tuple] = {}
         # each state's ray row, in state order
         self._ray_rows: np.ndarray | None = None
 
     def _group(self, rank: int) -> tuple:
-        try:
-            return self._groups[rank]
-        except KeyError:
-            names = [e for e, sub in self._subspaces.items() if sub.rank == rank]
-            group = (names, np.array([self._subspaces[e].basis for e in names]))
-            self._groups[rank] = group
-            return group
+        if rank not in self._groups:
+            names = [e for e, r in self._ranks.items() if r == rank]
+            self._groups[rank] = (
+                names, np.array([self._subspaces[e].basis for e in names]))
+        return self._groups[rank]
 
     def _property_of(self, targets: Sequence[Subspace]) -> list[str | None]:
         """The first declared property whose subspace equals each target.
 
         The targets of one rank are decided against that rank's declared
         subspaces in one :func:`_equal_matrix` of the two stacks, at the
-        table's tolerance: one residual of the targets' rows against the
-        declared bases and one of the declared rows against the targets'
-        bases.  Every target of rank 0 equals the first declared property
+        table's tolerance: the targets' rows against the declared bases
+        and the declared rows against the targets' bases, in one residual
+        call.  Every target of rank 0 equals the first declared property
         of rank 0.
         """
         by_rank: dict[int, list[int]] = {}
@@ -626,43 +665,30 @@ class PropertyTable:
         out: list[str | None] = [None] * len(targets)
         for rank, idx in by_rank.items():
             names, group = self._group(rank)
-            if not names:
-                continue
-            if not rank:
+            if names and not rank:
                 for i in idx:
                     out[i] = names[0]
-                continue
-            equal = _equal_matrix(_stack([targets[i].basis for i in idx]),
-                                  self._tol, group)
-            for i, row in zip(idx, equal.tolist()):
-                if True in row:
-                    out[i] = names[row.index(True)]
+            elif names:
+                equal = _equal_matrix(
+                    _stack([targets[i].basis for i in idx]), self._tol, group)
+                for i, row in zip(idx, equal.tolist()):
+                    if True in row:
+                        out[i] = names[row.index(True)]
         return out
 
-    def _subspace(self, e: str) -> Subspace:
-        try:
-            return self._subspaces[e]
-        except KeyError:
-            raise UnknownProperty(f"no subspace for property {e!r}") from None
-
-    def _first_of_rank(self, rank: int) -> str | None:
-        """The first declared property of ``rank``, or None."""
-        names = self._group(rank)[0]
-        return names[0] if names else None
-
-    def _by_ranks(self, key: tuple, a: Subspace, b: Subspace | None):
+    def _by_ranks(self, key: tuple):
         """The name that the class's rank rules give the complement or
-        meet ``key``, whose operands' subspaces are ``a`` and ``b`` (None
-        for a complement), or ``_OPEN`` where the ranks leave it open."""
-        dim = self._dim
-        if b is None:
-            return (self._first_of_rank(dim - a.rank) if a.rank in (0, dim)
-                    else _OPEN)
-        if not (a.rank and b.rank):
-            return self._first_of_rank(0)
-        if b.rank == dim or key[0] == key[1]:
+        meet ``key``, read from the rank map, or ``_OPEN`` where the ranks
+        leave it open."""
+        a, dim, first = self._ranks[key[0]], self._dim, self._first.get
+        if key[-1] == "ortho":
+            return first(dim - a) if a in (0, dim) else _OPEN
+        b = self._ranks[key[1]]
+        if not (a and b):
+            return first(0)
+        if b == dim or key[0] == key[1]:
             return key[0]
-        return key[1] if a.rank == dim else _OPEN
+        return key[1] if a == dim else _OPEN
 
     def _fill(self, keys: Sequence[tuple]) -> list[str | None]:
         """The property realising each of ``keys``, in order, and None
@@ -671,13 +697,13 @@ class PropertyTable:
         The complement and meet keys not yet in the table, and the
         complements of the join keys' operands, are filled at once.
         Those that the operands' ranks decide are named by the class's
-        rank rules; the operations of the others are stacked by kind and
-        operand ranks, and their results matched to properties in one
-        batch per rank.  A join E v F is then read as ~(~E & ~F), by two
-        more fills: the meets of the complements, and the complements of
-        those meets.
+        rank rules; the operations of the others, each meet pair once,
+        are stacked by kind and operand ranks, and their results matched
+        to properties in one batch per rank.  A join E v F is then read
+        as ~(~E & ~F), by two more fills: the meets of the complements,
+        and the complements of those meets.
         """
-        known, sub = self._names, self._subspace
+        known, sub, rank = self._names, self._subspaces, self._ranks
         todo = [key for key in keys if key not in known and None not in key]
         if todo:
             joins = [key for key in todo if key[-1] == "join"]
@@ -686,15 +712,21 @@ class PropertyTable:
                 if key[-1] != "join" and key not in known]
             ops: dict[tuple, tuple] = {}
             for key in todo:
-                a, b = sub(key[0]), sub(key[1]) if len(key) == 3 else None
-                name = self._by_ranks(key, a, b)
-                if name is _OPEN:
-                    ops[key] = (key[-1], a, b)
-                else:
+                name = self._by_ranks(key)
+                if name is not _OPEN:
                     known[key] = name
+                elif key[-1] == "ortho":
+                    ops[key] = ("ortho", sub[key[0]], None)
+                elif (key[1], key[0], "meet") not in ops:
+                    # meet commutes: each pair once, the lower rank first
+                    e, f = sorted(key[:2], key=rank.__getitem__)
+                    ops[key] = ("meet", sub[e], sub[f])
             if ops:
-                known.update(zip(ops, self._property_of(
-                    _operate(list(ops.values()), self._tol))))
+                for key, name in zip(ops, self._property_of(
+                        _operate(list(ops.values()), self._tol))):
+                    known[key] = name
+                    if key[-1] == "meet":
+                        known[key[1], key[0], "meet"] = name
             if joins:
                 meets = self._fill([(known[e, "ortho"], known[f, "ortho"], "meet")
                                     for e, f, _ in joins])
@@ -745,7 +777,7 @@ class PropertyTable:
         refuses a ray of any other rank, and :meth:`Subspace.ray`, which
         builds the rays of ``load_model`` and ``build_qm_model``, returns
         rank 1 or raises."""
-        sub = self._subspace(e)
+        sub = self._subspaces[e]
         if self._ray_rows is None:
             self._ray_rows = np.array(
                 [ray.basis[0] for ray in self._rays.values()],

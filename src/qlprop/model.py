@@ -83,15 +83,20 @@ class Model:
 
 def _ids(ids, what: str, *names) -> tuple:
     """``ids`` as a tuple.  A ``str`` is refused, since its characters
-    would be read as ids, and so is anything that cannot be iterated.
-    The message names ``what.format(*names)``, formatted on failure
-    only."""
-    if not isinstance(ids, str):
+    would be read as ids, and so is a ``set`` or ``frozenset``, whose
+    order is its hash order and so differs between processes, and
+    anything that cannot be iterated.  The message names
+    ``what.format(*names)``, formatted on failure only."""
+    if isinstance(ids, str):
+        got = f"the string {ids!r}"
+    elif isinstance(ids, (set, frozenset)):
+        got = (f"a {type(ids).__name__}, whose hash order differs between "
+               f"processes")
+    else:
         try:
             return tuple(ids)
         except TypeError:
-            pass
-    got = f"the string {ids!r}" if isinstance(ids, str) else repr(ids)
+            got = repr(ids)
     raise SchemaError(
         f"{what.format(*names)} must be a sequence of ids, got {got}")
 
@@ -122,7 +127,12 @@ def make_model(states: Sequence[str], universes: Mapping[str, Sequence[str]],
 
     Ids may come in any iterable but a ``str``, read once, and the
     universes and extensions in mappings; any other kind of argument is
-    refused with :class:`SchemaError`.
+    refused with :class:`SchemaError`.  The states, the properties and
+    each universe keep their given order, which ``dump_model`` writes
+    and the interpretations follow, so a ``set`` or ``frozenset`` is
+    refused there: its hash order differs between processes.  An
+    extension may be any iterable of ids, sets included, since it is
+    frozen to a set.
 
     A Hilbert annotation must keep these rules, checked in this order:
 
@@ -170,8 +180,9 @@ def make_model(states: Sequence[str], universes: Mapping[str, Sequence[str]],
                 raise SchemaError(f"no extension for ({s!r}, {e!r})")
             ids = given[e]
             # the kinds that JSON and a Model give skip the call, which
-            # runs once per pair on every load
-            if not isinstance(ids, (list, tuple, frozenset)):
+            # runs once per pair on every load; an extension is frozen to
+            # a set, so a set's order does not matter here
+            if not isinstance(ids, (list, tuple, set, frozenset)):
                 ids = _ids(ids, "extension of ({!r}, {!r})", s, e)
             for x in ids:
                 if not isinstance(x, str):

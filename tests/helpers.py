@@ -7,7 +7,8 @@ intersects over every interpretation instead of testing extensions for
 fullness; the closure oracle enumerates formulas itself and closes their
 quotient round by round with the same set algebra.  The subspace oracle
 works on projector matrices instead of basis rows, as does the
-orthogonality oracle, the subspace-closure reference adds its results
+orthogonality oracle and the ordered-meet oracle (one null space per
+ordered pair), the subspace-closure reference adds its results
 one at a time after a pairwise containment scan of its own (only the
 subspace kernels are shared), the witness oracles
 (which import nothing from ``qlprop.hilbert`` or ``qlprop.quantum``)
@@ -384,6 +385,29 @@ def null_space_meet(pa: np.ndarray, pb: np.ndarray,
     _, sv, vh = np.linalg.svd(np.vstack([eye - pa, eye - pb]))
     n = vh[sv < thresh].conj().T
     return n @ n.conj().T
+
+
+def oracle_meet_name(ann, e: str, f: str) -> str | None:
+    """The first declared property equal to the meet of ``e`` and ``f``,
+    decided for this ordered pair by itself, or None.
+
+    The meet is the :func:`null_space_meet` of the operands'
+    :func:`span_projector` matrices.  A principal pair of directions at
+    angle theta gives the stacked matrix the singular value sqrt(2)
+    sin(theta / 2), so the threshold is that value at the angle whose
+    sine is the tolerance: the kernel's rule, which keeps a direction of
+    the first operand whose residual against the second is at most tol.
+    The null space's range is matched by :func:`projector_equal` at the
+    annotation's tolerance (a near tie counts as unequal).
+    """
+    subs = ann.property_subspaces
+    tol = subs[e].tol
+    pa, pb = (span_projector(subs[x].basis, ann.dim) for x in (e, f))
+    w, v = np.linalg.eigh(null_space_meet(
+        pa, pb, 2 ** 0.5 * np.sin(np.arcsin(tol) / 2)))
+    rows = v[:, w > 0.5].T  # an orthonormal basis of the range
+    return next((name for name, sub in subs.items()
+                 if projector_equal(sub.basis, rows, tol)), None)
 
 
 def projector_equal(rows_a, rows_b, tol: float) -> bool | None:

@@ -58,7 +58,9 @@ from qlprop.quantum import check_tq_equalities
 from helpers import (
     join_open,
     mo2_qubit,
+    non_injective_qubit,
     null_space_meet,
+    oracle_meet_name,
     projector_equal,
     projector_join,
     projector_meet,
@@ -702,6 +704,46 @@ def test_property_table_matches_the_pairwise_loops(fam, data):
         for target in many]
 
 
+def _assert_meets_commute(ann):
+    """The table names every ordered meet as the ordered-meet oracle
+    names that pair in both orders: in one fill of every key, and one key
+    at a time on fresh tables, the reversed order asked first."""
+    names = list(ann.property_subspaces)
+    keys = [(e, f, "meet") for e in names for f in names]
+    expected = {(e, f): oracle_meet_name(ann, e, f) for e, f, _ in keys}
+    filled = hilbert.PropertyTable(ann)._fill(keys)
+    for (e, f, _), name in zip(keys, filled):
+        assert name == expected[e, f] == expected[f, e], (e, f)
+        table = hilbert.PropertyTable(ann)
+        assert table._fill([(f, e, "meet"), (e, f, "meet")]) == [name, name]
+
+
+@pytest.mark.parametrize("build", [
+    m_qbit, m_qutrit, join_open, non_injective_qubit,
+    *(functools.partial(mo2_qubit, seed) for seed in range(40))])
+def test_meet_names_commute_on_the_fixtures(build):
+    _assert_meets_commute(build().hilbert)
+
+
+@given(_families())
+@settings(max_examples=300, deadline=None)
+def test_meet_names_commute_on_tilted_families(fam):
+    # the rank rules hold where no two properties are equal, as in every
+    # model: a member equal to an earlier one is left out.  At a residual
+    # within rounding of tol the kernel's two orders can name different
+    # properties, so those examples are skipped.
+    family, tol = fam
+    members: list[Subspace] = []
+    for x in family:
+        if all(x != y for y in members):
+            members.append(x)
+    _assume_clear(members)
+    dim = family[0].dim
+    _assert_meets_commute(HilbertAnnotation(
+        dim, {"S": Subspace.ray(np.eye(dim)[0], dim, tol)},
+        {f"P{i}": x for i, x in enumerate(members)}))
+
+
 @st.composite
 def _rank_annotations(draw):
     """A model's annotation, through ``make_model``, whose properties
@@ -861,7 +903,8 @@ def test_loading_a_model_compares_only_subspaces_of_equal_rank(monkeypatch):
     calls = []
     real = hilbert._residual_norms
     monkeypatch.setattr(hilbert, "_residual_norms",
-                        lambda a, b: calls.append((a, b)) or real(a, b))
+                        lambda a, b, *pair: calls.append((a, b))
+                        or real(a, b, *pair))
     load_model(text)
     # one residual per group of two or more: the rays (rank 1), and the
     # properties of rank 1 and of rank 2; ranks 0 and 3 have one each
@@ -881,7 +924,7 @@ def test_state_lattice_matches_each_rank_in_two_residuals(monkeypatch):
     calls, matches = [], []
     real = hilbert._residual_norms
     monkeypatch.setattr(hilbert, "_residual_norms",
-                        lambda a, b: calls.append(1) or real(a, b))
+                        lambda *args: calls.append(1) or real(*args))
     property_of = hilbert.PropertyTable._property_of
 
     def counting(self, targets):
@@ -894,12 +937,12 @@ def test_state_lattice_matches_each_rank_in_two_residuals(monkeypatch):
     monkeypatch.setattr(hilbert.PropertyTable, "_property_of", counting)
     state_lattice(m)
     # one match of every complement and meet result that ranks leave open
-    # (those of the ten properties of rank 1 or 2, and the meets of two
-    # different ones), the joins being read from those: one residual each
-    # way per rank, none for rank 0
+    # (those of the ten properties of rank 1 or 2, and the meet of each
+    # unordered pair of two different ones), the joins being read from
+    # those: both ways in one residual call per rank, none for rank 0
     [(ranks, n, count)] = matches
-    assert ranks == {0, 1, 2} and n == 10 + 10 * 9
-    assert count <= 2 * len(ranks - {0})
+    assert ranks == {0, 1, 2} and n == 10 + 10 * 9 // 2
+    assert count == len(ranks - {0})
 
 
 # ---------------------------------------------------------------------------
@@ -1008,7 +1051,7 @@ def test_property_table_is_per_annotation_and_lazy(monkeypatch):
     calls = []
     real = hilbert._residual_norms
     monkeypatch.setattr(hilbert, "_residual_norms",
-                        lambda x, y: calls.append(1) or real(x, y))
+                        lambda *args: calls.append(1) or real(*args))
     first = certain_states(a, "P1")
     assert calls
     del calls[:]
@@ -1020,21 +1063,29 @@ def test_property_table_is_per_annotation_and_lazy(monkeypatch):
 def test_state_lattice_realises_its_table_in_one_batch(monkeypatch):
     m = m_qutrit()
     n = len(m.properties)
-    calls = []
-    real = hilbert._operate
+    calls, svds = [], []
+    real, svd = hilbert._operate, np.linalg.svd
     monkeypatch.setattr(hilbert, "_operate", lambda ops, tol: (
         calls.append(len(ops)) or real(ops, tol)))
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: (
+        svds.append(args[0].shape[1:]) or svd(*args, **kw)))
     state_lattice(m)
     # every complement and meet that ranks leave open, in one stacked
     # call: ranks name the complements of the zero P8 and the whole space
     # P10, every meet with either, and each property's meet with itself;
+    # meet commutes, so each open pair is one operation for both orders;
     # each join is read from them as ~(~E & ~F), so it needs no operation
     # of its own
-    decided = 2 + (2 * n - 1) + (2 * (n - 1) - 1) + (n - 2)
-    assert calls == [n + n * n - decided] == [100]
+    meets = n * n - (2 * n - 1) - (2 * (n - 1) - 1) - (n - 2)
+    assert calls == [(n - 2) + meets // 2] == [55]
+    # one SVD per stacked group, of the rows of its first operands: the
+    # complements of lines and of planes, and the meets of two lines, of
+    # a line and a plane, and of two planes; the lower rank goes first,
+    # so there is no group of a plane and a line
+    assert sorted(svds) == [(1, 3)] * 3 + [(2, 3)] * 2
     # a second lattice of the same model computes nothing
     state_lattice(m)
-    assert calls == [100]
+    assert calls == [55]
 
 
 def test_property_table_runs_no_join_kernel(monkeypatch):
@@ -1104,9 +1155,9 @@ def test_names_answers_in_key_order_and_raises_at_the_first_missing_key(
     del calls[:]
     assert first_missing(lambda: table.names(keys)) == meet_missing
     # the meet, P23's complement and P1's; then the meet of the
-    # complements P23 & P12, a line no property holds, so the join is
-    # missing without a complement call
-    assert calls == [3, 1]
+    # complements P23 & P12, which is the missing P12 & P23 in the other
+    # order, so the join is missing without another call
+    assert calls == [3]
     assert first_missing(lambda: table.names(keys[::-1])) == join_missing
     # which is the key that one lookup at a time reaches first
     fresh = hilbert.PropertyTable(ann)

@@ -289,6 +289,26 @@ CALLS = [
     ("extensions row given as a list",
      lambda: make_model(["S"], {"S": ["u"]}, ["E"], {"S": ["E"]}),
      SchemaError, "extensions of 'S' must be a mapping, got ['E']"),
+    # a set's hash order differs between processes, and the states, the
+    # properties and each universe keep their order in the model
+    ("states given as a set",
+     lambda: make_model({"S"}, {"S": ["a"]}, ["E"], {"S": {"E": []}}),
+     SchemaError, "states must be a sequence of ids, got a set, whose "
+     "hash order differs between processes"),
+    ("properties given as a frozenset",
+     lambda: make_model(["S"], {"S": ["a"]}, frozenset({"E"}),
+                        {"S": {"E": []}}),
+     SchemaError, "properties must be a sequence of ids, got a frozenset, "
+     "whose hash order differs between processes"),
+    ("universe given as a set",
+     lambda: make_model(["S"], {"S": {"a", "b"}}, ["E"], {"S": {"E": []}}),
+     SchemaError, "universe of 'S' must be a sequence of ids, got a set, "
+     "whose hash order differs between processes"),
+    ("universe given as a frozenset",
+     lambda: make_model(["S"], {"S": frozenset({"a"})}, ["E"],
+                        {"S": {"E": []}}),
+     SchemaError, "universe of 'S' must be a sequence of ids, got a "
+     "frozenset, whose hash order differs between processes"),
     ("rays given as a list",
      lambda: build_qm_model(2, [[1, 0]], {"E": [[1, 0]]}),
      SchemaError, "rays must be a mapping, got [[1, 0]]"),
