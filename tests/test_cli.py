@@ -945,14 +945,6 @@ def test_out_of_range_tol_is_domain_error(models_dir, monkeypatch, capsys,
             "ERROR InvalidTolerance: --tol")
 
 
-def test_console_entry_point():
-    out = subprocess.run(
-        [sys.executable, "-m", "qlprop", "parse", "E(x) & F(x)"],
-        capture_output=True, text=True)
-    assert out.returncode == 0
-    assert out.stdout.strip() == "E(x) & F(x)"
-
-
 # ---------------------------------------------------------------------------
 # closed output pipe and malformed model files
 

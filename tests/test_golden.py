@@ -319,10 +319,13 @@ GROUPS = {"parse": _parse_cases(), "check": _check_cases(),
 
 def _run(argv: list[str], models: str) -> dict:
     out, err = io.StringIO(), io.StringIO()
-    # a fresh filter state, so every warning prints once as in a new process
+    # a fresh filter state, so every warning prints once as in a new
+    # process, to stderr also where pytest would record it
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("default")
+        warnings.showwarning = lambda m, c, f, n, file=None, line=None: \
+            sys.stderr.write(warnings.formatwarning(m, c, f, n, line))
         code = main([a.replace("{models}", models) for a in argv])
     return {"argv": argv, "exit": code, "stdout": out.getvalue(),
             "stderr": err.getvalue()}

@@ -4,12 +4,13 @@ One row per line: the suite, the model, a fault injected into the code
 that decides the line (or none, where the line depends on the model),
 and the exact FAIL line, with the row's argv tail, if any, after the
 suite.  Each row runs through ``cli.main`` as a user would and must
-exit 1.  The rows cover 14 of the 22 kinds of line:
+exit 1.  The rows cover 17 of the 22 kinds of line:
 
 - qm: the negation, conjunction and join laws, and the state lattice
   laws ortho_involution, ortho_complement, orthomodular and
   ortho_order_reversal, each made to fail by swapping two complements
-  in the property table;
+  in the property table; atomic and atomistic, made to fail by a poset
+  that leaves out an atom, and covering, by one that reports no cover;
 - cm: every extension full or empty, truth independent of the
   interpretation, individual propositions collapse to physical, and,
   under ``--assume-cmt`` on m_cm with no fault, every formula testable;
@@ -26,10 +27,12 @@ not monotone: while ``full`` preserves meets it is monotone, and then
 the union of two full-block masks lies below the mask of the union.
 """
 
+import numpy as np
 import pytest
 
 import qlprop.cli as cli
 import qlprop.hilbert as hilbert
+import qlprop.lattice as lattice
 import qlprop.semantics as semantics
 from qlprop.model import m_cm, m_qbit, m_sr
 
@@ -92,6 +95,15 @@ def _full_of_universe_empty():
     return fault
 
 
+def _poset_changes(method, change):
+    """``FinitePoset.method`` answers ``change`` of its answer."""
+    def fault(monkeypatch):
+        real = getattr(lattice.FinitePoset, method)
+        monkeypatch.setattr(lattice.FinitePoset, method,
+                            lambda self: change(real(self)))
+    return fault
+
+
 _CM_CLASS_LINES = ["FAIL truth independent of the interpretation",
                    "FAIL individual propositions collapse to physical"]
 
@@ -142,6 +154,15 @@ ROWS = [
     ("state lattice order reversal, swapped complements", "qm", m_qbit,
      _swapped_complements("E0", "EI"),
      "FAIL state lattice law ortho_order_reversal: witness ('{}', '{Sz+}')"),
+    ("state lattice atomic, first atom left out", "qm", m_qbit,
+     _poset_changes("atom_indices", lambda atoms: atoms[1:]),
+     "FAIL state lattice law atomic: witness ('{Sz+}',)"),
+    ("state lattice atomistic, first atom left out", "qm", m_qbit,
+     _poset_changes("atom_indices", lambda atoms: atoms[1:]),
+     "FAIL state lattice law atomistic: witness ('{Sz+}',)"),
+    ("state lattice covering, no cover", "qm", m_qbit,
+     _poset_changes("cover_matrix", np.zeros_like),
+     "FAIL state lattice law covering: witness ('{}', '{Sz+}')"),
     # the one row with an argv tail: the line is printed under the flag
     ("cm testable, m_cm", "cm", m_cm, None,
      "FAIL every formula testable: 6 formulas lack a witness, "
