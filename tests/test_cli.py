@@ -1,4 +1,18 @@
-"""Command line behavior: output, exit codes, JSON mode, error display."""
+"""Command line behavior: output, exit codes, JSON mode, error display.
+
+A named test that only runs command lines does it through
+``tests/test_console.py``'s ``expect``, on that module's directory of
+models, and compares the exit code and the whole stdout and stderr.
+A refusal on ``--model missing.json``, a file that does not exist, is
+made before the model is read: one made after reading it would end in
+``ERROR FileNotFound`` instead.
+
+The rest call the library: differentials against the oracles in
+``tests/helpers.py``, patched functions that pin a design (a call
+count, a table built once), usage exits through ``SystemExit``, the
+argv dispatch against the full parser, broken pipes, and the files a
+command writes or leaves unwritten.
+"""
 
 import contextlib
 import io
@@ -6,10 +20,12 @@ import itertools
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -43,48 +59,44 @@ from helpers import (
     reference_sec3_lines,
     reference_testable_labels,
 )
+from test_console import expect, models  # noqa: F401 (fixtures)
 from test_fuzz import _argv, argv_workdir  # noqa: F401 (a fixture)
+from test_golden import _golden
 
 
-@pytest.fixture(scope="module")
-def models_dir(tmp_path_factory):
-    d = tmp_path_factory.mktemp("models")
-    assert main(["fixtures", "--out", str(d)]) == 0
-    return d
+def _json(doc) -> str:
+    """The bytes ``--json`` prints for ``doc``."""
+    return json.dumps(doc, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # parse
 
 
-def test_parse_ok(capsys):
-    assert main(["parse", "E(x) & !(F(x) | G(x))"]) == 0
-    assert capsys.readouterr().out.strip() == "E(x) & !(F(x) | G(x))"
+def test_parse_ok(expect):
+    expect("parse 'E(x) & !(F(x) | G(x))'", 0, "E(x) & !(F(x) | G(x))\n")
 
 
-def test_parse_canonicalizes(capsys):
-    assert main(["parse", "((E(x)))&((F(x)))"]) == 0
-    assert capsys.readouterr().out.strip() == "E(x) & F(x)"
+def test_parse_canonicalizes(expect):
+    expect("parse '((E(x)))&((F(x)))'", 0, "E(x) & F(x)\n")
 
 
-def test_parse_json(capsys):
-    assert main(["parse", "--json", "--lang", "ltq", "E(x) |q F(x)"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["lang"] == "ltq"
-    assert doc["canonical"] == "~q (~q E(x) & ~q F(x))"
+def test_parse_json(expect):
+    expect("parse --json --lang ltq 'E(x) |q F(x)'", 0,
+           _json({"command": "parse", "lang": "ltq",
+                  "canonical": "~q (~q E(x) & ~q F(x))"}))
 
 
-def test_parse_error_caret(capsys):
-    assert main(["parse", "E(x) &"]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert err[0].startswith("ERROR ParseError:")
-    assert err[1] == "  E(x) &"
-    assert err[2] == "  " + " " * 6 + "^"
+# the default language is lx; the golden runs name it with --lang
+def test_parse_error_caret(expect):
+    expect("parse 'E(x) &'", 1, err="ERROR ParseError: expected a formula at "
+           "position 6 (expected property name or '(')\n  E(x) &\n        ^\n")
 
 
-def test_parse_cross_language_error(capsys):
-    assert main(["parse", "E(x) |q F(x)"]) == 1
-    assert "UnknownConnective" in capsys.readouterr().err
+def test_parse_cross_language_error(expect):
+    expect("parse 'E(x) |q F(x)'", 1, err="ERROR UnknownConnective: quantum "
+           "connective '|q' is not part of the classical language at "
+           "position 5\n  E(x) |q F(x)\n       ^\n")
 
 
 def test_usage_error_is_exit_2():
@@ -181,12 +193,12 @@ def test_subcommand_is_looked_up_at_call_time(monkeypatch, capsys):
     assert capsys.readouterr().out == "E(x)\nG(x)\n"
 
 
-def test_options_do_not_leak_into_later_calls(models_dir, monkeypatch, capsys):
+def test_options_do_not_leak_into_later_calls(models, monkeypatch, capsys):
     assert main(["parse", "--json", "--lang", "ltq", "~q E(x)"]) == 0
     assert json.loads(capsys.readouterr().out)["canonical"] == "~q E(x)"
     assert main(["parse", "~E(x)"]) == 0
     assert capsys.readouterr().out == "!E(x)\n"
-    model = str(models_dir / "m_sr.json")
+    model = f"{models}/m_sr.json"
     assert main(["eval", "--json", "--model", model, "--state", "S1",
                  "--object", "u2", "E(x)"]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == "F"
@@ -207,174 +219,100 @@ def test_options_do_not_leak_into_later_calls(models_dir, monkeypatch, capsys):
 # eval
 
 
-def test_eval_classical(models_dir, capsys):
-    assert main(["eval", "--model", str(models_dir / "m_sr.json"),
-                 "--state", "S1", "--object", "u1", "E(x) & !F(x)"]) == 0
-    assert capsys.readouterr().out.strip() == "T"
-    assert main(["eval", "--model", str(models_dir / "m_sr.json"),
-                 "--state", "S1", "--object", "u2", "E(x)"]) == 0
-    assert capsys.readouterr().out.strip() == "F"
+def test_eval_classical(expect):
+    base = "eval --model m_sr.json --state S1"
+    expect(f"{base} --object u1 'E(x) & !F(x)'", 0, "T\n")
+    expect(f"{base} --object u2 'E(x)'", 0, "F\n")
 
 
-def test_eval_interp(models_dir, capsys):
-    assert main(["eval", "--model", str(models_dir / "m_sr.json"),
-                 "--state", "S1", "--interp", "S1=u2,S2=v1", "F(x)"]) == 0
-    assert capsys.readouterr().out.strip() == "T"
+def test_eval_interp(expect):
+    expect("eval --model m_sr.json --state S1 --interp S1=u2,S2=v1 'F(x)'", 0,
+           "T\n")
 
 
-def test_eval_qtruth(models_dir, capsys):
-    base = ["eval", "--model", str(models_dir / "m_qbit.json"), "--qtruth"]
-    assert main(base + ["--state", "Sx+", "Ez+(x)"]) == 0
-    assert capsys.readouterr().out.strip() == "QIndeterminate"
-    assert main(base + ["--state", "Sz+", "Ez+(x)"]) == 0
-    assert capsys.readouterr().out.strip() == "QTrue"
-    assert main(base + ["--lang", "ltq", "--state", "Sz-", "~q Ez+(x)"]) == 0
-    assert capsys.readouterr().out.strip() == "QTrue"
+def test_eval_qtruth(expect):
+    base = "eval --model m_qbit.json --qtruth"
+    expect(f"{base} --state Sx+ 'Ez+(x)'", 0, "QIndeterminate\n")
+    expect(f"{base} --state Sz+ 'Ez+(x)'", 0, "QTrue\n")
+    expect(f"{base} --lang ltq --state Sz- '~q Ez+(x)'", 0, "QTrue\n")
 
 
-def test_eval_qtruth_untestable(models_dir, capsys):
-    assert main(["eval", "--model", str(models_dir / "m_qbit.json"),
-                 "--qtruth", "--state", "Sz+", "Ez+(x) & Ez-(x)"]) == 0
-    assert capsys.readouterr().out.strip() == "Untestable"
+def test_eval_qtruth_untestable(expect):
+    expect("eval --model m_qbit.json --qtruth --state Sz+ 'Ez+(x) & Ez-(x)'",
+           0, "Untestable\n")
 
 
-def test_eval_pragmatic(models_dir, capsys):
-    assert main(["eval", "--model", str(models_dir / "m_qbit.json"),
-                 "--lang", "prag", "--state", "Sz+", "|- Ez+(x)"]) == 0
-    assert capsys.readouterr().out.strip() == "Justified"
-    assert main(["eval", "--model", str(models_dir / "m_qbit.json"),
-                 "--lang", "prag", "--state", "Sx+", "|- Ez+(x)"]) == 0
-    assert capsys.readouterr().out.strip() == "Unjustified"
+def test_eval_pragmatic(expect):
+    base = "eval --model m_qbit.json --lang prag"
+    expect(f"{base} --state Sz+ '|- Ez+(x)'", 0, "Justified\n")
+    expect(f"{base} --state Sx+ '|- Ez+(x)'", 0, "Unjustified\n")
 
 
-def _refuses_eval(models_dir, capsys, argv, message):
-    assert main(["eval", "--model", str(models_dir / "m_qbit.json"),
-                 "--state", "Sz+", *argv]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"ERROR QlpropError: {message}\n"
+# the golden eval runs prag-qtruth, prag-object, prag-interp,
+# qtruth-object and object-interp hold the other flag conflicts
+def test_eval_qtruth_refuses_interp(expect):
+    expect("eval --model m_qbit.json --state Sz+ --lang ltq --qtruth "
+           "--interp Sz+=o1 'Ez+(x)'", 1,
+           err="ERROR QlpropError: --interp cannot be used with --qtruth\n")
 
 
-def test_eval_prag_refuses_qtruth(models_dir, capsys):
-    _refuses_eval(models_dir, capsys, ["--lang", "prag", "--qtruth",
-                                       "|- Ez+(x)"],
-                  "--qtruth cannot be used with --lang prag")
+def test_eval_refuses_object_with_interp(expect):
+    expect("eval --model missing.json --state S1 --object u2 --interp S1=u1 "
+           "'E(x)'", 1,
+           err="ERROR QlpropError: --object cannot be used with --interp\n")
 
 
-def test_eval_qtruth_refuses_object(models_dir, capsys):
-    _refuses_eval(models_dir, capsys, ["--qtruth", "--object", "o1",
-                                       "Ez+(x)"],
-                  "--object cannot be used with --qtruth")
-
-
-def test_eval_qtruth_refuses_interp(models_dir, capsys):
-    _refuses_eval(models_dir, capsys, ["--lang", "ltq", "--qtruth",
-                                       "--interp", "Sz+=o1", "Ez+(x)"],
-                  "--interp cannot be used with --qtruth")
-
-
-def test_eval_prag_refuses_object(models_dir, capsys):
-    _refuses_eval(models_dir, capsys, ["--lang", "prag", "--object", "o1",
-                                       "|- Ez+(x)"],
-                  "--object cannot be used with --lang prag")
-
-
-def test_eval_prag_refuses_interp(models_dir, capsys):
-    _refuses_eval(models_dir, capsys, ["--lang", "prag", "--interp",
-                                       "Sz+=o1", "|- Ez+(x)"],
-                  "--interp cannot be used with --lang prag")
-
-
-def _refuses_unread(tmp_path, capsys, argv, message):
-    # the model file does not exist: a refusal made after reading it
-    # would end in ERROR FileNotFound instead
-    model = str(tmp_path / "missing.json")
-    assert main([a.replace("{model}", model) for a in argv]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"ERROR QlpropError: {message}\n"
-
-
-def test_eval_refuses_object_with_interp(models_dir, tmp_path, capsys):
-    _refuses_unread(tmp_path, capsys,
-                    ["eval", "--model", "{model}", "--state", "S1",
-                     "--object", "u2", "--interp", "S1=u1", "E(x)"],
-                    "--object cannot be used with --interp")
-    _refuses_eval(models_dir, capsys, ["--object", "o1", "--interp",
-                                       "Sz+=o1", "Ez+(x)"],
-                  "--object cannot be used with --interp")
-
-
-def test_eval_unknown_state(models_dir, capsys):
-    assert main(["eval", "--model", str(models_dir / "m_sr.json"),
-                 "--state", "S9", "E(x)"]) == 1
-    assert "ERROR" in capsys.readouterr().err
+def test_eval_unknown_state(expect):
+    expect("eval --model m_sr.json --state S9 'E(x)'", 1,
+           err="ERROR QlpropError: unknown state 'S9'\n")
 
 
 # ---------------------------------------------------------------------------
 # props
 
 
-def test_props_physical(models_dir, capsys):
-    assert main(["props", "--model", str(models_dir / "m_sr.json"),
-                 "E(x)"]) == 0
-    assert capsys.readouterr().out.strip() == "{S2}"
+def test_props_physical(expect):
+    expect("props --model m_sr.json 'E(x)'", 0, "{S2}\n")
 
 
-def test_props_individual(models_dir, capsys):
-    assert main(["props", "--model", str(models_dir / "m_sr.json"),
-                 "--individual", "S1=u1,S2=v1", "E(x)"]) == 0
-    assert capsys.readouterr().out.strip() == "{S1, S2}"
+def test_props_individual(expect):
+    expect("props --model m_sr.json --individual S1=u1,S2=v1 'E(x)'", 0,
+           "{S1, S2}\n")
 
 
 @pytest.mark.parametrize("command", [
     ["eval", "--state", "S1", "--interp"], ["props", "--individual"]])
-def test_interpretation_refuses_a_state_named_twice(models_dir, capsys,
-                                                     command):
+def test_interpretation_refuses_a_state_named_twice(expect, command):
     # the entries disagree on S1; neither may silently win
-    argv = [command[0], "--model", str(models_dir / "m_sr.json"),
-            *command[1:], "S1=u1, S1 =u2", "E(x)"]
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("ERROR QlpropError: state 'S1' named twice in "
-                            "the interpretation\n")
+    expect(f"{command[0]} --model m_sr.json {' '.join(command[1:])} "
+           "'S1=u1, S1 =u2' 'E(x)'", 1, err="ERROR QlpropError: state 'S1' "
+           "named twice in the interpretation\n")
 
 
-def test_props_forall(models_dir, capsys):
-    assert main(["props", "--model", str(models_dir / "m_sr.json"),
-                 "--forall", "E(x) | F(x)"]) == 0
-    out = capsys.readouterr().out
-    assert "{S1, S2}" in out
-    assert "matches per-state form: yes" in out
+def test_props_forall(expect):
+    expect("props --model m_sr.json --forall 'E(x) | F(x)'", 0,
+           "{S1, S2}\nmatches per-state form: yes\n")
 
 
-def test_props_forall_enum_cap_is_read(models_dir, capsys):
+def test_props_forall_enum_cap_is_read(expect):
     # m_sr has two interpretations
-    assert main(["props", "--model", str(models_dir / "m_sr.json"),
-                 "--forall", "--enum-cap", "1", "E(x)"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("ERROR EnumerationCapExceeded: ")
-    assert main(["props", "--model", str(models_dir / "m_sr.json"),
-                 "--forall", "--enum-cap", "2", "E(x)"]) == 0
-    assert capsys.readouterr().out.startswith("{S2}\n")
+    expect("props --model m_sr.json --forall --enum-cap 1 'E(x)'", 1,
+           err="ERROR EnumerationCapExceeded: 2 interpretations exceed the "
+           "cap 1\n")
+    expect("props --model m_sr.json --forall --enum-cap 2 'E(x)'", 0,
+           "{S2}\nmatches per-state form: yes\n")
 
 
-def test_props_refuses_enum_cap_without_forall(tmp_path, capsys):
-    _refuses_unread(tmp_path, capsys,
-                    ["props", "--model", "{model}", "--enum-cap", "5",
-                     "E(x)"],
-                    "--enum-cap requires --forall")
+def test_props_refuses_enum_cap_without_forall(expect):
+    expect("props --model missing.json --enum-cap 5 'E(x)'", 1,
+           err="ERROR QlpropError: --enum-cap requires --forall\n")
 
 
 @pytest.mark.parametrize("cap", ["-1", "-7"])
-def test_props_refuses_a_negative_enum_cap(tmp_path, capsys, cap):
+def test_props_refuses_a_negative_enum_cap(expect, cap):
     # was read as a cap: "2 interpretations exceed the cap -1"
-    _refuses_unread(tmp_path, capsys,
-                    ["props", "--model", "{model}", "--forall", "--enum-cap",
-                     cap, "E(x)"],
-                    f"--enum-cap {cap} is negative")
+    expect(f"props --model missing.json --forall --enum-cap {cap} 'E(x)'", 1,
+           err=f"ERROR QlpropError: --enum-cap {cap} is negative\n")
 
 
 @pytest.mark.parametrize("command", [
@@ -390,60 +328,51 @@ def test_enum_cap_is_a_usage_error_outside_props(command, capsys):
     assert "unrecognized arguments: --enum-cap 5" in capsys.readouterr().err
 
 
-def test_props_quantum(models_dir, capsys):
-    assert main(["props", "--model", str(models_dir / "m_qbit.json"),
-                 "--lang", "ltq", "--physical", "Ez+(x) |q Ez-(x)"]) == 0
-    assert capsys.readouterr().out.strip() == "{Sz+, Sz-, Sx+, Sx-}"
+_QUANTUM_ONLY = "ERROR QlpropError: quantum formulas support --physical only\n"
 
 
-def test_props_quantum_without_a_flag_is_physical(models_dir, capsys):
+def test_props_quantum(expect):
+    expect("props --model m_qbit.json --lang ltq --physical "
+           "'Ez+(x) |q Ez-(x)'", 0, "{Sz+, Sz-, Sx+, Sx-}\n")
+
+
+def test_props_quantum_without_a_flag_is_physical(expect):
     # --physical is the documented default for both languages
-    args = ["props", "--model", str(models_dir / "m_qbit.json"),
-            "--lang", "ltq", "Ez+(x) |q Ez-(x)"]
-    assert main(args) == 0
-    assert capsys.readouterr().out.strip() == "{Sz+, Sz-, Sx+, Sx-}"
-    assert main(args[:-1] + ["--json", "Ez+(x)"]) == 0
-    assert json.loads(capsys.readouterr().out) == {
-        "command": "props", "kind": "physical", "states": ["Sz+"]}
+    expect("props --model m_qbit.json --lang ltq 'Ez+(x) |q Ez-(x)'", 0,
+           "{Sz+, Sz-, Sx+, Sx-}\n")
+    expect("props --model m_qbit.json --lang ltq --json 'Ez+(x)'", 0,
+           _json({"command": "props", "kind": "physical", "states": ["Sz+"]}))
 
 
-def test_props_quantum_rejects_forall(models_dir, capsys):
-    assert main(["props", "--model", str(models_dir / "m_qbit.json"),
-                 "--lang", "ltq", "--forall", "Ez+(x)"]) == 1
-    assert capsys.readouterr().err == (
-        "ERROR QlpropError: quantum formulas support --physical only\n")
+def test_props_quantum_rejects_forall(expect):
+    expect("props --model m_qbit.json --lang ltq --forall 'Ez+(x)'", 1,
+           err=_QUANTUM_ONLY)
 
 
-def test_props_quantum_rejects_individual(models_dir, capsys):
-    assert main(["props", "--model", str(models_dir / "m_qbit.json"),
-                 "--lang", "ltq", "--individual", "Sz+=o1", "Ez+(x)"]) == 1
-    assert "ERROR" in capsys.readouterr().err
+def test_props_quantum_rejects_individual(expect):
+    expect("props --model m_qbit.json --lang ltq --individual Sz+=o1 'Ez+(x)'",
+           1, err=_QUANTUM_ONLY)
 
 
 @pytest.mark.parametrize("flag", [["--forall"], ["--individual", "Sz+=o1"]],
                          ids=["forall", "individual"])
 def test_props_quantum_refuses_other_flags_before_reading_the_model(
-        tmp_path, capsys, flag):
-    _refuses_unread(tmp_path, capsys,
-                    ["props", "--model", "{model}", "--lang", "ltq", *flag,
-                     "Ez+(x)"],
-                    "quantum formulas support --physical only")
+        expect, flag):
+    expect(f"props --model missing.json --lang ltq {' '.join(flag)} 'Ez+(x)'",
+           1, err=_QUANTUM_ONLY)
 
 
-def test_props_json(models_dir, capsys):
-    assert main(["props", "--json", "--model", str(models_dir / "m_sr.json"),
-                 "E(x)"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["kind"] == "physical"
-    assert doc["states"] == ["S2"]
+def test_props_json(expect):
+    expect("props --json --model m_sr.json 'E(x)'", 0,
+           _json({"command": "props", "kind": "physical", "states": ["S2"]}))
 
 
 # ---------------------------------------------------------------------------
 # check suites
 
 
-def test_check_sec3(models_dir, capsys):
-    assert main(["check", "--model", str(models_dir / "m_sr.json"),
+def test_check_sec3(models, capsys):
+    assert main(["check", "--model", f"{models}/m_sr.json",
                  "--suite", "sec3"]) == 0
     out = capsys.readouterr().out
     assert "PASS negation proposition below set complement" in out
@@ -484,21 +413,21 @@ def test_sec3_suite_matches_the_formula_pair_loop_at_depth_3(fixture):
         assert lines[-1].startswith("REPORT strict disjunction inclusion at")
 
 
-def test_check_cm_passes_on_cm_fixture(models_dir, capsys):
-    assert main(["check", "--model", str(models_dir / "m_cm.json"),
+def test_check_cm_passes_on_cm_fixture(models, capsys):
+    assert main(["check", "--model", f"{models}/m_cm.json",
                  "--suite", "cm"]) == 0
     out = capsys.readouterr().out
     assert "PASS every extension full or empty" in out
     assert "FAIL" not in out
 
 
-def test_check_cm_fails_on_sr_fixture(models_dir, capsys):
-    assert main(["check", "--model", str(models_dir / "m_sr.json"),
+def test_check_cm_fails_on_sr_fixture(models, capsys):
+    assert main(["check", "--model", f"{models}/m_sr.json",
                  "--suite", "cm"]) == 1
     assert "FAIL every extension full or empty" in capsys.readouterr().out
 
 
-def test_check_cm_builds_one_quotient_poset(models_dir, monkeypatch, capsys):
+def test_check_cm_builds_one_quotient_poset(models, monkeypatch, capsys):
     # only the closed algebra's poset is read; the depth-2 quotient it
     # is derived from is never ordered
     sizes = []
@@ -509,7 +438,7 @@ def test_check_cm_builds_one_quotient_poset(models_dir, monkeypatch, capsys):
 
     inclusion = semantics._inclusion
     monkeypatch.setattr(semantics, "_inclusion", counting)
-    assert main(["check", "--model", str(models_dir / "m_cm.json"),
+    assert main(["check", "--model", f"{models}/m_cm.json",
                  "--suite", "cm"]) == 0
     assert sizes == [8]
 
@@ -519,7 +448,7 @@ def test_check_cm_builds_one_quotient_poset(models_dir, monkeypatch, capsys):
     (["lattice", "--which", "testable"], "m_qutrit", []),
 ])
 def test_classical_questions_walk_the_formulas_once_at_most(
-        argv, model, depths, models_dir, monkeypatch, capsys):
+        argv, model, depths, models, monkeypatch, capsys):
     # the cm suite's law checks close its depth-2 classes, and the
     # testable poset reads the atoms, so neither walks depth 3
     seen = []
@@ -530,7 +459,7 @@ def test_classical_questions_walk_the_formulas_once_at_most(
 
     levels = semantics._levels
     monkeypatch.setattr(semantics, "_levels", recording)
-    assert main([argv[0], "--model", str(models_dir / f"{model}.json"),
+    assert main([argv[0], "--model", f"{models}/{model}.json",
                  *argv[1:], "--depth", "3"]) == 0
     assert seen == depths
 
@@ -553,14 +482,14 @@ def _cm128():
 
 @pytest.mark.parametrize("name, classes", [("cm128", 128), ("m_qutrit", 512)])
 def test_check_cm_formats_no_label_and_decodes_no_profile(
-        name, classes, models_dir, tmp_path, monkeypatch, capsys):
+        name, classes, models, tmp_path, monkeypatch, capsys):
     # the law checks of the closed quotient pass or fail on its order
     # alone, so no class label is formatted and no profile decoded
     if name == "cm128":
         path = tmp_path / "cm128.json"
         path.write_text(dump_model(_cm128()), encoding="utf-8")
     else:
-        path = models_dir / f"{name}.json"
+        path = Path(models, f"{name}.json")
     m = qlprop.model.load_model(path.read_text(encoding="utf-8"))
     assert len(semantics.lindenbaum_tarski(m, 3).closed().classes) == classes
     calls = []
@@ -594,7 +523,7 @@ def test_check_cm_formats_no_label_and_decodes_no_profile(
     ["lattice", "--model", "m_qbit", "--which", "testable"],
 ])
 def test_classical_commands_build_no_formulas_or_interpretations(
-        argv, models_dir, monkeypatch, capsys):
+        argv, models, monkeypatch, capsys):
     # the quotient counts its classes and the collapse check is one
     # mask test; every qlprop module that binds either function gets a
     # counting stand-in, so a call through any import is seen
@@ -609,28 +538,32 @@ def test_classical_commands_build_no_formulas_or_interpretations(
             if (getattr(mod, "__name__", "").startswith("qlprop")
                     and getattr(mod, fn.__name__, None) is fn):
                 monkeypatch.setattr(mod, fn.__name__, counting)
-    argv = [str(models_dir / f"{a}.json") if a.startswith("m_") else a
-            for a in argv]
+    argv = [f"{models}/{a}.json" if a.startswith("m_") else a for a in argv]
     assert main(argv) == 0
     assert calls == []
 
 
-def test_check_cm_assume_cmt_flags_missing_witnesses(models_dir, capsys):
-    assert main(["check", "--model", str(models_dir / "m_cm.json"),
-                 "--suite", "cm", "--assume-cmt"]) == 1
-    assert "FAIL every formula testable" in capsys.readouterr().out
+def test_check_cm_assume_cmt_flags_missing_witnesses(expect):
+    expect("check --model m_cm.json --suite cm --assume-cmt", 1,
+           "PASS every extension full or empty\n"
+           "PASS truth independent of the interpretation\n"
+           "PASS individual propositions collapse to physical\n"
+           "FAIL every formula testable: 6 formulas lack a witness, "
+           "first '!E(x)'\n"
+           "PASS quotient algebra law bounded\n"
+           "PASS quotient algebra law distributive_meet_over_join\n"
+           "PASS quotient algebra law distributive_join_over_meet\n"
+           "PASS quotient algebra law unique_complement\n")
 
 
 @pytest.mark.parametrize("suite", ["sec3", "qm", "prag"])
-def test_check_refuses_assume_cmt_without_cm(suite, tmp_path, capsys):
-    _refuses_unread(tmp_path, capsys,
-                    ["check", "--model", "{model}", "--suite", suite,
-                     "--assume-cmt"],
-                    "--assume-cmt requires --suite cm")
+def test_check_refuses_assume_cmt_without_cm(suite, expect):
+    expect(f"check --model missing.json --suite {suite} --assume-cmt", 1,
+           err="ERROR QlpropError: --assume-cmt requires --suite cm\n")
 
 
-def test_check_qm(models_dir, capsys):
-    assert main(["check", "--model", str(models_dir / "m_qbit.json"),
+def test_check_qm(models, capsys):
+    assert main(["check", "--model", f"{models}/m_qbit.json",
                  "--suite", "qm"]) == 0
     out = capsys.readouterr().out
     assert "PASS state lattice law orthomodular" in out
@@ -639,56 +572,39 @@ def test_check_qm(models_dir, capsys):
     assert "REPORT join strictly above union" in out
 
 
-_NON_INJECTIVE_QM = [
-    "PASS state lattice law ortho_involution",
-    "PASS state lattice law ortho_order_reversal",
-    "PASS state lattice law ortho_complement",
-    "PASS state lattice law orthomodular",
-    "PASS state lattice law atomic",
-    "PASS state lattice law atomistic",
-    "PASS state lattice law covering",
-    "REPORT modularity: holds",
-    "REPORT distributive_meet_over_join: holds",
-    "REPORT distributive_join_over_meet: holds",
-    "FAIL negation proposition is the lattice orthocomplement: "
-    "first 'Ex+(x)'",
-    "PASS conjunction proposition is the lattice meet",
-    "FAIL disjunction proposition is the lattice join: "
-    "first ('Ez+(x)', 'Ex+(x)')",
-    "REPORT join strictly above union at ('Ez+(x)', 'Ex+(x)')",
-    "REPORT certain-state map injective: no",
-]
-
-
-def test_check_qm_fails_on_a_non_injective_model(tmp_path):
-    path = tmp_path / "non_injective.json"
-    path.write_text(dump_model(non_injective_qubit()))
-    argv = [sys.executable, "-m", "qlprop", "check", "--model", str(path),
-            "--suite", "qm"]
-    out = subprocess.run(argv, capture_output=True, text=True)
-    assert out.returncode == 1
-    assert out.stdout == "".join(f"{line}\n" for line in _NON_INJECTIVE_QM)
+def test_check_qm_fails_on_a_non_injective_model(expect):
+    lines = [
+        *(f"PASS state lattice law {law}" for law in (
+            "ortho_involution", "ortho_order_reversal", "ortho_complement",
+            "orthomodular", "atomic", "atomistic", "covering")),
+        "REPORT modularity: holds",
+        "REPORT distributive_meet_over_join: holds",
+        "REPORT distributive_join_over_meet: holds",
+        "FAIL negation proposition is the lattice orthocomplement: "
+        "first 'Ex+(x)'",
+        "PASS conjunction proposition is the lattice meet",
+        "FAIL disjunction proposition is the lattice join: "
+        "first ('Ez+(x)', 'Ex+(x)')",
+        "REPORT join strictly above union at ('Ez+(x)', 'Ex+(x)')",
+        "REPORT certain-state map injective: no"]
     # each warning is one line, without a source path or source line
     warned = "".join(
         f"WARNING ThetaNotInjectiveWarning: properties 'E0' and {e!r} share "
         f"the certain-state set; using the first\n" for e in ("Ex+", "Ex-"))
-    assert out.stderr == warned
-    out = subprocess.run(argv + ["--json"], capture_output=True, text=True)
-    assert out.returncode == 1
-    assert out.stdout == json.dumps(
-        {"command": "check", "suite": "qm", "ok": False,
-         "lines": _NON_INJECTIVE_QM}, indent=2) + "\n"
-    assert out.stderr == warned
+    line = "check --model non_injective.json --suite qm"
+    expect(line, 1, "".join(f"{text}\n" for text in lines), warned)
+    expect(f"{line} --json", 1, _json({"command": "check", "suite": "qm",
+                                       "ok": False, "lines": lines}), warned)
 
 
-def test_check_prag(models_dir, capsys):
-    assert main(["check", "--model", str(models_dir / "m_qbit.json"),
+def test_check_prag(models, capsys):
+    assert main(["check", "--model", f"{models}/m_qbit.json",
                  "--suite", "prag"]) == 0
     assert "PASS assertive translation preserves" in capsys.readouterr().out
 
 
-def test_check_json_reports_ok(models_dir, capsys):
-    assert main(["check", "--json", "--model", str(models_dir / "m_cm.json"),
+def test_check_json_reports_ok(models, capsys):
+    assert main(["check", "--json", "--model", f"{models}/m_cm.json",
                  "--suite", "cm"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is True
@@ -729,9 +645,9 @@ def test_check_prints_the_suite_lines_and_fails_on_a_fail_line(
 # lattice
 
 
-def test_lattice_ls(models_dir, capsys, tmp_path):
+def test_lattice_ls(models, capsys, tmp_path):
     dot = tmp_path / "ls.dot"
-    assert main(["lattice", "--model", str(models_dir / "m_qbit.json"),
+    assert main(["lattice", "--model", f"{models}/m_qbit.json",
                  "--which", "LS", "--dot", str(dot)]) == 0
     out = capsys.readouterr().out
     assert "elements (6):" in out
@@ -742,98 +658,86 @@ def test_lattice_ls(models_dir, capsys, tmp_path):
 
 
 @pytest.mark.parametrize("which", ["LS", "testable"])
-def test_lattice_refuses_closed_without_lindenbaum(which, tmp_path, capsys):
-    _refuses_unread(tmp_path, capsys,
-                    ["lattice", "--model", "{model}", "--which", which,
-                     "--closed"],
-                    "--closed requires --which lindenbaum")
+def test_lattice_refuses_closed_without_lindenbaum(which, expect):
+    expect(f"lattice --model missing.json --which {which} --closed", 1,
+           err="ERROR QlpropError: --closed requires --which lindenbaum\n")
 
 
-def test_lattice_testable(models_dir, capsys):
-    assert main(["lattice", "--model", str(models_dir / "m_sr.json"),
-                 "--which", "testable", "--depth", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "elements (2):" in out
-    assert "{} < {S2}" in out
+def test_lattice_testable(expect):
+    expect("lattice --model m_sr.json --which testable --depth 1", 0,
+           "elements (2):\n  0: {S2}\n  1: {}\ncovers (1):\n  {} < {S2}\n")
 
 
-def test_lattice_lindenbaum_json(models_dir, capsys):
-    assert main(["lattice", "--json", "--model", str(models_dir / "m_sr.json"),
-                 "--which", "lindenbaum", "--depth", "3"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert len(doc["elements"]) == 4
-    assert len(doc["covers"]) == 4  # the four edges of a 2x2 square
+def test_lattice_lindenbaum_json(expect):
+    # the four edges of a 2x2 square
+    expect("lattice --json --model m_sr.json --which lindenbaum --depth 3", 0,
+           _json({"command": "lattice", "which": "lindenbaum",
+                  "elements": ["E(x)", "F(x)", "E(x) & F(x)", "E(x) | F(x)"],
+                  "covers": [[0, 3], [1, 3], [2, 0], [2, 1]]}))
 
 
 # ---------------------------------------------------------------------------
 # a formula depth below 1 is refused, not checked over no formulas
 
 
-def _refuses_depth(argv, capsys):
-    for extra in ([], ["--json"]):
-        assert main(argv + extra) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("ERROR InvalidDepth: depth ")
+def _refuses_depth(expect, line, depth):
+    for tail in ("", " --json"):
+        expect(f"{line} --depth {depth}{tail}", 1, err=f"ERROR InvalidDepth: "
+               f"depth {depth} is below 1; atoms have depth 1\n")
 
 
 @pytest.mark.parametrize("depth", ["0", "-1"])
-def test_check_sec3_refuses_depth_below_one(depth, models_dir, capsys):
+def test_check_sec3_refuses_depth_below_one(depth, expect):
     # printed three PASS lines over no formulas
-    _refuses_depth(["check", "--model", str(models_dir / "m_sr.json"),
-                    "--suite", "sec3", "--depth", depth], capsys)
+    _refuses_depth(expect, "check --model m_sr.json --suite sec3", depth)
 
 
 @pytest.mark.parametrize("model", ["m_sr", "m_qbit"])
 @pytest.mark.parametrize("depth", ["0", "-1"])
-def test_check_cm_refuses_depth_below_one(model, depth, models_dir, capsys):
+def test_check_cm_refuses_depth_below_one(model, depth, expect):
     # failed quotient algebra laws with "witness None"
-    _refuses_depth(["check", "--model", str(models_dir / f"{model}.json"),
-                    "--suite", "cm", "--depth", depth], capsys)
+    _refuses_depth(expect, f"check --model {model}.json --suite cm", depth)
 
 
 @pytest.mark.parametrize("depth", ["0", "-1"])
-def test_check_qm_refuses_depth_below_one(depth, models_dir, capsys):
+def test_check_qm_refuses_depth_below_one(depth, expect):
     # passed the three lattice equalities over no formulas; on m_sr the
     # missing annotation was reported instead
     for model in ("m_qbit", "m_sr"):
-        _refuses_depth(["check", "--model", str(models_dir / f"{model}.json"),
-                        "--suite", "qm", "--depth", depth], capsys)
+        _refuses_depth(expect, f"check --model {model}.json --suite qm", depth)
 
 
 @pytest.mark.parametrize("model", ["m_sr", "m_qbit"])
 @pytest.mark.parametrize("depth", ["0", "-1"])
-def test_check_prag_refuses_depth_below_one(model, depth, models_dir, capsys):
+def test_check_prag_refuses_depth_below_one(model, depth, expect):
     # passed on 0 formulas; on m_sr that hid NoHilbertAnnotation
-    _refuses_depth(["check", "--model", str(models_dir / f"{model}.json"),
-                    "--suite", "prag", "--depth", depth], capsys)
+    _refuses_depth(expect, f"check --model {model}.json --suite prag", depth)
 
 
 @pytest.mark.parametrize("depth", ["0", "-1"])
-def test_lattice_testable_refuses_depth_below_one(depth, models_dir, capsys):
+def test_lattice_testable_refuses_depth_below_one(depth, expect):
     # printed an empty poset with exit 0
-    _refuses_depth(["lattice", "--model", str(models_dir / "m_sr.json"),
-                    "--which", "testable", "--depth", depth], capsys)
+    _refuses_depth(expect, "lattice --model m_sr.json --which testable", depth)
 
 
 @pytest.mark.parametrize("model", ["m_qbit", "m_sr"])
 @pytest.mark.parametrize("depth", ["0", "-3"])
-def test_lattice_LS_refuses_depth_below_one(model, depth, models_dir, capsys):
+def test_lattice_LS_refuses_depth_below_one(model, depth, expect):
     # printed the state lattice, which does not read --depth, and exited 0
-    _refuses_depth(["lattice", "--model", str(models_dir / f"{model}.json"),
-                    "--which", "LS", "--depth", depth], capsys)
+    _refuses_depth(expect, f"lattice --model {model}.json --which LS", depth)
 
 
 @pytest.mark.parametrize("depth", ["0", "-1"])
-def test_lattice_lindenbaum_refuses_depth_below_one(depth, models_dir, capsys):
-    _refuses_depth(["lattice", "--model", str(models_dir / "m_sr.json"),
-                    "--which", "lindenbaum", "--depth", depth], capsys)
+def test_lattice_lindenbaum_refuses_depth_below_one(depth, expect):
+    _refuses_depth(expect, "lattice --model m_sr.json --which lindenbaum",
+                   depth)
 
 
 # the depth cap is one constant: every command that enumerates formulas
 # refuses depth 5 with the same text, and LS, which enumerates none, runs
 
-_ENUMERATING = [
+
+@pytest.mark.parametrize("command, model, flag, value", [
     ("check", "m_sr", "--suite", "sec3"),
     ("check", "m_sr", "--suite", "cm"),
     ("check", "m_qbit", "--suite", "qm"),
@@ -841,108 +745,81 @@ _ENUMERATING = [
     ("check", "m_qbit", "--suite", "prag"),
     ("lattice", "m_sr", "--which", "testable"),
     ("lattice", "m_sr", "--which", "lindenbaum"),
-]
-
-
-@pytest.mark.parametrize("command, model, flag, value", _ENUMERATING)
+])
 def test_enumerating_commands_refuse_depth_above_the_cap(
-        command, model, flag, value, models_dir, capsys):
-    argv = [command, "--model", str(models_dir / f"{model}.json"),
-            flag, value, "--depth", "5"]
-    for extra in ([], ["--json"]):
-        assert main(argv + extra) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "ERROR DepthCapExceeded: depth 5 exceeds the cap 4\n"
+        command, model, flag, value, expect):
+    for tail in ("", " --json"):
+        expect(f"{command} --model {model}.json {flag} {value} --depth 5"
+               f"{tail}", 1,
+               err="ERROR DepthCapExceeded: depth 5 exceeds the cap 4\n")
 
 
-def test_lattice_LS_ignores_the_depth_cap(models_dir, capsys):
-    argv = ["lattice", "--model", str(models_dir / "m_qbit.json"),
-            "--which", "LS"]
-    assert main(argv) == 0
-    want = capsys.readouterr()
-    assert main(argv + ["--depth", "5"]) == 0
-    assert capsys.readouterr() == want
+def test_lattice_LS_ignores_the_depth_cap(expect):
+    # the bytes of the golden run without --depth
+    want = _golden("lattice")["LS-m_qbit"]
+    expect("lattice --model m_qbit.json --which LS --depth 5", 0,
+           want["stdout"], want["stderr"])
 
 
 # ---------------------------------------------------------------------------
 # global options
 
 
-def test_missing_model_file_is_domain_error(capsys):
-    assert main(["props", "--model", "/no/such/file.json", "E(x)"]) == 1
-    assert "ERROR" in capsys.readouterr().err
+def test_missing_model_file_is_domain_error(expect):
+    expect("props --model nosuch.json 'E(x)'", 1, err="ERROR FileNotFound: "
+           "[Errno 2] No such file or directory: '{models}/nosuch.json'\n")
 
 
 @pytest.mark.parametrize("path, name", [
     ("{models}", "IsADirectoryError"),
     ("{models}/no_such_file.json", "FileNotFound"),
 ])
-def test_unreadable_model_is_exit_1_without_traceback(path, name, models_dir,
-                                                       capsys):
-    path = path.replace("{models}", str(models_dir))
-    assert main(["eval", "--model", path, "--state", "S1", "E(x)"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"ERROR {name}: ") and path in err
-    assert "Traceback" not in err
+def test_unreadable_model_is_exit_1_without_traceback(path, name, expect):
+    # --model NAME reads {models}/NAME, so an empty NAME the directory
+    reason = {"IsADirectoryError": "[Errno 21] Is a directory",
+              "FileNotFound": "[Errno 2] No such file or directory"}[name]
+    expect(f"eval --model '{path[len('{models}/'):]}' --state S1 'E(x)'", 1,
+           err=f"ERROR {name}: {reason}: '{path}'\n")
 
 
-def test_tol_env_var(tmp_path, monkeypatch, capsys):
-    # tilt the Sz+ ray by 1e-6: at the default tolerance it no longer
-    # lies inside the Ez+ subspace, at a loosened tolerance it does
-    doc = json.loads(dump_model(m_qbit()))
-    doc["hilbert"]["state_rays"]["Sz+"] = [[1.0, 0.0], [1e-6, 0.0]]
-    path = tmp_path / "tilted.json"
-    path.write_text(json.dumps(doc))
-    args = ["props", "--model", str(path), "--lang", "ltq", "--physical",
-            "Ez+(x)"]
-    monkeypatch.delenv("QLPROP_TOL", raising=False)
-    assert main(args) == 0
-    assert capsys.readouterr().out.strip() == "{}"
-    monkeypatch.setenv("QLPROP_TOL", "1e-3")
-    assert main(args) == 0
-    assert capsys.readouterr().out.strip() == "{Sz+}"
+def test_tol_env_var(expect):
+    # the Sz+ ray of tilted.json is tilted by 1e-6: at the default
+    # tolerance it no longer lies inside the Ez+ subspace, at a loosened
+    # tolerance it does
+    line = "props --model tilted.json --lang ltq --physical 'Ez+(x)'"
+    expect(line, 0, "{}\n")
+    expect(f"QLPROP_TOL=1e-3 {line}", 0, "{Sz+}\n")
     # an explicit flag beats the environment
-    monkeypatch.setenv("QLPROP_TOL", "1e-12")
-    assert main(args + ["--tol", "1e-3"]) == 0
-    assert capsys.readouterr().out.strip() == "{Sz+}"
+    expect(f"QLPROP_TOL=1e-12 {line} --tol 1e-3", 0, "{Sz+}\n")
 
 
 @pytest.mark.parametrize("argv", [
     ["parse", "E(x)"],
-    ["fixtures", "--out", "{out}"],
-    ["eval", "--model", "{model}", "--state", "S1", "E(x)"],
-    ["props", "--model", "{model}", "E(x)"],
-    ["check", "--model", "{model}", "--suite", "sec3"],
-    ["lattice", "--model", "{model}", "--which", "testable"],
+    ["fixtures", "--out", "{models}/out"],
+    ["eval", "--model", "m_sr.json", "--state", "S1", "E(x)"],
+    ["props", "--model", "m_sr.json", "E(x)"],
+    ["check", "--model", "m_sr.json", "--suite", "sec3"],
+    ["lattice", "--model", "m_sr.json", "--which", "testable"],
 ])
-def test_bad_env_tolerance_fails_every_subcommand(models_dir, tmp_path,
-                                                  monkeypatch, capsys, argv):
-    out = tmp_path / "out"
-    argv = [a.format(model=models_dir / "m_sr.json", out=out) for a in argv]
-    monkeypatch.setenv("QLPROP_TOL", "1")
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("ERROR InvalidTolerance: QLPROP_TOL")
-    assert not out.exists()
+def test_bad_env_tolerance_fails_every_subcommand(models, expect, argv):
+    expect(f"QLPROP_TOL=1 {shlex.join(argv)}", 1, err="ERROR "
+           "InvalidTolerance: QLPROP_TOL '1' is outside [1e-12, 0.001]\n")
+    assert not os.path.exists(f"{models}/out")
 
 
 @pytest.mark.parametrize("bad", ["abc", "nan", "inf", "5", "-1e-6", "0",
                                  "1e-17", "2e-3"])
-def test_out_of_range_tol_is_domain_error(models_dir, monkeypatch, capsys,
-                                          bad):
-    args = ["props", "--model", str(models_dir / "m_qutrit.json"),
-            "--lang", "ltq", "--physical", "P1(x)"]
-    monkeypatch.setenv("QLPROP_TOL", bad)
-    assert main(args) == 1
-    assert capsys.readouterr().err.startswith(
-        "ERROR InvalidTolerance: QLPROP_TOL")
-    monkeypatch.delenv("QLPROP_TOL")
-    if bad != "abc":  # argparse rejects a non-number flag as a usage error
-        assert main(args + [f"--tol={bad}"]) == 1
-        assert capsys.readouterr().err.startswith(
-            "ERROR InvalidTolerance: --tol")
+def test_out_of_range_tol_is_domain_error(expect, bad):
+    line = "props --model m_qutrit.json --lang ltq --physical 'P1(x)'"
+    if bad == "abc":  # argparse rejects a non-number flag as a usage error
+        expect(f"QLPROP_TOL={bad} {line}", 1, err="ERROR InvalidTolerance: "
+               "QLPROP_TOL 'abc' is not a number\n")
+        return
+    outside = "is outside [1e-12, 0.001]\n"
+    expect(f"QLPROP_TOL={bad} {line}", 1,
+           err=f"ERROR InvalidTolerance: QLPROP_TOL {bad!r} {outside}")
+    expect(f"{line} --tol={bad}", 1,
+           err=f"ERROR InvalidTolerance: --tol {float(bad)} {outside}")
 
 
 # ---------------------------------------------------------------------------
@@ -959,10 +836,9 @@ class _ClosedPipe:
         raise BrokenPipeError(32, "Broken pipe")
 
 
-def test_broken_pipe_is_exit_1_without_traceback(models_dir, monkeypatch,
-                                                 capsys):
+def test_broken_pipe_is_exit_1_without_traceback(models, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdout", _ClosedPipe())
-    code = main(["lattice", "--model", str(models_dir / "m_qbit.json"),
+    code = main(["lattice", "--model", f"{models}/m_qbit.json",
                  "--which", "lindenbaum", "--closed"])
     monkeypatch.undo()
     assert code == 1
@@ -982,17 +858,10 @@ def test_broken_pipe_in_a_real_pipe():
     assert err == ""
 
 
-def test_malformed_hilbert_section_is_schema_error(tmp_path, capsys):
-    doc = json.loads(dump_model(m_qbit()))
-    doc["hilbert"]["state_rays"] = [[[1.0, 0.0], [0.0, 0.0]]]
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    assert main(["props", "--model", str(path), "--lang", "ltq",
-                 "--physical", "Ez+(x)"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("ERROR SchemaError: ")
-    assert "state_rays" in err
-    assert "Traceback" not in err
+def test_malformed_hilbert_section_is_schema_error(expect):
+    expect("props --model state_rays_list.json --lang ltq --physical 'Ez+(x)'",
+           1,
+           err="ERROR SchemaError: 'hilbert.state_rays' must be an object\n")
 
 
 def test_check_qm_builds_the_state_lattice_once(tmp_path, capsys):
@@ -1026,7 +895,7 @@ def test_check_qm_builds_the_state_lattice_once(tmp_path, capsys):
     ["check", "--model", "{models}/m_cm.json", "--suite", "cm"],
 ])
 def test_a_run_builds_its_poset_tables_and_covers_once(
-        argv, models_dir, monkeypatch, capsys):
+        argv, models, monkeypatch, capsys):
     # one glb/lub table each for the meet and the join, one cover matrix
     counts = {"_glb_table": 0, "_cover_matrix": 0}
     for name in counts:
@@ -1037,7 +906,7 @@ def test_a_run_builds_its_poset_tables_and_covers_once(
             return real(leq)
 
         monkeypatch.setattr(lattice, name, counted)
-    assert main([a.replace("{models}", str(models_dir)) for a in argv]) == 0
+    assert main([a.replace("{models}", models) for a in argv]) == 0
     capsys.readouterr()
     assert counts == {"_glb_table": 2, "_cover_matrix": 1}
 
@@ -1057,8 +926,8 @@ _OVERSIZED = {
 
 
 @pytest.mark.parametrize("name", sorted(_OVERSIZED))
-def test_oversized_formula_is_a_parse_error(name, models_dir, capsys):
-    argv = [a.replace("{models}", str(models_dir)) for a in _OVERSIZED[name]]
+def test_oversized_formula_is_a_parse_error(name, models, capsys):
+    argv = [a.replace("{models}", models) for a in _OVERSIZED[name]]
     t0 = time.perf_counter()
     assert main(argv) == 1
     elapsed = time.perf_counter() - t0
@@ -1156,16 +1025,14 @@ def test_check_cm_collapse_line_is_gated_at_10_000_interpretations(
 
 @pytest.mark.parametrize("argv", [
     ["check", "--model", "m\0.json", "--suite", "cm"],
-    ["lattice", "--model", "@", "--which", "LS", "--dot", "g\0.dot"],
+    ["lattice", "--model", "m_qbit.json", "--which", "LS", "--dot", "g\0.dot"],
     ["fixtures", "--out", "d\0"],
 ])
-def test_nul_in_a_path_is_exit_1_without_traceback(argv, models_dir,
-                                                    capsys):
-    argv = [str(models_dir / "m_qbit.json") if w == "@" else w for w in argv]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("ERROR QlpropError: ")
-    assert "NUL character" in err and "Traceback" not in err
+def test_nul_in_a_path_is_exit_1_without_traceback(argv, expect):
+    i = next(i for i, word in enumerate(argv) if "\0" in word)
+    name = ("{models}/" if argv[i - 1] == "--model" else "") + argv[i]
+    expect(shlex.join(argv), 1, err=f"ERROR QlpropError: {argv[i - 1]} "
+           f"{name!r} contains a NUL character\n")
 
 
 # an empty name is no path: Path("") is the working directory, which
@@ -1176,10 +1043,10 @@ def test_nul_in_a_path_is_exit_1_without_traceback(argv, models_dir,
     (["fixtures", "--out", ""], "--out"),
     (["lattice", "--model", "@", "--which", "LS", "--dot", ""], "--dot"),
 ], ids=["model", "out", "dot"])
-def test_an_empty_path_is_refused(argv, option, models_dir, tmp_path,
+def test_an_empty_path_is_refused(argv, option, models, tmp_path,
                                   monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    argv = [str(models_dir / "m_qbit.json") if w == "@" else w for w in argv]
+    argv = [f"{models}/m_qbit.json" if w == "@" else w for w in argv]
     for extra in ([], ["--json"]):
         assert main(argv + extra) == 1
         assert capsys.readouterr() == (

@@ -1,9 +1,15 @@
 """Whole command lines, as a user runs them.
 
 Most run ``cli.main`` in process: ``--model NAME`` reads NAME from one
-directory with the four fixtures and three models they do not cover,
-and a leading ``NAME=value`` sets the environment for that run.  A child
-process runs only where the process itself is under test.
+directory with the four fixtures and five models they do not cover,
+a leading ``NAME=value`` sets the environment for that run, and the
+directory reads as ``{models}`` in the printed text.  ``ROWS`` checks a
+command line's exit code and whole output, ``SAME`` two command lines
+that print the same bytes; a run on a fixture alone belongs in the
+golden corpus of ``tests/test_golden.py`` instead.  The ``expect``
+fixture runs one command line the same way for the named tests of
+``tests/test_cli.py``.  A child process runs only where the process
+itself is under test.
 """
 
 import json
@@ -27,25 +33,53 @@ from test_golden import FIXTURES, _run
 def models(tmp_path_factory):
     d = tmp_path_factory.mktemp("console-models")
     assert _run(["fixtures", "--out", "{models}"], str(d))["exit"] == 0
-    # m_qbit without its zero E0, edited as a user would edit the file
-    doc = json.loads((d / "m_qbit.json").read_text(encoding="utf-8"))
+
+    def qbit():  # m_qbit's file, to be edited as a user would edit it
+        return json.loads((d / "m_qbit.json").read_text(encoding="utf-8"))
+
+    # m_qbit without its zero E0
+    doc = qbit()
     doc["properties"].remove("E0")
     del doc["hilbert"]["property_subspaces"]["E0"]
     for row in doc["extensions"].values():
         del row["E0"]
+    # the Sz+ ray tilted by 1e-6, which the default tolerance sees
+    # outside Ez+ and a loosened one inside
+    tilted = qbit()
+    tilted["hilbert"]["state_rays"]["Sz+"] = [[1.0, 0.0], [1e-6, 0.0]]
+    # the state rays as a list where a name -> vectors map belongs
+    rays_list = qbit()
+    rays_list["hilbert"]["state_rays"] = [[[1.0, 0.0], [0.0, 0.0]]]
     for name, text in (("join_open", dump_model(join_open())),
                        ("non_injective", dump_model(non_injective_qubit())),
-                       ("no_zero", json.dumps(doc))):
+                       ("no_zero", json.dumps(doc)),
+                       ("tilted", json.dumps(tilted)),
+                       ("state_rays_list", json.dumps(rays_list))):
         (d / f"{name}.json").write_text(text, encoding="utf-8")
     return str(d)
 
 
 def _console(line: str, models: str, monkeypatch) -> dict:
+    """Run ``line``; the models directory reads as ``{models}`` in the
+    printed text."""
     words = shlex.split(line.replace("--model ", "--model {models}/"))
     with monkeypatch.context() as env:
         while "=" in words[0]:
             env.setenv(*words.pop(0).split("=", 1))
-        return _run(words, models)
+        got = _run(words, models)
+    for key in ("stdout", "stderr"):
+        got[key] = got[key].replace(models, "{models}")
+    return got
+
+
+@pytest.fixture
+def expect(models, monkeypatch):
+    """Run a command line as :func:`_console` does and compare its exit
+    code and its whole stdout and stderr."""
+    def check(line: str, code: int, out: str = "", err: str = ""):
+        got = _console(line, models, monkeypatch)
+        assert (got["exit"], got["stdout"], got["stderr"]) == (code, out, err)
+    return check
 
 
 _NOT_CLOSED = "ERROR NotOperationClosed: no property realises the "

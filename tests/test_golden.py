@@ -2,8 +2,8 @@
 
 The corpus below runs ``qlprop parse`` on formulas of all three
 languages (every precedence and parenthesis case, and at least one error
-of each parse exception type), ``qlprop check`` on the suite/fixture
-pairs that finish in about a second, as text and as ``--json``,
+of each parse exception type), ``qlprop check`` on every suite/fixture
+pair but prag on m_cm, as text and as ``--json``,
 ``qlprop lattice`` on the four fixtures, ``qlprop props`` in every
 mode on the four fixtures, with its refusals, and ``qlprop eval`` in
 every mode (T/F, ``--object``, ``--interp``, ``--qtruth`` on testable,
@@ -174,12 +174,8 @@ def _parse_cases():
     return cases
 
 
-# cm on m_qbit and m_qutrit and prag on m_qutrit take seconds; the rest
-# finish in about a second or less
-_CHECKS = [("sec3", m) for m in FIXTURES] + [
-    ("cm", "m_sr"), ("cm", "m_cm"),
-    ("qm", "m_sr"), ("qm", "m_cm"), ("qm", "m_qbit"), ("qm", "m_qutrit"),
-    ("prag", "m_sr"), ("prag", "m_qbit"),
+_CHECKS = [(suite, m) for suite in ("sec3", "cm", "qm") for m in FIXTURES] + [
+    ("prag", "m_sr"), ("prag", "m_qbit"), ("prag", "m_qutrit"),
 ]
 
 
@@ -200,8 +196,10 @@ def _lattice_cases():
         for m in FIXTURES:
             argv = ["lattice", "--model", f"{{models}}/{m}.json", "--which", which]
             if which == "lindenbaum" and m == "m_qutrit":
-                argv += ["--depth", "2"]  # depth 3 takes seconds
-            cases[f"{which}-{m}"] = argv
+                cases[f"{which}-{m}"] = argv + ["--depth", "2"]
+                cases[f"{which}-{m}-depth-3"] = argv
+            else:
+                cases[f"{which}-{m}"] = argv
     for m in ("m_sr", "m_cm"):
         cases[f"lindenbaum-{m}-closed"] = ["lattice", "--model",
                                            f"{{models}}/{m}.json",

@@ -4,7 +4,8 @@ One row per line: the suite, the model, a fault injected into the code
 that decides the line (or none, where the line depends on the model),
 and the exact FAIL line, with the row's argv tail, if any, after the
 suite.  Each row runs through ``cli.main`` as a user would and must
-exit 1.  The rows cover 17 of the 22 kinds of line:
+exit 1.  The rows cover 21 of the 22 kinds of line, all but prag's
+preservation line:
 
 - qm: the negation, conjunction and join laws, and the state lattice
   laws ortho_involution, ortho_complement, orthomodular and
@@ -14,7 +15,17 @@ exit 1.  The rows cover 17 of the 22 kinds of line:
 - cm: every extension full or empty, truth independent of the
   interpretation, individual propositions collapse to physical, and,
   under ``--assume-cmt`` on m_cm with no fault, every formula testable;
+  and the four laws of the closed quotient on m_cm: bounded, by a poset
+  without a bottom; both distributive laws, by a glb table that meets
+  every incomparable pair at the least element of its order; and
+  unique_complement, by a poset that swaps its meet and join tables;
 - sec3: the three connective lines.
+
+Both distributive laws are decided by one test, that every
+join-irreducible is join-prime, before any cell is read.  A fault in
+``_join_prime`` alone leaves the tables sound, so the cell-by-cell
+fallback finds no witness and the lines pass; the fault goes into the
+tables.
 
 The two cm interpretation lines are decided by one mask, each
 class profile's slots outside its full blocks, so one fault in
@@ -104,6 +115,30 @@ def _poset_changes(method, change):
     return fault
 
 
+def _swapped_tables():
+    """The poset hands out its join table as the meet and its meet table
+    as the join."""
+    def fault(monkeypatch):
+        real = lattice.FinitePoset.meet_join_tables
+        monkeypatch.setattr(lattice.FinitePoset, "meet_join_tables",
+                            lambda self: real(self)[::-1])
+    return fault
+
+
+def _incomparable_at_least():
+    """The glb table answers every incomparable pair with the least
+    element of the order: the bottom for the meet, the top for the join."""
+    def fault(monkeypatch):
+        real = lattice._glb_table
+
+        def least(leq):
+            table, has = real(leq)
+            lowest = int(np.argmin(leq.sum(axis=0)))
+            return np.where(leq | leq.T, table, lowest), has
+        monkeypatch.setattr(lattice, "_glb_table", least)
+    return fault
+
+
 _CM_CLASS_LINES = ["FAIL truth independent of the interpretation",
                    "FAIL individual propositions collapse to physical"]
 
@@ -163,6 +198,20 @@ ROWS = [
     ("state lattice covering, no cover", "qm", m_qbit,
      _poset_changes("cover_matrix", np.zeros_like),
      "FAIL state lattice law covering: witness ('{}', '{Sz+}')"),
+    ("cm bounded, no bottom", "cm", m_cm,
+     _poset_changes("bottom_index", lambda bottom: None),
+     "FAIL quotient algebra law bounded: witness None"),
+    ("cm meet over join, incomparable pairs at the least element", "cm",
+     m_cm, _incomparable_at_least(),
+     "FAIL quotient algebra law distributive_meet_over_join: "
+     "witness ('E(x)', 'F(x)', '!F(x)')"),
+    ("cm join over meet, incomparable pairs at the least element", "cm",
+     m_cm, _incomparable_at_least(),
+     "FAIL quotient algebra law distributive_join_over_meet: "
+     "witness ('E(x)', 'F(x)', '!(E(x) & F(x))')"),
+    ("cm unique complement, meet and join tables swapped", "cm", m_cm,
+     _swapped_tables(),
+     "FAIL quotient algebra law unique_complement: witness ('E(x)', 0)"),
     # the one row with an argv tail: the line is printed under the flag
     ("cm testable, m_cm", "cm", m_cm, None,
      "FAIL every formula testable: 6 formulas lack a witness, "
